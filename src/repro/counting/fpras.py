@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import FPRASParameters, ParameterScale
-from repro.counting.sampler import SampleDraw, SamplerStatistics
+from repro.counting.sampler import SampleDraw, SamplerStatistics, StepTable
 from repro.counting.store import create_store
 from repro.counting.union import SetAccess, approximate_union
 from repro.errors import EmptyLanguageError, ParameterError
@@ -192,23 +192,9 @@ class NFACounter:
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts
         self.sampler_statistics = SamplerStatistics()
-        # Cross-batch descent memo (ParameterScale.reuse_descent_steps):
-        # one slot per level, shared by every per-batch SampleDraw this
-        # counter creates, so randomness-free steps are derived once per
-        # (level, state-set) instead of once per draw.  The slot layout and
-        # the intern table keep the memo O(n) *pointers* — a requirement of
-        # the streaming memory bound — rather than O(n) tuples; identical
-        # entries (common on sparse chains, where every level looks the
-        # same) collapse to one shared object.  None keeps the historical
-        # behaviour.
-        if self.parameters.scale.reuse_descent_steps:
-            self._step_memo: Optional[List[Optional[tuple]]] = [None] * (
-                length + 1
-            )
-            self._step_intern: Optional[Dict[tuple, tuple]] = {}
-        else:
-            self._step_memo = None
-            self._step_intern = None
+        # Shared by every per-batch SampleDraw of the run, so each descent
+        # step's fan is derived once per run (see SampleDraw).
+        self._steps = StepTable(length)
         self._union_calls = 0
         self._membership_calls = 0
         self._padded_states = 0
@@ -368,8 +354,7 @@ class NFACounter:
             self.samples,
             self.parameters,
             rng,
-            step_memo=self._step_memo,
-            step_intern=self._step_intern,
+            steps=self._steps,
         )
         gamma0 = self.parameters.gamma0(estimate)
         eta_sample = eta / max(1, 2 * xns)

@@ -90,23 +90,9 @@ class ParameterScale:
         counters and the RNG stream differ from a run with the knob off.
         Off by default (preserving every historical stream); the long-word
         benchmarks turn it on because it makes the backward sampler's
-        descent read-free on sparse automata.
-    reuse_descent_steps:
-        Opt-in memo for the backward sampler's descent.  A descent step at
-        ``(level, state-set)`` whose per-symbol union estimates were all
-        produced *without consuming randomness* (empty predecessor sets or
-        the ``singleton_union_exact`` path) is a pure function of the frozen
-        lower-level tables, so later draws replay it from a memo instead of
-        re-deriving predecessor handles and union estimates.  Replay
-        consumes exactly the same randomness as recomputation (the one
-        symbol-choice ``random()`` per level), so estimates, RNG streams and
-        every parity counter are bit-identical with the knob on or off —
-        the only observable difference is the ``union_cache_hits``
-        diagnostic (replayed steps skip the per-batch union cache).  Steps
-        whose unions actually run AppUnion are never memoised: they must
-        re-randomise per batch, and they still do.  Off by default; the
-        long-word benchmarks enable it together with
-        ``singleton_union_exact`` to make ``n >> 10^4`` runs tractable.
+        descent read-free on sparse automata, and with
+        ``reuse_union_estimates`` the sampler then replays such steps for
+        the whole run (see :class:`~repro.counting.sampler.SampleDraw`).
 
     >>> ParameterScale.practical().mode
     'scaled'
@@ -125,7 +111,6 @@ class ParameterScale:
     faithful_perturbation: bool = False
     strict_sample_consumption: bool = False
     singleton_union_exact: bool = False
-    reuse_descent_steps: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("paper", "scaled"):

@@ -20,16 +20,21 @@ estimating one union per alphabet symbol.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.automata.nfa import State, Symbol, Word
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import FPRASParameters
 from repro.counting.union import SetAccess, approximate_union
-from repro.errors import ParameterError
+from repro.errors import AutomatonError, ParameterError
 
 StateLevel = Tuple[State, int]
+
+#: Stamp of a step entry whose weights hold for the whole run.
+_WHOLE_RUN = object()
 
 
 @dataclass
@@ -60,6 +65,22 @@ class SamplerStatistics:
         return self.successes / self.draws
 
 
+class StepTable:
+    """The descent steps of one run, keyed on ``(level, state-set handle)``.
+
+    ``levels[l][Q']`` is ``(stamp, branches, cumulative, total,
+    probabilities, nonempty)``: ``Pred(Q', b)`` per symbol, the running sums
+    of the union estimates, their ``sum()``, each ``weight / total`` and the
+    number of non-empty branches; ``(None, branches)`` if no branch had mass.
+    ``shared`` interns whole-run entries, so the equal steps of a sparse
+    chain are one object (see :class:`SampleDraw`).
+    """
+
+    def __init__(self, length: int) -> None:
+        self.levels: List[Dict[object, tuple]] = [{} for _ in range(length + 1)]
+        self.shared: Dict[tuple, tuple] = {}
+
+
 class SampleDraw:
     """Stateful wrapper around Algorithm 2.
 
@@ -77,6 +98,9 @@ class SampleDraw:
         Accuracy / confidence / scaling configuration.
     rng:
         Randomness source shared with the main algorithm.
+    steps:
+        The run's :class:`StepTable`, shared by every per-batch instance of
+        one run; a fresh table when omitted.
 
     Notes
     -----
@@ -86,11 +110,21 @@ class SampleDraw:
     :meth:`clear_cache`) per sampling batch so estimates are never reused
     across batches.
 
+    Each descent step ``(level, Q')`` is kept in the step table.  Its fan is
+    structural, so it is derived once per run.  Its weights hold for the
+    whole run when every non-empty branch is a singleton answered by
+    ``singleton_union_exact``, otherwise within the batch that derived them
+    (the union cache fixes them there), and never with
+    ``reuse_union_estimates`` off.  A replay consumes the one ``random()``
+    and divides ``phi`` by the same ``weight / total`` as a derivation, so
+    only ``union_cache_hits`` tells them apart: a replay counts one hit per
+    non-empty branch, as the cached estimates it stands for would have.
+
     The backward walk tracks the current state set as an opaque engine
     handle (an integer mask on the bitset backend), so one level of the walk
     costs a few word operations; handles are hashable and equality-stable
-    across backends, which keeps the union-cache hit pattern — and therefore
-    the RNG stream — identical on every backend.
+    across backends, which keeps the union-cache and step-table hit pattern
+    — and therefore the RNG stream — identical on every backend.
     """
 
     def __init__(
@@ -100,26 +134,18 @@ class SampleDraw:
         samples: Mapping[StateLevel, Sequence[Word]],
         parameters: FPRASParameters,
         rng: Optional[random.Random] = None,
-        step_memo: Optional[List[Optional[tuple]]] = None,
-        step_intern: Optional[Dict[tuple, tuple]] = None,
+        steps: Optional[StepTable] = None,
     ) -> None:
         self.unroll = unroll
         self.estimates = estimates
         self.samples = samples
         self.parameters = parameters
         self.rng = rng if rng is not None else random.Random()
+        self.steps = steps if steps is not None else StepTable(unroll.length)
         self.statistics = SamplerStatistics()
         self._union_cache: Dict[Tuple[int, object], float] = {}
-        # Cross-batch descent memo (see ParameterScale.reuse_descent_steps):
-        # owned by the caller so it outlives this per-batch instance.  One
-        # slot per level — ``(state-set handle, weights, branch handles,
-        # total)`` — interned through ``step_intern`` so levels with equal
-        # step data share one tuple.  Only randomness-free steps are ever
-        # stored, which is what makes replay bit-identical to recomputation;
-        # a slot holding a different state-set than the descent's current
-        # one simply recomputes (and takes over the slot).
-        self._step_memo = step_memo
-        self._step_intern = step_intern
+        # Stamp of the step entries this batch derives.
+        self._batch = object()
 
     # ------------------------------------------------------------------
     # Public API
@@ -140,100 +166,46 @@ class SampleDraw:
         """
         if gamma0 <= 0:
             raise ParameterError("gamma0 must be positive")
+        levels = self.steps.levels
+        if level >= len(levels):
+            raise AutomatonError(
+                f"level {level} outside the unrolling range [0, {len(levels) - 1}]"
+            )
         self.statistics.draws += 1
         eta_prime = eta / max(1, 4 * self.unroll.length)
 
         # The walk is the innermost loop of the whole FPRAS (every draw
         # descends ``level`` levels), so locals are hoisted and the word is
-        # accumulated in a list (appending the symbols in reverse order and
-        # reversing once at the end) instead of the historical
-        # ``(symbol,) + word`` tuple prepend, which cost O(level) per step
-        # and made long words quadratic.  The RNG call sequence — one
-        # ``random()`` per level in ``_choose_symbol`` plus whatever the
-        # union estimates consume — is unchanged, so the rework is
-        # bit-identical.
-        engine = self.unroll.engine
-        predecessor_fan = self.unroll.predecessor_fan
-        is_empty = engine.is_empty
-        estimate_union = self._estimate_union
+        # built in reverse in a list (a tuple prepend would make long words
+        # quadratic).  Each level consumes one ``random()`` for the symbol
+        # choice plus whatever a derivation's union estimates consume.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
-        step_memo = self._step_memo
         statistics = self.statistics
         rng_random = self.rng.random
+        batch = self._batch
         phi = gamma0
         reversed_word: List[Symbol] = []
-        current = engine.encode(states)
+        current = self.unroll.engine.encode(states)
         for current_level in range(level, 0, -1):
-            if step_memo is not None:
-                entry = step_memo[current_level]
-                if entry is not None and entry[0] == current:
-                    # Replay of a randomness-free step: the same single
-                    # ``random()`` the slow path's ``_choose_symbol`` would
-                    # consume, the same running-sum tie-breaking, the same
-                    # branch probability — nothing observable differs.
-                    _, weights, branch_handles, total = entry
-                    point = rng_random() * total
-                    running = 0.0
-                    index = last_index
-                    for position, weight in enumerate(weights):
-                        running += weight
-                        if point <= running:
-                            index = position
-                            break
-                    phi /= weights[index] / total
-                    reversed_word.append(alphabet[index])
-                    current = branch_handles[index]
-                    continue
-                union_calls_before = statistics.union_calls
-                union_hits_before = statistics.union_cache_hits
-            # One fan call per level: the whole-alphabet predecessor query
-            # goes through the negotiated level kernel when the backend
-            # declares one, and degrades to the scalar per-symbol loop
-            # otherwise — handles, counters and the RNG stream are
-            # bit-identical either way.
-            symbol_estimates: Dict[Symbol, float] = {}
-            symbol_predecessors: Dict[Symbol, object] = {}
-            fan = predecessor_fan(current, current_level)
-            for symbol, predecessors in zip(alphabet, fan):
-                symbol_predecessors[symbol] = predecessors
-                if is_empty(predecessors):
-                    symbol_estimates[symbol] = 0.0
-                    continue
-                symbol_estimates[symbol] = estimate_union(
-                    predecessors, current_level - 1, beta, eta_prime
-                )
-            total = sum(symbol_estimates.values())
-            if total <= 0.0:
-                self.statistics.failures_no_mass += 1
-                return None
-            if (
-                step_memo is not None
-                and statistics.union_calls == union_calls_before
-                and statistics.union_cache_hits == union_hits_before
-            ):
-                # Every estimate above came from an intrinsically
-                # randomness-free path (empty predecessors or the
-                # singleton-exact shortcut) over frozen lower-level tables,
-                # so the step may be replayed verbatim by any later draw —
-                # including across batches and sharded workers.  Steps that
-                # touched AppUnion (or even its per-batch cache) are left
-                # out: they re-randomise per batch and must keep doing so.
-                entry = (
-                    current,
-                    tuple(symbol_estimates[symbol] for symbol in alphabet),
-                    tuple(symbol_predecessors[symbol] for symbol in alphabet),
-                    total,
-                )
-                intern = self._step_intern
-                if intern is not None:
-                    entry = intern.setdefault(entry, entry)
-                step_memo[current_level] = entry
-            symbol = self._choose_symbol(symbol_estimates, total)
-            branch_probability = symbol_estimates[symbol] / total
-            phi /= branch_probability
-            reversed_word.append(symbol)
-            current = symbol_predecessors[symbol]
+            entry = levels[current_level].get(current)
+            if entry is None or (entry[0] is not batch and entry[0] is not _WHOLE_RUN):
+                entry = self._derive_step(current, current_level, entry, beta, eta_prime)
+                if entry is None:
+                    statistics.failures_no_mass += 1
+                    return None
+            else:
+                statistics.union_cache_hits += entry[5]
+            _, branches, cumulative, total, probabilities, _ = entry
+            # The first running sum >= point is where a linear ``point <=
+            # running`` scan stops; past the last one (``sum()`` may round
+            # above it) that scan fell through to the last symbol.
+            index = bisect_left(cumulative, rng_random() * total)
+            if index > last_index:
+                index = last_index
+            phi /= probabilities[index]
+            reversed_word.append(alphabet[index])
+            current = branches[index]
 
         # Base case (level 0).
         if phi > 1.0:
@@ -247,12 +219,65 @@ class SampleDraw:
         return None
 
     def clear_cache(self) -> None:
-        """Forget memoised union estimates (start of a new sampling batch)."""
+        """Start a new sampling batch: forget the memoised union estimates
+        and the step weights derived from them."""
         self._union_cache.clear()
+        self._batch = object()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _derive_step(
+        self,
+        current: object,
+        level: int,
+        stale: Optional[tuple],
+        beta: float,
+        eta_prime: float,
+    ) -> Optional[tuple]:
+        """Weigh every branch of step ``(level, current)`` and store the entry.
+
+        ``stale`` is the step's earlier entry, whose fan is reused.  Returns
+        ``None`` when no branch has mass.
+        """
+        engine = self.unroll.engine
+        scale = self.parameters.scale
+        if stale is None:
+            branches = tuple(self.unroll.predecessor_fan(current, level))
+        else:
+            branches = stale[1]
+        reuse = scale.reuse_union_estimates
+        whole_run = reuse and scale.singleton_union_exact
+        weights: List[float] = []
+        nonempty = 0
+        for predecessors in branches:
+            if engine.is_empty(predecessors):
+                weights.append(0.0)
+                continue
+            nonempty += 1
+            weights.append(
+                self._estimate_union(predecessors, level - 1, beta, eta_prime)
+            )
+            if whole_run and engine.count(predecessors) != 1:
+                whole_run = False
+        total = sum(weights)
+        steps = self.steps
+        if total <= 0.0:
+            steps.levels[level][current] = (None, branches)
+            return None
+        entry = (
+            _WHOLE_RUN if whole_run else self._batch if reuse else None,
+            branches,
+            tuple(accumulate(weights)),
+            total,
+            tuple(weight / total for weight in weights),
+            nonempty,
+        )
+        if whole_run:
+            entry = steps.shared.setdefault(entry, entry)
+        steps.levels[level][current] = entry
+        return entry
+
     def _estimate_union(
         self,
         predecessors: object,
@@ -314,14 +339,3 @@ class SampleDraw:
         if reuse:
             self._union_cache[cache_key] = result.estimate
         return result.estimate
-
-    def _choose_symbol(self, estimates: Dict[Symbol, float], total: float) -> Symbol:
-        """Pick a symbol with probability proportional to its union estimate."""
-        point = self.rng.random() * total
-        running = 0.0
-        symbols = list(estimates)
-        for symbol in symbols:
-            running += estimates[symbol]
-            if point <= running:
-                return symbol
-        return symbols[-1]

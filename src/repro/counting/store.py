@@ -148,7 +148,8 @@ class _WindowedLevelTable:
         self._resident: Dict[int, Dict[StateLevel, List]] = {}
         self._max_level: Optional[int] = None
         self._spill_file = None
-        self._spill_index: Dict[int, Tuple[int, int]] = {}
+        # level -> (offset, payload length, entry count) in the spill file.
+        self._spill_index: Dict[int, Tuple[int, int, int]] = {}
         self._fault_level: Optional[int] = None
         self._fault_entries: Dict[StateLevel, List] = {}
         self.spilled_levels = 0
@@ -187,7 +188,7 @@ class _WindowedLevelTable:
         self._spill_file.seek(0, 2)
         offset = self._spill_file.tell()
         self._spill_file.write(payload)
-        self._spill_index[level] = (offset, len(payload))
+        self._spill_index[level] = (offset, len(payload), len(entries))
         self.spilled_levels += 1
         self.evicted_entries += len(entries)
         self.spill_bytes += len(payload)
@@ -202,7 +203,7 @@ class _WindowedLevelTable:
         location = self._spill_index.get(level)
         if location is None:
             return None
-        offset, length = location
+        offset, length, _ = location
         self._spill_file.seek(offset)
         entries = pickle.loads(zlib.decompress(self._spill_file.read(length)))
         self._fault_level = level
@@ -244,9 +245,9 @@ class _WindowedLevelTable:
             yield from list(self._level_entries(level).items())
 
     def __len__(self) -> int:
-        return sum(
-            len(self._resident.get(level) or self._level_entries(level))
-            for level in self._levels()
+        # Spilled levels count from the index, so len() faults nothing back.
+        return sum(len(entries) for entries in self._resident.values()) + sum(
+            count for _, _, count in self._spill_index.values()
         )
 
     def close(self) -> None:

@@ -80,9 +80,10 @@ def long_word_scale() -> ParameterScale:
     Minimal sample sets (``ns = 2``) with no attempt slack, and the
     ``singleton_union_exact`` shortcut on: on a single-predecessor chain
     every union is a singleton, so the level transition does no membership
-    or sample reads and the run cost is the sampler descent alone.  The
-    shortcut changes the RNG stream relative to the defaults, which is why
-    it stays opt-in here rather than becoming a global default.
+    or sample reads, and the sampler replays every descent step for the
+    whole run once derived.  The shortcut changes the RNG stream relative
+    to the defaults, which is why it stays opt-in here rather than becoming
+    a global default.
     """
     return ParameterScale(
         mode="scaled",
@@ -91,7 +92,6 @@ def long_word_scale() -> ParameterScale:
         union_trial_cap=8,
         union_trial_floor=1,
         singleton_union_exact=True,
-        reuse_descent_steps=True,
     )
 
 

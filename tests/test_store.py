@@ -157,6 +157,19 @@ def test_windowed_store_windows_sample_counts_too():
     store.close()
 
 
+def test_windowed_len_faults_no_spilled_level_back():
+    store = WindowedStore(window=2)
+    for level in range(6):
+        store.samples[("q", level)] = [("a",) * level]
+        store.samples[("r", level)] = []
+        store.sample_counts[("q", level)] = level + 1
+    assert store.counters()["store_spilled_levels"] == 8
+    assert len(store.samples) == 12
+    assert len(store.sample_counts) == 6
+    assert store.counters()["store_level_faults"] == 0
+    store.close()
+
+
 # ----------------------------------------------------------------------
 # Differential suite: dict vs windowed must be bit-identical
 # ----------------------------------------------------------------------
@@ -260,21 +273,6 @@ def test_workers_do_not_change_windowed_results():
     serial = count(nfa, 8, workers=1, **kwargs)
     pooled = count(nfa, 8, workers=4, **kwargs)
     assert _api_observables(pooled) == _api_observables(serial)
-
-
-def test_reuse_descent_steps_changes_only_the_cache_hit_diagnostic():
-    """The cross-batch descent memo must be invisible except to
-    ``union_cache_hits`` (a cache diagnostic, not an algorithm counter)."""
-    from repro.workloads.longwords import long_word_scale, unary_loop_nfa
-
-    nfa = unary_loop_nfa()
-    scale_on = long_word_scale()
-    scale_off = scale_on.with_overrides(reuse_descent_steps=False)
-    for store in ("dict", "windowed"):
-        on, _ = _run_counter(nfa, 64, store=store, window=3, scale=scale_on)
-        off, _ = _run_counter(nfa, 64, store=store, window=3, scale=scale_off)
-        assert on == off
-    assert scale_on.reuse_descent_steps and not scale_off.reuse_descent_steps
 
 
 def test_store_knobs_are_fingerprint_neutral():

@@ -42,7 +42,8 @@ EXPECTED = {
 #: ``decode_ops`` is excluded — it is representation-specific by design).
 EXPECTED_ENGINE = {
     "step_ops": 225,
-    "pre_ops": 10850,
+    # Fans are computed once per (level, handle) per run.
+    "pre_ops": 94,
     "cache_words": 218,
     "cache_lookups": 3170,
     "simulated_steps": 217,
