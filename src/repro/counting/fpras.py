@@ -31,7 +31,7 @@ from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.sampler import SampleDraw, SamplerStatistics, StepTable
 from repro.counting.store import create_store
-from repro.counting.union import SetAccess, approximate_union
+from repro.counting.union import approximate_union
 from repro.errors import EmptyLanguageError, ParameterError
 
 StateLevel = Tuple[State, int]
@@ -193,7 +193,8 @@ class NFACounter:
         self._sample_counts = self.store.sample_counts
         self.sampler_statistics = SamplerStatistics()
         # Shared by every per-batch SampleDraw of the run, so each descent
-        # step's fan is derived once per run (see SampleDraw).
+        # step's fan is derived once per run (see SampleDraw); its union
+        # plans also serve the level estimates and the final estimate.
         self._steps = StepTable(length)
         self._union_calls = 0
         self._membership_calls = 0
@@ -393,6 +394,7 @@ class NFACounter:
         beta_prime = (1.0 + beta) ** (level - 1) - 1.0
         delta_union = eta / (2.0 * (1.0 - 2.0 ** -(n + 1)))
         singleton_exact = self.parameters.scale.singleton_union_exact
+        encode = self.unroll.engine.encode
         total = 0.0
         for symbol in self.nfa.alphabet:
             predecessors = self.unroll.predecessors(state, symbol, level)
@@ -410,23 +412,18 @@ class NFACounter:
                     0.0, float(self.estimates.get((ordered[0], level - 1), 0.0))
                 )
                 continue
-            accesses = [
-                SetAccess(
-                    oracle=self.unroll.membership_oracle(predecessor),
-                    samples=self.samples.get((predecessor, level - 1), ()),
-                    size_estimate=self.estimates.get((predecessor, level - 1), 0.0),
-                    label=(predecessor, level - 1),
-                )
-                for predecessor in ordered
-            ]
+            plan = self._steps.union_plan(
+                level - 1, encode(predecessors), ordered, self.estimates, self.samples
+            )
             result = approximate_union(
-                accesses,
+                plan,
                 epsilon=beta,
                 delta=delta_union,
                 size_slack=beta_prime,
                 parameters=self.parameters,
                 rng=rng,
                 first_containing_batch=self.unroll.first_containing_batch(ordered),
+                samples=self.samples,
             )
             self._union_calls += 1
             self._membership_calls += result.membership_calls
@@ -474,23 +471,22 @@ class NFACounter:
         if len(accepting) == 1:
             return self.estimates.get((accepting[0], self.length), 0.0)
         beta_prime = (1.0 + beta) ** self.length - 1.0
-        accesses = [
-            SetAccess(
-                oracle=self.unroll.membership_oracle(state),
-                samples=self.samples.get((state, self.length), ()),
-                size_estimate=self.estimates.get((state, self.length), 0.0),
-                label=(state, self.length),
-            )
-            for state in accepting
-        ]
+        plan = self._steps.union_plan(
+            self.length,
+            self.unroll.engine.encode(accepting),
+            accepting,
+            self.estimates,
+            self.samples,
+        )
         result = approximate_union(
-            accesses,
+            plan,
             epsilon=beta,
             delta=eta / 2.0,
             size_slack=beta_prime,
             parameters=self.parameters,
             rng=rng,
             first_containing_batch=self.unroll.first_containing_batch(accepting),
+            samples=self.samples,
         )
         self._union_calls += 1
         self._membership_calls += result.membership_calls

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from repro.automata.nfa import State, Symbol, Word
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import FPRASParameters
-from repro.counting.union import SetAccess, approximate_union
+from repro.counting.union import UnionPlan, approximate_union
 from repro.errors import AutomatonError, ParameterError
 
 StateLevel = Tuple[State, int]
@@ -66,7 +66,8 @@ class SamplerStatistics:
 
 
 class StepTable:
-    """The descent steps of one run, keyed on ``(level, state-set handle)``.
+    """The descent steps and union plans of one run, keyed on
+    ``(level, state-set handle)``.
 
     ``levels[l][Q']`` is ``(stamp, branches, cumulative, total,
     probabilities, nonempty)``: ``Pred(Q', b)`` per symbol, the running sums
@@ -74,11 +75,44 @@ class StepTable:
     number of non-empty branches; ``(None, branches)`` if no branch had mass.
     ``shared`` interns whole-run entries, so the equal steps of a sparse
     chain are one object (see :class:`SampleDraw`).
+
+    ``unions[(l, P)]`` is the :class:`~repro.counting.union.UnionPlan` of
+    the union of ``L(p^l)`` over ``p in P``, shared by Algorithm 3's level
+    estimates, the descent and the final estimate.  It holds for the whole
+    run: AppUnion only ever runs over complete levels, and nothing rewrites
+    a complete level's estimates or samples.
     """
 
     def __init__(self, length: int) -> None:
         self.levels: List[Dict[object, tuple]] = [{} for _ in range(length + 1)]
         self.shared: Dict[tuple, tuple] = {}
+        self.unions: Dict[Tuple[int, object], UnionPlan] = {}
+        # One key tuple per (state, level), shared by every plan naming it.
+        self._keys: Dict[StateLevel, StateLevel] = {}
+
+    def union_plan(
+        self,
+        level: int,
+        handle: object,
+        states: Sequence[State],
+        estimates: Mapping[StateLevel, float],
+        samples: Mapping[StateLevel, Sequence[Word]],
+    ) -> UnionPlan:
+        """The plan for ``handle`` at ``level`` over ``states`` (its decoded
+        states in AppUnion order), built on first use.  Its keys are the
+        state-table keys ``(state, level)``."""
+        plan = self.unions.get((level, handle))
+        if plan is None:
+            interned = self._keys
+            keys = tuple(
+                interned.setdefault((state, level), (state, level)) for state in states
+            )
+            plan = self.unions[(level, handle)] = UnionPlan(
+                [estimates.get(key, 0.0) for key in keys],
+                [len(samples.get(key, ())) for key in keys],
+                keys,
+            )
+        return plan
 
 
 class SampleDraw:
@@ -302,37 +336,35 @@ class SampleDraw:
                 self.statistics.union_cache_hits += 1
                 return cached
 
-        ordered = sorted(self.unroll.engine.decode(predecessors), key=repr)
-        if self.parameters.scale.singleton_union_exact and len(ordered) == 1:
-            # Value-exact shortcut (see ParameterScale.singleton_union_exact):
-            # a one-set union estimate is exactly the stored size estimate.
-            # No trials run, so no RNG, sample reads or union/membership
-            # counter increments happen on this path.
-            estimate = max(
-                0.0, float(self.estimates.get((ordered[0], level), 0.0))
-            )
-            if reuse:
-                self._union_cache[cache_key] = estimate
-            return estimate
-        beta_prime = (1.0 + beta) ** level - 1.0
-        accesses: List[SetAccess] = []
-        for state in ordered:
-            accesses.append(
-                SetAccess(
-                    oracle=self.unroll.membership_oracle(state),
-                    samples=self.samples.get((state, level), ()),
-                    size_estimate=self.estimates.get((state, level), 0.0),
-                    label=(state, level),
+        plan = self.steps.unions.get(cache_key)
+        if plan is None:
+            ordered = sorted(self.unroll.engine.decode(predecessors), key=repr)
+            if self.parameters.scale.singleton_union_exact and len(ordered) == 1:
+                # Value-exact shortcut (see ParameterScale.singleton_union_exact):
+                # a one-set union estimate is exactly the stored size estimate.
+                # No trials run, so no RNG, sample reads or union/membership
+                # counter increments happen on this path.
+                estimate = max(
+                    0.0, float(self.estimates.get((ordered[0], level), 0.0))
                 )
+                if reuse:
+                    self._union_cache[cache_key] = estimate
+                return estimate
+            plan = self.steps.union_plan(
+                level, predecessors, ordered, self.estimates, self.samples
             )
+        else:
+            ordered = [state for state, _ in plan.keys]
+        beta_prime = (1.0 + beta) ** level - 1.0
         result = approximate_union(
-            accesses,
+            plan,
             epsilon=beta,
             delta=eta_prime,
             size_slack=beta_prime,
             parameters=self.parameters,
             rng=self.rng,
             first_containing_batch=self.unroll.first_containing_batch(ordered),
+            samples=self.samples,
         )
         self.statistics.union_calls += 1
         self.statistics.membership_calls += result.membership_calls

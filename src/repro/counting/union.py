@@ -18,14 +18,27 @@ needed for experiments:
   or cyclic over a shuffled copy (scaled default);
 * every call returns a :class:`UnionEstimate` carrying diagnostics
   (membership calls, unique fraction, exhaustion) used by the benchmarks.
+
+Everything about a union that does not depend on the call's randomness lives
+in a :class:`UnionPlan`: the clamped sizes, their sums, ``m_hat``, and per
+set and stored-sample position the memoised answer to "which earlier set
+contains this sample first", resolved the first time a trial draws it.  The
+FPRAS keeps one plan per ``(level, predecessor set)`` for a whole run (see
+:class:`repro.counting.sampler.StepTable`), so a repeated union pays only its
+random draws — the per-set shuffles and one ``random()`` per trial — plus the
+answers no earlier call has needed.  A list of :class:`SetAccess` is a
+one-shot plan.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.counting.params import FPRASParameters
 from repro.errors import ParameterError, SampleExhaustedError
@@ -35,6 +48,9 @@ MembershipOracle = Callable[[object], bool]
 #: Batched membership primitive: maps a sequence of ``(sigma, i)`` queries to
 #: the per-query smallest index ``j < i`` with ``sigma`` in ``T_j`` (or -1).
 BatchMembership = Callable[[Sequence[tuple]], Sequence[int]]
+
+#: Largest set count whose answers fit the one-byte code of a plan.
+_BYTE_CODED_SETS = 255
 
 
 @dataclass
@@ -79,48 +95,109 @@ class UnionEstimate:
         return self.unique_hits / self.trials
 
 
-class _SampleStream:
-    """Per-set sample source implementing the two consumption policies."""
+class UnionPlan:
+    """The part of ``AppUnion`` over fixed sets that no call's randomness changes.
 
-    def __init__(self, samples: Sequence[object], rng: random.Random, strict: bool) -> None:
-        self._strict = strict
-        self._rng = rng
-        self._items: List[object] = list(samples)
-        if not strict:
-            self._rng.shuffle(self._items)
-        self._position = 0
-        self.exhausted = False
+    ``sizes`` are the size estimates clamped at 0, ``total`` their ``sum()``
+    (the estimate's scale) and ``cumulative`` their running sums (the last
+    one scales each trial's draw; ``sum()`` may round differently, being
+    compensated from CPython 3.12 on).  ``keys[i]`` locates the
+    stored samples of ``T_i`` in the ``samples`` mapping a call passes (by
+    default the set's position).  ``answers[offsets[i] + p]`` codes, for set
+    ``i`` and stored-sample position ``p``, the smallest ``j < i`` with that
+    sample in ``T_j``: ``j + 2``, or ``1`` when no earlier set contains it,
+    or ``0`` until a trial first draws the sample.
 
-    def next(self) -> Optional[object]:
-        """Return the next sample or ``None`` when (strictly) exhausted."""
-        if not self._items:
-            self.exhausted = True
-            return None
-        if self._position >= len(self._items):
-            if self._strict:
-                self.exhausted = True
-                return None
-            # Cyclic mode: reshuffle and restart.  This departs from the
-            # paper only in the (low-probability) regime where more samples
-            # are requested than stored.
-            self.exhausted = True
-            self._rng.shuffle(self._items)
-            self._position = 0
-        item = self._items[self._position]
-        self._position += 1
-        return item
+    A plan holds no sample, so the samples stay wherever their owner keeps
+    them, and it is valid for as long as the sizes and stored samples it was
+    built from do not change.  It is compact enough to keep one per union
+    for a whole run: the answers are a ``bytearray`` for up to 255 sets
+    (which the cyclic garbage collector never tracks, unlike an ``array``),
+    and the offsets an ``array`` (a tuple of them would leave a run's worth
+    of tuples on the interpreter's free lists).
+
+    >>> plan = UnionPlan([2.0, -1.0, 3.0], [2, 0, 1])
+    >>> plan.sizes, plan.total, plan.cumulative, plan.m_hat
+    ((2.0, 0.0, 3.0), 5.0, (2.0, 2.0, 5.0), 2)
+    >>> list(plan.offsets), list(plan.answers)  # no sample drawn yet
+    ([0, 2, 2, 3], [0, 0, 0])
+    """
+
+    __slots__ = ("keys", "sizes", "total", "cumulative", "m_hat", "offsets", "answers")
+
+    def __init__(
+        self,
+        sizes: Sequence[float],
+        lengths: Sequence[int],
+        keys: Optional[Sequence[object]] = None,
+    ) -> None:
+        if len(lengths) != len(sizes):
+            raise ParameterError("a union plan needs one sample count per set")
+        self.sizes = tuple(max(0.0, float(size)) for size in sizes)
+        self.total = sum(self.sizes)
+        self.cumulative = tuple(accumulate(self.sizes))
+        # m_hat = ceil(sum sz / max sz), the paper's trial-count factor.
+        self.m_hat = (
+            int(math.ceil(self.total / max(self.sizes))) if self.total > 0 else 0
+        )
+        self.offsets = array("q", accumulate(lengths, initial=0))
+        slots = self.offsets[-1]
+        if len(self.sizes) <= _BYTE_CODED_SETS:
+            self.answers = bytearray(slots)
+        else:
+            self.answers = array("i", [0]) * slots
+        self.keys = range(len(self.sizes)) if keys is None else tuple(keys)
+
+
+def _shuffle(items: List[int], rng: random.Random) -> None:
+    """``rng.shuffle(items)``: the same swaps and generator state, faster.
+
+    For an exact ``random.Random`` this is CPython's ``Random.shuffle`` with
+    ``_randbelow_with_getrandbits`` inlined.  Any other generator keeps its
+    own ``shuffle``: a subclass that overrides ``random()`` draws its swap
+    indices another way.
+    """
+    if type(rng) is not random.Random:
+        rng.shuffle(items)
+        return
+    getrandbits = rng.getrandbits
+    for size in range(len(items), 1, -1):
+        bits = size.bit_length()
+        index = getrandbits(bits)
+        while index >= size:
+            index = getrandbits(bits)
+        last = size - 1
+        items[last], items[index] = items[index], items[last]
+
+
+def _oracle_scan(sets: Sequence[SetAccess]) -> BatchMembership:
+    """The per-set oracle loop in :data:`BatchMembership` form."""
+    oracles = [entry.oracle for entry in sets]
+
+    def scan(queries: Sequence[tuple]) -> List[int]:
+        answers = []
+        for sample, index in queries:
+            containing = -1
+            for earlier in range(index):
+                if oracles[earlier](sample):
+                    containing = earlier
+                    break
+            answers.append(containing)
+        return answers
+
+    return scan
 
 
 def approximate_union(
-    sets: Sequence[SetAccess],
+    sets: Union[Sequence[SetAccess], UnionPlan],
     epsilon: float,
     delta: float,
     size_slack: float,
     parameters: FPRASParameters,
     rng: Optional[random.Random] = None,
     raise_on_exhaustion: bool = False,
-    first_containing: Optional[Callable[[object, int], int]] = None,
     first_containing_batch: Optional[BatchMembership] = None,
+    samples: Optional[Mapping[object, Sequence[object]]] = None,
 ) -> UnionEstimate:
     """Estimate ``|T_1 ∪ … ∪ T_k|`` (Algorithm 1, ``AppUnion``).
 
@@ -128,7 +205,9 @@ def approximate_union(
     ----------
     sets:
         One :class:`SetAccess` per set, in the fixed order used for the
-        "first set containing the element" tie-break.
+        "first set containing the element" tie-break; or a
+        :class:`UnionPlan` over the sets in that order, whose memoised
+        answers the call reads and extends.
     epsilon, delta:
         The estimator's own accuracy/confidence parameters (the subscript
         parameters of ``AppUnion_{eps, delta}`` in the paper).
@@ -142,30 +221,25 @@ def approximate_union(
         In strict consumption mode, raise :class:`SampleExhaustedError`
         instead of silently stopping early, so tests can observe the event
         the paper bounds in Part 2 of the proof of Theorem 1.
-    first_containing:
-        Optional batched membership primitive: ``first_containing(sigma, i)``
-        returns the smallest index ``j < i`` with ``sigma`` in ``T_j``, or
-        ``-1``.  When supplied (the engine-backed unrolled automaton provides
-        one) it replaces the per-set oracle loop with a single reachability
-        lookup; results and the ``membership_calls`` accounting are identical
-        to the oracle loop — the early-exit scan over earlier sets is simply
-        executed against one precomputed handle.
     first_containing_batch:
-        Whole-multiset form of ``first_containing``: maps a sequence of
-        ``(sigma, i)`` queries to the per-query answers in one call (see
-        :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`).
-        Trial sampling never depends on membership answers, so the
-        implementation first draws every trial (consuming the RNG stream
-        exactly as the interleaved loop would) and then resolves all
-        membership questions in one batched pass — estimates, diagnostics
-        and the RNG stream are bit-identical to the per-trial paths.
-        Takes precedence over ``first_containing`` when both are given.
-        On engines whose declared capabilities carry a level kernel, the
-        batched pass resolves all fresh reachability handles with one
-        stacked tensor gather per ``(level, symbol)`` group (see
-        :meth:`repro.automata.unroll.ReachabilityCache
-        .reachable_handle_batch`); scalar backends walk the same trie one
-        step at a time, bit-identically.
+        Batched membership: maps a sequence of ``(sigma, i)`` queries to the
+        per-query smallest index ``j < i`` with ``sigma`` in ``T_j``, or
+        ``-1``, in one call (see
+        :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`,
+        which answers a whole query block with one reachability-cache pass).
+        Required with a plan; with :class:`SetAccess` it replaces the per-set
+        oracle loop, with identical answers.
+    samples:
+        With a plan: ``samples[plan.keys[i]]`` is the stored multiset of
+        ``T_i``, read only for answers the plan does not know yet.
+
+    Trials never depend on membership answers, so every trial is drawn first
+    (one ``random()`` each, plus the per-set shuffles) and the answers no
+    earlier call on the plan has resolved are then resolved in one
+    ``first_containing_batch`` call.  Estimates, diagnostics and the RNG
+    stream are the same for a fresh and a reused plan.  ``membership_calls``
+    counts the oracle checks a scan over earlier sets would make: ``j + 1``
+    when it stops at ``T_j``, ``i`` when no earlier set contains ``sigma``.
 
     Returns
     -------
@@ -192,9 +266,25 @@ def approximate_union(
         raise ParameterError("AppUnion delta must lie in (0, 1)")
     rng = rng if rng is not None else random.Random()
 
-    sizes = [max(0.0, float(entry.size_estimate)) for entry in sets]
-    total_size = sum(sizes)
-    if total_size <= 0 or not sets:
+    if isinstance(sets, UnionPlan):
+        plan = sets
+        if first_containing_batch is None or samples is None:
+            raise ParameterError(
+                "AppUnion over a UnionPlan needs first_containing_batch and samples"
+            )
+        labels: Sequence[object] = plan.keys
+    else:
+        plan = UnionPlan(
+            [entry.size_estimate for entry in sets],
+            [len(entry.samples) for entry in sets],
+        )
+        samples = [entry.samples for entry in sets]
+        if first_containing_batch is None:
+            first_containing_batch = _oracle_scan(sets)
+        labels = [entry.label for entry in sets]
+
+    total_size = plan.total
+    if total_size <= 0:
         return UnionEstimate(
             estimate=0.0,
             trials=0,
@@ -202,68 +292,79 @@ def approximate_union(
             membership_calls=0,
             sum_of_sizes=0.0,
         )
+    trials = parameters.union_trials(epsilon, delta, size_slack, plan.m_hat)
 
-    # m_hat = ceil(sum sz / max sz); trial count per the paper's formula,
-    # optionally capped by the operational scale.
-    m_hat = int(math.ceil(total_size / max(sizes)))
-    trials = parameters.union_trials(epsilon, delta, size_slack, m_hat)
-
+    # One stream per set over its slots in ``plan.answers``.  Every set is
+    # shuffled, in order, before the first trial (unless consumption is
+    # strict), which keeps the RNG stream of the historical per-set copies.
     strict = parameters.scale.strict_sample_consumption
-    streams = [_SampleStream(entry.samples, rng, strict) for entry in sets]
-    cumulative = _cumulative_weights(sizes)
+    offsets = plan.offsets
+    streams: List[List[int]] = []
+    for index in range(len(offsets) - 1):
+        stream = list(range(offsets[index], offsets[index + 1]))
+        if not strict:
+            _shuffle(stream, rng)
+        streams.append(stream)
+    cursors = [0] * len(streams)
 
-    # Phase 1 — draw every trial.  Sampling consumes the RNG stream exactly
-    # as the historical interleaved loop did (membership answers never feed
-    # back into sampling), which is what lets phase 2 batch the membership
-    # questions without perturbing seeded runs.
+    cumulative = plan.cumulative
+    scale = cumulative[-1]  # not total_size: see UnionPlan
+    answers = plan.answers
+    draw = rng.random
     exhausted = False
     performed = 0
-    drawn: List[tuple] = []  # (sigma, set index) per performed trial
-    for _ in range(trials):
-        index = _weighted_index(cumulative, rng)
-        sample = streams[index].next()
-        if sample is None:
-            exhausted = True
-            if raise_on_exhaustion:
-                raise SampleExhaustedError(
-                    f"set {sets[index].label!r} ran out of samples after {performed} trials"
-                )
-            if strict:
-                break
-            continue
-        performed += 1
-        if streams[index].exhausted:
-            exhausted = True
-        drawn.append((sample, index))
-
-    # Phase 2 — resolve "is sigma in an earlier set" for every trial.  The
-    # answer per trial is the smallest j < i containing sigma (or -1); the
-    # three strategies are observationally identical and share the
-    # membership_calls accounting: a scan stopping at j costs j + 1 checks,
-    # a full miss costs i checks.
-    if first_containing_batch is not None and drawn:
-        containing_per_trial = first_containing_batch(drawn)
-    elif first_containing is not None:
-        containing_per_trial = [
-            first_containing(sample, index) for sample, index in drawn
-        ]
-    else:
-        containing_per_trial = []
-        for sample, index in drawn:
-            containing = -1
-            for earlier in range(index):
-                if sets[earlier].oracle(sample):
-                    containing = earlier
-                    break
-            containing_per_trial.append(containing)
-
-    # Phase 3 — accumulate the estimator and its diagnostics.
     unique_hits = 0
     membership_calls = 0
-    for (_sample, index), containing in zip(drawn, containing_per_trial):
-        membership_calls += index if containing < 0 else containing + 1
-        if containing < 0:
+    unseen: List[tuple] = []  # (slot, set index) of trials with unknown answers
+    for _ in range(trials):
+        index = bisect_left(cumulative, draw() * scale)
+        stream = streams[index]
+        cursor = cursors[index]
+        if cursor == len(stream):
+            exhausted = True
+            if strict or not stream:
+                if raise_on_exhaustion:
+                    raise SampleExhaustedError(
+                        f"set {labels[index]!r} ran out of samples after "
+                        f"{performed} trials"
+                    )
+                if strict:
+                    break
+                continue
+            # Cyclic mode: reshuffle and restart.  This departs from the
+            # paper only in the (low-probability) regime where more samples
+            # are requested than stored.
+            _shuffle(stream, rng)
+            cursor = 0
+        slot = stream[cursor]
+        cursors[index] = cursor + 1
+        performed += 1
+        # Coded answer (see UnionPlan): 0 unknown, 1 unique, else j + 2.
+        code = answers[slot]
+        if not code:
+            unseen.append((slot, index))
+        elif code == 1:
             unique_hits += 1
+            membership_calls += index
+        else:
+            membership_calls += code - 1
+
+    if unseen:
+        keys = plan.keys
+        fresh = list(dict.fromkeys(unseen))
+        queries = [
+            (samples[keys[index]][slot - offsets[index]], index)
+            for slot, index in fresh
+        ]
+        for (slot, _), containing in zip(fresh, first_containing_batch(queries)):
+            answers[slot] = containing + 2
+        for slot, index in unseen:
+            code = answers[slot]
+            if code == 1:
+                unique_hits += 1
+                membership_calls += index
+            else:
+                membership_calls += code - 1
 
     if performed == 0:
         return UnionEstimate(
@@ -283,27 +384,3 @@ def approximate_union(
         sum_of_sizes=total_size,
         exhausted=exhausted,
     )
-
-
-def _cumulative_weights(sizes: Sequence[float]) -> List[float]:
-    """Cumulative weights for proportional index sampling."""
-    cumulative: List[float] = []
-    running = 0.0
-    for size in sizes:
-        running += size
-        cumulative.append(running)
-    return cumulative
-
-
-def _weighted_index(cumulative: Sequence[float], rng: random.Random) -> int:
-    """Sample an index with probability proportional to its weight."""
-    total = cumulative[-1]
-    point = rng.random() * total
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        middle = (low + high) // 2
-        if point <= cumulative[middle]:
-            high = middle
-        else:
-            low = middle + 1
-    return low

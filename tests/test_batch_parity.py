@@ -12,8 +12,8 @@ tolerances):
   ``batch_steps_saved``) are identical between the ``bitset`` and
   ``reference`` backends, i.e. the trie walk visits the same nodes on both;
 * ``approximate_union`` produces bit-identical estimates and accounting on
-  its three membership strategies (oracle loop, scalar ``first_containing``,
-  batched ``first_containing_batch``) under a shared seed;
+  its two membership strategies (oracle loop, batched
+  ``first_containing_batch``) under a shared seed;
 * the engine registry shares engines by automaton *value*, evicts LRU, and
   is observationally transparent: a full FPRAS run with the cache disabled
   (``--no-engine-cache`` / ``use_engine_cache=False``) reproduces the cached
@@ -259,35 +259,35 @@ class TestUnionBatchEquivalence:
         ]
         return unroll, states, accesses
 
-    def test_three_membership_strategies_identical(self):
+    def test_oracle_and_batch_membership_identical(self):
         unroll, states, accesses = self._accesses_and_batch()
         parameters = FPRASParameters(seed=3)
         results = {}
-        for mode in ("oracle", "scalar", "batch"):
+        for mode in ("oracle", "batch"):
             keywords = {}
-            if mode == "scalar":
-                keywords["first_containing"] = unroll.first_containing(states)
             if mode == "batch":
                 keywords["first_containing_batch"] = unroll.first_containing_batch(
                     states
                 )
-            results[mode] = approximate_union(
-                accesses,
-                epsilon=0.4,
-                delta=0.2,
-                size_slack=0.1,
-                parameters=parameters,
-                rng=random.Random(29),
-                **keywords,
+            rng = random.Random(29)
+            results[mode] = (
+                approximate_union(
+                    accesses,
+                    epsilon=0.4,
+                    delta=0.2,
+                    size_slack=0.1,
+                    parameters=parameters,
+                    rng=rng,
+                    **keywords,
+                ),
+                rng.getstate(),
             )
-        baseline = results["oracle"]
-        for mode in ("scalar", "batch"):
-            observed = results[mode]
-            assert observed.estimate == baseline.estimate, mode
-            assert observed.trials == baseline.trials, mode
-            assert observed.unique_hits == baseline.unique_hits, mode
-            assert observed.membership_calls == baseline.membership_calls, mode
-            assert observed.exhausted == baseline.exhausted, mode
+        baseline, baseline_state = results["oracle"]
+        observed, observed_state = results["batch"]
+        assert observed == baseline
+        assert observed_state == baseline_state
+        # Not vacuous: some trials hit samples an earlier set contains.
+        assert 0 < baseline.unique_hits < baseline.trials
 
     @pytest.mark.parametrize("seed", range(118, 126))
     def test_fpras_with_batching_backend_parity(self, seed):
