@@ -22,17 +22,18 @@ cost is independent of ``m``:
 * ``step`` / ``pre`` / ``step_all`` view the handle as its ``chunks``
   bytes, gather the matching tensor rows in one fancy-index and OR-reduce
   them — a fixed-size gather regardless of how many states are set;
-* the batched ``simulate_batch`` / ``membership_batch`` paths reuse the
-  same gather-and-reduce kernel through an overridden
-  :meth:`~BlockEngine._extend_batch`, keeping the trie-walk accounting
-  bit-identical to the other backends.
+* the batched ``simulate_batch`` / ``accepts_batch`` paths walk a whole
+  batch's prefix trie level by level in NumPy (words as integer symbol
+  codes, trie children found by ``np.unique``, each symbol's children
+  stepped by one gather over their parents' non-zero chunk bytes and one
+  segmented OR), keeping the trie-walk accounting bit-identical to the
+  other backends.
 
-The backend registers itself as ``"numpy"`` when NumPy is importable (it is
-a declared dependency; the guard keeps the rest of the library importable
-on stripped-down environments).  The ``"auto"`` pseudo-backend resolved by
-:func:`repro.automata.engine.resolve_backend` selects this engine once the
-automaton crosses :data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD`
-states; ``benchmarks/bench_block.py`` records the measured crossover.
+The backend registers itself as ``"numpy"``.  The ``"auto"`` pseudo-backend
+resolved by :func:`repro.automata.engine.resolve_backend` selects this
+engine once the automaton crosses
+:data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD` states;
+``benchmarks/bench_block.py`` records the measured crossover.
 
 Example::
 
@@ -51,23 +52,19 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
     Engine,
     EngineCapabilities,
+    WordBatch,
+    check_positions,
     decode_mask,
     register_engine,
 )
 from repro.automata.nfa import NFA, State, Symbol, as_word
 from repro.errors import AutomatonError
-
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
 
 #: Bits per block of the packed state-set representation.
 BLOCK_BITS = 64
@@ -106,10 +103,6 @@ class BlockEngine(Engine):
     name = "numpy"
 
     def __init__(self, nfa: NFA) -> None:
-        if not NUMPY_AVAILABLE:  # pragma: no cover - registration is gated
-            raise AutomatonError(
-                "the 'numpy' simulation backend requires NumPy to be installed"
-            )
         super().__init__(nfa)
         ordered: List[State] = sorted(nfa.states, key=repr)
         self._states: Tuple[State, ...] = tuple(ordered)
@@ -147,6 +140,10 @@ class BlockEngine(Engine):
             symbol: self._chunk_tensor(matrix) for symbol, matrix in rev_bool.items()
         }
         self._fwd_all = self._chunk_tensor(any_bool)
+        #: The batch walk's symbol codes: positions in ``nfa.alphabet``.
+        self._codes: Dict[Symbol, int] = {
+            symbol: position for position, symbol in enumerate(nfa.alphabet)
+        }
 
         self._empty = bytes(self._width)
         self._initial = self._mask_to_bytes(1 << self._index[nfa.initial])
@@ -158,7 +155,6 @@ class BlockEngine(Engine):
         self._decode_cache: Dict[bytes, FrozenSet[State]] = {
             self._empty: frozenset()
         }
-        self._level_kernel: Optional["BlockLevelKernel"] = None
 
     # ------------------------------------------------------------------
     # Internal representation helpers
@@ -360,105 +356,131 @@ class BlockEngine(Engine):
     # ------------------------------------------------------------------
     # Batched simulation (level-synchronous vectorised trie walk)
     # ------------------------------------------------------------------
-    def simulate_batch(self, words: Sequence["str | Tuple[Symbol, ...]"]) -> List[bytes]:
-        """Vectorised trie walk over a whole word multiset.
+    def _encode_batch(
+        self, words: WordBatch
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", int]:
+        """``(codes, starts, lengths, code count)`` of a batch, for :meth:`_walk_batch`.
+
+        ``codes`` holds every word's symbol codes back to back (word ``w``
+        is ``codes[starts[w] : starts[w] + lengths[w]]``): alphabet
+        positions, then one fresh code per distinct unknown symbol so two
+        unknown symbols never share a trie child.  A position matrix is
+        already in this form, row by row.
+        """
+        if isinstance(words, np.ndarray):
+            size = len(self._codes)
+            count, length = check_positions(words, size).shape
+            lengths = np.full(count, length, dtype=np.intp)
+            codes = words.astype(np.intp, copy=False).ravel()
+            return codes, lengths * np.arange(count), lengths, size
+        normalized = [word if type(word) is tuple else as_word(word) for word in words]
+        lengths = np.fromiter(map(len, normalized), dtype=np.intp, count=len(normalized))
+        code_of = dict(self._codes)
+        codes = np.fromiter(
+            (
+                code_of.setdefault(symbol, len(code_of))
+                for word in normalized
+                for symbol in word
+            ),
+            dtype=np.intp,
+            count=int(lengths.sum()),
+        )
+        return codes, np.cumsum(lengths) - lengths, lengths, len(code_of)
+
+    def _step_children(
+        self, node_states: "np.ndarray", parents: "np.ndarray", codes: "np.ndarray"
+    ) -> "np.ndarray":
+        """Block vectors of trie children ``(parents[i], codes[i])``.
+
+        Children are grouped by symbol code; each group gathers only the
+        tensor rows of its parents' non-zero chunk bytes (a zero byte maps
+        to an all-zero row) and ORs each parent's rows together with one
+        segmented ``reduceat``.  Every parent is a live node, so every
+        parent owns at least one gathered row.  Unknown-symbol children
+        stay empty.
+        """
+        alphabet = self.nfa.alphabet
+        children = np.zeros((len(parents), self.blocks), dtype=_BLOCK_DTYPE)
+        order = np.argsort(codes, kind="stable")
+        bounds = np.flatnonzero(np.diff(codes[order])) + 1
+        for group in np.split(order, bounds):
+            code = codes[group[0]]
+            if code >= len(alphabet):
+                continue
+            chunk_bytes = node_states[parents[group]].view(np.uint8)
+            rows, columns = np.nonzero(chunk_bytes)
+            gathered = self._fwd[alphabet[code]][(columns << 8) + chunk_bytes[rows, columns]]
+            per_parent = np.count_nonzero(chunk_bytes, axis=1)
+            children[group] = np.bitwise_or.reduceat(
+                gathered, np.cumsum(per_parent) - per_parent, axis=0
+            )
+        return children
+
+    def _walk_batch(self, words: WordBatch) -> "np.ndarray":
+        """Final block vectors of a batch, one row per word (the trie walk).
 
         The generic implementation walks the multiset's prefix trie in
         sorted order, stepping each distinct prefix with a live parent
-        exactly once.  This override visits the *same* trie nodes but
-        level-synchronously: all distinct ``(parent node, symbol)``
-        children of a level are stepped with one gather-and-reduce per
-        alphabet symbol, so a batch of hundreds of words costs a few NumPy
-        calls per trie level instead of a few per simulation step.  Results
-        (per-word final handles, in input order) and the work counters
-        (``step_ops``, ``batch_steps_saved``) are bit-identical to the
-        generic sorted walk — the three-way batch parity suite enforces it.
+        exactly once.  This walk visits the *same* trie nodes but
+        level-synchronously: the distinct ``(parent node, symbol)``
+        children of a level come from one ``np.unique`` over
+        ``node * code_count + code`` keys, and are stepped by
+        :meth:`_step_children` — a few NumPy calls per trie level and
+        symbol, with no per-word Python.  The work counters
+        (``step_ops``, ``batch_steps_saved``, ``batch_calls``,
+        ``batch_words``) are bit-identical to the generic sorted walk.
         """
-        normalized: List[Tuple[Symbol, ...]] = [
-            word if type(word) is tuple else as_word(word) for word in words
-        ]
+        codes, starts, lengths, code_count = self._encode_batch(words)
+        count = len(lengths)
         self.batch_calls += 1
-        self.batch_words += len(normalized)
-        count = len(normalized)
-        results: List[bytes] = [self._initial] * count
-        if not count:
-            return results
-        blocks = self.blocks
-        empty = self._empty
+        self.batch_words += count
+        final = np.zeros((count, self.blocks), dtype=_BLOCK_DTYPE)
         # Level-0 trie: every word sits at the root, whose state set is the
         # (never empty) initial singleton.
-        node_states = np.frombuffer(self._initial, dtype=_BLOCK_DTYPE).reshape(1, blocks)
-        word_node: List[int] = [0] * count
-        active: List[int] = list(range(count))
-        # ``full_cost[w]`` is what per-word simulation would have stepped:
-        # the word length, clipped to the level its prefix chain dies at.
-        full_cost: List[int] = [len(word) for word in normalized]
+        node_states = np.frombuffer(self._initial, dtype=_BLOCK_DTYPE).reshape(1, -1)
+        node = np.zeros(count, dtype=np.intp)
+        active = np.arange(count)
+        # ``cost[w]`` is what per-word simulation would have stepped: the
+        # word length, clipped to the level its prefix chain dies at.
+        cost = lengths.copy()
         performed = 0
         level = 0
-        while active:
-            extending: List[int] = []
-            for position in active:
-                if len(normalized[position]) == level:
-                    results[position] = node_states[word_node[position]].tobytes()
-                else:
-                    extending.append(position)
-            if not extending:
-                break
-            # Distinct (parent node, next symbol) pairs are the level's
-            # trie children; each is stepped exactly once.
-            child_of: Dict[Tuple[int, Symbol], int] = {}
-            word_child: Dict[int, int] = {}
-            for position in extending:
-                key = (word_node[position], normalized[position][level])
-                child = child_of.get(key)
-                if child is None:
-                    child = child_of[key] = len(child_of)
-                word_child[position] = child
-            performed += len(child_of)
-            child_states = np.zeros((len(child_of), blocks), dtype=_BLOCK_DTYPE)
-            by_symbol: Dict[Symbol, Tuple[List[int], List[int]]] = {}
-            for (parent, symbol), child in child_of.items():
-                parents, children = by_symbol.setdefault(symbol, ([], []))
-                parents.append(parent)
-                children.append(child)
-            for symbol, (parents, children) in by_symbol.items():
-                tensor = self._fwd.get(symbol)
-                if tensor is None:
-                    continue  # unknown symbol: children stay empty
-                chunk_bytes = np.ascontiguousarray(node_states[parents]).view(np.uint8)
-                gathered = tensor[
-                    chunk_bytes.astype(np.intp).reshape(len(parents), self._chunks)
-                    + self._base
-                ]
-                child_states[children] = np.bitwise_or.reduce(gathered, axis=1)
-            alive = child_states.any(axis=1)
-            survivors: List[int] = []
-            for position in extending:
-                child = word_child[position]
-                if alive[child]:
-                    word_node[position] = child
-                    survivors.append(position)
-                else:
-                    # The chain died one step in: per-word simulation would
-                    # have stopped here, returning the empty handle.
-                    results[position] = empty
-                    full_cost[position] = level + 1
-            node_states = child_states
-            active = survivors
+        while len(active):
+            done = lengths[active] == level
+            if done.any():
+                final[active[done]] = node_states[node[active[done]]]
+                active = active[~done]
+                if not len(active):
+                    break
+            keys = node[active] * code_count + codes[starts[active] + level]
+            children, inverse = np.unique(keys, return_inverse=True)
+            performed += len(children)
+            node_states = self._step_children(node_states, *np.divmod(children, code_count))
+            alive = node_states.any(axis=1)[inverse]
+            # A dead chain: per-word simulation would have stopped here,
+            # returning the empty handle (``final`` rows start empty).
+            cost[active[~alive]] = level + 1
+            active = active[alive]
+            node[active] = inverse[alive]
             level += 1
-        self.batch_steps_saved += sum(full_cost) - performed
+        self.batch_steps_saved += int(cost.sum()) - performed
         self.step_ops += performed
-        return results
+        return final
 
-    def accepts_batch(self, words: Sequence["str | Tuple[Symbol, ...]"]) -> List[bool]:
+    def simulate_batch(self, words: WordBatch) -> List[bytes]:
+        """Per-word :meth:`simulate` handles, by one vectorised trie walk.
+
+        Results and the work counters are bit-identical to the generic
+        sorted walk; the three-way batch parity suite enforces it.
+        """
+        buffer = self._walk_batch(words).tobytes()
+        width = self._width
+        return [buffer[offset : offset + width] for offset in range(0, len(buffer), width)]
+
+    def accepts_batch(self, words: WordBatch) -> List[bool]:
         """Vector of acceptance answers: one blockwise AND over the batch."""
-        handles = self.simulate_batch(words)
-        if not handles:
-            return []
-        stacked = np.frombuffer(b"".join(handles), dtype=_BLOCK_DTYPE).reshape(
-            len(handles), self.blocks
-        )
-        return (stacked & self._accepting_blocks).any(axis=1).tolist()
+        final = self._walk_batch(words)
+        return (final & self._accepting_blocks).any(axis=1).tolist()
 
     # ------------------------------------------------------------------
     # Batched membership
@@ -489,11 +511,13 @@ class BlockEngine(Engine):
     # Level kernel (capability-negotiated whole-level tensor passes)
     # ------------------------------------------------------------------
     def level_kernel(self) -> "BlockLevelKernel":
-        """The backend's :class:`BlockLevelKernel` (built once, then shared)."""
-        kernel = self._level_kernel
-        if kernel is None:
-            kernel = self._level_kernel = BlockLevelKernel(self)
-        return kernel
+        """A fresh :class:`BlockLevelKernel` over this engine.
+
+        Not cached on the engine: a kernel points back at its engine, and
+        that cycle would keep a dropped engine's chunk tensors alive until
+        a full garbage collection.  Callers keep the kernel they asked for.
+        """
+        return BlockLevelKernel(self)
 
 
 class BlockLevelKernel:
@@ -691,14 +715,13 @@ class BlockLevelKernel:
         return chains
 
 
-if NUMPY_AVAILABLE:
-    register_engine(
-        BlockEngine.name,
-        BlockEngine,
-        capabilities=EngineCapabilities(
-            backend=BlockEngine.name,
-            level_kernel=True,
-            batch_simulate=True,
-            gpu_ready=True,
-        ),
-    )
+register_engine(
+    BlockEngine.name,
+    BlockEngine,
+    capabilities=EngineCapabilities(
+        backend=BlockEngine.name,
+        level_kernel=True,
+        batch_simulate=True,
+        gpu_ready=True,
+    ),
+)

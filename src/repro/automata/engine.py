@@ -69,6 +69,8 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
 from repro.automata.nfa import NFA, State, Symbol, Word, as_word
 from repro.errors import AutomatonError, ParameterError
 
@@ -89,6 +91,11 @@ AUTO_BLOCK_THRESHOLD = 256
 #: ``upto`` argument of :meth:`Engine.membership_batch`: one bound for every
 #: word, a per-word sequence of bounds, or ``None`` for "all states".
 UptoSpec = Union[None, int, Sequence[int]]
+
+#: A batch of words for :meth:`Engine.simulate_batch`: a sequence of
+#: strings / symbol tuples, or a ``(count, length)`` integer matrix whose
+#: rows are words spelled as positions in ``nfa.alphabet``.
+WordBatch = Union[Sequence["str | Word"], np.ndarray]
 
 #: Cap on memoised decoded frozensets per mask-based engine.  Engines held
 #: by the shared registry live for the whole process, so decode memos must
@@ -114,6 +121,39 @@ def decode_mask(states: Sequence[State], mask: int) -> FrozenSet[State]:
         members.append(states[low.bit_length() - 1])
         mask ^= low
     return frozenset(members)
+
+
+def check_positions(matrix: np.ndarray, size: int) -> np.ndarray:
+    """Validate a ``(count, length)`` matrix of positions in a ``size``-symbol alphabet.
+
+    >>> check_positions(np.array([[0, 1], [1, 1]]), 2).shape
+    (2, 2)
+    >>> check_positions(np.array([[0, 2]]), 2)
+    Traceback (most recent call last):
+    ...
+    repro.errors.ParameterError: word matrix holds positions outside [0, 2)
+    """
+    if matrix.ndim != 2 or matrix.dtype.kind not in "iu":
+        raise ParameterError(
+            f"a word matrix must be a 2-d integer array, got shape "
+            f"{matrix.shape} of {matrix.dtype}"
+        )
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= size):
+        raise ParameterError(f"word matrix holds positions outside [0, {size})")
+    return matrix
+
+
+def position_words(alphabet: Sequence[Symbol], matrix: np.ndarray) -> List[Word]:
+    """The symbol tuples spelled by the rows of a position matrix.
+
+    >>> position_words(("a", "b"), np.array([[0, 1], [1, 1]]))
+    [('a', 'b'), ('b', 'b')]
+    """
+    check_positions(matrix, len(alphabet))
+    symbols = np.empty(len(alphabet), dtype=object)
+    for position, symbol in enumerate(alphabet):
+        symbols[position] = symbol
+    return list(map(tuple, symbols[matrix].tolist()))
 
 
 @dataclass(frozen=True)
@@ -367,7 +407,7 @@ class Engine(ABC):
             stack.append(current)
         return current
 
-    def simulate_batch(self, words: Sequence["str | Word"]) -> List[object]:
+    def simulate_batch(self, words: WordBatch) -> List[object]:
         """Handles of :meth:`simulate` for a whole multiset of words.
 
         The multiset is processed in sorted order so that consecutive words
@@ -376,7 +416,10 @@ class Engine(ABC):
         stack (a trie walk that never builds the trie).  Results come back
         in input order and each equals the corresponding per-word
         :meth:`simulate` handle; only the amount of stepping work differs,
-        which the ``batch_steps_saved`` counter records.
+        which the ``batch_steps_saved`` counter records.  ``words`` may
+        also be a ``(count, length)`` matrix of positions in
+        ``nfa.alphabet`` (see :data:`WordBatch`); this generic walk decodes
+        its rows to symbol tuples first.
 
         >>> from repro.automata.nfa import NFA
         >>> nfa = NFA.build(
@@ -388,9 +431,12 @@ class Engine(ABC):
         >>> engine.batch_steps_saved  # shared "0" prefix + the duplicate "01"
         3
         """
-        normalized = [
-            word if type(word) is tuple else as_word(word) for word in words
-        ]
+        if isinstance(words, np.ndarray):
+            normalized = position_words(self.nfa.alphabet, words)
+        else:
+            normalized = [
+                word if type(word) is tuple else as_word(word) for word in words
+            ]
         self.batch_calls += 1
         self.batch_words += len(normalized)
         results: List[object] = [self.initial] * len(normalized)
@@ -422,8 +468,12 @@ class Engine(ABC):
         self.batch_steps_saved += saved
         return results
 
-    def accepts_batch(self, words: Sequence["str | Word"]) -> List[bool]:
-        """Vector of :meth:`accepts` answers, sharing prefixes across words."""
+    def accepts_batch(self, words: WordBatch) -> List[bool]:
+        """Vector of :meth:`accepts` answers, sharing prefixes across words.
+
+        ``words`` is anything :meth:`simulate_batch` takes, including a
+        position matrix.
+        """
         accepting = self.accepting
         return [
             self.intersects(handle, accepting)
@@ -893,6 +943,6 @@ def acquire_engine(
 
 # Imports for the side effect of registering the bitset and numpy block
 # backends.  Placed at the bottom so both modules can import the Engine base
-# class above.  The block module registers itself only when NumPy imports.
+# class above.
 from repro.automata import bitset as _bitset  # noqa: E402,F401  (registration)
 from repro.automata import block as _block  # noqa: E402,F401  (registration)

@@ -7,6 +7,11 @@ when the language is a vanishing fraction of all words (the common case for
 interesting queries) the number of samples needed explodes — which is
 precisely why the paper's FPRAS, whose cost is polynomial regardless of
 density, is interesting.  The scaling benchmarks plot this contrast.
+
+This module never spells words out as symbol tuples: :func:`draw_words`
+returns a block of them as a ``(count, length)`` matrix of positions in
+``nfa.alphabet``, and :meth:`~repro.automata.engine.Engine.accepts_batch`
+takes that matrix as it is.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
+
+import numpy as np
 
 from repro.automata.engine import Engine
 from repro.automata.nfa import NFA
@@ -42,6 +49,54 @@ class MonteCarloEstimate:
         return abs(self.estimate - exact) / exact
 
 
+def draw_words(
+    rng: random.Random, size: int, length: int, count: int
+) -> np.ndarray:
+    """``count`` uniform words of ``length`` symbols, as alphabet positions.
+
+    Row-major, the ``(count, length)`` matrix holds exactly the positions
+    that ``count * length`` successive ``rng.choice(alphabet)`` calls over
+    a ``size``-symbol alphabet return, and ``rng`` is left in the same
+    state those calls leave it in.
+
+    For a plain :class:`random.Random` the draws come straight from the
+    Mersenne Twister in bulk: ``getrandbits(32 * k)`` yields ``k`` 32-bit
+    outputs, lowest word first; ``choice`` keeps an output's top
+    ``size.bit_length()`` bits when they fall below ``size`` (the filter
+    of ``Random._randbelow``) and otherwise draws again.  Each bulk pull
+    asks only for the shortfall, so it never reads past the last output
+    the scalar loop would read.  Subclasses (which may override
+    ``random`` or ``getrandbits``) and alphabets of ``2**32`` or more
+    symbols keep the scalar ``choice`` loop.
+
+    >>> scalar, bulk = random.Random(5), random.Random(5)
+    >>> flat = [scalar.choice("abc") for _ in range(8)]
+    >>> words = draw_words(bulk, 3, 4, 2)
+    >>> words.shape, ["abc"[position] for position in words.ravel()] == flat
+    ((2, 4), True)
+    >>> bulk.getstate() == scalar.getstate()
+    True
+    """
+    draws = count * length
+    bits = size.bit_length()
+    if type(rng) is not random.Random or not 0 < bits <= 32:
+        positions = range(size)
+        flat = [rng.choice(positions) for _ in range(draws)]
+        return np.array(flat, dtype=np.intp).reshape(count, length)
+    shift = 32 - bits
+    kept = [np.empty(0, dtype=np.intp)]
+    shortfall = draws
+    while shortfall:
+        outputs = np.frombuffer(
+            rng.getrandbits(32 * shortfall).to_bytes(4 * shortfall, "little"),
+            dtype="<u4",
+        ) >> shift
+        accepted = outputs[outputs < size]
+        kept.append(accepted.astype(np.intp))
+        shortfall -= len(accepted)
+    return np.concatenate(kept).reshape(count, length)
+
+
 def run_montecarlo(
     nfa: NFA,
     length: int,
@@ -57,32 +112,28 @@ def run_montecarlo(
     ``repro.count(..., method="montecarlo")`` instead of calling it
     directly.
 
-    All words are drawn up front (consuming the RNG stream exactly as the
-    historical word-at-a-time loop did) and accepted in one
-    :meth:`~repro.automata.engine.Engine.accepts_batch` pass, so words
-    sharing a prefix are simulated through it once.  The drawn words and
-    acceptance decisions — and therefore the estimate — are backend- and
-    batching-independent for a fixed seed.
+    Words are drawn in blocks of 8192 by :func:`draw_words` (consuming
+    the RNG stream exactly as the historical word-at-a-time loop did) and
+    each block is accepted by one
+    :meth:`~repro.automata.engine.Engine.accepts_batch` call on its
+    position matrix, so words sharing a prefix are simulated through it
+    once.  The drawn words and acceptance decisions — and therefore the
+    estimate — are backend- and batching-independent for a fixed seed.
     """
     if length < 0:
         raise ParameterError("length must be non-negative")
     if num_samples <= 0:
         raise ParameterError("num_samples must be positive")
-    alphabet = list(nfa.alphabet)
-    total_words = len(alphabet) ** length
-    # Draw and test in fixed-size blocks: the RNG stream is identical to a
-    # word-at-a-time loop (drawing never depends on acceptance) while peak
-    # memory stays bounded regardless of num_samples.
+    size = len(nfa.alphabet)
+    total_words = size**length
+    # Fixed-size blocks keep peak memory bounded regardless of num_samples;
+    # the block size also fixes the batch counters (one batch per block).
     block_size = 8192
     hits = 0
     remaining = num_samples
     while remaining:
         block = min(block_size, remaining)
-        words = [
-            tuple(rng.choice(alphabet) for _ in range(length))
-            for _ in range(block)
-        ]
-        hits += sum(engine.accepts_batch(words))
+        hits += sum(engine.accepts_batch(draw_words(rng, size, length, block)))
         remaining -= block
     estimate = (hits / num_samples) * total_words
     return MonteCarloEstimate(

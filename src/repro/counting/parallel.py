@@ -48,10 +48,11 @@ on state labels), automata that :func:`nfa_to_dict` rejects cannot be
 sharded.
 
 **Monte-Carlo**: the coordinator draws every word from the request stream
-exactly as the serial loop would (drawing never depends on acceptance), so
-the words — and therefore the estimate — are bit-identical to serial
-execution for *any* worker count; workers only run
-:meth:`~repro.automata.engine.Engine.accepts_batch` over fixed-size chunks
+with the serial loop's :func:`~repro.counting.montecarlo.draw_words`
+(drawing never depends on acceptance), so the words — and therefore the
+estimate — are bit-identical to serial execution for *any* worker count;
+workers only run :meth:`~repro.automata.engine.Engine.accepts_batch` over
+fixed-size row slices of the coordinator's position matrix
 (:data:`MC_CHUNK_WORDS`, worker-count independent) and the accepted counts
 are summed.
 
@@ -95,7 +96,7 @@ from repro.automata.engine import acquire_engine, resolve_backend
 from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
-from repro.counting.montecarlo import MonteCarloEstimate
+from repro.counting.montecarlo import MonteCarloEstimate, draw_words
 from repro.errors import (
     AutomatonError,
     CountingMethodError,
@@ -106,10 +107,6 @@ from repro.errors import (
 #: Words per Monte-Carlo acceptance chunk.  Fixed (never derived from the
 #: worker count) so the merged batch counters are worker-count invariant.
 MC_CHUNK_WORDS = 2048
-
-#: Words per drawing block, mirroring the serial Monte-Carlo loop so the
-#: coordinator consumes the RNG stream in exactly the same call sequence.
-_MC_DRAW_BLOCK = 8192
 
 #: Name recorded in report details for the substream derivation scheme.
 SEED_DERIVATION_SCHEME = "sha256(root, *path)[:8]"
@@ -888,36 +885,12 @@ def run_fpras_sharded(
 # ----------------------------------------------------------------------
 # Monte-Carlo sharded execution
 # ----------------------------------------------------------------------
-#: Words drawn per coordinator wave (a multiple of both the drawing block
-#: and the chunk size, so chunk boundaries are identical to chunking the
-#: whole stream at once).  Bounds coordinator memory at one wave of words
-#: regardless of ``num_samples`` — the parallel analogue of the serial
-#: loop's fixed-block drawing.
+#: Words drawn per coordinator wave (a multiple of the chunk size, so chunk
+#: boundaries are identical to chunking the whole stream at once).  Bounds
+#: coordinator memory at one wave of words regardless of ``num_samples`` —
+#: the parallel analogue of the serial loop's fixed-block drawing.  Drawing
+#: the same stream in differently sized blocks yields the same words.
 MC_WAVE_WORDS = 32 * MC_CHUNK_WORDS
-
-
-def _draw_wave(
-    alphabet: Sequence[str],
-    length: int,
-    remaining: int,
-    rng: random.Random,
-) -> List[Tuple[str, ...]]:
-    """Draw the next wave of words, consuming the stream like the serial loop.
-
-    The serial loop draws in :data:`_MC_DRAW_BLOCK`-word blocks; drawing the
-    same per-symbol ``rng.choice`` sequence in differently grouped blocks
-    yields the identical words, so waves preserve bit-identity.
-    """
-    words: List[Tuple[str, ...]] = []
-    budget = min(remaining, MC_WAVE_WORDS)
-    while budget:
-        block = min(_MC_DRAW_BLOCK, budget)
-        words.extend(
-            tuple(rng.choice(alphabet) for _ in range(length))
-            for _ in range(block)
-        )
-        budget -= block
-    return words
 
 
 def run_montecarlo_sharded(
@@ -936,10 +909,10 @@ def run_montecarlo_sharded(
 
     The coordinator draws words in bounded waves (bit-identical stream to
     the serial loop) and workers only answer acceptance over
-    :data:`MC_CHUNK_WORDS`-word chunks, so the estimate equals serial
-    Monte-Carlo for any worker count while peak memory stays at one wave
-    of words.  Returns ``(estimate, merged engine-counter deltas,
-    details)``.
+    :data:`MC_CHUNK_WORDS`-row slices of each wave's position matrix, so
+    the estimate equals serial Monte-Carlo for any worker count while peak
+    memory stays at one wave of words.  Returns ``(estimate, merged
+    engine-counter deltas, details)``.
 
     ``pool_manager`` (or an installed process-wide manager) reuses
     persistent pools across calls.  ``progress`` is called after every wave
@@ -952,8 +925,8 @@ def run_montecarlo_sharded(
     if num_samples <= 0:
         raise ReproError("num_samples must be positive")
     workers = resolve_workers(workers)
-    alphabet = list(nfa.alphabet)
-    total_words = len(alphabet) ** length
+    size = len(nfa.alphabet)
+    total_words = size**length
     total_chunks = -(-num_samples // MC_CHUNK_WORDS)
 
     def _wave_progress(done: int, hits_so_far: int) -> None:
@@ -981,7 +954,7 @@ def run_montecarlo_sharded(
         try:
             remaining = num_samples
             while remaining:
-                wave = _draw_wave(alphabet, length, remaining, rng)
+                wave = draw_words(rng, size, length, min(remaining, MC_WAVE_WORDS))
                 remaining -= len(wave)
                 outcomes = pool.run_tasks(
                     [
@@ -1006,7 +979,7 @@ def run_montecarlo_sharded(
         base = dict(engine.counters())
         remaining = num_samples
         while remaining:
-            wave = _draw_wave(alphabet, length, remaining, rng)
+            wave = draw_words(rng, size, length, min(remaining, MC_WAVE_WORDS))
             remaining -= len(wave)
             for start in range(0, len(wave), MC_CHUNK_WORDS):
                 hits += int(sum(engine.accepts_batch(wave[start : start + MC_CHUNK_WORDS])))

@@ -37,6 +37,18 @@ StateLevel = Tuple[State, int]
 _WHOLE_RUN = object()
 
 
+def _nearest_branch(probabilities: Sequence[float], index: int) -> int:
+    """The branch with mass nearest to ``index`` (lower one on a tie).
+
+    >>> _nearest_branch((0.0, 0.0, 0.75, 0.25), 0), _nearest_branch((0.5, 0.5, 0.0), 2)
+    (2, 1)
+    """
+    return min(
+        (position for position, mass in enumerate(probabilities) if mass > 0.0),
+        key=lambda position: abs(position - index),
+    )
+
+
 @dataclass
 class SamplerStatistics:
     """Counters describing the work one :class:`SampleDraw` instance performed."""
@@ -237,7 +249,14 @@ class SampleDraw:
             index = bisect_left(cumulative, rng_random() * total)
             if index > last_index:
                 index = last_index
-            phi /= probabilities[index]
+            try:
+                phi /= probabilities[index]
+            except ZeroDivisionError:
+                # Only an edge branch can be hit empty: a point of exactly
+                # 0.0 bisects onto an empty first branch, and the clamp
+                # above can land on an empty last one.
+                index = _nearest_branch(probabilities, index)
+                phi /= probabilities[index]
             reversed_word.append(alphabet[index])
             current = branches[index]
 

@@ -24,6 +24,8 @@ DOCTEST_MODULES = [
     "repro.automata.bitset",
     "repro.automata.block",
     "repro.counting.params",
+    "repro.counting.montecarlo",
+    "repro.counting.sampler",
     "repro.counting.union",
     "repro.counting.fpras",
     "repro.counting.api",

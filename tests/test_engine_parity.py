@@ -415,6 +415,30 @@ class TestLevelKernelParity:
                 assert isinstance(kernel, LevelKernel)
         assert create_engine(families.parity_nfa(3), "numpy").capabilities().level_kernel
 
+    def test_cleared_engine_is_freed_without_a_gc_pass(self):
+        # A kernel points back at its engine, so the engine must not cache
+        # it: that cycle would keep a dropped engine's chunk tensors alive
+        # until a full collection happened to run.
+        import gc
+        import weakref
+
+        from repro.automata.engine import SHARED_ENGINE_REGISTRY
+        from repro.counting.api import count
+        from repro.counting.policy import ExecutionPolicy
+
+        nfa = families.divisibility_nfa(20)
+        gc.collect()
+        gc.disable()
+        try:
+            SHARED_ENGINE_REGISTRY.clear()
+            count(nfa, 4, seed=1, policy=ExecutionPolicy(backend="numpy"))
+            engine = weakref.ref(SHARED_ENGINE_REGISTRY.get(nfa, "numpy"))
+            assert engine().level_kernel() is not engine().level_kernel()
+            SHARED_ENGINE_REGISTRY.clear()
+            assert engine() is None
+        finally:
+            gc.enable()
+
     def test_cache_negotiates_kernel_only_when_unbounded(self, suffix_nfa_0110):
         unbounded = ReachabilityCache(
             suffix_nfa_0110, backend="numpy", use_engine_cache=False

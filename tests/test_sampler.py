@@ -9,7 +9,9 @@ import pytest
 
 from repro.automata.exact import count_per_state_exact
 from repro.automata.families import no_consecutive_ones_nfa
+from repro.automata.nfa import NFA
 from repro.automata.unroll import UnrolledAutomaton
+from repro.counting.api import count
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.sampler import SampleDraw
 from repro.errors import ParameterError
@@ -172,3 +174,23 @@ class TestCaching:
         drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
         assert drawer.statistics.union_calls > 0
         assert drawer.statistics.draws == 1
+
+
+class ZeroRandom(random.Random):
+    """A stream whose ``random()`` is always exactly 0.0."""
+
+    def random(self):
+        return 0.0
+
+
+def test_zero_point_on_an_empty_first_branch_takes_the_nearest_branch():
+    # Every word of L(A_3) starts with "1", so the descent's "0" branch is
+    # empty; a 0.0 point bisects onto it and must move to the "1" branch
+    # instead of dividing by its zero probability.
+    nfa = NFA.build(
+        [("s", "1", "t"), ("t", "1", "t")],
+        initial="s",
+        accepting=["t"],
+        alphabet=("0", "1"),
+    )
+    assert count(nfa, 3, seed=ZeroRandom(0)).estimate == 1.0
