@@ -34,6 +34,7 @@ from repro.automata.regex import compile_regex
 from repro.counting.api import CountReport, CountRequest, count as unified_count
 from repro.counting.fpras import CountResult
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import ReductionError
 
@@ -253,8 +254,7 @@ class RPQCounter:
             epsilon=epsilon,
             delta=delta,
             seed=seed,
-            backend=backend,
-            use_engine_cache=use_engine_cache,
+            policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
             **options,
         )
 

@@ -18,6 +18,7 @@ from typing import Optional
 from repro.automata.nfa import NFA
 from repro.counting.api import count as unified_count
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ def estimate_leakage_bits(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         **options,
     )
     count = float(report.estimate)

@@ -40,6 +40,7 @@ from repro.automata.exact import count_exact
 from repro.counting.api import count as unified_count
 from repro.counting.fpras import CountResult
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ReductionError
 
 Fact = Tuple[str, str, float]
@@ -417,8 +418,7 @@ def evaluate_path_query(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         scale=scale,
     ).raw
     probability = result.estimate / float(1 << reduction.word_length)

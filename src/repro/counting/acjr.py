@@ -301,6 +301,7 @@ def count_nfa_acjr(
     bit-identical to constructing :class:`ACJRCounter` directly.
     """
     from repro.counting.api import count
+    from repro.counting.policy import ExecutionPolicy
 
     report = count(
         nfa,
@@ -309,8 +310,7 @@ def count_nfa_acjr(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         sample_cap=sample_cap,
     )
     return report.raw

@@ -86,13 +86,13 @@ def count_bruteforce(
     registry unless ``use_engine_cache`` is ``False``.
     """
     from repro.counting.api import count
+    from repro.counting.policy import ExecutionPolicy
 
     report = count(
         nfa,
         length,
         method="bruteforce",
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         limit=limit,
     )
     return report.raw

@@ -158,14 +158,14 @@ def count_montecarlo(
     be an ``int`` or an existing ``random.Random`` stream to continue.
     """
     from repro.counting.api import count
+    from repro.counting.policy import ExecutionPolicy
 
     report = count(
         nfa,
         length,
         method="montecarlo",
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         num_samples=num_samples,
     )
     return report.raw

@@ -37,6 +37,26 @@ StateLevel = Tuple[State, int]
 _WHOLE_RUN = object()
 
 
+def _advance(rng: random.Random, count: int) -> None:
+    """Consume what ``count`` calls of ``rng.random()`` would.
+
+    ``random()`` reads two 32-bit Mersenne Twister outputs, so for an exact
+    ``random.Random`` one ``getrandbits(64 * count)`` leaves the same state.
+    A subclass may draw ``random()`` another way, so it is called ``count``
+    times.
+
+    >>> left, right = random.Random(4), random.Random(4)
+    >>> _advance(left, 3); _ = [right.random() for _ in range(3)]
+    >>> left.getstate() == right.getstate()
+    True
+    """
+    if type(rng) is random.Random:
+        rng.getrandbits(64 * count)
+    else:
+        for _ in range(count):
+            rng.random()
+
+
 def _nearest_branch(probabilities: Sequence[float], index: int) -> int:
     """The branch with mass nearest to ``index`` (lower one on a tie).
 
@@ -78,15 +98,25 @@ class SamplerStatistics:
 
 
 class StepTable:
-    """The descent steps and union plans of one run, keyed on
+    """The descent steps, jumps and union plans of one run, keyed on
     ``(level, state-set handle)``.
 
     ``levels[l][Q']`` is ``(stamp, branches, cumulative, total,
-    probabilities, nonempty)``: ``Pred(Q', b)`` per symbol, the running sums
-    of the union estimates, their ``sum()``, each ``weight / total`` and the
-    number of non-empty branches; ``(None, branches)`` if no branch had mass.
-    ``shared`` interns whole-run entries, so the equal steps of a sparse
-    chain are one object (see :class:`SampleDraw`).
+    probabilities, nonempty, forced)``: ``Pred(Q', b)`` per symbol, the
+    running sums of the union estimates, their ``sum()``, each ``weight /
+    total``, the number of non-empty branches and the index of the one
+    branch a *forced* step always takes (-1 if the step is not forced);
+    ``(None, branches)`` if no branch had mass.  ``shared`` interns
+    whole-run entries, so the equal steps of a sparse chain are one object
+    (see :class:`SampleDraw`).
+
+    ``jumps[(l, Q')]`` is ``(stamp, skipped, landing, hits, symbols)``: a
+    run of ``skipped >= 2`` forced steps headed by ``(l, Q')`` ends at
+    handle ``landing`` on level ``l - skipped``, its replays count ``hits``
+    union cache hits, and ``symbols[:skipped]`` are its symbols bottom-up.
+    Jumps ending at the same landing share one ``symbols`` list, which a
+    longer run extends in place, so a chain of ``n`` forced steps holds
+    ``O(n)`` symbols however many heads it has.
 
     ``unions[(l, P)]`` is the :class:`~repro.counting.union.UnionPlan` of
     the union of ``L(p^l)`` over ``p in P``, shared by Algorithm 3's level
@@ -98,6 +128,7 @@ class StepTable:
     def __init__(self, length: int) -> None:
         self.levels: List[Dict[object, tuple]] = [{} for _ in range(length + 1)]
         self.shared: Dict[tuple, tuple] = {}
+        self.jumps: Dict[Tuple[int, object], tuple] = {}
         self.unions: Dict[Tuple[int, object], UnionPlan] = {}
         # One key tuple per (state, level), shared by every plan naming it.
         self._keys: Dict[StateLevel, StateLevel] = {}
@@ -166,6 +197,22 @@ class SampleDraw:
     only ``union_cache_hits`` tells them apart: a replay counts one hit per
     non-empty branch, as the cached estimates it stands for would have.
 
+    A *forced* step has one branch with ``weight / total == 1.0`` and all
+    others at exactly 0.0: every point the ``random()`` can pick bisects onto
+    that branch or onto one of probability 0.0, from which the nearest-branch
+    fallback leads to it, and ``phi`` is divided by 1.0.  The walk therefore
+    takes it without drawing, and owes the generator one ``random()`` per
+    forced step it crossed.  It pays that debt, in one ``getrandbits`` call
+    for an exact ``random.Random``, before anything else reads the
+    generator: a derivation, the next non-forced step and the final
+    rejection test.  A run of two or more forced steps walked with no
+    derivation between them is recorded in :attr:`StepTable.jumps`,
+    extending the jump it ended in, so the next draw through its head
+    crosses the whole run with one lookup.  A jump is stamped like a step:
+    whole-run if every step it skips is, else with the batch that built it.
+    Words, ``phi``, generator states and :class:`SamplerStatistics` equal a
+    step-by-step replay.
+
     The backward walk tracks the current state set as an opaque engine
     handle (an integer mask on the bitset backend), so one level of the walk
     costs a few word operations; handles are hashable and equality-stable
@@ -223,26 +270,73 @@ class SampleDraw:
         # The walk is the innermost loop of the whole FPRAS (every draw
         # descends ``level`` levels), so locals are hoisted and the word is
         # built in reverse in a list (a tuple prepend would make long words
-        # quadratic).  Each level consumes one ``random()`` for the symbol
-        # choice plus whatever a derivation's union estimates consume.
+        # quadratic): ``reversed_word`` holds ``level - current_level``
+        # symbols.  Each non-forced level consumes one ``random()`` for the
+        # symbol choice plus whatever a derivation's union estimates consume;
+        # the ``pending`` draws of forced levels are paid in bulk.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
         statistics = self.statistics
         rng_random = self.rng.random
         batch = self._batch
+        jumps = self.steps.jumps
         phi = gamma0
         reversed_word: List[Symbol] = []
         current = self.unroll.engine.encode(states)
-        for current_level in range(level, 0, -1):
+        current_level = level
+        pending = 0
+        cache_hits = 0
+        # The forced steps walked since the last derivation, jump or ordinary
+        # step, and the handle heading them.  A derivation ends the run, so
+        # an open run always leaves draws pending.
+        run: Optional[List[tuple]] = None
+        run_head: object = None
+        while current_level:
             entry = levels[current_level].get(current)
             if entry is None or (entry[0] is not batch and entry[0] is not _WHOLE_RUN):
+                if pending:
+                    self._settle(current_level, run_head, run, reversed_word, current, pending)
+                    run = None
+                    pending = 0
                 entry = self._derive_step(current, current_level, entry, beta, eta_prime)
                 if entry is None:
+                    statistics.union_cache_hits += cache_hits
                     statistics.failures_no_mass += 1
                     return None
+                forced = entry[6]
             else:
-                statistics.union_cache_hits += entry[5]
-            _, branches, cumulative, total, probabilities, _ = entry
+                forced = entry[6]
+                if forced >= 0:
+                    jump = jumps.get((current_level, current))
+                    if jump is not None and (jump[0] is batch or jump[0] is _WHOLE_RUN):
+                        if run is not None:
+                            self._record_jump(
+                                current_level, run_head, run, reversed_word, jump
+                            )
+                            run = None
+                        _, skipped, current, hits, symbols = jump
+                        cache_hits += hits
+                        pending += skipped
+                        reversed_word.extend(symbols[skipped - 1::-1])
+                        current_level -= skipped
+                        continue
+                cache_hits += entry[5]
+            if forced >= 0:
+                if run is None:
+                    run_head = current
+                    run = [entry]
+                else:
+                    run.append(entry)
+                pending += 1
+                reversed_word.append(alphabet[forced])
+                current = entry[1][forced]
+                current_level -= 1
+                continue
+            if pending:
+                self._settle(current_level, run_head, run, reversed_word, current, pending)
+                run = None
+                pending = 0
+            _, branches, cumulative, total, probabilities, _, _ = entry
             # The first running sum >= point is where a linear ``point <=
             # running`` scan stops; past the last one (``sum()`` may round
             # above it) that scan fell through to the last symbol.
@@ -259,6 +353,10 @@ class SampleDraw:
                 phi /= probabilities[index]
             reversed_word.append(alphabet[index])
             current = branches[index]
+            current_level -= 1
+        statistics.union_cache_hits += cache_hits
+        if pending:
+            self._settle(0, run_head, run, reversed_word, current, pending)
 
         # Base case (level 0).
         if phi > 1.0:
@@ -280,6 +378,61 @@ class SampleDraw:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _settle(
+        self,
+        level: int,
+        head: object,
+        run: Optional[List[tuple]],
+        reversed_word: List[Symbol],
+        landing: object,
+        pending: int,
+    ) -> None:
+        """Pay the ``pending`` draws owed to the generator, and record the
+        forced ``run`` (if any) that ended at handle ``landing`` on ``level``.
+
+        A jump over one step would save nothing.
+        """
+        if run is not None and len(run) > 1:
+            self._record_jump(
+                level, head, run, reversed_word, (_WHOLE_RUN, 0, landing, 0, [])
+            )
+        _advance(self.rng, pending)
+
+    def _record_jump(
+        self,
+        level: int,
+        head: object,
+        run: List[tuple],
+        reversed_word: List[Symbol],
+        tail: tuple,
+    ) -> None:
+        """Store the jump over the forced steps ``run``, walked from handle
+        ``head`` down to ``level``, and over the jump ``tail`` they ended in.
+
+        A run that ended at a handle ``landing`` instead passes the empty
+        jump ``(_WHOLE_RUN, 0, landing, 0, [])``.  The run's symbols are the
+        last ``len(run)`` of ``reversed_word``.  Nothing is stored when the
+        steps are re-derived on every visit.
+        """
+        stamp, tail_skipped, landing, hits, symbols = tail
+        for entry in run:
+            if entry[0] is not _WHOLE_RUN:
+                stamp = entry[0]
+            hits += entry[5]
+        if stamp is None:
+            return
+        if len(symbols) != tail_skipped:
+            # A longer run already extends the list: copy where they part.
+            symbols = symbols[:tail_skipped]
+        symbols.extend(reversed_word[: -len(run) - 1 : -1])
+        self.steps.jumps[(level + len(run), head)] = (
+            stamp,
+            len(run) + tail_skipped,
+            landing,
+            hits,
+            symbols,
+        )
+
     def _derive_step(
         self,
         current: object,
@@ -318,13 +471,19 @@ class SampleDraw:
         if total <= 0.0:
             steps.levels[level][current] = (None, branches)
             return None
+        probabilities = tuple(weight / total for weight in weights)
         entry = (
             _WHOLE_RUN if whole_run else self._batch if reuse else None,
             branches,
             tuple(accumulate(weights)),
             total,
-            tuple(weight / total for weight in weights),
+            probabilities,
             nonempty,
+            # Forced: one branch has probability exactly 1.0 and every other
+            # exactly 0.0.  An ``inf`` or ``nan`` weight makes ``nan``, not 1.0.
+            probabilities.index(1.0)
+            if 1.0 in probabilities and probabilities.count(0.0) == len(probabilities) - 1
+            else -1,
         )
         if whole_run:
             entry = steps.shared.setdefault(entry, entry)

@@ -139,8 +139,11 @@ class UniformWordSampler:
         beta = parameters.beta(self.counter.length)
         eta = parameters.eta(self.counter.length, self.counter.nfa.num_states)
         gamma0 = parameters.gamma0(estimate)
+        # The run's step table: its fans, union plans and whole-run steps
+        # carry over, and its batch steps are stale for a new drawer.
         drawer = SampleDraw(
-            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng
+            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng,
+            steps=self.counter._steps,
         )
         for _ in range(self.max_attempts_per_word):
             word = drawer.draw(self.counter.length, accepting, gamma0, beta, eta)
@@ -169,7 +172,8 @@ class UniformWordSampler:
         eta = parameters.eta(self.counter.length, self.counter.nfa.num_states)
         gamma0 = parameters.gamma0(estimate)
         drawer = SampleDraw(
-            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng
+            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng,
+            steps=self.counter._steps,
         )
         words: List[Word] = []
         attempts = 0

@@ -80,10 +80,12 @@ def long_word_scale() -> ParameterScale:
     Minimal sample sets (``ns = 2``) with no attempt slack, and the
     ``singleton_union_exact`` shortcut on: on a single-predecessor chain
     every union is a singleton, so the level transition does no membership
-    or sample reads, and the sampler replays every descent step for the
-    whole run once derived.  The shortcut changes the RNG stream relative
-    to the defaults, which is why it stays opt-in here rather than becoming
-    a global default.
+    or sample reads, and every descent step holds for the whole run once
+    derived.  Each of those steps is forced, so a draw crosses the chain
+    below its start with one jump and one bulk generator advance (see
+    :class:`~repro.counting.sampler.SampleDraw`).  The shortcut changes the
+    RNG stream relative to the defaults, which is why it stays opt-in here
+    rather than becoming a global default.
     """
     return ParameterScale(
         mode="scaled",

@@ -16,10 +16,19 @@ Three families of checks:
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
 import repro
+from repro.applications.graphdb import GraphDatabase, RegularPathQuery, RPQCounter
+from repro.applications.leakage import estimate_leakage_bits
+from repro.applications.pqe import (
+    PathQuery,
+    PQEReduction,
+    ProbabilisticDatabase,
+    evaluate_path_query,
+)
 from repro.automata.exact import count_exact
 from repro.automata.families import no_consecutive_ones_nfa, substring_nfa
 from repro.cli import main
@@ -39,6 +48,7 @@ from repro.counting.bruteforce import count_bruteforce
 from repro.counting.fpras import FPRASParameters, NFACounter, count_nfa
 from repro.counting.montecarlo import count_montecarlo
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import CountingMethodError, ParameterError, ReproError
 
@@ -181,6 +191,65 @@ class TestBruteForceParity:
     def test_limit_none_disables_check(self, nfa):
         assert count_bruteforce(nfa, 4, limit=None) == count_exact(nfa, 4)
         assert count(nfa, 4, method="bruteforce", limit=None).raw == count_exact(nfa, 4)
+
+
+class TestLegacyWrappersUsePolicies:
+    """The wrappers' documented ``backend`` / ``use_engine_cache`` arguments
+    reach ``repro.count`` as a policy, not as deprecated flat kwargs."""
+
+    @pytest.mark.parametrize(
+        "knobs", [{"backend": "reference"}, {"use_engine_cache": False}]
+    )
+    def test_wrappers_match_the_policy_spelling_without_warning(self, nfa, knobs):
+        policy = ExecutionPolicy(**knobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            montecarlo = count_montecarlo(nfa, 8, num_samples=300, seed=3, **knobs)
+            bruteforce = count_bruteforce(nfa, 7, **knobs)
+            acjr = count_nfa_acjr(nfa, 6, epsilon=0.4, sample_cap=32, seed=2, **knobs)
+            fpras = count_nfa(nfa, 6, epsilon=0.4, seed=2, **knobs)
+        assert montecarlo == count(
+            nfa, 8, method="montecarlo", num_samples=300, seed=3, policy=policy
+        ).raw
+        assert bruteforce == count(nfa, 7, method="bruteforce", policy=policy).raw
+        assert acjr.estimate == count(
+            nfa, 6, method="acjr", epsilon=0.4, sample_cap=32, seed=2, policy=policy
+        ).estimate
+        assert fpras.estimate == count(
+            nfa, 6, epsilon=0.4, seed=2, policy=policy
+        ).estimate
+
+    @pytest.mark.parametrize(
+        "knobs", [{"backend": "reference"}, {"use_engine_cache": False}]
+    )
+    def test_application_wrappers_match_the_policy_spelling_without_warning(
+        self, nfa, knobs
+    ):
+        policy = ExecutionPolicy(**knobs)
+        graph = GraphDatabase.from_edges(
+            [("a", "e", "b"), ("b", "e", "c"), ("a", "e", "c"), ("c", "f", "d")]
+        )
+        rpq = RPQCounter(graph, RegularPathQuery("a", "(<e>)*<f>", "d", max_length=4))
+        database = ProbabilisticDatabase()
+        database.add_fact("R", "a", "b", 0.5)
+        database.add_fact("S", "b", "z", 0.75)
+        query = PathQuery(("R", "S"))
+        reduction = PQEReduction(database, query, bits=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            leakage = estimate_leakage_bits(nfa, 6, epsilon=0.4, seed=2, **knobs)
+            answers = rpq.count_report(epsilon=0.4, seed=2, **knobs)
+            pqe = evaluate_path_query(database, query, epsilon=0.4, seed=2, **knobs)
+        assert leakage.observable_count == count(
+            nfa, 6, epsilon=0.4, seed=2, policy=policy
+        ).estimate
+        assert answers.estimate == count(
+            rpq.product_automaton(), 4, epsilon=0.4, seed=2, policy=policy
+        ).estimate
+        assert pqe.count_estimate == count(
+            reduction.automaton(), reduction.word_length, epsilon=0.4, seed=2,
+            policy=policy,
+        ).estimate
 
 
 class TestExactMethod:
@@ -327,7 +396,9 @@ class TestCountingSession:
         assert second.engine_counters["engine_cache_hit"] == 1
 
     def test_no_engine_cache_opts_out(self, nfa):
-        session = CountingSession(epsilon=0.5, seed=1, use_engine_cache=False)
+        session = CountingSession(
+            epsilon=0.5, seed=1, policy=ExecutionPolicy(use_engine_cache=False)
+        )
         session.count(nfa, 6)
         second = session.count(nfa, 6)
         assert second.engine_counters["engine_cache_hit"] == 0
@@ -403,7 +474,9 @@ class TestCountingSession:
         assert direct.sample_many(5) == facade.sample_many(5)
 
     def test_describe(self, nfa):
-        session = CountingSession(epsilon=0.3, seed=9, backend="reference")
+        session = CountingSession(
+            epsilon=0.3, seed=9, policy=ExecutionPolicy(backend="reference")
+        )
         session.count(nfa, 4, method="exact")
         description = session.describe()
         assert description["epsilon"] == 0.3

@@ -20,6 +20,7 @@ import pytest
 
 import repro.counting.fpras as fpras_module
 from repro.automata.engine import available_backends
+from repro.automata.families import blocks_nfa
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
@@ -34,6 +35,20 @@ SCALES = {
     "faithful_scaled": ParameterScale.faithful_scaled(sample_cap=4, union_trial_cap=8),
     "long_word": long_word_scale(),
 }
+
+#: The automata of the batch differentials, each with its length: random
+#: NFAs by seed, and blocks of forced steps joined by branch points.
+CASES = {
+    seed: (
+        lambda seed=seed: random_nonempty_nfa(
+            6, 5, density=0.3, accepting_fraction=0.4, seed=seed
+        ),
+        5,
+    )
+    for seed in (3, 17, 29)
+}
+CASES["blocks4-n16"] = (lambda: blocks_nfa(4), 16)
+CASES["blocks8-n40"] = (lambda: blocks_nfa(8), 40)
 
 
 class ReferenceDraw(SampleDraw):
@@ -82,10 +97,10 @@ class ReferenceDraw(SampleDraw):
         return None
 
 
-def _finished_counter(nfa, length, scale, backend, seed=5):
+def _finished_counter(nfa, length, scale, backend, seed=5, store="dict"):
     parameters = FPRASParameters(
         epsilon=0.5, delta=0.2, scale=scale, seed=seed, backend=backend,
-        use_engine_cache=False,
+        use_engine_cache=False, store=store, window=3,
     )
     counter = NFACounter(nfa, length, parameters)
     counter.run()
@@ -99,16 +114,17 @@ def _statistics(statistics, scale):
     return fields
 
 
-def _batches(counter, drawer_class, scale, seed=11):
+def _batches(counter, drawer_class, scale, rng=None, steps=None):
     """Algorithm 3's sampling batches, replayed over a finished run's tables.
 
     One drawer per (level, live state), as ``NFACounter`` creates them, all
-    sharing one RNG stream and (for the memoised drawer) one step table.
+    sharing one RNG stream (``Random(11)`` unless given) and, for the
+    memoised drawer, one step table (a fresh one unless given).
     """
-    rng = random.Random(seed)
+    rng = random.Random(11) if rng is None else rng
     parameters = dataclasses.replace(counter.parameters, scale=scale)
     beta, eta, _, xns = counter.derived_parameters()
-    steps = StepTable(counter.length)
+    steps = StepTable(counter.length) if steps is None else steps
     observed = []
     for level in range(1, counter.length + 1):
         for state in sorted(counter.unroll.live_states(level), key=repr):
@@ -127,11 +143,11 @@ def _batches(counter, drawer_class, scale, seed=11):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scale_name", sorted(SCALES))
-@pytest.mark.parametrize("seed", [3, 17, 29])
-def test_memoised_batches_match_reference(seed, scale_name, backend):
+@pytest.mark.parametrize("case", list(CASES))
+def test_memoised_batches_match_reference(case, scale_name, backend):
     scale = SCALES[scale_name]
-    nfa = random_nonempty_nfa(6, 5, density=0.3, accepting_fraction=0.4, seed=seed)
-    counter = _finished_counter(nfa, 5, scale, backend)
+    build, length = CASES[case]
+    counter = _finished_counter(build(), length, scale, backend)
     memoised = _batches(counter, SampleDraw, scale)
     reference = _batches(counter, ReferenceDraw, scale)
     assert memoised == reference

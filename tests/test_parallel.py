@@ -38,6 +38,7 @@ from repro.counting.parallel import (
     validate_shards,
 )
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import CountingMethodError, ReproError
 
 SCALE = ParameterScale.practical(sample_cap=8, union_trial_cap=10)
@@ -54,8 +55,7 @@ def _fpras(nfa, length, *, workers, shards, seed=11):
         epsilon=0.5,
         seed=seed,
         scale=SCALE,
-        workers=workers,
-        shards=shards,
+        policy=ExecutionPolicy(workers=workers, shards=shards),
     )
 
 
@@ -64,31 +64,38 @@ def _fpras(nfa, length, *, workers, shards, seed=11):
 # ----------------------------------------------------------------------
 def test_negative_workers_rejected(substring_101_nfa):
     with pytest.raises(CountingMethodError):
-        repro.count(substring_101_nfa, 4, method="fpras", workers=-1)
+        repro.count(substring_101_nfa, 4, method="fpras", policy=ExecutionPolicy(workers=-1))
 
 
 @pytest.mark.parametrize("bad", [1.5, "2", True, None])
 def test_non_integer_workers_rejected(substring_101_nfa, bad):
     with pytest.raises((CountingMethodError, TypeError)):
-        repro.count(substring_101_nfa, 4, method="fpras", workers=bad)
+        repro.count(substring_101_nfa, 4, method="fpras", policy=ExecutionPolicy(workers=bad))
 
 
 @pytest.mark.parametrize("method", ["exact", "bruteforce", "acjr"])
 @pytest.mark.parametrize("workers", [0, 2, 8])
 def test_workers_on_unsupported_method_rejected(substring_101_nfa, method, workers):
     with pytest.raises(CountingMethodError, match="does not support sharded"):
-        repro.count(substring_101_nfa, 4, method=method, workers=workers)
+        repro.count(
+            substring_101_nfa, 4, method=method, policy=ExecutionPolicy(workers=workers)
+        )
 
 
 @pytest.mark.parametrize("bad", [0, -3, 1.5, True])
 def test_bad_shards_rejected(substring_101_nfa, bad):
     with pytest.raises(CountingMethodError):
-        repro.count(substring_101_nfa, 4, method="fpras", workers=2, shards=bad)
+        repro.count(
+            substring_101_nfa, 4, method="fpras",
+            policy=ExecutionPolicy(workers=2, shards=bad),
+        )
 
 
 def test_shards_unknown_on_montecarlo(substring_101_nfa):
     with pytest.raises(CountingMethodError, match="does not accept option"):
-        repro.count(substring_101_nfa, 4, method="montecarlo", shards=2)
+        repro.count(
+            substring_101_nfa, 4, method="montecarlo", policy=ExecutionPolicy(shards=2)
+        )
 
 
 def test_resolve_workers_contract():
@@ -219,7 +226,9 @@ def test_fpras_unserialisable_automaton_rejected():
         alphabet=("0",),
     )
     with pytest.raises(CountingMethodError, match="serialisable"):
-        repro.count(nfa, 4, method="fpras", workers=2, shards=2, seed=1)
+        repro.count(
+            nfa, 4, method="fpras", policy=ExecutionPolicy(workers=2, shards=2), seed=1
+        )
 
 
 def test_run_fpras_sharded_direct_entry_point(substring_101_nfa):
@@ -247,7 +256,7 @@ def test_montecarlo_parallel_bit_identical_to_serial(substring_101_nfa):
             method="montecarlo",
             seed=5,
             num_samples=3 * MC_CHUNK_WORDS,
-            workers=workers,
+            policy=ExecutionPolicy(workers=workers),
         )
         for workers in (1, 2, 4)
     }
@@ -262,11 +271,11 @@ def test_montecarlo_parallel_merged_counters_worker_invariant(substring_101_nfa)
     """Chunking is fixed, so pooled counter merges agree across pool sizes."""
     two = repro.count(
         substring_101_nfa, 8, method="montecarlo", seed=5,
-        num_samples=4 * MC_CHUNK_WORDS, workers=2,
+        num_samples=4 * MC_CHUNK_WORDS, policy=ExecutionPolicy(workers=2),
     )
     four = repro.count(
         substring_101_nfa, 8, method="montecarlo", seed=5,
-        num_samples=4 * MC_CHUNK_WORDS, workers=4,
+        num_samples=4 * MC_CHUNK_WORDS, policy=ExecutionPolicy(workers=4),
     )
     assert two.engine_counters == four.engine_counters
     assert two.details["chunks"] == four.details["chunks"] == 4
@@ -277,7 +286,8 @@ def test_montecarlo_parallel_on_larger_divisibility_instance():
     nfa = divisibility_nfa(16)
     serial = repro.count(nfa, 10, method="montecarlo", seed=13, num_samples=5000)
     pooled = repro.count(
-        nfa, 10, method="montecarlo", seed=13, num_samples=5000, workers=3
+        nfa, 10, method="montecarlo", seed=13, num_samples=5000,
+        policy=ExecutionPolicy(workers=3),
     )
     assert pooled.estimate == serial.estimate
     assert pooled.details["hits"] == serial.details["hits"]
@@ -294,7 +304,7 @@ def test_montecarlo_parallel_wave_boundary_parity(substring_101_nfa):
     )
     pooled = repro.count(
         substring_101_nfa, 6, method="montecarlo", seed=17,
-        num_samples=num_samples, workers=2,
+        num_samples=num_samples, policy=ExecutionPolicy(workers=2),
     )
     assert pooled.estimate == serial.estimate
     assert pooled.details["hits"] == serial.details["hits"]
@@ -334,7 +344,9 @@ def test_montecarlo_parallel_validates_arguments(substring_101_nfa):
 def test_session_pins_workers_and_degrades_for_unsupported_methods(
     substring_101_nfa,
 ):
-    session = CountingSession(epsilon=0.5, seed=11, scale=SCALE, workers=2)
+    session = CountingSession(
+        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2)
+    )
     assert session.defaults.workers == 2
     # Pinned workers apply to supported methods ...
     report = session.count(substring_101_nfa, 6, shards=2)
@@ -350,7 +362,9 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
 
 
 def test_session_sharded_matches_module_level_count(substring_101_nfa):
-    session = CountingSession(epsilon=0.5, seed=11, scale=SCALE, workers=2)
+    session = CountingSession(
+        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2)
+    )
     via_session = session.count(substring_101_nfa, 7, shards=3)
     via_count = _fpras(substring_101_nfa, 7, workers=2, shards=3)
     assert via_session.estimate == via_count.estimate

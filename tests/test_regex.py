@@ -229,17 +229,19 @@ class TestCompile:
         # same seed, same exact count).
         from repro.automata.engine import available_backends
         from repro.counting.api import count
+        from repro.counting.policy import ExecutionPolicy
 
         nfa = compile_regex(backend_blind_pattern, alphabet=alphabet)
         backends = [b for b in available_backends() if b != "auto"]
         exacts = set()
         estimates = set()
         for backend in backends:
-            exacts.add(count(nfa, length, method="exact", backend=backend).estimate)
+            policy = ExecutionPolicy(backend=backend)
+            exacts.add(count(nfa, length, method="exact", policy=policy).estimate)
             estimates.add(
                 count(
                     nfa, length, method="fpras", epsilon=0.5, delta=0.2,
-                    seed=7, backend=backend,
+                    seed=7, policy=policy,
                 ).estimate
             )
         assert len(exacts) == 1

@@ -82,7 +82,8 @@ class TestServedParity:
         )
         status, served = _post(server, body)
         direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=11, shards=2
+            nfa, 8, method="fpras", epsilon=0.5, seed=11,
+            policy=repro.ExecutionPolicy(shards=2),
         )
         assert status == 200
         assert served["estimate"] == direct.estimate
@@ -119,7 +120,8 @@ class TestServedParity:
         )
         status, served = _post(server, body)
         direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=23, shards=2
+            nfa, 8, method="fpras", epsilon=0.5, seed=23,
+            policy=repro.ExecutionPolicy(shards=2),
         )
         assert status == 200
         assert served["estimate"] == direct.estimate

@@ -19,6 +19,7 @@ contract down in two halves:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import CountRequest, count, request_fingerprint
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.store import (
     DEFAULT_WINDOW,
     DictStore,
@@ -256,8 +258,8 @@ def test_windowed_store_matches_dict_store_sharded(workers):
     nfa = random_nonempty_nfa(num_states=5, length=8, seed=55)
     reports = {
         store: count(
-            nfa, 8, method="fpras", epsilon=0.6, delta=0.2, seed=7,
-            workers=workers, shards=3, store=store, window=2, scale=_scale(),
+            nfa, 8, method="fpras", epsilon=0.6, delta=0.2, seed=7, scale=_scale(),
+            policy=ExecutionPolicy(workers=workers, shards=3, store=store, window=2),
         )
         for store in ("dict", "windowed")
     }
@@ -266,12 +268,10 @@ def test_windowed_store_matches_dict_store_sharded(workers):
 
 def test_workers_do_not_change_windowed_results():
     nfa = random_nonempty_nfa(num_states=4, length=8, seed=91)
-    kwargs = dict(
-        method="fpras", epsilon=0.6, delta=0.2, seed=13, shards=4,
-        store="windowed", window=3, scale=_scale(),
-    )
-    serial = count(nfa, 8, workers=1, **kwargs)
-    pooled = count(nfa, 8, workers=4, **kwargs)
+    kwargs = dict(method="fpras", epsilon=0.6, delta=0.2, seed=13, scale=_scale())
+    policy = ExecutionPolicy(shards=4, store="windowed", window=3)
+    serial = count(nfa, 8, policy=policy, **kwargs)
+    pooled = count(nfa, 8, policy=dataclasses.replace(policy, workers=4), **kwargs)
     assert _api_observables(pooled) == _api_observables(serial)
 
 
@@ -297,11 +297,11 @@ def test_store_knobs_are_fingerprint_neutral():
 
 def test_summary_details_round_trip_under_windowed_store():
     nfa = random_nonempty_nfa(num_states=4, length=7, seed=17)
+    policy = ExecutionPolicy(store="windowed", window=2)
     full = count(nfa, 7, method="fpras", epsilon=0.6, seed=5,
-                 store="windowed", window=2, scale=_scale())
+                 policy=policy, scale=_scale())
     summary = count(nfa, 7, method="fpras", epsilon=0.6, seed=5,
-                    store="windowed", window=2, details="summary",
-                    scale=_scale())
+                    policy=policy, details="summary", scale=_scale())
     assert summary.estimate == full.estimate
     assert summary.raw.state_estimates == {}
     assert summary.raw.sample_counts == {}

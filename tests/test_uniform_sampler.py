@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+import repro.counting.uniform as uniform_module
 from repro.analysis.statistics import uniformity_report
 from repro.automata import families
+from repro.automata.engine import available_backends
 from repro.automata.exact import enumerate_slice
 from repro.automata.nfa import NFA
 from repro.counting.fpras import NFACounter
+from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.sampler import SampleDraw
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import EmptyLanguageError, ParameterError
+from repro.workloads.longwords import long_word_scale, unary_loop_nfa
 
 
 @pytest.fixture
@@ -90,3 +95,44 @@ class TestSampling:
         for word in sampler.sample_many(10):
             assert nfa.accepts(word)
             assert len(word) == 6
+
+
+class FreshTableDraw(SampleDraw):
+    """A drawer that ignores the run's step table and builds its own."""
+
+    def __init__(self, *args, steps=None, **kwargs):
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [name for name in ("bitset", "reference", "numpy") if name in available_backends()],
+)
+@pytest.mark.parametrize("store", ["dict", "windowed"])
+@pytest.mark.parametrize(
+    "nfa, length, scale",
+    [
+        (families.blocks_nfa(4), 16, ParameterScale.practical()),
+        (unary_loop_nfa(), 40, long_word_scale()),
+    ],
+    ids=["blocks", "unary"],
+)
+def test_reusing_the_run_step_table_keeps_the_stream(
+    nfa, length, scale, store, backend, monkeypatch
+):
+    """Sampling through the run's step table draws what fresh tables draw."""
+
+    def sampled():
+        parameters = FPRASParameters(
+            seed=3, scale=scale, backend=backend, store=store, window=3,
+            use_engine_cache=False,
+        )
+        sampler = UniformWordSampler.for_nfa(nfa, length, parameters)
+        words = [sampler.sample()]
+        words += sampler.sample_many(5)
+        words += sampler.sample_with_report(5)[0]
+        return words, sampler.rng.getstate()
+
+    shared = sampled()
+    monkeypatch.setattr(uniform_module, "SampleDraw", FreshTableDraw)
+    assert shared == sampled()
