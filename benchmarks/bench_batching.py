@@ -1,13 +1,12 @@
 """Batched simulation vs the per-word path, and engine-registry amortisation.
 
-The first benchmark runs the AppUnion membership primitive — "which is the
-first of these states whose language slice contains this word?" — over the
-E4 (m-scaling) workloads on the bitset backend, comparing the historical
-per-word path (one ``simulate`` plus a positional check per word) against
-``Engine.membership_batch``, which sorts the multiset so shared prefixes are
+The first benchmark simulates word multisets shaped like AppUnion's stored
+samples over the E4 (m-scaling) workloads on the bitset backend, comparing
+the per-word path (one ``simulate`` per word) against
+``Engine.simulate_batch``, which sorts the multiset so shared prefixes are
 stepped once and keeps the mask resident in the inlined extension loop.  The
 benchmark asserts a ≥ 1.5× throughput win (geometric mean across the sweep);
-both paths must agree on every answer first (differential check).
+both paths must agree on every handle first (differential check).
 
 The second benchmark measures what the shared :class:`EngineRegistry` saves:
 a registry hit returns an existing engine in a dictionary probe instead of
@@ -27,7 +26,7 @@ from repro.workloads.generator import scaling_suite_states
 
 #: State counts of the E4 membership-dominated configuration.
 BATCH_STATE_COUNTS = (8, 16, 24)
-#: Query length: AppUnion membership questions concern words up to the
+#: Word length: AppUnion's coverage counts concern words up to the
 #: unrolling length, so the multiset uses a deeper slice than E4's n=8 to
 #: exercise realistic prefix sharing.
 BATCH_WORD_LENGTH = 12
@@ -59,24 +58,23 @@ def _workload_words(workload, rng):
     return words
 
 
-def _per_word_seconds(engine, words, states, upto) -> float:
-    """Per-word membership: one simulate + positional check per word."""
-    checker = engine.batch_checker(states)
+def _per_word_seconds(engine, words) -> float:
+    """Per-word simulation: one ``simulate`` call per word."""
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
         for word in words:
-            checker(engine.simulate(word), upto)
+            engine.simulate(word)
         best = min(best, time.perf_counter() - started)
     return best
 
 
-def _batched_seconds(engine, words, states, upto) -> float:
-    """The same queries through one membership_batch pass."""
+def _batched_seconds(engine, words) -> float:
+    """The same words through one ``simulate_batch`` pass."""
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
-        engine.membership_batch(words, states, upto=upto)
+        engine.simulate_batch(words)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -88,15 +86,12 @@ def _batching_comparison(bench_rng):
     for workload in suite:
         words = _workload_words(workload, bench_rng)
         engine = create_engine(workload.nfa, "bitset")
-        states = sorted(workload.nfa.states, key=repr)
-        upto = len(states)
-        # Differential check first: both paths answer identically.
-        checker = engine.batch_checker(states)
-        per_word = [checker(engine.simulate(word), upto) for word in words]
+        # Differential check first: both paths return identical handles.
+        per_word = [engine.simulate(word) for word in words]
         saved_before = engine.batch_steps_saved
-        assert engine.membership_batch(words, states, upto=upto) == per_word
-        per_word_seconds = _per_word_seconds(engine, words, states, upto)
-        batched_seconds = _batched_seconds(engine, words, states, upto)
+        assert engine.simulate_batch(words) == per_word
+        per_word_seconds = _per_word_seconds(engine, words)
+        batched_seconds = _batched_seconds(engine, words)
         ratio = per_word_seconds / batched_seconds
         ratios.append(ratio)
         rows.append(
@@ -114,8 +109,8 @@ def _batching_comparison(bench_rng):
     return rows, ratios
 
 
-def test_batched_membership_speedup(benchmark, report, bench_rng):
-    """Batched AppUnion membership ≥ 1.5× over the per-word path (E4 sweep)."""
+def test_batched_simulation_speedup(benchmark, report, bench_rng):
+    """Batched simulation ≥ 1.5× over the per-word path (E4 sweep)."""
     rows, ratios = benchmark.pedantic(
         _batching_comparison, args=(bench_rng,), rounds=1, iterations=1
     )
@@ -123,7 +118,7 @@ def test_batched_membership_speedup(benchmark, report, bench_rng):
         format_table(
             rows,
             title=(
-                "Batched vs per-word AppUnion membership "
+                "Batched vs per-word simulation "
                 "(bitset backend, E4 workloads)"
             ),
         )
@@ -134,7 +129,7 @@ def test_batched_membership_speedup(benchmark, report, bench_rng):
     geometric_mean **= 1.0 / len(ratios)
     report(f"batching note: geometric-mean batched speedup {geometric_mean:.2f}x")
     assert geometric_mean >= BATCH_MIN_RATIO, (
-        f"batched membership speedup {geometric_mean:.2f}x below the "
+        f"batched simulation speedup {geometric_mean:.2f}x below the "
         f"{BATCH_MIN_RATIO}x target; per-m ratios: "
         f"{[round(ratio, 2) for ratio in ratios]}"
     )

@@ -55,12 +55,25 @@ SPEC_KEYS = frozenset(
 
 #: The smoke-scale matrix CI audits on every run: both estimators with a
 #: guarantee story (fpras seed-swept, montecarlo as the no-guarantee
-#: baseline) over structured families with cheap exact ground truth.
+#: baseline) over families with cheap exact ground truth — three structured
+#: ones and a dense random NFA, half its states accepting, whose predecessor
+#: unions overlap.
 DEFAULT_MATRIX: Mapping[str, object] = {
     "families": [
         {"family": "substring", "args": {"pattern": "101"}, "lengths": [10]},
         {"family": "divisibility", "args": {"divisor": 48}, "lengths": [10]},
         {"family": "no_consecutive_ones", "args": {}, "lengths": [12]},
+        {
+            "family": "random_nfa",
+            "args": {
+                "num_states": 20,
+                "length": 6,
+                "density": 0.12,
+                "accepting_fraction": 0.5,
+                "seed": 11,
+            },
+            "lengths": [6],
+        },
     ],
     "methods": ["fpras", "montecarlo"],
     "backends": [None],
@@ -291,7 +304,7 @@ def expand_matrix(spec: Mapping[str, object]) -> List[Scenario]:
     seeds innermost, exactly as written in the spec.
 
     >>> len(expand_matrix(DEFAULT_MATRIX))
-    30
+    40
     """
     if not isinstance(spec, Mapping):
         raise AuditError("matrix spec must be a mapping of axis names to levels")

@@ -13,8 +13,8 @@ corresponding states' images.  Consequently
   set, with no Python set objects allocated;
 * emptiness, intersection, union, and membership are single integer ops;
 * one reachability mask answers the membership question "is ``w`` in
-  ``L(q^{|w|})``" for *every* state ``q`` simultaneously, which is what the
-  batched AppUnion membership path exploits.
+  ``L(q^{|w|})``" for *every* state ``q`` simultaneously, so AppUnion's
+  coverage count of a sample is one AND and one ``bit_count``.
 
 The decoded frozensets are memoised per mask: the FPRAS touches the same few
 live-state and predecessor sets over and over, so decoding is effectively
@@ -23,7 +23,7 @@ amortised to one conversion per distinct set.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
@@ -295,29 +295,6 @@ class BitsetEngine(Engine):
             append(current)
         self.step_ops += steps
         return current
-
-    # ------------------------------------------------------------------
-    # Batched membership
-    # ------------------------------------------------------------------
-    def batch_checker(self, states: Sequence[State]) -> Callable[[int, int], int]:
-        """Positional membership over a fixed state list, one mask test each.
-
-        States outside the automaton get a zero bit, so they can never be
-        contained in a handle (matching the reference engine's "not in
-        frozenset" behaviour).
-        """
-        index = self._index
-        bits = tuple(
-            1 << index[state] if state in index else 0 for state in states
-        )
-
-        def check(handle: int, upto: int) -> int:
-            for position in range(upto):
-                if handle & bits[position]:
-                    return position
-            return -1
-
-        return check
 
 
 # The bitset engine batches through the mask-resident trie walk but has no

@@ -50,7 +50,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,8 +96,8 @@ class BlockEngine(Engine):
     >>> engine = BlockEngine(nfa)
     >>> engine.blocks  # one 64-bit block suffices for two states
     1
-    >>> engine.membership_batch(["0", "01"], ["s", "t"])
-    [0, 1]
+    >>> engine.accepts_batch(["0", "01"])
+    [False, True]
     """
 
     name = "numpy"
@@ -481,31 +481,6 @@ class BlockEngine(Engine):
         """Vector of acceptance answers: one blockwise AND over the batch."""
         final = self._walk_batch(words)
         return (final & self._accepting_blocks).any(axis=1).tolist()
-
-    # ------------------------------------------------------------------
-    # Batched membership
-    # ------------------------------------------------------------------
-    def batch_checker(self, states: Sequence[State]) -> Callable[[bytes, int], int]:
-        """Positional membership over a fixed state list, one byte test each.
-
-        States outside the automaton get a zero probe, so they can never be
-        contained in a handle (matching the reference engine's "not in
-        frozenset" behaviour).
-        """
-        index = self._index
-        probes = tuple(
-            (index[state] >> 3, 1 << (index[state] & 7)) if state in index else (0, 0)
-            for state in states
-        )
-
-        def check(handle: bytes, upto: int) -> int:
-            for position in range(upto):
-                byte, bit = probes[position]
-                if handle[byte] & bit:
-                    return position
-            return -1
-
-        return check
 
     # ------------------------------------------------------------------
     # Level kernel (capability-negotiated whole-level tensor passes)

@@ -27,8 +27,8 @@ harness.
 Two layers of amortisation live here:
 
 * **batched simulation** — :meth:`Engine.simulate_batch` and
-  :meth:`Engine.membership_batch` process a whole multiset of words at
-  once, sorting it so that words sharing a prefix step through that prefix
+  :meth:`Engine.accepts_batch` process a whole multiset of words at once,
+  sorting it so that words sharing a prefix step through that prefix
   exactly once (a trie walk without building the trie);
 * **engine reuse** — :class:`EngineRegistry` memoises engines (and hence
   their precomputed transition tables) per ``(nfa, backend)``, so several
@@ -45,8 +45,8 @@ Example::
     >>> engine = create_engine(nfa, "bitset")
     >>> engine.accepts("01")
     True
-    >>> engine.membership_batch(["0", "01"], ["s", "t"])
-    [0, 1]
+    >>> engine.accepts_batch(["0", "01"])
+    [False, True]
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ AUTO_BACKEND = "auto"
 #: records the measured crossover on membership-dominated workloads, which
 #: sits between 256 and 512 states on current CPython/NumPy builds).
 AUTO_BLOCK_THRESHOLD = 256
-
-#: ``upto`` argument of :meth:`Engine.membership_batch`: one bound for every
-#: word, a per-word sequence of bounds, or ``None`` for "all states".
-UptoSpec = Union[None, int, Sequence[int]]
 
 #: A batch of words for :meth:`Engine.simulate_batch`: a sequence of
 #: strings / symbol tuples, or a ``(count, length)`` integer matrix whose
@@ -343,29 +339,6 @@ class Engine(ABC):
         """Number of states in the set."""
 
     # ------------------------------------------------------------------
-    # Batched membership
-    # ------------------------------------------------------------------
-    def batch_checker(
-        self, states: Sequence[State]
-    ) -> Callable[[object, int], int]:
-        """Positional membership over a fixed state list, one handle lookup.
-
-        Returns ``check(handle, upto)`` — the smallest index ``j < upto``
-        with ``states[j]`` in the set, or ``-1``.  This is the primitive
-        behind AppUnion's "first earlier set containing the sample" test:
-        one reachability handle answers every queried state at the level.
-        """
-        order = tuple(states)
-
-        def check(handle: object, upto: int) -> int:
-            for position in range(upto):
-                if self.contains(handle, order[position]):
-                    return position
-            return -1
-
-        return check
-
-    # ------------------------------------------------------------------
     # Derived word-level operations
     # ------------------------------------------------------------------
     def simulate(self, word: "str | Word") -> object:
@@ -479,46 +452,6 @@ class Engine(ABC):
             self.intersects(handle, accepting)
             for handle in self.simulate_batch(words)
         ]
-
-    def membership_batch(
-        self,
-        words: Sequence["str | Word"],
-        states: Sequence[State],
-        upto: UptoSpec = None,
-    ) -> List[int]:
-        """Batched first-containing-state queries over a word multiset.
-
-        For each word the result is the smallest position ``j < upto`` such
-        that ``states[j]`` is reachable on that word, or ``-1`` — exactly
-        the per-word combination of :meth:`simulate` and
-        :meth:`batch_checker`, but with all reachability handles computed by
-        one :meth:`simulate_batch` pass.  ``upto`` may be ``None`` (all
-        states), one bound shared by every word, or a per-word sequence.
-        This is the membership primitive behind AppUnion's "first earlier
-        set containing the sample" inner loop.
-
-        >>> from repro.automata.nfa import NFA
-        >>> nfa = NFA.build(
-        ...     [("s", "0", "s"), ("s", "1", "t"), ("t", "0", "t"), ("t", "1", "t")],
-        ...     initial="s", accepting=["t"])
-        >>> engine = create_engine(nfa, "reference")
-        >>> engine.membership_batch(["0", "01", "01"], ["s", "t"], upto=[2, 2, 1])
-        [0, 1, -1]
-        """
-        count = len(words)
-        if upto is None:
-            bounds: Sequence[int] = [len(states)] * count
-        elif isinstance(upto, int):
-            bounds = [upto] * count
-        else:
-            bounds = list(upto)
-            if len(bounds) != count:
-                raise ParameterError(
-                    f"membership_batch got {count} words but {len(bounds)} bounds"
-                )
-        checker = self.batch_checker(states)
-        handles = self.simulate_batch(words)
-        return [checker(handle, bound) for handle, bound in zip(handles, bounds)]
 
     # ------------------------------------------------------------------
     # Capability negotiation

@@ -510,51 +510,27 @@ class UnrolledAutomaton:
 
         return oracle
 
-    def first_containing(
-        self, states: Sequence[State]
-    ) -> Callable[["str | Word", int], int]:
-        """Batched AppUnion membership over an ordered state list.
+    def coverage_batch(
+        self, union: object
+    ) -> Callable[[Sequence["str | Word"]], List[int]]:
+        """AppUnion's coverage counts over the states of the handle ``union``.
 
-        Returns ``check(word, upto)`` — the smallest position ``j < upto``
-        with ``word`` in ``L(states[j]^{|word|})``, or ``-1``.  One cached
-        reachability handle answers all the queried states at once, which is
-        the batching the bitset backend turns into single-mask tests.
+        Returns ``cover(words)``: per word, how many states ``q`` of
+        ``union`` have the word in ``L(q^{|word|})``.  One
+        :meth:`ReachabilityCache.reachable_handle_batch` pass resolves every
+        word's handle, and each count is one intersect-and-count against
+        ``union`` (on the bitset backend ``(handle & union).bit_count()``).
         """
-        checker = self.engine.batch_checker(states)
-        reachable_handle = self.cache.reachable_handle
-
-        def check(word: "str | Word", upto: int) -> int:
-            return checker(reachable_handle(word), upto)
-
-        return check
-
-    def first_containing_batch(
-        self, states: Sequence[State]
-    ) -> Callable[[Sequence[Tuple["str | Word", int]]], List[int]]:
-        """Batched form of :meth:`first_containing` over a query multiset.
-
-        Returns ``check_batch(queries)`` where ``queries`` is a sequence of
-        ``(word, upto)`` pairs; the result list holds, per query, the
-        smallest position ``j < upto`` with ``word`` in
-        ``L(states[j]^{|word|})``, or ``-1``.  All reachability handles are
-        resolved by one :meth:`ReachabilityCache.reachable_handle_batch`
-        pass, so a whole AppUnion trial block costs one dictionary probe per
-        stored sample instead of a call chain per trial.  Answers and
-        accounting are identical to looping over :meth:`first_containing`.
-        """
-        checker = self.engine.batch_checker(states)
+        engine = self.engine
         reachable_handle_batch = self.cache.reachable_handle_batch
 
-        def check_batch(
-            queries: Sequence[Tuple["str | Word", int]]
-        ) -> List[int]:
-            handles = reachable_handle_batch([word for word, _ in queries])
+        def cover(words: Sequence["str | Word"]) -> List[int]:
             return [
-                checker(handle, upto)
-                for handle, (_, upto) in zip(handles, queries)
+                engine.count(engine.intersect(handle, union))
+                for handle in reachable_handle_batch(words)
             ]
 
-        return check_batch
+        return cover
 
     def warm_cache(self, words: Iterable["str | Word"]) -> None:
         """Precompute reachable sets for ``words`` (the amortisation step)."""

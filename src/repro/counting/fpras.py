@@ -137,9 +137,9 @@ class NFACounter:
     to generate words without re-running the dynamic program.  All hot loops
     run on the engine selected by ``parameters.backend``, acquired from the
     shared engine registry unless ``parameters.use_engine_cache`` is off;
-    AppUnion membership questions are answered through the batched
+    AppUnion's coverage counts are answered through the batched
     reachability API (see
-    :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`),
+    :meth:`repro.automata.unroll.UnrolledAutomaton.coverage_batch`),
     which in turn rides the capability-negotiated level kernel
     (``parameters.kernel``) on backends that declare one.
     """
@@ -342,10 +342,6 @@ class NFACounter:
         estimate = self._estimate_state(state, level, beta, eta, rng)
         estimate = self._maybe_perturb(estimate, level, eta, rng)
         if estimate <= 0.0:
-            # The state is live, so |L(q^l)| >= 1; a zero estimate can only
-            # come from an unlucky scaled-down AppUnion run.  Fall back to the
-            # best single-predecessor estimate (a valid lower bound on the
-            # union) so that gamma0 is well defined and sampling can proceed.
             estimate = self._fallback_estimate(state, level)
         self.estimates[(state, level)] = estimate
 
@@ -388,32 +384,34 @@ class NFACounter:
         eta: float,
         rng: Optional[random.Random] = None,
     ) -> float:
-        """Lines 12-17: per-symbol AppUnion over predecessor languages, then sum."""
+        """Lines 12-17: per-symbol AppUnion over predecessor languages, then sum.
+
+        A one-set union is its set: every trial scores 1, so AppUnion would
+        return the stored size estimate exactly, whatever the trial count.
+        It is read directly, with no plan, trials, RNG draws or counter
+        increments.
+        """
         rng = self.rng if rng is None else rng
         n = self.length
         beta_prime = (1.0 + beta) ** (level - 1) - 1.0
         delta_union = eta / (2.0 * (1.0 - 2.0 ** -(n + 1)))
-        singleton_exact = self.parameters.scale.singleton_union_exact
         encode = self.unroll.engine.encode
         total = 0.0
         for symbol in self.nfa.alphabet:
             predecessors = self.unroll.predecessors(state, symbol, level)
             if not predecessors:
                 continue
-            ordered = sorted(predecessors, key=repr)
-            if singleton_exact and len(ordered) == 1:
-                # A one-set union is the set: every AppUnion trial draws
-                # index 0 and is unique, so the estimate equals the stored
-                # size estimate exactly (0 for a zero-sized set).  The
-                # shortcut skips the trials — no RNG, no sample reads, no
-                # union/membership counter increments (documented on the
-                # ``singleton_union_exact`` knob).
-                total += max(
-                    0.0, float(self.estimates.get((ordered[0], level - 1), 0.0))
-                )
+            if len(predecessors) == 1:
+                (only,) = predecessors
+                total += max(0.0, float(self.estimates.get((only, level - 1), 0.0)))
                 continue
+            handle = encode(predecessors)
             plan = self._steps.union_plan(
-                level - 1, encode(predecessors), ordered, self.estimates, self.samples
+                level - 1,
+                handle,
+                sorted(predecessors, key=repr),
+                self.estimates,
+                self.samples,
             )
             result = approximate_union(
                 plan,
@@ -422,7 +420,7 @@ class NFACounter:
                 size_slack=beta_prime,
                 parameters=self.parameters,
                 rng=rng,
-                first_containing_batch=self.unroll.first_containing_batch(ordered),
+                coverage_batch=self.unroll.coverage_batch(handle),
                 samples=self.samples,
             )
             self._union_calls += 1
@@ -448,7 +446,14 @@ class NFACounter:
         return estimate
 
     def _fallback_estimate(self, state: State, level: int) -> float:
-        """Robustness guard for scaled runs (documented in DESIGN.md §5)."""
+        """The best single-predecessor estimate, at least 1, for a live state
+        whose estimate came out 0.
+
+        A live state's unions estimate above 0 (every trial scores at least
+        ``1 / k``), so this is reached only when ``faithful_perturbation``
+        draws ``randint(0, …) == 0``.  The replacement keeps ``gamma0``
+        defined, so sampling can proceed.
+        """
         best = 0.0
         for symbol in self.nfa.alphabet:
             for predecessor in self.unroll.predecessors(state, symbol, level):
@@ -471,12 +476,9 @@ class NFACounter:
         if len(accepting) == 1:
             return self.estimates.get((accepting[0], self.length), 0.0)
         beta_prime = (1.0 + beta) ** self.length - 1.0
+        handle = self.unroll.engine.encode(accepting)
         plan = self._steps.union_plan(
-            self.length,
-            self.unroll.engine.encode(accepting),
-            accepting,
-            self.estimates,
-            self.samples,
+            self.length, handle, accepting, self.estimates, self.samples
         )
         result = approximate_union(
             plan,
@@ -485,7 +487,7 @@ class NFACounter:
             size_slack=beta_prime,
             parameters=self.parameters,
             rng=rng,
-            first_containing_batch=self.unroll.first_containing_batch(accepting),
+            coverage_batch=self.unroll.coverage_batch(handle),
             samples=self.samples,
         )
         self._union_calls += 1

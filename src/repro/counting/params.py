@@ -75,24 +75,11 @@ class ParameterScale:
         with scaled (larger) ``eta`` the perturbation would fire noticeably
         often and only inject noise.
     strict_sample_consumption:
-        Paper behaviour: AppUnion dequeues destructively and stops early when
-        a per-set sample list runs dry (Algorithm 1, line 8).  The scaled
-        default instead cycles through a shuffled copy, which avoids
-        systematically under-counting when ``ns`` is small.
-    singleton_union_exact:
-        Opt-in shortcut for unions of a *single* set: with one set every
-        AppUnion trial draws index 0, is always unique, and the estimate is
-        exactly the stored size estimate (0 for an empty/zero-sized set).
-        When enabled, singleton unions return that value directly without
-        running trials — the value is bit-identical to the full AppUnion,
-        but the shortcut consumes no randomness and performs no membership
-        or sample reads, so the ``union_calls`` / ``membership_calls``
-        counters and the RNG stream differ from a run with the knob off.
-        Off by default (preserving every historical stream); the long-word
-        benchmarks turn it on because it makes the backward sampler's
-        descent read-free on sparse automata, and with
-        ``reuse_union_estimates`` the sampler then replays such steps for
-        the whole run (see :class:`~repro.counting.sampler.SampleDraw`).
+        Paper behaviour: AppUnion dequeues each set's stored samples in
+        order, destructively, and stops early when one runs dry (Algorithm
+        1, line 8).  The scaled default instead draws every trial's sample
+        uniformly, with replacement, which never runs dry when ``ns`` is
+        small.
 
     >>> ParameterScale.practical().mode
     'scaled'
@@ -110,7 +97,6 @@ class ParameterScale:
     reuse_union_estimates: bool = True
     faithful_perturbation: bool = False
     strict_sample_consumption: bool = False
-    singleton_union_exact: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("paper", "scaled"):

@@ -188,14 +188,15 @@ class SampleDraw:
     across batches.
 
     Each descent step ``(level, Q')`` is kept in the step table.  Its fan is
-    structural, so it is derived once per run.  Its weights hold for the
-    whole run when every non-empty branch is a singleton answered by
-    ``singleton_union_exact``, otherwise within the batch that derived them
-    (the union cache fixes them there), and never with
-    ``reuse_union_estimates`` off.  A replay consumes the one ``random()``
-    and divides ``phi`` by the same ``weight / total`` as a derivation, so
-    only ``union_cache_hits`` tells them apart: a replay counts one hit per
-    non-empty branch, as the cached estimates it stands for would have.
+    structural, so it is derived once per run.  With
+    ``reuse_union_estimates`` on, its weights hold for the whole run when
+    every non-empty branch is a singleton (a one-set union is its stored
+    size), otherwise within the batch that derived them (the union cache
+    fixes them there); with it off, never.  A replay consumes the one
+    ``random()`` and divides ``phi`` by the same ``weight / total`` as a
+    derivation, so only ``union_cache_hits`` tells them apart: a replay
+    counts one hit per non-empty branch, as the cached estimates it stands
+    for would have.
 
     A *forced* step has one branch with ``weight / total == 1.0`` and all
     others at exactly 0.0: every point the ``random()`` can pick bisects onto
@@ -447,13 +448,12 @@ class SampleDraw:
         ``None`` when no branch has mass.
         """
         engine = self.unroll.engine
-        scale = self.parameters.scale
         if stale is None:
             branches = tuple(self.unroll.predecessor_fan(current, level))
         else:
             branches = stale[1]
-        reuse = scale.reuse_union_estimates
-        whole_run = reuse and scale.singleton_union_exact
+        reuse = self.parameters.scale.reuse_union_estimates
+        whole_run = reuse
         weights: List[float] = []
         nonempty = 0
         for predecessors in branches:
@@ -500,11 +500,13 @@ class SampleDraw:
         """``AppUnion`` over ``{L(p^level) : p in predecessors}``.
 
         ``predecessors`` is an engine handle; it doubles as the memoisation
-        key (handles are hashable and equality matches set equality).  The
+        key (handles are hashable and equality matches set equality).  A
+        one-set union is its stored size estimate, read with no plan,
+        trials, RNG draws or counter increments (as in
+        :meth:`~repro.counting.fpras.NFACounter._estimate_state`).  The
         size slack ``beta_prime = (1 + beta)^level - 1`` is derived here,
-        on the paths that actually run AppUnion — cache hits and the
-        singleton shortcut never need it, which keeps the descent free of a
-        ``pow`` per level.
+        on the path that actually runs AppUnion — cache hits and singletons
+        never need it, which keeps the descent free of a ``pow`` per level.
         """
         cache_key = (level, predecessors)
         reuse = self.parameters.scale.reuse_union_estimates
@@ -516,23 +518,20 @@ class SampleDraw:
 
         plan = self.steps.unions.get(cache_key)
         if plan is None:
-            ordered = sorted(self.unroll.engine.decode(predecessors), key=repr)
-            if self.parameters.scale.singleton_union_exact and len(ordered) == 1:
-                # Value-exact shortcut (see ParameterScale.singleton_union_exact):
-                # a one-set union estimate is exactly the stored size estimate.
-                # No trials run, so no RNG, sample reads or union/membership
-                # counter increments happen on this path.
-                estimate = max(
-                    0.0, float(self.estimates.get((ordered[0], level), 0.0))
-                )
+            states = self.unroll.engine.decode(predecessors)
+            if len(states) == 1:
+                (only,) = states
+                estimate = max(0.0, float(self.estimates.get((only, level), 0.0)))
                 if reuse:
                     self._union_cache[cache_key] = estimate
                 return estimate
             plan = self.steps.union_plan(
-                level, predecessors, ordered, self.estimates, self.samples
+                level,
+                predecessors,
+                sorted(states, key=repr),
+                self.estimates,
+                self.samples,
             )
-        else:
-            ordered = [state for state, _ in plan.keys]
         beta_prime = (1.0 + beta) ** level - 1.0
         result = approximate_union(
             plan,
@@ -541,7 +540,7 @@ class SampleDraw:
             size_slack=beta_prime,
             parameters=self.parameters,
             rng=self.rng,
-            first_containing_batch=self.unroll.first_containing_batch(ordered),
+            coverage_batch=self.unroll.coverage_batch(predecessors),
             samples=self.samples,
         )
         self.statistics.union_calls += 1

@@ -20,7 +20,7 @@ from repro.automata.nfa import NFA, Word
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters
 from repro.counting.sampler import SampleDraw
-from repro.errors import EmptyLanguageError, ParameterError
+from repro.errors import EmptyLanguageError, ParameterError, SamplingError
 
 
 @dataclass
@@ -129,7 +129,12 @@ class UniformWordSampler:
 
     # ------------------------------------------------------------------
     def sample(self) -> Word:
-        """Draw one word from ``L(A_n)``; raises if every attempt fails."""
+        """Draw one word from ``L(A_n)``.
+
+        Raises :class:`~repro.errors.SamplingError` if all
+        ``max_attempts_per_word`` attempts fail, and
+        :class:`~repro.errors.EmptyLanguageError` if the slice is empty.
+        """
         estimate = self.prepare()
         unroll = self.counter.unroll
         accepting = frozenset(unroll.accepting_live_states())
@@ -149,7 +154,7 @@ class UniformWordSampler:
             word = drawer.draw(self.counter.length, accepting, gamma0, beta, eta)
             if word is not None:
                 return word
-        raise EmptyLanguageError(
+        raise SamplingError(
             f"failed to draw a word after {self.max_attempts_per_word} attempts"
         )
 

@@ -2,32 +2,34 @@
 
 Given sets ``T_1 .. T_k``, each presented by a membership oracle, a multiset
 of (near-uniform) samples and a size estimate, the estimator approximates
-``|T_1 ∪ … ∪ T_k|``.  It is the Karp–Luby union estimator adapted as in the
-paper: a trial samples a set index ``i`` proportionally to its size estimate,
-draws an element ``sigma`` from the stored samples of ``T_i``, and counts the
-trial as *unique* when no earlier set ``T_j`` (``j < i``) contains ``sigma``.
-The fraction of unique trials, multiplied by the sum of the size estimates,
-estimates the union size (Theorem 1).
+``|T_1 ∪ … ∪ T_k|``.  It is the Karp–Luby union estimator: a trial samples a
+set index ``i`` proportionally to its size estimate, draws an element
+``sigma`` from the stored samples of ``T_i``, and scores ``1 / c(sigma)``,
+where ``c(sigma)`` is the number of the union's sets that contain ``sigma``
+(the coverage score of Karp, Luby and Madras, "Monte-Carlo approximation
+algorithms for enumeration problems", J. Algorithms 1989).  The mean score,
+multiplied by the sum of the size estimates, estimates the union size; the
+Theorem 1 argument for this score is in ``docs/architecture.md``.
 
 The implementation mirrors the pseudo-code closely while exposing the knobs
 needed for experiments:
 
 * the number of trials follows the paper's formula, optionally capped by the
   :class:`~repro.counting.params.ParameterScale`;
-* sample consumption is either destructive ("paper", Algorithm 1 line 7-8)
-  or cyclic over a shuffled copy (scaled default);
+* a trial's stored sample is drawn uniformly, with replacement (scaled
+  default), or dequeued in order and destructively ("paper", Algorithm 1
+  lines 7-8);
 * every call returns a :class:`UnionEstimate` carrying diagnostics
-  (membership calls, unique fraction, exhaustion) used by the benchmarks.
+  (membership calls, score sum, exhaustion) used by the benchmarks.
 
 Everything about a union that does not depend on the call's randomness lives
 in a :class:`UnionPlan`: the clamped sizes, their sums, ``m_hat``, and per
-set and stored-sample position the memoised answer to "which earlier set
-contains this sample first", resolved the first time a trial draws it.  The
-FPRAS keeps one plan per ``(level, predecessor set)`` for a whole run (see
+set and stored-sample position the memoised coverage count of that sample,
+resolved the first time a trial draws it.  The FPRAS keeps one plan per
+``(level, predecessor set)`` for a whole run (see
 :class:`repro.counting.sampler.StepTable`), so a repeated union pays only its
-random draws — the per-set shuffles and one ``random()`` per trial — plus the
-answers no earlier call has needed.  A list of :class:`SetAccess` is a
-one-shot plan.
+random draws — two ``random()`` calls per trial — plus the counts no earlier
+call has needed.  A list of :class:`SetAccess` is a one-shot plan.
 """
 
 from __future__ import annotations
@@ -41,15 +43,15 @@ from itertools import accumulate
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.counting.params import FPRASParameters
-from repro.errors import ParameterError, SampleExhaustedError
+from repro.errors import ParameterError, SampleExhaustedError, SamplingError
 
 MembershipOracle = Callable[[object], bool]
 
-#: Batched membership primitive: maps a sequence of ``(sigma, i)`` queries to
-#: the per-query smallest index ``j < i`` with ``sigma`` in ``T_j`` (or -1).
-BatchMembership = Callable[[Sequence[tuple]], Sequence[int]]
+#: Batched coverage: maps a sequence of samples to the number of the
+#: union's sets that contain each one.
+BatchCoverage = Callable[[Sequence[object]], Sequence[int]]
 
-#: Largest set count whose answers fit the one-byte code of a plan.
+#: Largest set count whose coverage counts fit in one byte of a plan.
 _BYTE_CODED_SETS = 255
 
 
@@ -78,18 +80,24 @@ class SetAccess:
 
 @dataclass
 class UnionEstimate:
-    """Result of one ``AppUnion`` invocation plus run diagnostics."""
+    """Result of one ``AppUnion`` invocation plus run diagnostics.
+
+    ``unique_hits`` is the sum of the trials' scores ``1 / c(sigma)`` (the
+    name predates the coverage score; over disjoint sets every trial scores
+    1).  ``membership_calls`` counts ``k`` oracle questions per trial, since
+    a coverage count asks every set, however many counts were memoised.
+    """
 
     estimate: float
     trials: int
-    unique_hits: int
+    unique_hits: float
     membership_calls: int
     sum_of_sizes: float
     exhausted: bool = False
 
     @property
     def unique_fraction(self) -> float:
-        """``Y / t`` — the fraction of trials that landed in ``U_unique``."""
+        """The mean trial score ``Y / t``."""
         if self.trials == 0:
             return 0.0
         return self.unique_hits / self.trials
@@ -103,10 +111,9 @@ class UnionPlan:
     one scales each trial's draw; ``sum()`` may round differently, being
     compensated from CPython 3.12 on).  ``keys[i]`` locates the
     stored samples of ``T_i`` in the ``samples`` mapping a call passes (by
-    default the set's position).  ``answers[offsets[i] + p]`` codes, for set
-    ``i`` and stored-sample position ``p``, the smallest ``j < i`` with that
-    sample in ``T_j``: ``j + 2``, or ``1`` when no earlier set contains it,
-    or ``0`` until a trial first draws the sample.
+    default the set's position).  ``answers[offsets[i] + p]`` is, for set
+    ``i`` and stored-sample position ``p``, the number of the union's sets
+    containing that sample, or ``0`` until a trial first draws it.
 
     A plan holds no sample, so the samples stay wherever their owner keeps
     them, and it is valid for as long as the sizes and stored samples it was
@@ -155,7 +162,9 @@ def _shuffle(items: List[int], rng: random.Random) -> None:
     For an exact ``random.Random`` this is CPython's ``Random.shuffle`` with
     ``_randbelow_with_getrandbits`` inlined.  Any other generator keeps its
     own ``shuffle``: a subclass that overrides ``random()`` draws its swap
-    indices another way.
+    indices another way.  :func:`approximate_union` no longer calls it: a
+    trial draws its stored sample with replacement instead of walking a
+    shuffled copy.
     """
     if type(rng) is not random.Random:
         rng.shuffle(items)
@@ -170,22 +179,14 @@ def _shuffle(items: List[int], rng: random.Random) -> None:
         items[last], items[index] = items[index], items[last]
 
 
-def _oracle_scan(sets: Sequence[SetAccess]) -> BatchMembership:
-    """The per-set oracle loop in :data:`BatchMembership` form."""
+def _oracle_coverage(sets: Sequence[SetAccess]) -> BatchCoverage:
+    """Every set's oracle asked about every sample, in :data:`BatchCoverage` form."""
     oracles = [entry.oracle for entry in sets]
 
-    def scan(queries: Sequence[tuple]) -> List[int]:
-        answers = []
-        for sample, index in queries:
-            containing = -1
-            for earlier in range(index):
-                if oracles[earlier](sample):
-                    containing = earlier
-                    break
-            answers.append(containing)
-        return answers
+    def cover(items: Sequence[object]) -> List[int]:
+        return [sum(1 for oracle in oracles if oracle(item)) for item in items]
 
-    return scan
+    return cover
 
 
 def approximate_union(
@@ -196,7 +197,7 @@ def approximate_union(
     parameters: FPRASParameters,
     rng: Optional[random.Random] = None,
     raise_on_exhaustion: bool = False,
-    first_containing_batch: Optional[BatchMembership] = None,
+    coverage_batch: Optional[BatchCoverage] = None,
     samples: Optional[Mapping[object, Sequence[object]]] = None,
 ) -> UnionEstimate:
     """Estimate ``|T_1 ∪ … ∪ T_k|`` (Algorithm 1, ``AppUnion``).
@@ -204,10 +205,10 @@ def approximate_union(
     Parameters
     ----------
     sets:
-        One :class:`SetAccess` per set, in the fixed order used for the
-        "first set containing the element" tie-break; or a
-        :class:`UnionPlan` over the sets in that order, whose memoised
-        answers the call reads and extends.
+        One :class:`SetAccess` per set, in the order whose running sums
+        pick each trial's set; or a :class:`UnionPlan` over the sets in
+        that order, whose memoised coverage counts the call reads and
+        extends.
     epsilon, delta:
         The estimator's own accuracy/confidence parameters (the subscript
         parameters of ``AppUnion_{eps, delta}`` in the paper).
@@ -218,33 +219,36 @@ def approximate_union(
     rng:
         Source of randomness (defaults to a fresh ``random.Random()``).
     raise_on_exhaustion:
-        In strict consumption mode, raise :class:`SampleExhaustedError`
-        instead of silently stopping early, so tests can observe the event
-        the paper bounds in Part 2 of the proof of Theorem 1.
-    first_containing_batch:
-        Batched membership: maps a sequence of ``(sigma, i)`` queries to the
-        per-query smallest index ``j < i`` with ``sigma`` in ``T_j``, or
-        ``-1``, in one call (see
-        :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`,
-        which answers a whole query block with one reachability-cache pass).
-        Required with a plan; with :class:`SetAccess` it replaces the per-set
-        oracle loop, with identical answers.
+        Raise :class:`SampleExhaustedError` instead of skipping a trial (or,
+        in strict consumption mode, stopping early) when the drawn set has
+        no stored sample left, so tests can observe the event the paper
+        bounds in Part 2 of the proof of Theorem 1.
+    coverage_batch:
+        Maps a sequence of samples to the number of the union's sets that
+        contain each one (see
+        :meth:`repro.automata.unroll.UnrolledAutomaton.coverage_batch`,
+        which answers a whole batch with one reachability-cache pass).
+        Required with a plan; with :class:`SetAccess` it replaces asking
+        every oracle, with identical counts.
     samples:
         With a plan: ``samples[plan.keys[i]]`` is the stored multiset of
-        ``T_i``, read only for answers the plan does not know yet.
+        ``T_i``, read only for counts the plan does not know yet.
 
-    Trials never depend on membership answers, so every trial is drawn first
-    (one ``random()`` each, plus the per-set shuffles) and the answers no
-    earlier call on the plan has resolved are then resolved in one
-    ``first_containing_batch`` call.  Estimates, diagnostics and the RNG
-    stream are the same for a fresh and a reused plan.  ``membership_calls``
-    counts the oracle checks a scan over earlier sets would make: ``j + 1``
-    when it stops at ``T_j``, ``i`` when no earlier set contains ``sigma``.
+    A trial costs one ``random()`` to pick its set by the running sums and,
+    in the scaled default, one more for the stored position
+    ``int(random() * len(S_i))``; strict consumption takes the set's next
+    sample instead.  Trials never depend on coverage counts, so every trial
+    is drawn first and the samples no earlier call on the plan has resolved
+    are then counted in one ``coverage_batch`` call.  Scores are summed with
+    :func:`math.fsum`, so estimates, diagnostics and the RNG stream are the
+    same for a fresh and a reused plan.  A stored sample that no set
+    contains raises :class:`~repro.errors.SamplingError`.
 
     Returns
     -------
     UnionEstimate
-        ``estimate`` is ``(Y / t) * sum(sz_i)``; diagnostics included.
+        ``estimate`` is ``(sum of scores / t) * sum(sz_i)``; diagnostics
+        included.
 
     Example
     -------
@@ -268,9 +272,9 @@ def approximate_union(
 
     if isinstance(sets, UnionPlan):
         plan = sets
-        if first_containing_batch is None or samples is None:
+        if coverage_batch is None or samples is None:
             raise ParameterError(
-                "AppUnion over a UnionPlan needs first_containing_batch and samples"
+                "AppUnion over a UnionPlan needs coverage_batch and samples"
             )
         labels: Sequence[object] = plan.keys
     else:
@@ -279,8 +283,8 @@ def approximate_union(
             [len(entry.samples) for entry in sets],
         )
         samples = [entry.samples for entry in sets]
-        if first_containing_batch is None:
-            first_containing_batch = _oracle_scan(sets)
+        if coverage_batch is None:
+            coverage_batch = _oracle_coverage(sets)
         labels = [entry.label for entry in sets]
 
     total_size = plan.total
@@ -288,99 +292,79 @@ def approximate_union(
         return UnionEstimate(
             estimate=0.0,
             trials=0,
-            unique_hits=0,
+            unique_hits=0.0,
             membership_calls=0,
             sum_of_sizes=0.0,
         )
     trials = parameters.union_trials(epsilon, delta, size_slack, plan.m_hat)
 
-    # One stream per set over its slots in ``plan.answers``.  Every set is
-    # shuffled, in order, before the first trial (unless consumption is
-    # strict), which keeps the RNG stream of the historical per-set copies.
     strict = parameters.scale.strict_sample_consumption
+    cursors = [0] * len(plan.sizes) if strict else None
     offsets = plan.offsets
-    streams: List[List[int]] = []
-    for index in range(len(offsets) - 1):
-        stream = list(range(offsets[index], offsets[index + 1]))
-        if not strict:
-            _shuffle(stream, rng)
-        streams.append(stream)
-    cursors = [0] * len(streams)
-
     cumulative = plan.cumulative
     scale = cumulative[-1]  # not total_size: see UnionPlan
     answers = plan.answers
     draw = rng.random
     exhausted = False
     performed = 0
-    unique_hits = 0
-    membership_calls = 0
-    unseen: List[tuple] = []  # (slot, set index) of trials with unknown answers
+    unique = 0  # trials whose sample only its own set contains
+    shared: List[int] = []  # coverage counts above 1, one per trial
+    unseen: List[tuple] = []  # (slot, set index) of trials with unknown counts
     for _ in range(trials):
         index = bisect_left(cumulative, draw() * scale)
-        stream = streams[index]
-        cursor = cursors[index]
-        if cursor == len(stream):
-            exhausted = True
-            if strict or not stream:
-                if raise_on_exhaustion:
-                    raise SampleExhaustedError(
-                        f"set {labels[index]!r} ran out of samples after "
-                        f"{performed} trials"
-                    )
-                if strict:
-                    break
-                continue
-            # Cyclic mode: reshuffle and restart.  This departs from the
-            # paper only in the (low-probability) regime where more samples
-            # are requested than stored.
-            _shuffle(stream, rng)
-            cursor = 0
-        slot = stream[cursor]
-        cursors[index] = cursor + 1
-        performed += 1
-        # Coded answer (see UnionPlan): 0 unknown, 1 unique, else j + 2.
-        code = answers[slot]
-        if not code:
-            unseen.append((slot, index))
-        elif code == 1:
-            unique_hits += 1
-            membership_calls += index
+        start = offsets[index]
+        size = offsets[index + 1] - start
+        if strict:
+            position = cursors[index]
+            cursors[index] = position + 1
         else:
-            membership_calls += code - 1
+            position = int(draw() * size)
+        if position == size:  # strict: the set ran dry; scaled: it has no samples
+            exhausted = True
+            if raise_on_exhaustion:
+                raise SampleExhaustedError(
+                    f"set {labels[index]!r} ran out of samples after "
+                    f"{performed} trials"
+                )
+            if strict:
+                break
+            continue
+        performed += 1
+        slot = start + position
+        covered = answers[slot]
+        if covered == 1:
+            unique += 1
+        elif covered:
+            shared.append(covered)
+        else:
+            unseen.append((slot, index))
 
     if unseen:
         keys = plan.keys
         fresh = list(dict.fromkeys(unseen))
-        queries = [
-            (samples[keys[index]][slot - offsets[index]], index)
-            for slot, index in fresh
-        ]
-        for (slot, _), containing in zip(fresh, first_containing_batch(queries)):
-            answers[slot] = containing + 2
-        for slot, index in unseen:
-            code = answers[slot]
-            if code == 1:
-                unique_hits += 1
-                membership_calls += index
-            else:
-                membership_calls += code - 1
-
-    if performed == 0:
-        return UnionEstimate(
-            estimate=0.0,
-            trials=0,
-            unique_hits=0,
-            membership_calls=membership_calls,
-            sum_of_sizes=total_size,
-            exhausted=exhausted,
+        counts = coverage_batch(
+            [samples[keys[index]][slot - offsets[index]] for slot, index in fresh]
         )
-    estimate = (unique_hits / performed) * total_size
+        for (slot, index), covered in zip(fresh, counts):
+            if not covered:
+                raise SamplingError(
+                    f"a stored sample of set {labels[index]!r} lies outside "
+                    "every set of the union"
+                )
+            answers[slot] = covered
+        for slot, _ in unseen:
+            covered = answers[slot]
+            if covered == 1:
+                unique += 1
+            else:
+                shared.append(covered)
+
+    score = math.fsum([unique, *(1.0 / covered for covered in shared)])
     return UnionEstimate(
-        estimate=estimate,
+        estimate=(score / performed) * total_size if performed else 0.0,
         trials=performed,
-        unique_hits=unique_hits,
-        membership_calls=membership_calls,
+        unique_hits=score,
+        membership_calls=performed * len(plan.sizes),
         sum_of_sizes=total_size,
         exhausted=exhausted,
     )

@@ -65,9 +65,21 @@ class SampleExhaustedError(ReproError):
     """Raised in strict mode when AppUnion consumes more samples than stored.
 
     The paper treats this as a low-probability failure event (Algorithm 1,
-    line 8).  In ``strict`` consumption mode we surface it as an exception so
-    tests can assert on the paper's bound for its probability; in the default
-    ``cyclic`` mode the estimator silently re-uses samples instead.
+    line 8).  In strict consumption mode we surface it as an exception so
+    tests can assert on the paper's bound for its probability; the scaled
+    default draws every trial's sample uniformly with replacement, so only
+    a set with no stored samples at all can run dry there.
+    """
+
+
+class SamplingError(ReproError):
+    """Raised when a sampler cannot deliver a valid sample.
+
+    :class:`~repro.counting.uniform.UniformWordSampler` raises it when every
+    attempt for one word failed on a non-empty language slice, and AppUnion
+    when a stored sample lies outside its own set (no set of the union
+    contains it).  Neither is an empty-language condition, which is what
+    :class:`EmptyLanguageError` reports.
     """
 
 

@@ -11,11 +11,11 @@ is the number of levels.
 
 The canonical instance is :func:`unary_loop_nfa` — one state, one symbol, a
 self loop, accepting — which accepts exactly one word per length.  Under the
-FPRAS its dynamic program is a chain of ``n`` singleton levels: with
-``singleton_union_exact`` enabled the per-level union is read-free, and the
-dominant cost is the backward sampler's ``O(l)`` descent per draw.  That
-makes it the sharpest available probe of per-level *memory*: the dict store
-retains ``n`` levels of sample lists, the windowed store retains ``w``.
+FPRAS its dynamic program is a chain of ``n`` singleton levels: a one-set
+union is its stored size, read-free, and the dominant cost is the backward
+sampler's ``O(l)`` descent per draw.  That makes it the sharpest available
+probe of per-level *memory*: the dict store retains ``n`` levels of sample
+lists, the windowed store retains ``w``.
 
 :func:`measure_fpras_memory` packages one instrumented run (``tracemalloc``
 peak, wall time, estimate, counters) and is shared by
@@ -77,15 +77,13 @@ def unary_loop_nfa(symbol: str = "a") -> NFA:
 def long_word_scale() -> ParameterScale:
     """The parameter scale the long-word benchmarks run under.
 
-    Minimal sample sets (``ns = 2``) with no attempt slack, and the
-    ``singleton_union_exact`` shortcut on: on a single-predecessor chain
-    every union is a singleton, so the level transition does no membership
-    or sample reads, and every descent step holds for the whole run once
-    derived.  Each of those steps is forced, so a draw crosses the chain
-    below its start with one jump and one bulk generator advance (see
-    :class:`~repro.counting.sampler.SampleDraw`).  The shortcut changes the
-    RNG stream relative to the defaults, which is why it stays opt-in here
-    rather than becoming a global default.
+    Minimal sample sets (``ns = 2``) with no attempt slack.  On a
+    single-predecessor chain every union is a singleton, answered by its
+    stored size, so the level transition does no membership or sample
+    reads, and every descent step holds for the whole run once derived.
+    Each of those steps is forced, so a draw crosses the chain below its
+    start with one jump and one bulk generator advance (see
+    :class:`~repro.counting.sampler.SampleDraw`).
     """
     return ParameterScale(
         mode="scaled",
@@ -93,7 +91,6 @@ def long_word_scale() -> ParameterScale:
         attempt_factor=1.0,
         union_trial_cap=8,
         union_trial_floor=1,
-        singleton_union_exact=True,
     )
 
 

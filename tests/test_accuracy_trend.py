@@ -1,6 +1,6 @@
 """Seed-sweep statistical test: the (epsilon, delta) envelope, continuously.
 
-Runs the FPRAS and the Monte-Carlo baseline over 30 seeds on three small
+Runs the FPRAS and the Monte-Carlo baseline over 30 seeds on six small
 fixture automata with exact ground truth, and asserts the paper's headline
 claim operationally: the observed relative error stays within the epsilon
 bound for all but at most a delta fraction of seeds.  The per-seed
@@ -28,6 +28,7 @@ import pytest
 
 from repro.automata import families
 from repro.automata.exact import count_exact
+from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import count
 from repro.counting.params import ParameterScale
 
@@ -46,11 +47,20 @@ GOLDEN_PATH = os.path.join(
 
 
 def _instances():
-    """The fixture automata: overlapping-pattern, counting, and modular."""
+    """The fixture automata: overlapping-pattern, counting, modular, and
+    dense random NFAs with half their states accepting, whose predecessor
+    unions overlap heavily."""
     return [
         ("substring_101_n9", families.substring_nfa("101"), 9),
         ("no_consecutive_ones_n10", families.no_consecutive_ones_nfa(), 10),
         ("divisibility_7_n9", families.divisibility_nfa(7), 9),
+    ] + [
+        (
+            f"random_m{states}_n{length}_seed{seed}",
+            random_nonempty_nfa(states, length, 0.12, 0.5, seed=seed),
+            length,
+        )
+        for states, length, seed in ((20, 6, 11), (24, 6, 12), (30, 5, 7))
     ]
 
 

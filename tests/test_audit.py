@@ -245,7 +245,7 @@ class TestManifestSchema:
 class TestScenarioMatrix:
     def test_default_matrix_size_is_the_factorial_product(self):
         scenarios = expand_matrix(DEFAULT_MATRIX)
-        assert len(scenarios) == 3 * 2 * 1 * 1 * 1 * 5  # families x methods x seeds
+        assert len(scenarios) == 4 * 2 * 1 * 1 * 1 * 5  # families x methods x seeds
         ids = [scenario.scenario_id for scenario in scenarios]
         assert len(set(ids)) == len(ids)
 

@@ -4,16 +4,16 @@ The batch API is only admissible under the same contract as the backends
 themselves: *observational identity*.  This suite pins down, exactly (no
 tolerances):
 
-* ``simulate_batch`` / ``accepts_batch`` / ``membership_batch`` return, per
-  word, precisely what the per-word ``simulate`` / ``accepts`` / scalar
-  checker loop returns — including empty words, duplicated words and
+* ``simulate_batch`` / ``accepts_batch`` / ``coverage_batch`` return, per
+  word, precisely what the per-word ``simulate`` / ``accepts`` / membership
+  oracles return — including empty words, duplicated words and
   mixed-length multisets;
 * the batch work counters (``step_ops`` performed, ``batch_words``,
   ``batch_steps_saved``) are identical between the ``bitset`` and
   ``reference`` backends, i.e. the trie walk visits the same nodes on both;
 * ``approximate_union`` produces bit-identical estimates and accounting on
-  its two membership strategies (oracle loop, batched
-  ``first_containing_batch``) under a shared seed;
+  its two coverage strategies (every oracle asked, batched
+  ``coverage_batch``) under a shared seed;
 * the engine registry shares engines by automaton *value*, evicts LRU, and
   is observationally transparent: a full FPRAS run with the cache disabled
   (``--no-engine-cache`` / ``use_engine_cache=False``) reproduces the cached
@@ -22,6 +22,7 @@ tolerances):
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -133,41 +134,32 @@ class TestSimulateBatchParity:
         engine = create_engine(families.substring_nfa("101"))
         assert engine.simulate_batch([]) == []
         assert engine.accepts_batch([]) == []
-        assert engine.membership_batch([], ["s"]) == []
 
 
 class TestMembershipBatchParity:
     @pytest.mark.parametrize("seed", range(12, 24))
     def test_membership_batch_matches_scalar_loop(self, seed):
+        """Batched coverage counts equal the per-state membership oracles."""
         nfa = _random_instance(seed)
         words = _word_multiset(nfa, seed)
         states = sorted(nfa.states, key=repr)
         rng = random.Random(seed)
-        bounds = [rng.randrange(0, len(states) + 1) for _ in words]
+        unions = [rng.sample(states, rng.randrange(1, len(states) + 1)) for _ in range(4)]
         per_backend = {}
         for backend in available_backends():
-            engine = create_engine(nfa, backend)
-            batched = engine.membership_batch(words, states, upto=bounds)
-            checker = engine.batch_checker(states)
-            scalar = [
-                checker(engine.simulate(word), bound)
-                for word, bound in zip(words, bounds)
-            ]
-            assert batched == scalar, backend
-            per_backend[backend] = batched
+            unroll = UnrolledAutomaton(nfa, 10, backend=backend, use_engine_cache=False)
+            counts = []
+            for union in unions:
+                cover = unroll.coverage_batch(unroll.engine.encode(union))
+                batched = cover(words)
+                assert batched == [
+                    sum(1 for state in union if unroll.member(state, word))
+                    for word in words
+                ], backend
+                counts.append(batched)
+            per_backend[backend] = counts
         assert per_backend["bitset"] == per_backend["reference"]
         assert per_backend["numpy"] == per_backend["reference"]
-
-    def test_upto_forms(self):
-        nfa = families.substring_nfa("101")
-        states = sorted(nfa.states, key=repr)
-        words = ["", "101", "101", "0"]
-        engine = create_engine(nfa)
-        full = engine.membership_batch(words, states)
-        assert full == engine.membership_batch(words, states, upto=len(states))
-        assert engine.membership_batch(words, states, upto=0) == [-1] * len(words)
-        with pytest.raises(Exception):
-            engine.membership_batch(words, states, upto=[1, 2])
 
     def test_reachability_cache_batch_matches_scalar(self):
         nfa = families.suffix_nfa("0110")
@@ -220,20 +212,6 @@ class TestMembershipBatchParity:
         assert kernel.simulated_steps == scalar.simulated_steps
         assert kernel.engine.step_ops == scalar.engine.step_ops
 
-    def test_first_containing_batch_matches_scalar(self):
-        nfa = families.substring_nfa("101")
-        states = sorted(nfa.states, key=repr)
-        for backend in available_backends():
-            unroll = UnrolledAutomaton(nfa, 8, backend=backend, use_engine_cache=False)
-            scalar = unroll.first_containing(states)
-            batch = unroll.first_containing_batch(states)
-            words = _word_multiset(nfa, seed=5, max_length=8)
-            queries = [
-                (word, position % (len(states) + 1))
-                for position, word in enumerate(words)
-            ]
-            assert batch(queries) == [scalar(word, upto) for word, upto in queries]
-
 
 class TestUnionBatchEquivalence:
     def _accesses_and_batch(self, length=7):
@@ -241,11 +219,11 @@ class TestUnionBatchEquivalence:
         unroll = UnrolledAutomaton(nfa, length, use_engine_cache=False)
         states = sorted(unroll.live_states(length), key=repr)
         rng = random.Random(11)
-        alphabet = list(nfa.alphabet)
+        words = list(itertools.product(nfa.alphabet, repeat=length))
         samples = {
-            state: [
-                tuple(rng.choice(alphabet) for _ in range(length)) for _ in range(12)
-            ]
+            state: rng.choices(
+                [word for word in words if unroll.member(state, word)], k=12
+            )
             for state in states
         }
         accesses = [
@@ -266,8 +244,8 @@ class TestUnionBatchEquivalence:
         for mode in ("oracle", "batch"):
             keywords = {}
             if mode == "batch":
-                keywords["first_containing_batch"] = unroll.first_containing_batch(
-                    states
+                keywords["coverage_batch"] = unroll.coverage_batch(
+                    unroll.engine.encode(states)
                 )
             rng = random.Random(29)
             results[mode] = (
@@ -286,7 +264,7 @@ class TestUnionBatchEquivalence:
         observed, observed_state = results["batch"]
         assert observed == baseline
         assert observed_state == baseline_state
-        # Not vacuous: some trials hit samples an earlier set contains.
+        # Not vacuous: some trials hit samples several sets contain.
         assert 0 < baseline.unique_hits < baseline.trials
 
     @pytest.mark.parametrize("seed", range(118, 126))

@@ -98,10 +98,10 @@ class TestFprasParity:
             seed=SEED,
             scale=ParameterScale.practical(sample_cap=10, union_trial_cap=12),
         )
-        assert report.estimate == 149.76388888888889
-        assert report.raw.union_calls == 240
-        assert report.raw.membership_calls == 446
-        assert report.raw.sample_draws == 1134
+        assert report.estimate == 121.00578703703704
+        assert report.raw.union_calls == 51
+        assert report.raw.membership_calls == 1332
+        assert report.raw.sample_draws == 1145
         assert report.details["ns"] == 10
         assert report.details["xns"] == 60
 

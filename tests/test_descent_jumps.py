@@ -32,6 +32,7 @@ from test_descent_steps import (
 )
 
 from repro.automata.families import blocks_nfa
+from repro.automata.nfa import NFA
 from repro.cli import main
 from repro.counting import sampler as sampler_module
 from repro.counting.sampler import SampleDraw, StepTable
@@ -207,17 +208,34 @@ def test_weight_below_probability_resolution_is_forced():
     assert drawer.steps.levels[4][handle][6] == 1
 
 
+def _two_rail_blocks(block_length):
+    """:func:`blocks_nfa` with two parallel rails per block: the forced
+    steps inside a block weigh two-set unions, so their jumps hold only for
+    the batch that built them (one-set steps hold for the whole run)."""
+    transitions = []
+    for bit in "01":
+        for rail in "xy":
+            previous = "start"
+            for position in range(1, block_length):
+                state = f"{bit}{rail}{position}"
+                transitions.append((previous, bit, state))
+                previous = state
+            transitions.append((previous, bit, "start"))
+    return NFA.build(transitions, initial="start", accepting=["start"])
+
+
 def test_clear_cache_drops_batch_jumps():
     """After ``clear_cache()`` the batch's jumps are stale: the next draws
-    derive their steps again and match a fresh drawer."""
-    counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, "bitset")
+    derive their steps again and match a fresh drawer of the same run."""
+    counter = _finished_counter(_two_rail_blocks(4), 16, PRACTICAL, "bitset")
     beta, eta, _, _ = counter.derived_parameters()
     state = "start"
     gamma0 = counter.parameters.gamma0(counter.estimates[(state, 16)])
 
-    def drawer(rng):
+    def drawer(rng, steps=None):
         return SampleDraw(
-            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng
+            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng,
+            steps=steps,
         )
 
     used = drawer(random.Random(1))
@@ -226,7 +244,9 @@ def test_clear_cache_drops_batch_jumps():
     stamps = {jump[0] for jump in used.steps.jumps.values()}
     assert stamps == {used._batch}
     used.clear_cache()
-    fresh = drawer(random.Random())
+    # A new batch of the same run: it shares the run's step table, whose
+    # whole-run steps both drawers replay.
+    fresh = drawer(random.Random(), used.steps)
     fresh.rng.setstate(used.rng.getstate())
     before = dataclasses.asdict(used.statistics)
     for _ in range(10):
@@ -287,8 +307,8 @@ def test_sample_cli_words_are_pinned(capsys):
         "--seed", "3", "--count", "4",
     ]) == 0
     assert capsys.readouterr().out.strip().splitlines()[-4:] == [
-        "1111111111111111111111111111111111111111000000000000000011111111",
-        "0000000011111111111111111111111111111111111111111111111111111111",
-        "0000000000000000111111111111111100000000111111110000000011111111",
-        "1111111100000000111111111111111111111111000000000000000000000000",
+        "0000000000000000111111110000000011111111000000001111111100000000",
+        "0000000011111111000000000000000011111111111111111111111111111111",
+        "1111111111111111111111111111111100000000000000001111111100000000",
+        "1111111111111111111111111111111100000000111111111111111111111111",
     ]

@@ -6,9 +6,9 @@ and a linear running-sum scan for the symbol choice.  The memoised
 :class:`~repro.counting.sampler.SampleDraw` must return the same words,
 leave the RNG in the same state and report the same
 :class:`~repro.counting.sampler.SamplerStatistics`.  The one exception is
-``union_cache_hits`` under ``singleton_union_exact``: there a step replayed
-for the whole run counts hits the reference, which derives it again in a
-later batch, does not.
+``union_cache_hits`` under ``reuse_union_estimates``: there a step whose
+unions are all singletons is replayed for the whole run, and counts hits
+the reference, which derives it again in a later batch, does not.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _finished_counter(nfa, length, scale, backend, seed=5, store="dict"):
 
 def _statistics(statistics, scale):
     fields = dataclasses.asdict(statistics)
-    if scale.singleton_union_exact:
+    if scale.reuse_union_estimates:
         del fields["union_cache_hits"]
     return fields
 
@@ -209,8 +209,9 @@ def test_long_word_chain_replays_whole_run_steps(store, monkeypatch):
 
 
 def test_clear_cache_invalidates_batch_steps():
-    """After ``clear_cache()`` the next draw matches a fresh drawer on the
-    same RNG state: the batch's steps are derived again, not replayed."""
+    """After ``clear_cache()`` the next draw matches a fresh drawer of the
+    same run on the same RNG state: the batch's steps are derived again, not
+    replayed."""
     scale = SCALES["practical"]
     nfa = random_nonempty_nfa(6, 6, density=0.3, accepting_fraction=0.4, seed=17)
     counter = _finished_counter(nfa, 6, scale, "bitset")
@@ -218,16 +219,19 @@ def test_clear_cache_invalidates_batch_steps():
     state = sorted(counter.unroll.live_states(6), key=repr)[0]
     gamma0 = counter.parameters.gamma0(counter.estimates[(state, 6)])
 
-    def drawer(rng):
+    def drawer(rng, steps=None):
         return SampleDraw(
-            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng
+            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng,
+            steps=steps,
         )
 
     used = drawer(random.Random(1))
     for _ in range(20):
         used.draw(6, frozenset({state}), gamma0, beta, eta)
     used.clear_cache()
-    fresh = drawer(random.Random())
+    # A new batch of the same run: it shares the run's step table, whose
+    # whole-run steps both drawers replay.
+    fresh = drawer(random.Random(), used.steps)
     fresh.rng.setstate(used.rng.getstate())
     before = dataclasses.asdict(used.statistics)
     words = []

@@ -88,7 +88,6 @@ def test_docs_subsystem_exists_and_is_linked():
     for symbol in (
         "EngineRegistry",
         "simulate_batch",
-        "membership_batch",
         "--no-engine-cache",
         "engine_counters",
         "BlockEngine",

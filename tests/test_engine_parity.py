@@ -171,8 +171,8 @@ class TestEngineLevelParity:
                 assert engine.accepts(word) == nfa.accepts(word), (name, word)
 
     def test_unknown_state_contract_identical(self):
-        # Both backends reject unknown states in encode and treat them as
-        # never-contained in batch_checker / contains.
+        # Every backend rejects unknown states in encode and treats them as
+        # never contained in contains.
         from repro.errors import AutomatonError
 
         nfa = families.substring_nfa("101")
@@ -182,25 +182,7 @@ class TestEngineLevelParity:
                 engine.encode(["no-such-state"])
             handle = engine.simulate("101")
             assert engine.contains(handle, "no-such-state") is False
-            checker = engine.batch_checker(["no-such-state", "done"])
-            assert checker(handle, 1) == -1
-            assert checker(handle, 2) == 1
-
-    def test_batch_checker_matches_contains(self):
-        nfa = families.substring_nfa("101")
-        for backend in available_backends():
-            engine = create_engine(nfa, backend)
-            states = sorted(nfa.states, key=repr)
-            checker = engine.batch_checker(states)
-            for word in _probe_words(nfa, seed=5):
-                handle = engine.simulate(word)
-                for upto in range(len(states) + 1):
-                    expected = -1
-                    for position in range(upto):
-                        if engine.contains(handle, states[position]):
-                            expected = position
-                            break
-                    assert checker(handle, upto) == expected
+            assert engine.contains(handle, "done") is True
 
 
 class TestUnrollParity:

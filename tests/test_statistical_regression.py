@@ -1,6 +1,6 @@
 """Statistical regression tests: sampler uniformity and estimator accuracy.
 
-Two seeded, fully deterministic statistical checks that run in tier-1:
+Seeded, fully deterministic statistical checks that run in tier-1:
 
 * a chi-square goodness-of-fit test of the uniform word sampler against the
   exactly-enumerated language slice (Inv-2 made operational).  The critical
@@ -8,7 +8,11 @@ Two seeded, fully deterministic statistical checks that run in tier-1:
   no external statistics package;
 * a relative-error check of ``approx_count`` cross-validated against the
   independent brute-force enumerator (not the subset-construction exact
-  counter the FPRAS shares structure with).
+  counter the FPRAS shares structure with);
+* dense random NFAs whose predecessor unions overlap heavily: their
+  estimates are never 0 and stay within ``(1 ± epsilon)`` of the exact
+  count, and no state estimate needs the zero-estimate fallback.  The
+  largest such cell runs only in the ``statistical`` suite.
 
 Both checks are seeded, so they are regression tests, not flaky
 hypothesis tests: the sampled values are identical on every run (and on
@@ -24,12 +28,27 @@ from collections import Counter
 
 import pytest
 
+import repro
 from repro.automata import families
 from repro.automata.exact import enumerate_slice
+from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.bruteforce import count_bruteforce
 from repro.counting.fpras import NFACounter, count_nfa
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.uniform import UniformWordSampler
+
+#: Dense random NFAs whose slices hold every word of their length (16 and
+#: 32 words): their predecessor unions overlap heavily.
+DENSE_CELLS = {
+    "dense_m48_n4": (
+        random_nonempty_nfa(48, 4, density=0.2, accepting_fraction=0.3, seed=5),
+        4,
+    ),
+    "dense_m32_n5": (
+        random_nonempty_nfa(32, 5, density=0.3, accepting_fraction=0.5, seed=5),
+        5,
+    ),
+}
 
 
 def chi_square_critical(df: int, alpha: float = 0.001) -> float:
@@ -64,6 +83,14 @@ class TestSamplerUniformity:
             ("no_consecutive_ones", families.no_consecutive_ones_nfa(), 7),
             ("substring_11", families.substring_nfa("11"), 6),
             ("parity_3", families.parity_nfa(3), 7),
+        ]
+        + [
+            (
+                f"dense_random_{seed}",
+                random_nonempty_nfa(20, 5, density=0.12, accepting_fraction=0.5, seed=seed),
+                5,
+            )
+            for seed in range(11, 15)
         ],
     )
     def test_chi_square_uniformity(self, name, nfa, length):
@@ -130,6 +157,39 @@ class TestApproxCountAccuracy:
             if nfa.accepts(word)
         )
         assert count_bruteforce(nfa, length) == expected
+
+
+class TestDenseUnions:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_estimate_is_nonzero_and_within_epsilon(self, seed):
+        nfa, length = DENSE_CELLS["dense_m48_n4"]
+        exact = repro.count(nfa, length, method="exact").estimate
+        report = repro.count(nfa, length, method="fpras", epsilon=0.5, seed=seed)
+        assert report.estimate > 0
+        assert report.raw.within_guarantee(exact), (report.estimate, exact)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [ParameterScale.practical(), ParameterScale.faithful_scaled()],
+        ids=["practical", "faithful_scaled"],
+    )
+    def test_no_state_estimate_falls_back(self, scale, monkeypatch):
+        def fail(self, state, level):
+            raise AssertionError(f"state {state!r} at level {level} estimated 0")
+
+        monkeypatch.setattr(NFACounter, "_fallback_estimate", fail)
+        for name, (nfa, length) in DENSE_CELLS.items():
+            report = repro.count(nfa, length, method="fpras", seed=0, scale=scale)
+            assert report.estimate > 0, name
+
+    @pytest.mark.statistical
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_dense_cell_is_within_epsilon(self, seed):
+        nfa = random_nonempty_nfa(512, 4, density=0.02, accepting_fraction=0.3, seed=5)
+        exact = repro.count(nfa, 4, method="exact").estimate
+        report = repro.count(nfa, 4, method="fpras", epsilon=0.5, seed=seed)
+        assert report.estimate > 0
+        assert report.raw.within_guarantee(exact), (report.estimate, exact)
 
 
 def _all_words(alphabet, length):

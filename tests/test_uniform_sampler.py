@@ -14,7 +14,7 @@ from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.sampler import SampleDraw
 from repro.counting.uniform import UniformWordSampler
-from repro.errors import EmptyLanguageError, ParameterError
+from repro.errors import EmptyLanguageError, ParameterError, SamplingError
 from repro.workloads.longwords import long_word_scale, unary_loop_nfa
 
 
@@ -58,6 +58,16 @@ class TestConstruction:
 
 
 class TestSampling:
+    def test_exhausted_attempts_raise_sampling_error(self, fib_sampler, monkeypatch):
+        # The language is non-empty, so running out of attempts is a
+        # sampling failure, not an empty-language one.
+        _nfa, sampler = fib_sampler
+        sampler.prepare()
+        monkeypatch.setattr(SampleDraw, "draw", lambda self, *arguments: None)
+        with pytest.raises(SamplingError, match="attempts") as raised:
+            sampler.sample()
+        assert not isinstance(raised.value, EmptyLanguageError)
+
     def test_samples_are_accepted_words_of_right_length(self, fib_sampler):
         nfa, sampler = fib_sampler
         for word in sampler.sample_many(20):

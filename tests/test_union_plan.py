@@ -1,14 +1,14 @@
 """Differential tests: AppUnion over memoised union plans against a per-call reference.
 
-:func:`reference_union` is the estimator without plans: every call copies
-and shuffles each set's samples with ``rng.shuffle``, picks each trial's set
-with a binary search over running sums it recomputes, and resolves the
-membership of every drawn sample again.  :func:`~repro.counting.union
-.approximate_union` must return the same :class:`UnionEstimate` and leave
-the RNG in the same state, whether it is given a list of
-:class:`SetAccess`, a fresh :class:`UnionPlan` or a plan earlier calls have
-partly resolved; and whole FPRAS runs must not change when the reference
-replaces it.
+:func:`reference_union` is the estimator without plans: per trial it picks
+the set by a linear scan over running sums it recomputes, draws one
+``random()`` for the stored position (or, under strict consumption, takes
+the set's next sample), asks every set about the sample and scores
+``1 / c``.  :func:`~repro.counting.union.approximate_union` must return the
+same :class:`UnionEstimate` and leave the RNG in the same state, whether it
+is given a list of :class:`SetAccess`, a fresh :class:`UnionPlan` or a plan
+earlier calls have partly resolved; and whole FPRAS runs must not change
+when the reference replaces it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, UnionEstimate, UnionPlan, approximate_union
-from repro.errors import ParameterError, SampleExhaustedError
+from repro.errors import ParameterError, SampleExhaustedError, SamplingError
 from repro.workloads.longwords import long_word_scale
 
 BACKENDS = [name for name in ("bitset", "reference", "numpy") if name in available_backends()]
@@ -45,31 +45,6 @@ STRICT = FPRASParameters(
 # ----------------------------------------------------------------------
 # The reference: AppUnion without plans
 # ----------------------------------------------------------------------
-class _ReferenceStream:
-    def __init__(self, samples, rng, strict):
-        self._strict = strict
-        self._rng = rng
-        self._items = list(samples)
-        if not strict:
-            rng.shuffle(self._items)
-        self._position = 0
-        self.exhausted = False
-
-    def next(self):
-        if not self._items:
-            self.exhausted = True
-            return None
-        if self._position >= len(self._items):
-            self.exhausted = True
-            if self._strict:
-                return None
-            self._rng.shuffle(self._items)
-            self._position = 0
-        item = self._items[self._position]
-        self._position += 1
-        return item
-
-
 def reference_union(
     sets,
     epsilon,
@@ -78,63 +53,56 @@ def reference_union(
     parameters,
     rng,
     raise_on_exhaustion=False,
-    first_containing_batch=None,
+    coverage_batch=None,
 ):
     sizes = [max(0.0, float(entry.size_estimate)) for entry in sets]
     total_size = sum(sizes)
     if total_size <= 0 or not sets:
-        return UnionEstimate(0.0, 0, 0, 0, 0.0)
+        return UnionEstimate(0.0, 0, 0.0, 0, 0.0)
     m_hat = int(math.ceil(total_size / max(sizes)))
     trials = parameters.union_trials(epsilon, delta, size_slack, m_hat)
     strict = parameters.scale.strict_sample_consumption
-    streams = [_ReferenceStream(entry.samples, rng, strict) for entry in sets]
     cumulative = []
     running = 0.0
     for size in sizes:
         running += size
         cumulative.append(running)
+    taken = [0] * len(sets)
     exhausted = False
     drawn = []
     for _ in range(trials):
         point = rng.random() * cumulative[-1]
-        low, high = 0, len(cumulative) - 1
-        while low < high:
-            middle = (low + high) // 2
-            if point <= cumulative[middle]:
-                high = middle
-            else:
-                low = middle + 1
-        sample = streams[low].next()
-        if sample is None:
+        index = next(i for i, running in enumerate(cumulative) if point <= running)
+        stored = sets[index].samples
+        if strict:
+            position = taken[index]
+            taken[index] += 1
+        else:
+            position = int(rng.random() * len(stored))
+        if position == len(stored):
             exhausted = True
             if raise_on_exhaustion:
                 raise SampleExhaustedError(
-                    f"set {sets[low].label!r} ran out of samples after {len(drawn)} trials"
+                    f"set {sets[index].label!r} ran out of samples after {len(drawn)} trials"
                 )
             if strict:
                 break
             continue
-        if streams[low].exhausted:
-            exhausted = True
-        drawn.append((sample, low))
-    if first_containing_batch is not None and drawn:
-        answers = list(first_containing_batch(drawn))
+        drawn.append(stored[position])
+    if coverage_batch is not None and drawn:
+        counts = list(coverage_batch(drawn))
     else:
-        answers = [
-            next((j for j in range(index) if sets[j].oracle(sample)), -1)
-            for sample, index in drawn
-        ]
-    unique_hits = sum(1 for containing in answers if containing < 0)
-    membership_calls = sum(
-        index if containing < 0 else containing + 1
-        for (_, index), containing in zip(drawn, answers)
-    )
+        counts = [sum(1 for entry in sets if entry.oracle(sample)) for sample in drawn]
+    if 0 in counts:
+        raise SamplingError("a stored sample lies outside every set of the union")
+    score = math.fsum(1.0 / count for count in counts)
+    membership_calls = len(drawn) * len(sets)
     if not drawn:
-        return UnionEstimate(0.0, 0, 0, membership_calls, total_size, exhausted)
+        return UnionEstimate(0.0, 0, 0.0, membership_calls, total_size, exhausted)
     return UnionEstimate(
-        (unique_hits / len(drawn)) * total_size,
+        (score / len(drawn)) * total_size,
         len(drawn),
-        unique_hits,
+        score,
         membership_calls,
         total_size,
         exhausted,
@@ -167,19 +135,16 @@ def _random_sets(seed, count=4, universe=30, samples=6, zero_every=0):
     return sets
 
 
-class _Membership:
-    """An oracle scan in batch form that records every query it answers."""
+class _Coverage:
+    """Every oracle asked about every sample, recording the samples it counts."""
 
     def __init__(self, sets):
         self.oracles = [entry.oracle for entry in sets]
         self.queries = []
 
-    def __call__(self, queries):
-        self.queries.extend(queries)
-        return [
-            next((j for j in range(index) if self.oracles[j](sample)), -1)
-            for sample, index in queries
-        ]
+    def __call__(self, samples):
+        self.queries.extend(samples)
+        return [sum(1 for oracle in self.oracles if oracle(sample)) for sample in samples]
 
 
 def _plan(sets):
@@ -196,8 +161,7 @@ def _call(sets, parameters, rng, plan=None, **keywords):
         return approximate_union(sets, **arguments, **keywords)
     samples = {entry.label: entry.samples for entry in sets}
     return approximate_union(
-        plan, **arguments, samples=samples, first_containing_batch=_Membership(sets),
-        **keywords,
+        plan, **arguments, samples=samples, coverage_batch=_Coverage(sets), **keywords,
     )
 
 
@@ -224,7 +188,7 @@ def test_zero_sizes_match_reference(seed):
     # Some sets weigh nothing; all-zero unions return before any draw.
     _assert_matches_reference(_random_sets(seed, zero_every=2), CYCLIC, seed)
     expected = _assert_matches_reference(_random_sets(seed, zero_every=1), CYCLIC, seed)
-    assert expected == UnionEstimate(0.0, 0, 0, 0, 0.0)
+    assert expected == UnionEstimate(0.0, 0, 0.0, 0, 0.0)
 
 
 @pytest.mark.parametrize("parameters", [CYCLIC, STRICT], ids=["cyclic", "strict"])
@@ -250,16 +214,18 @@ def test_duplicate_samples_match_reference(seed):
 def test_one_set_unions_match_reference(seed):
     sets = [_access(range(40), random.Random(seed).sample(range(40), 24), 40.0, label="only")]
     expected = _assert_matches_reference(sets, CYCLIC, seed)
+    # Every trial scores 1, so the estimate is the stored size exactly.
     assert expected.unique_hits == expected.trials and expected.estimate == 40.0
-    # More trials than samples: the one stream was reshuffled.
-    assert expected.exhausted
+    assert not expected.exhausted
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_reshuffle_on_exhaustion_matches_reference(seed):
+def test_draws_with_replacement_match_reference(seed):
+    # 40 trials over 2 stored samples per set: positions repeat, and no set
+    # runs dry.
     sets = _random_sets(seed, count=3, samples=2)
     expected = _assert_matches_reference(sets, CYCLIC, seed)
-    assert expected.exhausted and expected.trials == 40
+    assert not expected.exhausted and expected.trials == 40
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -279,32 +245,45 @@ def test_strict_exhaustion_raises_like_reference(seed):
 
 
 @pytest.mark.parametrize("parameters", [CYCLIC, STRICT], ids=["cyclic", "strict"])
+def test_sample_outside_its_set_raises_like_reference(parameters):
+    sets = _random_sets(4)
+    sets[2] = _access([1, 2, 3], [99, 99, 99], 3.0, label="stray")
+    with pytest.raises(SamplingError):
+        reference_union(sets, 0.3, 0.1, 0.05, parameters, random.Random(4))
+    for plan in (None, _plan(sets)):
+        with pytest.raises(SamplingError, match="'stray'"):
+            _call(sets, parameters, random.Random(4), plan)
+        if plan is not None:  # the count is never memoised, nor scored
+            assert 0 in plan.answers
+
+
+@pytest.mark.parametrize("parameters", [CYCLIC, STRICT], ids=["cyclic", "strict"])
 @pytest.mark.parametrize("seed", range(8))
 def test_reused_plan_matches_reference_call_by_call(seed, parameters):
-    """One plan over many calls on one stream: answers fill in lazily, and
+    """One plan over many calls on one stream: counts fill in lazily, and
     each call still equals a memo-free reference call."""
     sets = _random_sets(seed, count=5, samples=12)
     plan = _plan(sets)
     samples = {entry.label: entry.samples for entry in sets}
-    membership = _Membership(sets)
+    coverage = _Coverage(sets)
     rng = random.Random(seed)
     expected_rng = random.Random(seed)
     known = []
     for _ in range(6):
         observed = approximate_union(
             plan, 0.3, 0.1, 0.05, parameters, rng,
-            first_containing_batch=membership, samples=samples,
+            coverage_batch=coverage, samples=samples,
         )
         expected = reference_union(sets, 0.3, 0.1, 0.05, parameters, expected_rng)
         assert observed == expected
         assert rng.getstate() == expected_rng.getstate()
-        known.append(sum(1 for code in plan.answers if code))
+        known.append(sum(1 for count in plan.answers if count))
     # The first call resolved only part of the plan, later calls added to
     # it, and each query resolved a different stored sample: none was asked
     # about twice.
     assert 0 < known[0] < len(plan.answers)
     assert known[-1] > known[0]
-    assert known[-1] == len(membership.queries)
+    assert known[-1] == len(coverage.queries)
 
 
 def test_plan_answers_match_the_oracles():
@@ -315,18 +294,19 @@ def test_plan_answers_match_the_oracles():
     for _ in range(20):
         approximate_union(
             plan, 0.3, 0.1, 0.05, CYCLIC, rng,
-            first_containing_batch=_Membership(sets), samples=samples,
+            coverage_batch=_Coverage(sets), samples=samples,
         )
     checked = 0
+    shared = 0
     for index, entry in enumerate(sets):
         for position, sample in enumerate(entry.samples):
-            code = plan.answers[plan.offsets[index] + position]
-            if not code:  # never drawn
+            count = plan.answers[plan.offsets[index] + position]
+            if not count:  # never drawn
                 continue
             checked += 1
-            truth = next((j for j in range(index) if sets[j].oracle(sample)), -1)
-            assert code - 2 == truth
-    assert checked > 0
+            assert count == sum(1 for other in sets if other.oracle(sample))
+            shared += count > 1
+    assert checked > 0 and shared > 0
 
 
 def test_plan_state_is_mostly_untracked_by_the_cycle_collector():
@@ -339,13 +319,13 @@ def test_plan_state_is_mostly_untracked_by_the_cycle_collector():
 
 
 def test_unions_past_the_one_byte_answer_code_match_reference():
-    # A draw from T_i = {i, i + 1} is first contained in T_{i - 1}, so the
-    # answers of the late sets run past what one byte codes.
-    sets = [_access({i, i + 1}, [i, i], 2.0, label=i) for i in range(300)]
+    # Every set T_i = {0, i + 1} holds the shared element 0, so its coverage
+    # count, 300, runs past what one byte holds.
+    sets = [_access({0, i + 1}, [0, i + 1], 2.0, label=i) for i in range(300)]
     _assert_matches_reference(sets, CYCLIC, 3)
     plan = _plan(sets)
     _call(sets, CYCLIC, random.Random(3), plan)
-    assert max(plan.answers) > 255
+    assert max(plan.answers) == 300
 
 
 def test_plan_calls_validate_their_inputs():
@@ -377,9 +357,11 @@ def test_draw_scale_is_the_running_sum(monkeypatch):
         _access({"a"}, ["a"], sizes[1], label="second"),
         _access({"b"}, ["b"], sizes[2], label="third"),
     ]
-    result = _call(sets, CYCLIC, Top(0))
-    # The top draw lands on the second set, whose sample the first contains.
-    assert result.trials == 40 and result.unique_hits == 0
+    # Through a plan: the patched ``sum`` would make the oracle counts floats.
+    result = _call(sets, CYCLIC, Top(0), _plan(sets))
+    # The top draw lands on the second set, whose sample the first set also
+    # contains: every trial scores 1/2.
+    assert result.trials == 40 and result.unique_hits == 20.0
     assert result.sum_of_sizes == math.fsum(sizes)
 
 
@@ -437,7 +419,7 @@ def test_subclass_generator_matches_reference(seed):
 # ----------------------------------------------------------------------
 def _reference_over_plan(
     plan, epsilon, delta, size_slack, parameters, rng=None,
-    raise_on_exhaustion=False, first_containing_batch=None, samples=None,
+    raise_on_exhaustion=False, coverage_batch=None, samples=None,
 ):
     """The counting layer's plan calls, answered by :func:`reference_union`."""
     sets = [
@@ -446,7 +428,7 @@ def _reference_over_plan(
     ]
     return reference_union(
         sets, epsilon, delta, size_slack, parameters, rng,
-        raise_on_exhaustion, first_containing_batch,
+        raise_on_exhaustion, coverage_batch,
     )
 
 
