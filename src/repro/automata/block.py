@@ -29,11 +29,12 @@ cost is independent of ``m``:
   segmented OR), keeping the trie-walk accounting bit-identical to the
   other backends.
 
-The backend registers itself as ``"numpy"``.  The ``"auto"`` pseudo-backend
-resolved by :func:`repro.automata.engine.resolve_backend` selects this
-engine once the automaton crosses
-:data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD` states;
-``benchmarks/bench_block.py`` records the measured crossover.
+The backend registers itself as ``"numpy"``.  The counting layer drives it
+through the same per-handle ``step`` / ``pre`` calls as every other
+backend.  The ``"auto"`` pseudo-backend resolved by
+:func:`repro.automata.engine.resolve_backend` selects this engine once the
+automaton crosses :data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD`
+states; ``benchmarks/bench_block.py`` records the measured crossover.
 
 Example::
 
@@ -50,14 +51,13 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
     Engine,
-    EngineCapabilities,
     WordBatch,
     check_positions,
     decode_mask,
@@ -189,7 +189,7 @@ class BlockEngine(Engine):
         return np.ascontiguousarray(tensor.reshape(self._chunks * 256, self.blocks))
 
     def _image_blocks(self, tensor: "np.ndarray", chunk_bytes: "np.ndarray") -> "np.ndarray":
-        """The step kernel: gather one tensor row per chunk, OR-reduce them."""
+        """One image: gather one tensor row per chunk, OR-reduce them."""
         return np.bitwise_or.reduce(tensor[chunk_bytes + self._base], axis=0)
 
     def _image(self, tensor: "np.ndarray", handle: bytes) -> bytes:
@@ -323,7 +323,7 @@ class BlockEngine(Engine):
         """Word simulation keeping the block vector resident between steps.
 
         The current state set stays a ``(blocks,)`` uint64 array for the
-        whole word (the chunk view needed by the gather kernel is a free
+        whole word (the chunk view needed by the gather is a free
         reinterpret-cast of it); the handle is packed to bytes only once at
         the end.  Step accounting — one ``step_ops`` per performed step,
         early exit on the empty set — matches :meth:`Engine.simulate`
@@ -482,221 +482,5 @@ class BlockEngine(Engine):
         final = self._walk_batch(words)
         return (final & self._accepting_blocks).any(axis=1).tolist()
 
-    # ------------------------------------------------------------------
-    # Level kernel (capability-negotiated whole-level tensor passes)
-    # ------------------------------------------------------------------
-    def level_kernel(self) -> "BlockLevelKernel":
-        """A fresh :class:`BlockLevelKernel` over this engine.
 
-        Not cached on the engine: a kernel points back at its engine, and
-        that cycle would keep a dropped engine's chunk tensors alive until
-        a full garbage collection.  Callers keep the kernel they asked for.
-        """
-        return BlockLevelKernel(self)
-
-
-class BlockLevelKernel:
-    """Whole-level tensor passes over the block engine's chunk tensors.
-
-    This is the backend's implementation of the
-    :class:`~repro.automata.engine.LevelKernel` protocol: where the scalar
-    path applies ``step`` / ``pre`` to one handle at a time (one gather +
-    OR-reduce each), the kernel stacks a whole level of handles into a
-    ``(k, chunks)`` byte matrix and resolves them with *one* fancy-index
-    gather of shape ``(k, chunks, blocks)`` and one OR-reduction — the
-    boolean matrix-multiply formulation of a level, with the boolean
-    matmul's AND/OR ring realised as table gather + bitwise OR over packed
-    ``uint64`` blocks.
-
-    Counter parity is part of the contract: ``step_level`` advances
-    ``step_ops`` and ``pre_level`` advances ``pre_ops`` by ``len(handles)``
-    — exactly what the equivalent scalar loop would record — so kernel and
-    scalar executions are indistinguishable to the locked work-counter
-    suite.
-
-    >>> from repro.automata.nfa import NFA
-    >>> nfa = NFA.build(
-    ...     [("s", "0", "s"), ("s", "1", "t"), ("t", "0", "t"), ("t", "1", "t")],
-    ...     initial="s", accepting=["t"])
-    >>> engine = BlockEngine(nfa)
-    >>> kernel = engine.level_kernel()
-    >>> handles = [engine.initial, engine.accepting]
-    >>> kernel.step_level(handles, "1") == [
-    ...     engine.step(handles[0], "1"), engine.step(handles[1], "1")]
-    True
-    """
-
-    #: Level width from which the gather switches to column accumulation.
-    #: Below it, one ``np.take`` + OR-reduce wins (fewest dispatches); at or
-    #: above it the ``(k, chunks, blocks)`` intermediate outgrows L2 and a
-    #: per-chunk accumulation loop — no intermediate at all — is faster.
-    #: OR is associative and commutative, so both orders are bit-identical.
-    ACCUMULATE_MIN_LEVEL = 192
-
-    def __init__(self, engine: BlockEngine) -> None:
-        self._engine = engine
-
-    def _gather_or(self, tensor: "np.ndarray", indices: "np.ndarray") -> "np.ndarray":
-        """OR of the gathered chunk rows, ``(k, chunks)`` -> ``(k, blocks)``."""
-        if len(indices) >= self.ACCUMULATE_MIN_LEVEL:
-            images = tensor[indices[:, 0]]
-            for column in range(1, indices.shape[1]):
-                np.bitwise_or(images, tensor[indices[:, column]], out=images)
-            return images
-        return np.bitwise_or.reduce(np.take(tensor, indices, axis=0), axis=1)
-
-    def _stack(self, handles: Sequence[bytes]) -> "np.ndarray":
-        """Stack handles into the ``(k, chunks)`` index matrix the gathers use.
-
-        The uint8 view is left unwidened: adding the ``intp`` gather base
-        upcasts during broadcasting, so an explicit ``astype`` would only
-        buy an extra full-size intermediate.
-        """
-        engine = self._engine
-        return np.frombuffer(b"".join(handles), dtype=np.uint8).reshape(
-            len(handles), engine._chunks
-        )
-
-    def _unstack(self, images: "np.ndarray") -> List[bytes]:
-        """Split a ``(k, blocks)`` image matrix back into per-handle bytes.
-
-        One ``tobytes`` over the whole contiguous matrix plus ``k`` byte
-        slices is markedly cheaper than ``k`` per-row ``tobytes`` calls —
-        on the hot path this is where a third of the kernel time went.
-        """
-        width = self._engine._width
-        buffer = images.tobytes()
-        return [
-            buffer[offset : offset + width]
-            for offset in range(0, len(buffer), width)
-        ]
-
-    def _images_deduplicated(
-        self,
-        tensor: "np.ndarray",
-        handles: Sequence[bytes],
-        restrict: Optional[bytes] = None,
-    ) -> List[bytes]:
-        """Images of ``handles``, gathering each *distinct* handle once.
-
-        A level frequently repeats a handful of state sets — dense
-        automata saturate within a few steps, so deep levels are wall to
-        wall the same handle — and identical input bytes have identical
-        images.  Deduplicating before the gather is a cross-handle
-        optimisation only a whole-level pass can see (the scalar loop
-        touches one handle at a time); outputs stay bit-identical and the
-        callers' counter accounting is untouched, so kernel and scalar
-        executions remain observationally indistinguishable.
-        """
-        engine = self._engine
-        index_of: Dict[bytes, int] = {}
-        order: List[bytes] = []
-        inverse: List[int] = []
-        for handle in handles:
-            row = index_of.get(handle)
-            if row is None:
-                row = index_of[handle] = len(order)
-                order.append(handle)
-            inverse.append(row)
-        images = self._gather_or(tensor, self._stack(order) + engine._base)
-        if restrict is not None:
-            images &= np.frombuffer(restrict, dtype=_BLOCK_DTYPE)
-        unique = self._unstack(images)
-        if len(order) == len(handles):
-            return unique
-        return [unique[row] for row in inverse]
-
-    def step_level(self, handles: Sequence[bytes], symbol: Symbol) -> List[bytes]:
-        """Forward images of every handle under ``symbol``, one stacked gather."""
-        engine = self._engine
-        count = len(handles)
-        engine.step_ops += count
-        if not count:
-            return []
-        tensor = engine._fwd.get(symbol)
-        if tensor is None:
-            return [engine._empty] * count
-        return self._images_deduplicated(tensor, handles)
-
-    def pre_level(
-        self,
-        handles: Sequence[bytes],
-        symbol: Symbol,
-        restrict: Optional[bytes] = None,
-    ) -> List[bytes]:
-        """Reverse images of every handle, with an optional vectorised AND.
-
-        ``restrict`` (the previous level's live-state handle on the
-        counting path) is applied blockwise to the whole stack at once;
-        the intersection itself carries no work counter on any backend, so
-        vectorising it keeps counter parity for free.
-        """
-        engine = self._engine
-        count = len(handles)
-        engine.pre_ops += count
-        if not count:
-            return []
-        tensor = engine._rev.get(symbol)
-        if tensor is None:
-            return [engine._empty] * count
-        return self._images_deduplicated(tensor, handles, restrict)
-
-    def materialise_batch(
-        self,
-        words: Sequence[Tuple[Symbol, ...]],
-        upto: Optional[int] = None,
-    ) -> List[List[bytes]]:
-        """Per-word prefix-handle chains, one tensor pass per (level, symbol).
-
-        ``chains[i][d]`` is the reachability handle after the first ``d``
-        symbols of ``words[i]`` (``chains[i][0]`` is the initial handle);
-        a chain stops early once its state set dies, after recording the
-        empty handle that killed it — mirroring the per-word
-        :meth:`BlockEngine.simulate` early exit, including its step
-        accounting (one ``step_ops`` per performed step).  ``upto`` bounds
-        every chain to its first ``upto`` symbols.
-        """
-        engine = self._engine
-        normalized = [word if type(word) is tuple else as_word(word) for word in words]
-        limits = [
-            len(word) if upto is None else min(upto, len(word))
-            for word in normalized
-        ]
-        chains: List[List[bytes]] = [[engine.initial] for _ in normalized]
-        active = [position for position, limit in enumerate(limits) if limit > 0]
-        level = 0
-        empty = engine._empty
-        while active:
-            by_symbol: Dict[Symbol, List[int]] = {}
-            for position in active:
-                by_symbol.setdefault(normalized[position][level], []).append(position)
-            engine.step_ops += len(active)
-            for symbol, members in by_symbol.items():
-                tensor = engine._fwd.get(symbol)
-                if tensor is None:
-                    for position in members:
-                        chains[position].append(empty)
-                    continue
-                stacked = self._stack([chains[position][level] for position in members])
-                images = self._gather_or(tensor, stacked + engine._base)
-                for position, image in zip(members, self._unstack(images)):
-                    chains[position].append(image)
-            level += 1
-            active = [
-                position
-                for position in active
-                if level < limits[position] and chains[position][level] != empty
-            ]
-        return chains
-
-
-register_engine(
-    BlockEngine.name,
-    BlockEngine,
-    capabilities=EngineCapabilities(
-        backend=BlockEngine.name,
-        level_kernel=True,
-        batch_simulate=True,
-        gpu_ready=True,
-    ),
-)
+register_engine(BlockEngine.name, BlockEngine)

@@ -19,7 +19,8 @@ All simulation is delegated to a pluggable :class:`repro.automata.engine
 word-sized integer operations, while the frozenset reference backend keeps
 the original semantics available for differential testing.  Handle-returning
 methods (``reachable_handle``, ``live_handle``, ``predecessor_handle``) are
-the hot-path API used by the counting layer; the frozenset-returning methods
+the hot-path API used by the counting layer, and every backend answers them
+through the same per-handle engine calls; the frozenset-returning methods
 remain for compatibility and convenience.
 """
 
@@ -37,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from repro.automata.engine import Engine, LevelKernel, acquire_engine
+from repro.automata.engine import Engine, acquire_engine
 from repro.automata.nfa import NFA, State, Symbol, Word, as_word
 from repro.errors import AutomatonError
 
@@ -84,19 +85,8 @@ class ReachabilityCache:
     #: survive the flush) once the cached words jointly exceed it.
     #: ``None`` (the default) is unbounded, the historical behaviour.
     max_symbols: Optional[int] = None
-    #: Level-kernel policy: ``"auto"`` negotiates a
-    #: :class:`~repro.automata.engine.LevelKernel` through the engine's
-    #: declared capabilities, ``"off"`` forces the scalar path.  The kernel
-    #: only engages when the cache is unbounded (all three bounds ``None``),
-    #: because the batched trie walk relies on the cache being
-    #: prefix-closed; bounded caches always fall back to the scalar loop.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("auto", "off"):
-            raise AutomatonError(
-                f"unknown kernel policy {self.kernel!r}: expected 'auto' or 'off'"
-            )
         self.engine_cache_hit = False
         if self.engine is None:
             self.engine, self.engine_cache_hit = acquire_engine(
@@ -111,17 +101,6 @@ class ReachabilityCache:
         self.batch_hits = 0
         self.cache_flushes = 0
         self._cached_symbols = 0
-        self._level_kernel: Optional[LevelKernel] = None
-        if (
-            self.kernel != "off"
-            and self.max_words is None
-            and self.prefix_limit is None
-            and self.max_symbols is None
-            and self.engine.capabilities().level_kernel
-        ):
-            self._level_kernel = self.engine.level_kernel()
-        self.kernel_active = self._level_kernel is not None
-        self.kernel_batches = 0
 
     def _materialise(self, word: Word) -> object:
         """Handle for ``word``, extending the longest cached prefix."""
@@ -152,82 +131,6 @@ class ReachabilityCache:
             self._cached_symbols = len(word)
             self.cache_flushes += 1
         return current
-
-    def _materialise_level_batch(self, words: Sequence[Word]) -> None:
-        """Materialise fresh ``words`` through the level kernel.
-
-        Only engaged when the cache is unbounded, hence prefix-closed: the
-        words' missing trie nodes are then exactly their prefixes absent
-        from the cache.  Nodes are grouped by ``(level, symbol)`` and each
-        group becomes one
-        :meth:`~repro.automata.engine.LevelKernel.step_level` call — a
-        stacked gather over all words at once instead of a per-word step
-        chain.  Handles, ``simulated_steps``, ``cache_words`` and the
-        engine's ``step_ops`` are bit-identical to looping
-        :meth:`_materialise` over the words in sorted order: every new
-        prefix is computed and cached exactly once either way.
-        """
-        cache = self._cache
-        kernel = self._level_kernel
-        # Per-level symbol buckets; ``by_level[l - 1]`` holds level ``l``'s
-        # ``symbol -> [(parent prefix, prefix)]`` groups.  The list index
-        # is free and a symbol object caches its own hash, where a
-        # ``(level, symbol)`` tuple key would be allocated and re-hashed
-        # per node — measurable, since the Python-side walk is what the
-        # kernel leaves as overhead.  Carrying the parent tuple spares the
-        # processing loop a slice (and tuple re-hash) per node.
-        by_level: List[Dict[Symbol, List[Tuple[Word, Word]]]] = []
-        previous: Word = ()
-        for word in words:
-            total = len(word)
-            if total == 0:
-                continue
-            if total > len(by_level):
-                by_level.extend({} for _ in range(len(by_level), total))
-            # Words arrive sorted, so the prefix shared with the previous
-            # word is the longest prefix shared with *any* earlier word in
-            # the batch: everything beyond it belongs to this word alone.
-            # That makes the walk probe-light — grouped nodes need no
-            # tombstone in the cache, because no later word can reach them
-            # before the processing loop fills in their real handles.
-            shared = 0
-            bound = min(total, len(previous))
-            while shared < bound and word[shared] == previous[shared]:
-                shared += 1
-            previous = word
-            parent = word[:shared]
-            # Probe phase: only earlier *batches* can have cached these
-            # prefixes, and their entries are prefix-closed — the first
-            # miss means every longer prefix misses too.
-            index = shared
-            while index < total:
-                prefix = parent + (word[index],)
-                if prefix not in cache:
-                    break
-                parent = prefix
-                index += 1
-            # Fresh phase: everything from the first miss on is new.
-            for level_index, symbol in enumerate(word[index:], index):
-                prefix = parent + (symbol,)
-                bucket = by_level[level_index]
-                items = bucket.get(symbol)
-                if items is None:
-                    items = bucket[symbol] = []
-                items.append((parent, prefix))
-                parent = prefix
-        for level_index, bucket in enumerate(by_level):
-            if not bucket:
-                continue
-            level = level_index + 1
-            for symbol in sorted(bucket, key=repr):
-                items = bucket[symbol]
-                parents = [cache[parent] for parent, _ in items]
-                images = kernel.step_level(parents, symbol)
-                for (_, prefix), image in zip(items, images):
-                    cache[prefix] = image
-                self._cached_symbols += level * len(items)
-                self.simulated_steps += len(items)
-                self.kernel_batches += 1
 
     def reachable_handle(self, word: "str | Word") -> object:
         """Engine handle of the states reachable on ``word`` (hot path)."""
@@ -267,17 +170,8 @@ class ReachabilityCache:
             else:
                 self.batch_hits += 1
                 results[position] = handle
-        if missing:
-            ordered = sorted(missing, key=normalized.__getitem__)
-            if self._level_kernel is not None:
-                self._materialise_level_batch(
-                    [normalized[position] for position in ordered]
-                )
-                for position in ordered:
-                    results[position] = cache[normalized[position]]
-            else:
-                for position in ordered:
-                    results[position] = self._materialise(normalized[position])
+        for position in sorted(missing, key=normalized.__getitem__):
+            results[position] = self._materialise(normalized[position])
         return results
 
     def reachable(self, word: "str | Word") -> FrozenSet[State]:
@@ -317,14 +211,6 @@ class UnrolledAutomaton:
         :class:`~repro.automata.engine.EngineRegistry`, so unrollings of the
         same automaton reuse one set of transition tables; ``False`` builds
         a private engine (the CLI's ``--no-engine-cache``).
-    kernel:
-        Level-kernel policy: ``"auto"`` (the default) negotiates a
-        :class:`~repro.automata.engine.LevelKernel` when the engine's
-        declared :class:`~repro.automata.engine.EngineCapabilities` carry
-        ``level_kernel=True``; ``"off"`` forces the scalar path everywhere.
-        Negotiation never changes observable behaviour — estimates, RNG
-        streams, and the representation-independent work counters are
-        bit-identical with the kernel on or off.
 
     Notes
     -----
@@ -348,7 +234,6 @@ class UnrolledAutomaton:
         cache_max_words: Optional[int] = None,
         cache_prefix_limit: Optional[int] = None,
         cache_max_symbols: Optional[int] = None,
-        kernel: str = "auto",
     ) -> None:
         if length < 0:
             raise AutomatonError("unrolling length must be non-negative")
@@ -369,16 +254,7 @@ class UnrolledAutomaton:
             max_words=cache_max_words,
             prefix_limit=cache_prefix_limit,
             max_symbols=cache_max_symbols,
-            kernel=kernel,
         )
-        self.kernel = kernel
-        # The predecessor fan negotiates independently of the cache: it
-        # never touches cached words, so the cache-bound fallback rule does
-        # not apply to it.
-        self._level_kernel: Optional[LevelKernel] = None
-        if kernel != "off" and self.engine.capabilities().level_kernel:
-            self._level_kernel = self.engine.level_kernel()
-        self.kernel_active = self._level_kernel is not None
         self._live_handles: List[object] = self._compute_live_handles()
         # Live-set frozensets are decoded lazily: eager decoding cost
         # O(n * m) up front even for runs that only ever touch handles, and
@@ -453,11 +329,8 @@ class UnrolledAutomaton:
         """``Pred(Q', b)`` of a handle for every alphabet symbol, in order.
 
         The backward sampler queries all symbols of one frontier handle at
-        each level; a negotiated level kernel answers the fan through
-        :meth:`~repro.automata.engine.LevelKernel.pre_level` (restricted to
-        the live states one level down), while scalar engines fall back to
-        one :meth:`predecessor_handle` call per symbol.  Handles and
-        ``pre_ops`` accounting are identical either way.
+        each level: one :meth:`predecessor_handle` answer per symbol,
+        sharing the level check and the live-state lookup.
         """
         self._check_level(level)
         engine = self.engine
@@ -465,16 +338,7 @@ class UnrolledAutomaton:
         if level == 0:
             return [engine.empty for _ in alphabet]
         live = self._live_handles[level - 1]
-        kernel = self._level_kernel
-        if kernel is None:
-            return [
-                engine.intersect(engine.pre(handle, symbol), live)
-                for symbol in alphabet
-            ]
-        fan: List[object] = []
-        for symbol in alphabet:
-            fan.extend(kernel.pre_level([handle], symbol, restrict=live))
-        return fan
+        return [engine.intersect(engine.pre(handle, symbol), live) for symbol in alphabet]
 
     def predecessors_of_set(
         self, states: Iterable[State], symbol: Symbol, level: int

@@ -129,7 +129,7 @@ class CountRequest:
     policy:
         Optional :class:`~repro.counting.policy.ExecutionPolicy` bundling
         the execution knobs (``backend``, ``use_engine_cache``,
-        ``workers``, ``shards``, ``store``, ``window``, ``kernel``).  A
+        ``workers``, ``shards``, ``store``, ``window``).  A
         policy is *consumed* at construction: its core knobs populate the
         flat fields, its non-default method options merge into
         ``options``, and the stored ``policy`` attribute is normalised
@@ -718,7 +718,6 @@ def fpras_parameters(request: CountRequest) -> FPRASParameters:
         store=request.option("store", "dict"),
         window=request.option("window", 4),
         details=request.option("details", "full"),
-        kernel=request.option("kernel", "auto"),
     )
 
 
@@ -740,12 +739,11 @@ def _engine_counter_deltas(engine, base: Dict[str, int], from_cache: bool) -> Di
 @register_method(
     "fpras",
     summary="the paper's FPRAS (Algorithm 3)",
-    options=("scale", "shards", "store", "window", "details", "kernel"),
+    options=("scale", "shards", "store", "window", "details"),
     capabilities=MethodCapabilities(
         workers=True,
         progress=True,
         stores=("dict", "windowed"),
-        kernels=True,
     ),
 )
 def _run_fpras(
@@ -1052,13 +1050,11 @@ def count_with_progress(
 # ----------------------------------------------------------------------
 #: Per-method options that can never change an estimate — the state-table
 #: store and its window only move table entries between RAM and spill (the
-#: parity contract in :mod:`repro.counting.store`), ``details`` only
-#: selects how much of the tables a report embeds, and ``kernel`` only
-#: chooses between the bit-identical level-kernel and scalar execution
-#: paths (the kernel parity contract in :mod:`repro.automata.unroll`).
-#: Like ``workers``, they are excluded from the cache key so one cached
-#: answer serves every execution configuration.
-RESULT_NEUTRAL_OPTIONS = frozenset({"store", "window", "details", "kernel"})
+#: parity contract in :mod:`repro.counting.store`), and ``details`` only
+#: selects how much of the tables a report embeds.  Like ``workers``, they
+#: are excluded from the cache key so one cached answer serves every
+#: execution configuration.
+RESULT_NEUTRAL_OPTIONS = frozenset({"store", "window", "details"})
 
 
 def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, object]:
@@ -1083,10 +1079,6 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
     >>> c = CountRequest(method="fpras", seed=7,
     ...                  options={"shards": 2, "store": "windowed", "window": 8})
     >>> canonical_request_knobs(c, 8) == canonical_request_knobs(a, 8)
-    True
-    >>> d = CountRequest(method="fpras", seed=7,
-    ...                  options={"shards": 2, "kernel": "off"})
-    >>> canonical_request_knobs(d, 8) == canonical_request_knobs(a, 8)
     True
     """
     if isinstance(request.seed, random.Random):
@@ -1193,7 +1185,7 @@ def count(
     ``policy`` bundles the execution knobs into one typed
     :class:`~repro.counting.policy.ExecutionPolicy`; the flat ``backend``
     / ``use_engine_cache`` / ``workers`` (and the ``shards`` / ``store``
-    / ``window`` / ``kernel`` options) remain as deprecation shims that
+    / ``window`` options) remain as deprecation shims that
     denote bit-identical requests.  ``workers`` runs methods declaring
     worker capability (``fpras``, ``montecarlo``) through the sharded
     parallel executor — see :mod:`repro.counting.parallel`; estimates are

@@ -140,8 +140,7 @@ class NFACounter:
     AppUnion's coverage counts are answered through the batched
     reachability API (see
     :meth:`repro.automata.unroll.UnrolledAutomaton.coverage_batch`),
-    which in turn rides the capability-negotiated level kernel
-    (``parameters.kernel``) on backends that declare one.
+    one cached per-handle walk on every backend.
     """
 
     def __init__(
@@ -179,7 +178,6 @@ class NFACounter:
             cache_max_words=cache_max_words,
             cache_prefix_limit=cache_prefix_limit,
             cache_max_symbols=cache_max_symbols,
-            kernel=self.parameters.kernel,
         )
         # The state-table store decides where the N / S tables live (all
         # resident for "dict", sliding sample window for "windowed"); the

@@ -181,16 +181,6 @@ class FPRASParameters:
     and the algorithm-level work counters are bit-identical across stores;
     only memory (and wall time on deep cross-level reads) changes.
 
-    ``kernel`` sets the level-kernel policy (see
-    :class:`~repro.automata.engine.LevelKernel`): ``"auto"`` (the default)
-    negotiates whole-level tensor passes when the chosen backend's
-    :class:`~repro.automata.engine.EngineCapabilities` declare
-    ``level_kernel=True`` (currently the ``numpy`` backend); ``"off"``
-    forces the scalar per-handle path everywhere.  The policy is purely an
-    execution detail — estimates, RNG streams and the locked work counters
-    are bit-identical with the kernel on or off, which is why ``kernel`` is
-    result-neutral for the content-addressed cache.
-
     ``use_engine_cache`` controls whether the run acquires its engine from
     the shared :class:`~repro.automata.engine.EngineRegistry` (the default;
     repeated runs on the same automaton skip rebuilding transition tables)
@@ -221,7 +211,6 @@ class FPRASParameters:
     store: str = "dict"
     window: int = 4
     details: str = "full"
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon:
@@ -245,10 +234,6 @@ class FPRASParameters:
         if self.details not in ("full", "summary"):
             raise ParameterError(
                 f"details must be 'full' or 'summary', got {self.details!r}"
-            )
-        if self.kernel not in ("auto", "off"):
-            raise ParameterError(
-                f"kernel must be 'auto' or 'off', got {self.kernel!r}"
             )
 
     # ------------------------------------------------------------------
@@ -356,7 +341,6 @@ class FPRASParameters:
             "engine_cache": self.use_engine_cache,
             "store": self.store,
             "window": self.window,
-            "kernel": self.kernel,
         }
 
 

@@ -3,7 +3,7 @@
 Execution of a counting run has historically been configured through a
 sprawl of flat keyword arguments — ``backend``, ``use_engine_cache``,
 ``workers`` on the core request plus the fpras-only ``shards`` / ``store``
-/ ``window`` / ``kernel`` options — spelled slightly differently by
+/ ``window`` options — spelled slightly differently by
 :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and the
 CLI.  This module is the typed consolidation of that surface:
 
@@ -17,9 +17,7 @@ CLI.  This module is the typed consolidation of that surface:
   ``tests/test_policy.py`` pins this).
 * :class:`MethodCapabilities` replaces the ad-hoc ``supports_workers``
   attribute on registry entries with a declarative record (worker
-  support, anytime progress, accepted stores, level-kernel awareness),
-  mirroring how :class:`~repro.automata.engine.EngineCapabilities`
-  declares what a simulation backend can do.
+  support, anytime progress, accepted stores).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.errors import ParameterError
 #: options); the policy emits only non-default values so a default policy
 #: denotes exactly the same request — and the same fingerprint — as no
 #: policy at all.
-POLICY_OPTION_NAMES: Tuple[str, ...] = ("shards", "store", "window", "kernel")
+POLICY_OPTION_NAMES: Tuple[str, ...] = ("shards", "store", "window")
 
 
 @dataclass(frozen=True)
@@ -59,27 +57,22 @@ class ExecutionPolicy:
     store, window:
         State-table store layout (``"dict"`` / ``"windowed"``) and the
         windowed store's resident level count.
-    kernel:
-        Level-kernel policy: ``"auto"`` negotiates whole-level tensor
-        passes on backends whose
-        :class:`~repro.automata.engine.EngineCapabilities` declare
-        ``level_kernel=True``; ``"off"`` forces the scalar path.
 
     None of these change an estimate — they are execution detail by
     contract, so a policy never perturbs the content-addressed result
     cache (see :data:`~repro.counting.api.RESULT_NEUTRAL_OPTIONS` and the
     fingerprint-neutrality test).
 
-    >>> ExecutionPolicy().describe()["kernel"]
-    'auto'
+    >>> ExecutionPolicy().describe()["store"]
+    'dict'
     >>> ExecutionPolicy(backend="numpy", workers=2).method_options()
     {}
     >>> ExecutionPolicy(store="windowed", window=8).method_options()
     {'store': 'windowed', 'window': 8}
-    >>> ExecutionPolicy(kernel="sometimes")
+    >>> ExecutionPolicy(store="csv")
     Traceback (most recent call last):
         ...
-    repro.errors.ParameterError: kernel must be 'auto' or 'off', got 'sometimes'
+    repro.errors.ParameterError: unknown state-table store 'csv'; available: ['dict', 'windowed']
     """
 
     backend: Optional[str] = None
@@ -88,7 +81,6 @@ class ExecutionPolicy:
     shards: int = 1
     store: str = "dict"
     window: int = 4
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.backend is not None and self.backend not in available_backends():
@@ -107,10 +99,6 @@ class ExecutionPolicy:
         validate_shards(self.shards)
         validate_store(self.store)
         validate_window(self.window)
-        if self.kernel not in ("auto", "off"):
-            raise ParameterError(
-                f"kernel must be 'auto' or 'off', got {self.kernel!r}"
-            )
 
     # ------------------------------------------------------------------
     def method_options(self) -> Dict[str, object]:
@@ -128,8 +116,6 @@ class ExecutionPolicy:
             options["store"] = self.store
         if self.window != 4:
             options["window"] = self.window
-        if self.kernel != "auto":
-            options["kernel"] = self.kernel
         return options
 
     def describe(self) -> Dict[str, object]:
@@ -141,7 +127,6 @@ class ExecutionPolicy:
             "shards": self.shards,
             "store": self.store,
             "window": self.window,
-            "kernel": self.kernel,
         }
 
     def with_overrides(self, **changes: object) -> "ExecutionPolicy":
@@ -170,7 +155,6 @@ class ExecutionPolicy:
             shards=request.option("shards", 1),
             store=request.option("store", "dict"),
             window=request.option("window", 4),
-            kernel=request.option("kernel", "auto"),
         )
 
 
@@ -178,9 +162,7 @@ class ExecutionPolicy:
 class MethodCapabilities:
     """What a registered counting method declares it can do.
 
-    The counting-method analogue of
-    :class:`~repro.automata.engine.EngineCapabilities`: dispatch reads
-    these fields instead of probing registry entries with
+    Dispatch reads these fields instead of probing registry entries with
     ``getattr(..., "supports_workers", False)``, and ``repro methods``
     renders them as capability columns.
 
@@ -195,9 +177,6 @@ class MethodCapabilities:
     stores:
         State-table store names the method accepts (every method handles
         the default resident ``"dict"`` store).
-    kernels:
-        The method threads the level-kernel policy (``kernel`` option)
-        through to the engine layer.
 
     >>> MethodCapabilities().workers
     False
@@ -212,10 +191,9 @@ class MethodCapabilities:
     workers: bool = False
     progress: bool = False
     stores: Tuple[str, ...] = ("dict",)
-    kernels: bool = False
 
     def __post_init__(self) -> None:
-        for flag in ("workers", "progress", "kernels"):
+        for flag in ("workers", "progress"):
             if not isinstance(getattr(self, flag), bool):
                 raise ParameterError(f"{flag} must be a bool")
         if not isinstance(self.stores, tuple) or not self.stores:
@@ -231,5 +209,4 @@ class MethodCapabilities:
             "workers": self.workers,
             "progress": self.progress,
             "stores": list(self.stores),
-            "kernels": self.kernels,
         }

@@ -140,7 +140,9 @@ class _WindowedLevelTable:
 
     Writing to an already-evicted level raises: the level-synchronous
     dynamic program never does it, so an attempt indicates a bug rather
-    than a use case.
+    than a use case.  Faulting back a spill that is truncated or corrupt,
+    or one read after :meth:`close`, raises :class:`~repro.errors.ReproError`
+    naming the level, never a wrong value.
     """
 
     def __init__(self, window: int) -> None:
@@ -204,8 +206,23 @@ class _WindowedLevelTable:
         if location is None:
             return None
         offset, length, _ = location
+        if self._spill_file is None:
+            raise ReproError(
+                f"windowed store: level {level} is spilled and the store is closed"
+            )
         self._spill_file.seek(offset)
-        entries = pickle.loads(zlib.decompress(self._spill_file.read(length)))
+        payload = self._spill_file.read(length)
+        if len(payload) != length:
+            raise ReproError(
+                f"windowed store: the spill of level {level} is truncated "
+                f"({len(payload)} of {length} bytes)"
+            )
+        try:
+            entries = pickle.loads(zlib.decompress(payload))
+        except (zlib.error, pickle.UnpicklingError) as error:
+            raise ReproError(
+                f"windowed store: the spill of level {level} is corrupt ({error})"
+            ) from error
         self._fault_level = level
         self._fault_entries = entries
         self.level_faults += 1

@@ -175,43 +175,6 @@ class TestMembershipBatchParity:
         assert batched.lookups == scalar.lookups
         assert len(batched) == len(scalar)
 
-    def test_reachability_cache_kernel_matches_scalar(self):
-        """The level-kernel batch walk is bit-identical to the scalar trie walk."""
-        nfa = families.suffix_nfa("0110")
-        words = _word_multiset(nfa, seed=3)
-        scalar = ReachabilityCache(
-            nfa, backend="numpy", use_engine_cache=False, kernel="off"
-        )
-        kernel = ReachabilityCache(nfa, backend="numpy", use_engine_cache=False)
-        assert kernel.kernel_active and not scalar.kernel_active
-        expected = scalar.reachable_handle_batch(words)
-        observed = kernel.reachable_handle_batch(words)
-        assert observed == expected
-        assert kernel.simulated_steps == scalar.simulated_steps
-        assert kernel.lookups == scalar.lookups
-        assert len(kernel) == len(scalar)
-        # The awkward multiset (duplicates, shared prefixes) really did get
-        # grouped into whole-level tensor passes.
-        assert kernel.kernel_batches > 0
-        assert scalar.kernel_batches == 0
-        # Follow-up scalar lookups agree with the batch-filled trie.
-        for word in words[:8]:
-            assert kernel.reachable_handle(word) == scalar.reachable_handle(word)
-
-    @pytest.mark.parametrize("seed", range(118, 124))
-    def test_reachability_cache_kernel_random_sweep(self, seed):
-        nfa = _random_instance(seed)
-        words = _word_multiset(nfa, seed)
-        scalar = ReachabilityCache(
-            nfa, backend="numpy", use_engine_cache=False, kernel="off"
-        )
-        kernel = ReachabilityCache(nfa, backend="numpy", use_engine_cache=False)
-        assert kernel.reachable_handle_batch(words) == scalar.reachable_handle_batch(
-            words
-        )
-        assert kernel.simulated_steps == scalar.simulated_steps
-        assert kernel.engine.step_ops == scalar.engine.step_ops
-
 
 class TestUnionBatchEquivalence:
     def _accesses_and_batch(self, length=7):
@@ -303,44 +266,6 @@ class TestUnionBatchEquivalence:
                 "simulated_steps",
             ):
                 assert counters_fast[key] == counters_ref[key], (backend, key)
-
-    @pytest.mark.parametrize("seed", range(118, 126))
-    def test_fpras_kernel_axis_joins_backend_matrix(self, seed):
-        """The kernel on/off axis composes with the three-backend matrix:
-        a kernel-negotiating numpy run stays identical to the reference."""
-        nfa = random_nonempty_nfa(6, 5, density=0.35, seed=seed)
-        results = {}
-        for label, backend, kernel in (
-            ("reference", "reference", "auto"),
-            ("numpy-kernel", "numpy", "auto"),
-            ("numpy-scalar", "numpy", "off"),
-        ):
-            parameters = FPRASParameters(
-                epsilon=0.5,
-                delta=0.2,
-                scale=ParameterScale.practical(sample_cap=6, union_trial_cap=10),
-                seed=seed,
-                backend=backend,
-                use_engine_cache=False,
-                kernel=kernel,
-            )
-            results[label] = NFACounter(nfa, 5, parameters).run()
-        reference = results["reference"]
-        for label in ("numpy-kernel", "numpy-scalar"):
-            observed = results[label]
-            assert observed.estimate == reference.estimate, label
-            assert observed.membership_calls == reference.membership_calls, label
-            assert observed.state_estimates == reference.state_estimates, label
-            for key in (
-                "step_ops",
-                "pre_ops",
-                "cache_lookups",
-                "cache_batch_words",
-                "simulated_steps",
-            ):
-                assert (
-                    observed.engine_counters[key] == reference.engine_counters[key]
-                ), (label, key)
 
 
 class TestEngineRegistry:

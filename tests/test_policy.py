@@ -1,6 +1,6 @@
 """Typed execution policies and declarative method capabilities.
 
-Pins the contracts behind the capability-negotiated API redesign:
+Pins the contracts behind the typed execution-policy API:
 
 * :class:`~repro.counting.policy.ExecutionPolicy` — validation, the
   defaults-omitted option emission that keeps the policy spelling
@@ -10,8 +10,7 @@ Pins the contracts behind the capability-negotiated API redesign:
   and the legacy ``supports_workers=`` registration flag maps onto
   :class:`~repro.counting.policy.MethodCapabilities`;
 * the method registry's declared capabilities (which dispatch reads
-  instead of ``getattr`` probes) and the engine-level capability records
-  they mirror.
+  instead of ``getattr`` probes).
 """
 
 from __future__ import annotations
@@ -21,12 +20,6 @@ import warnings
 import pytest
 
 from repro.automata import families
-from repro.automata.engine import (
-    EngineCapabilities,
-    available_backends,
-    backend_capabilities,
-    create_engine,
-)
 from repro.counting.api import (
     METHOD_REGISTRY,
     RESULT_NEUTRAL_OPTIONS,
@@ -68,7 +61,6 @@ class TestExecutionPolicyValidation:
             {"shards": 0},
             {"store": "csv"},
             {"window": 0},
-            {"kernel": "sometimes"},
         ],
     )
     def test_invalid_knobs_rejected(self, knobs):
@@ -80,19 +72,18 @@ class TestExecutionPolicyValidation:
         # non-default — the fingerprint-neutrality mechanism.
         assert ExecutionPolicy(backend="numpy", workers=4).method_options() == {}
         assert ExecutionPolicy(
-            shards=3, store="windowed", window=2, kernel="off"
+            shards=3, store="windowed", window=2
         ).method_options() == {
             "shards": 3,
             "store": "windowed",
             "window": 2,
-            "kernel": "off",
         }
 
     def test_with_overrides(self):
         policy = ExecutionPolicy(backend="bitset")
-        tweaked = policy.with_overrides(workers=2, kernel="off")
+        tweaked = policy.with_overrides(workers=2)
         assert tweaked.backend == "bitset"
-        assert tweaked.workers == 2 and tweaked.kernel == "off"
+        assert tweaked.workers == 2
         assert policy.workers == 1  # frozen original untouched
 
     def test_describe_lists_every_knob(self):
@@ -133,21 +124,15 @@ class TestPolicyRequestRoundTrip:
         styled = CountRequest(
             method="fpras", seed=3, policy=ExecutionPolicy(backend="bitset")
         )
-        kernel_off = CountRequest(
-            method="fpras",
-            seed=3,
-            policy=ExecutionPolicy(backend="bitset", kernel="off"),
-        )
         assert canonical_request_knobs(styled, 6) == canonical_request_knobs(flat, 6)
         fingerprints = {
-            request_fingerprint(nfa_doc, 6, request)
-            for request in (flat, styled, kernel_off)
+            request_fingerprint(nfa_doc, 6, request) for request in (flat, styled)
         }
-        assert len(fingerprints) == 1  # kernel is result-neutral by contract
+        assert len(fingerprints) == 1
 
     def test_round_trip_from_request(self):
         policy = ExecutionPolicy(
-            backend="numpy", workers=3, shards=2, store="windowed", kernel="off"
+            backend="numpy", workers=3, shards=2, store="windowed"
         )
         request = CountRequest(method="fpras", policy=policy)
         assert ExecutionPolicy.from_request(request) == policy
@@ -163,7 +148,7 @@ class TestPolicyRequestRoundTrip:
         with pytest.raises(ParameterError):
             CountRequest(
                 method="fpras",
-                options={"kernel": "off"},
+                options={"store": "windowed"},
                 policy=ExecutionPolicy(),
             )
 
@@ -206,13 +191,13 @@ class TestDeprecationShims:
         session = CountingSession(
             epsilon=0.5,
             seed=5,
-            policy=ExecutionPolicy(backend="bitset", kernel="off"),
+            policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         pinned = session.request()
         assert pinned.backend == "bitset"
-        assert pinned.option("kernel") == "off"
-        # A method that does not accept the kernel option drops it.
-        assert "kernel" not in session.request(method="exact").options
+        assert pinned.option("store") == "windowed"
+        # A method that does not accept the store option drops it.
+        assert "store" not in session.request(method="exact").options
         assert session.count(parity_nfa_2, 4, method="exact").raw > 0
 
 
@@ -222,14 +207,12 @@ class TestMethodCapabilities:
         assert capabilities.workers is False
         assert capabilities.progress is False
         assert capabilities.stores == ("dict",)
-        assert capabilities.kernels is False
 
     @pytest.mark.parametrize(
         "knobs",
         [
             {"workers": 1},
             {"progress": "yes"},
-            {"kernels": None},
             {"stores": ()},
             {"stores": ["dict"]},
             {"stores": ("paper",)},
@@ -241,12 +224,12 @@ class TestMethodCapabilities:
 
     def test_registry_declares_capabilities(self):
         fpras = METHOD_REGISTRY["fpras"].capabilities
-        assert fpras.workers and fpras.progress and fpras.kernels
+        assert fpras.workers and fpras.progress
         assert fpras.stores == ("dict", "windowed")
         exact = METHOD_REGISTRY["exact"].capabilities
-        assert not exact.workers and not exact.kernels
+        assert not exact.workers
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
-        assert montecarlo.workers and montecarlo.progress and not montecarlo.kernels
+        assert montecarlo.workers and montecarlo.progress
 
     def test_supports_workers_compat_property(self):
         assert METHOD_REGISTRY["fpras"].supports_workers is True
@@ -282,27 +265,3 @@ class TestMethodCapabilities:
 
         finally:
             METHOD_REGISTRY.pop(name, None)
-
-
-class TestEngineCapabilityRecords:
-    def test_every_backend_declares_capabilities(self):
-        records = available_backends(with_capabilities=True)
-        assert set(records) == set(available_backends()) - {"auto"}
-        for name, record in records.items():
-            assert isinstance(record, EngineCapabilities)
-            assert record.backend == name
-            assert backend_capabilities(name) == record
-
-    def test_declared_capabilities_match_engine_behaviour(self):
-        nfa = families.parity_nfa(3)
-        for name in ("reference", "bitset", "numpy"):
-            engine = create_engine(nfa, name)
-            record = engine.capabilities()
-            assert record == backend_capabilities(name)
-            assert (engine.level_kernel() is not None) == record.level_kernel
-
-    def test_numpy_is_the_level_kernel_backend(self):
-        assert backend_capabilities("numpy").level_kernel is True
-        assert backend_capabilities("numpy").gpu_ready is True
-        assert backend_capabilities("bitset").level_kernel is False
-        assert backend_capabilities("reference").level_kernel is False

@@ -172,6 +172,47 @@ def test_windowed_len_faults_no_spilled_level_back():
     store.close()
 
 
+def _spilled_store():
+    """A window-1 store whose levels 0 and 1 sit in the spill file."""
+    store = WindowedStore(window=1)
+    for level in range(3):
+        store.samples[("q", level)] = [("a",) * level]
+    assert store.counters()["store_spilled_levels"] == 2
+    return store
+
+
+def test_truncated_spill_raises_typed_error():
+    store = _spilled_store()
+    table = store.samples
+    offset, length, _ = table._spill_index[1]
+    table._spill_file.truncate(offset + length - 1)
+    with pytest.raises(ReproError, match="level 1 is truncated"):
+        table[("q", 1)]
+    store.close()
+
+
+def test_corrupt_spill_raises_typed_error():
+    store = _spilled_store()
+    table = store.samples
+    offset, length, _ = table._spill_index[0]
+    spill = table._spill_file
+    spill.seek(offset)
+    payload = spill.read(length)
+    spill.seek(offset + 2)
+    spill.write(bytes(byte ^ 0xFF for byte in payload[2:]))
+    with pytest.raises(ReproError, match="level 0 is corrupt"):
+        table.get(("q", 0))
+    store.close()
+
+
+def test_spilled_read_after_close_raises_typed_error():
+    store = _spilled_store()
+    store.close()
+    assert store.samples[("q", 2)] == [("a", "a")]  # resident levels stay readable
+    with pytest.raises(ReproError, match="level 0 .*closed"):
+        ("q", 0) in store.samples
+
+
 # ----------------------------------------------------------------------
 # Differential suite: dict vs windowed must be bit-identical
 # ----------------------------------------------------------------------

@@ -12,10 +12,8 @@ Alongside the synthetic hot-path workloads the report times real-workload
 corpus fixtures (:mod:`repro.corpus` — log/lint/validation regexes and RPQ
 query classes) via :data:`CORPUS_SPEC`.  The serving-layer benchmarks
 (cold vs. cached ``POST /count`` against a real
-:class:`~repro.serve.server.CountingServer`), the level-kernel sweep
-(:func:`repro.workloads.levelkernel.level_kernel_sweep` — kernel vs scalar
-numpy on batched reachability materialisation, numpy permitting) and the
-headline speedup ratios ride along in a ``bench`` extras section.
+:class:`~repro.serve.server.CountingServer`) and the headline speedup
+ratios ride along in a ``bench`` extras section.
 
 With ``--scaling-n`` the report additionally runs the long-word streaming
 sweep (:func:`repro.workloads.longwords.long_word_sweep`): the unary
@@ -269,14 +267,6 @@ def build_report(repeats: int, scaling_n: bool = False) -> Dict[str, object]:
         "serve_benchmarks": serve_entries,
         "serve_counters": serve_counters,
     }
-    if _numpy_version() is not None:
-        from repro.workloads.levelkernel import level_kernel_sweep
-
-        level_kernel = level_kernel_sweep(repeats=repeats)
-        manifest["bench"]["level_kernel"] = level_kernel
-        manifest["bench"]["ratios"]["level_kernel_speedup_m512"] = (
-            level_kernel["summary"]["gate_speedup"]
-        )
     if scaling_n:
         from repro.workloads.longwords import long_word_sweep
 
