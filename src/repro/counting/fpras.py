@@ -8,8 +8,10 @@ every level ``l`` (from 0 to ``n``) and every live state ``q`` it computes
   summing the per-symbol estimates (the per-symbol unions are disjoint since
   their words end in different symbols);
 * ``S(q^l)`` — a multiset of ``ns`` near-uniform samples from ``L(q^l)``,
-  obtained by ``xns`` invocations of the backward sampler (Algorithm 2) and
-  padded with a fixed witness word if fewer than ``ns`` samples were drawn.
+  obtained from up to ``xns`` invocations of the backward sampler
+  (Algorithm 2, one :meth:`~repro.counting.sampler.SampleDraw.draw` call)
+  and padded with a fixed witness word if fewer than ``ns`` samples were
+  drawn.
 
 The returned estimate is ``N(q_F^n)``; the implementation generalises the
 paper's single-accepting-state assumption by estimating the union of the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
@@ -353,13 +355,9 @@ class NFACounter:
         )
         gamma0 = self.parameters.gamma0(estimate)
         eta_sample = eta / max(1, 2 * xns)
-        collected: List[Word] = []
-        for _ in range(xns):
-            if len(collected) >= ns:
-                break
-            word = drawer.draw(level, frozenset({state}), gamma0, beta, eta_sample)
-            if word is not None:
-                collected.append(word)
+        collected = drawer.draw(
+            level, frozenset({state}), gamma0, beta, eta_sample, attempts=xns, needed=ns
+        )
         self._merge_sampler_statistics(drawer.statistics)
         self._sample_counts[(state, level)] = len(collected)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.automata.nfa import NFA, Word
 from repro.counting.fpras import NFACounter
@@ -135,28 +135,12 @@ class UniformWordSampler:
         ``max_attempts_per_word`` attempts fail, and
         :class:`~repro.errors.EmptyLanguageError` if the slice is empty.
         """
-        estimate = self.prepare()
-        unroll = self.counter.unroll
-        accepting = frozenset(unroll.accepting_live_states())
-        if not accepting:
-            raise EmptyLanguageError("no accepting state is live at the final level")
-        parameters = self.counter.parameters
-        beta = parameters.beta(self.counter.length)
-        eta = parameters.eta(self.counter.length, self.counter.nfa.num_states)
-        gamma0 = parameters.gamma0(estimate)
-        # The run's step table: its fans, union plans and whole-run steps
-        # carry over, and its batch steps are stale for a new drawer.
-        drawer = SampleDraw(
-            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng,
-            steps=self.counter._steps,
-        )
-        for _ in range(self.max_attempts_per_word):
-            word = drawer.draw(self.counter.length, accepting, gamma0, beta, eta)
-            if word is not None:
-                return word
-        raise SamplingError(
-            f"failed to draw a word after {self.max_attempts_per_word} attempts"
-        )
+        words, _ = self._draw(self.max_attempts_per_word, 1)
+        if not words:
+            raise SamplingError(
+                f"failed to draw a word after {self.max_attempts_per_word} attempts"
+            )
+        return words[0]
 
     def sample_many(self, count: int) -> List[Word]:
         """Draw ``count`` words (independent rejection-sampling attempts)."""
@@ -169,23 +153,32 @@ class UniformWordSampler:
         report records how many attempts were spent, which the uniformity
         experiment (E7) uses to measure the empirical acceptance rate.
         """
-        estimate = self.prepare()
-        unroll = self.counter.unroll
-        accepting = frozenset(unroll.accepting_live_states())
-        parameters = self.counter.parameters
-        beta = parameters.beta(self.counter.length)
-        eta = parameters.eta(self.counter.length, self.counter.nfa.num_states)
-        gamma0 = parameters.gamma0(estimate)
-        drawer = SampleDraw(
-            unroll, self.counter.estimates, self.counter.samples, parameters, self.rng,
-            steps=self.counter._steps,
-        )
-        words: List[Word] = []
-        attempts = 0
-        while len(words) < count and attempts < count * self.max_attempts_per_word:
-            attempts += 1
-            word = drawer.draw(self.counter.length, accepting, gamma0, beta, eta)
-            if word is not None:
-                words.append(word)
+        words, attempts = self._draw(count * self.max_attempts_per_word, count)
         report = SamplingReport(requested=count, produced=len(words), attempts=attempts)
         return words, report
+
+    def _draw(self, attempts: int, needed: int) -> Tuple[List[Word], int]:
+        """Up to ``attempts`` sampler draws from ``L(A_n)``, stopping at
+        ``needed`` words: the words and the number of draws made."""
+        estimate = self.prepare()
+        counter = self.counter
+        accepting = frozenset(counter.unroll.accepting_live_states())
+        if not accepting:
+            raise EmptyLanguageError("no accepting state is live at the final level")
+        parameters = counter.parameters
+        # The run's step table: its fans, union plans and whole-run steps
+        # carry over, and its batch steps are stale for a new drawer.
+        drawer = SampleDraw(
+            counter.unroll, counter.estimates, counter.samples, parameters, self.rng,
+            steps=counter._steps,
+        )
+        words = drawer.draw(
+            counter.length,
+            accepting,
+            parameters.gamma0(estimate),
+            parameters.beta(counter.length),
+            parameters.eta(counter.length, counter.nfa.num_states),
+            attempts=attempts,
+            needed=needed,
+        )
+        return words, drawer.statistics.draws

@@ -41,10 +41,11 @@ from repro.workloads.longwords import long_word_scale, unary_loop_nfa
 PRACTICAL = SCALES["practical"]
 
 
-class StepwiseDraw(SampleDraw):
-    """The step-table descent without forced steps or jumps."""
+class StepwiseDraw(ReferenceDraw):
+    """The step-table descent without forced steps or jumps, batched one
+    draw at a time like :class:`ReferenceDraw`."""
 
-    def draw(self, level, states, gamma0, beta, eta):
+    def _descend(self, level, states, gamma0, beta, eta):
         self.statistics.draws += 1
         eta_prime = eta / max(1, 4 * self.unroll.length)
         alphabet = self.unroll.nfa.alphabet
@@ -154,6 +155,59 @@ def test_random_subclass_calls_random_per_owed_draw():
     assert memoised == reference
     assert steps.jumps
     assert generators["memoised"].calls == generators["reference"].calls
+
+
+@pytest.mark.parametrize("cut", [(40, 3), (4, 3)])
+def test_random_subclass_batches_call_random_per_owed_draw(cut):
+    """A batch call pays each draw's last forced steps with one ``random()``
+    per step on a subclass, as single reference draws consume them."""
+    counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, "bitset")
+    generators = {name: CountingRandom(3) for name in ("memoised", "reference")}
+    steps = StepTable(counter.length)
+    memoised = _batches(
+        counter, SampleDraw, PRACTICAL, rng=generators["memoised"], steps=steps, cut=cut
+    )
+    reference = _batches(
+        counter, ReferenceDraw, PRACTICAL, rng=generators["reference"], cut=cut
+    )
+    assert memoised == reference
+    assert steps.jumps
+    assert generators["memoised"].calls == generators["reference"].calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_exception_mid_batch_counts_the_replay_hits_collected(backend, monkeypatch):
+    """Under ``practical`` the first draw from ``start`` derives all 16 of
+    its steps, and the second replays two before it derives a new one, so
+    ``_derive_step`` raising on its 17th call ends the batch in its second
+    draw.  The batch counts that draw's two replay hits, as the stepwise
+    descent does step by step, and leaves the generator as it does."""
+    counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, backend)
+    beta, eta, _, _ = counter.derived_parameters()
+    gamma0 = counter.parameters.gamma0(counter.estimates[("start", 16)])
+    derive = SampleDraw._derive_step
+
+    def interrupted(drawer_class):
+        calls = []
+
+        def failing(self, *step):
+            calls.append(step)
+            if len(calls) == 17:
+                raise RuntimeError("17th derivation")
+            return derive(self, *step)
+
+        monkeypatch.setattr(SampleDraw, "_derive_step", failing)
+        drawer = drawer_class(
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(5),
+        )
+        with pytest.raises(RuntimeError, match="17th derivation"):
+            drawer.draw(16, frozenset({"start"}), gamma0, beta, eta, attempts=20, needed=20)
+        return drawer.rng.getstate(), dataclasses.asdict(drawer.statistics)
+
+    state, statistics = interrupted(SampleDraw)
+    assert (state, statistics) == interrupted(StepwiseDraw)
+    assert statistics["draws"] == 2 and statistics["union_cache_hits"] == 2
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 1000, 20000])

@@ -9,6 +9,11 @@ leave the RNG in the same state and report the same
 ``union_cache_hits`` under ``reuse_union_estimates``: there a step whose
 unions are all singletons is replayed for the whole run, and counts hits
 the reference, which derives it again in a later batch, does not.
+
+One ``draw(attempts=A, needed=K)`` call is a whole sampling batch: it must
+return the words of ``A`` single reference draws cut at the ``K``-th word,
+including batches that overflow ``phi``, run out of predecessor mass or
+raise part-way.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import repro.counting.fpras as fpras_module
 from repro.automata.engine import available_backends
 from repro.automata.families import blocks_nfa
 from repro.automata.random_gen import random_nonempty_nfa
+from repro.cli import main
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.sampler import SampleDraw, StepTable
@@ -50,11 +56,29 @@ CASES = {
 CASES["blocks4-n16"] = (lambda: blocks_nfa(4), 16)
 CASES["blocks8-n40"] = (lambda: blocks_nfa(8), 40)
 
+#: ``(attempts, needed)`` of one batch call: stopped by the ``needed``-th
+#: word, or by running out of attempts first.
+CUTS = {"needed-first": (40, 2), "attempts-first": (4, 3)}
+
 
 class ReferenceDraw(SampleDraw):
-    """The descent without a step table: every visit derives its step."""
+    """The descent without a step table: every visit derives its step.
 
-    def draw(self, level, states, gamma0, beta, eta):
+    A call makes up to ``attempts`` single draws, one at a time, and stops
+    at the ``needed``-th word.
+    """
+
+    def draw(self, level, states, gamma0, beta, eta, attempts=1, needed=1):
+        words = []
+        for _ in range(attempts):
+            if len(words) >= needed:
+                break
+            word = self._descend(level, states, gamma0, beta, eta)
+            if word is not None:
+                words.append(word)
+        return words
+
+    def _descend(self, level, states, gamma0, beta, eta):
         if gamma0 <= 0:
             raise ParameterError("gamma0 must be positive")
         self.statistics.draws += 1
@@ -114,12 +138,15 @@ def _statistics(statistics, scale):
     return fields
 
 
-def _batches(counter, drawer_class, scale, rng=None, steps=None):
+def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0):
     """Algorithm 3's sampling batches, replayed over a finished run's tables.
 
     One drawer per (level, live state), as ``NFACounter`` creates them, all
     sharing one RNG stream (``Random(11)`` unless given) and, for the
-    memoised drawer, one step table (a fresh one unless given).
+    memoised drawer, one step table (a fresh one unless given).  A batch is
+    ``xns`` calls of one draw each, or with ``cut=(attempts, needed)`` one
+    call ``draw(..., attempts=attempts, needed=needed)``.  Each draw starts
+    with ``gamma_factor`` times Algorithm 3's ``gamma0``.
     """
     rng = random.Random(11) if rng is None else rng
     parameters = dataclasses.replace(counter.parameters, scale=scale)
@@ -132,11 +159,13 @@ def _batches(counter, drawer_class, scale, rng=None, steps=None):
                 counter.unroll, counter.estimates, counter.samples, parameters, rng,
                 steps=steps,
             )
-            gamma0 = parameters.gamma0(counter.estimates[(state, level)])
-            words = [
-                drawer.draw(level, frozenset({state}), gamma0, beta, eta / (2 * xns))
-                for _ in range(xns)
-            ]
+            gamma0 = gamma_factor * parameters.gamma0(counter.estimates[(state, level)])
+            arguments = (level, frozenset({state}), gamma0, beta, eta / (2 * xns))
+            if cut is None:
+                words = [drawer.draw(*arguments) for _ in range(xns)]
+            else:
+                attempts, needed = cut
+                words = drawer.draw(*arguments, attempts=attempts, needed=needed)
             observed.append((words, rng.getstate(), _statistics(drawer.statistics, scale)))
     return observed
 
@@ -151,7 +180,127 @@ def test_memoised_batches_match_reference(case, scale_name, backend):
     memoised = _batches(counter, SampleDraw, scale)
     reference = _batches(counter, ReferenceDraw, scale)
     assert memoised == reference
-    assert any(word is not None for words, _, _ in memoised for word in words)
+    assert any(words for draws, _, _ in memoised for words in draws)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scale_name", sorted(SCALES))
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_batch_call_matches_single_reference_draws(cut, case, scale_name, backend):
+    scale = SCALES[scale_name]
+    build, length = CASES[case]
+    counter = _finished_counter(build(), length, scale, backend)
+    attempts, needed = CUTS[cut]
+    memoised = _batches(counter, SampleDraw, scale, cut=CUTS[cut])
+    assert memoised == _batches(counter, ReferenceDraw, scale, cut=CUTS[cut])
+    if cut == "needed-first":
+        assert any(
+            len(words) == needed and statistics["draws"] < attempts
+            for words, _, statistics in memoised
+        )
+    else:
+        assert any(0 < len(words) < needed for words, _, _ in memoised)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scale_name", sorted(SCALES))
+@pytest.mark.parametrize("case", [3, 17, 29])
+def test_batch_with_phi_overflows_matches_reference(case, scale_name, backend):
+    """Four times Algorithm 3's ``gamma0``: about 1/e of a draw's ``phi``
+    becomes 1, so batches mix overflows with words."""
+    scale = SCALES[scale_name]
+    build, length = CASES[case]
+    counter = _finished_counter(build(), length, scale, backend)
+    memoised = _batches(counter, SampleDraw, scale, cut=(12, 4), gamma_factor=4.0)
+    reference = _batches(counter, ReferenceDraw, scale, cut=(12, 4), gamma_factor=4.0)
+    assert memoised == reference
+    assert any(words and statistics["failures_phi_overflow"] for words, _, statistics in memoised)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_with_no_mass_failures_matches_reference(backend):
+    """``blocks_nfa(4)`` with ``N(b0_1^1) = 0``: a draw whose first block is
+    ``0000`` takes the forced step at level 3 and finds no mass at level 2,
+    and the batch goes on drawing."""
+    counter = _finished_counter(blocks_nfa(4), 16, SCALES["practical"], backend)
+    counter.estimates[("b0_1", 1)] = 0.0
+    beta, eta, _, _ = counter.derived_parameters()
+    gamma0 = counter.parameters.gamma0(counter.estimates[("start", 16)])
+    observed = []
+    for drawer_class in (SampleDraw, ReferenceDraw):
+        drawer = drawer_class(
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(4),
+        )
+        words = drawer.draw(16, frozenset({"start"}), gamma0, beta, eta, attempts=40, needed=5)
+        observed.append((words, drawer.rng.getstate(), drawer.statistics))
+    assert observed[0] == observed[1]
+    words, _, statistics = observed[0]
+    assert len(words) == 5 and statistics.failures_no_mass >= 2
+    assert all(word[:4] == ("1",) * 4 for word in words)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_exception_mid_batch_counts_the_draws_begun(backend, monkeypatch):
+    """Under ``faithful_scaled()`` every visit derives its step, so a draw
+    from level 2 derives twice and ``_derive_step`` raising on its third
+    call ends the batch in its second draw.  The generator and every
+    statistic, ``draws`` included, are left as one-draw calls that stop at
+    the same exception leave them."""
+    counter = _finished_counter(blocks_nfa(4), 8, SCALES["faithful_scaled"], backend)
+    beta, eta, _, _ = counter.derived_parameters()
+    gamma0 = counter.parameters.gamma0(counter.estimates[("b0_2", 2)])
+    arguments = (2, frozenset({"b0_2"}), gamma0, beta, eta)
+    derive = SampleDraw._derive_step
+
+    def interrupted(batched):
+        calls = []
+
+        def failing(self, *step):
+            calls.append(step)
+            if len(calls) == 3:
+                raise RuntimeError("third derivation")
+            return derive(self, *step)
+
+        monkeypatch.setattr(SampleDraw, "_derive_step", failing)
+        drawer = SampleDraw(
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(5),
+        )
+        begun = 0
+        with pytest.raises(RuntimeError, match="third derivation"):
+            if batched:
+                drawer.draw(*arguments, attempts=10, needed=10)
+            else:
+                for begun in range(1, 11):
+                    drawer.draw(*arguments)
+        return drawer.rng.getstate(), dataclasses.asdict(drawer.statistics), begun
+
+    state, statistics, _ = interrupted(batched=True)
+    assert (state, statistics, 2) == interrupted(batched=False)
+    assert statistics["draws"] == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sample_cli_words_with_derived_steps_are_pinned(backend, capsys):
+    """A dense random NFA (64 words of length 6) whose descents derive
+    steps inside a batch: every backend prints these lines."""
+    assert main([
+        "sample", "random_nfa", "--family-arg", "num_states=20",
+        "--family-arg", "length=6", "--family-arg", "density=0.12",
+        "--family-arg", "accepting_fraction=0.5", "--family-arg", "seed=11",
+        "--length", "6", "--seed", "3", "--count", "6", "--backend", backend,
+    ]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "estimated |L(A_6)| = 60.25",
+        "011000",
+        "001010",
+        "100111",
+        "011000",
+        "000100",
+        "010000",
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

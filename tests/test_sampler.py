@@ -13,8 +13,8 @@ from repro.automata.nfa import NFA
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.api import count
 from repro.counting.params import FPRASParameters, ParameterScale
-from repro.counting.sampler import SampleDraw
-from repro.errors import ParameterError
+from repro.counting.sampler import SampleDraw, SamplerStatistics
+from repro.errors import AutomatonError, ParameterError
 
 
 def _exact_tables(nfa, length):
@@ -76,11 +76,9 @@ class TestDraw:
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(1))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        produced = []
-        for _ in range(200):
-            word = drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
-            if word is not None:
-                produced.append(word)
+        produced = drawer.draw(
+            length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=200, needed=200
+        )
         assert produced, "expected at least one successful draw"
         for word in produced:
             assert len(word) == length
@@ -90,8 +88,8 @@ class TestDraw:
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(2))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        for _ in range(400):
-            drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
+        drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=400, needed=400)
+        assert drawer.statistics.draws == 400
         # With exact inputs the success probability is gamma0 * |L| = 2/(3e) ~ 0.245.
         assert 0.15 <= drawer.statistics.acceptance_rate <= 0.35
 
@@ -99,13 +97,9 @@ class TestDraw:
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(3))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        produced = []
-        attempts = 0
-        while len(produced) < 250 and attempts < 4000:
-            attempts += 1
-            word = drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
-            if word is not None:
-                produced.append(word)
+        produced = drawer.draw(
+            length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=4000, needed=250
+        )
         population = enumerate_slice_for_state(nfa, "z", length)
         counts = Counter(produced)
         # Every word should appear, and no word should dominate: with exact
@@ -119,23 +113,31 @@ class TestDraw:
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(4))
         # At level 0 with gamma0 = 1 the empty word is returned immediately.
-        word = drawer.draw(0, frozenset({nfa.initial}), 1.0, 0.01, 0.1)
-        assert word == ()
+        assert drawer.draw(0, frozenset({nfa.initial}), 1.0, 0.01, 0.1) == [()]
 
     def test_phi_overflow_returns_none(self, sampler_setup):
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(5))
-        # gamma0 > 1 guarantees phi > 1 at the base case -> Fail1.
-        word = drawer.draw(0, frozenset({nfa.initial}), 5.0, 0.01, 0.1)
-        assert word is None
+        # gamma0 > 1 guarantees phi > 1 at the base case -> Fail1: no word.
+        assert drawer.draw(0, frozenset({nfa.initial}), 5.0, 0.01, 0.1) == []
         assert drawer.statistics.failures_phi_overflow == 1
+
+    @pytest.mark.parametrize("level", [-1, 6])
+    def test_level_outside_unrolling_rejected_before_drawing(self, sampler_setup, level):
+        nfa, length, unroll, estimates, samples, parameters = sampler_setup
+        drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(11))
+        before = drawer.rng.getstate()
+        gamma0 = parameters.gamma0(estimates[("z", length)])
+        with pytest.raises(AutomatonError, match=rf"level {level} outside .*\[0, 5\]"):
+            drawer.draw(level, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=5)
+        assert drawer.rng.getstate() == before
+        assert drawer.statistics == SamplerStatistics()
 
     def test_no_mass_failure(self, sampler_setup):
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         # Remove every estimate so the per-symbol unions all evaluate to zero.
         drawer = SampleDraw(unroll, {}, {}, parameters, random.Random(6))
-        word = drawer.draw(length, frozenset({"z"}), 0.1, 0.01, 0.1)
-        assert word is None
+        assert drawer.draw(length, frozenset({"z"}), 0.1, 0.01, 0.1) == []
         assert drawer.statistics.failures_no_mass == 1
 
 
@@ -144,8 +146,7 @@ class TestCaching:
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(7))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        for _ in range(20):
-            drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
+        drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=20, needed=20)
         assert drawer.statistics.union_cache_hits > 0
 
     def test_no_cache_hits_when_reuse_disabled(self, sampler_setup):
@@ -155,8 +156,7 @@ class TestCaching:
         )
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(8))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        for _ in range(10):
-            drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
+        drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=10, needed=10)
         assert drawer.statistics.union_cache_hits == 0
 
     def test_clear_cache(self, sampler_setup):

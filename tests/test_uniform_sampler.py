@@ -63,7 +63,7 @@ class TestSampling:
         # sampling failure, not an empty-language one.
         _nfa, sampler = fib_sampler
         sampler.prepare()
-        monkeypatch.setattr(SampleDraw, "draw", lambda self, *arguments: None)
+        monkeypatch.setattr(SampleDraw, "draw", lambda self, *arguments, **batch: [])
         with pytest.raises(SamplingError, match="attempts") as raised:
             sampler.sample()
         assert not isinstance(raised.value, EmptyLanguageError)
