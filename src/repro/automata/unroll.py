@@ -11,8 +11,14 @@ the structure the algorithms need:
 * membership oracles "is word ``w`` in ``L(q^|w|)``" and "is ``w`` in
   ``⋃_{q in P} L(q^|w|)``", implemented by simulating the original NFA and
   memoising the reachable-state set per word.  This memoisation realises the
-  paper's amortisation argument (reachable sets of all stored samples are
-  precomputed once, so each oracle call is O(1) afterwards).
+  paper's amortisation argument lazily: the paper precomputes the reachable
+  set of every stored sample, while here a sample's set is computed the
+  first time an oracle asks about it.  With an unbounded cache (the dict
+  store's) each sample is simulated at most once, so each oracle call is
+  O(1) afterwards, and samples no oracle asks about cost nothing.  A
+  bounded cache (the windowed store's ``max_words`` / ``prefix_limit`` /
+  ``max_symbols``) may flush a sample's set, and a later call simulates
+  it again.
 
 All simulation is delegated to a pluggable :class:`repro.automata.engine
 .Engine`: the default bitset backend turns every step into a handful of
@@ -146,8 +152,8 @@ class ReachabilityCache:
     ) -> List[object]:
         """Handles for a whole multiset of words, in input order.
 
-        Cached words (the common case once Algorithm 3 has warmed the
-        stored samples) cost one dictionary probe each; the remaining
+        Cached words (a stored sample an earlier oracle call resolved, or a
+        prefix of one) cost one dictionary probe each; the remaining
         distinct words are materialised in sorted order, so a fresh word
         extends the prefixes just cached by its predecessors.  The
         ``lookups`` / ``simulated_steps`` accounting is identical to
@@ -395,11 +401,6 @@ class UnrolledAutomaton:
             ]
 
         return cover
-
-    def warm_cache(self, words: Iterable["str | Word"]) -> None:
-        """Precompute reachable sets for ``words`` (the amortisation step)."""
-        for word in words:
-            self.cache.reachable_handle(word)
 
     # ------------------------------------------------------------------
     # Convenience

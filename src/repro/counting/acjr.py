@@ -231,7 +231,6 @@ class ACJRCounter:
             if witness is None:  # pragma: no cover - live states have witnesses
                 raise EmptyLanguageError(f"no witness for live state {state!r}")
             collected.extend([witness] * (ns - len(collected)))
-        self.unroll.warm_cache(collected)
         return collected
 
     def _draw_one(self, state: State, level: int, gamma0: float) -> Optional[Word]:

@@ -369,7 +369,6 @@ class NFACounter:
                 )
             self._padded_states += 1
             collected.extend([witness] * (ns - len(collected)))
-        self.unroll.warm_cache(collected)
         self.samples[(state, level)] = collected
 
     def _estimate_state(

@@ -176,10 +176,11 @@ class FPRASParameters:
     (see :mod:`repro.counting.store`): ``"dict"`` (the default) keeps every
     level's tables resident — the historical behaviour, bit-identical by
     construction — while ``"windowed"`` retains only ``window`` recent
-    levels of sample lists resident, spilling older levels to a compressed
-    temporary file and faulting them back on read.  Estimates, RNG streams
-    and the algorithm-level work counters are bit-identical across stores;
-    only memory (and wall time on deep cross-level reads) changes.
+    levels of sample lists resident, spilling older levels to a temporary
+    file (raw below 4 KiB, zlib-compressed above) and faulting them back on
+    read.  Estimates, RNG streams and the algorithm-level work counters are
+    bit-identical across stores; only memory (and wall time on deep
+    cross-level reads) changes.
 
     ``use_engine_cache`` controls whether the run acquires its engine from
     the shared :class:`~repro.automata.engine.EngineRegistry` (the default;

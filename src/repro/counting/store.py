@@ -14,17 +14,19 @@ This module makes the table layout pluggable behind
 * :class:`DictStore` *is* the historical layout — three plain dicts — and
   is the default; every existing call site sees literally the same objects
   it used to, so behaviour is bit-identical by construction.
-* :class:`WindowedStore` keeps the estimates fully resident (the backward
-  sampler reads ``N(q^l)`` at every level it descends through, so
-  estimates cannot be windowed — they are ``O(n*m)`` floats) but retains
-  only a sliding window of the most recent levels' *sample-word lists*
-  and *per-state sample counts*.  Older levels are spilled to an
-  anonymous compressed temporary file when the window advances and are
+* :class:`WindowedStore` keeps the estimates and the per-state sample
+  counts fully resident (the backward sampler reads ``N(q^l)`` at every
+  level it descends through, so estimates cannot be windowed; both
+  tables hold ``O(n*m)`` scalars) but retains only a sliding window of
+  the most recent levels' *sample-word lists*.  Older levels are spilled
+  to an anonymous temporary file when the window advances and are
   faulted back transparently (through a one-level fault cache) when
   something below the window is read — the backward sampler and the
   post-run uniform word sampler both do — so reads below the window are
   slower but *identical* in value.  Peak resident sample memory is bound
-  by the window, not by ``n``.
+  by the window, not by ``n``.  A level's pickle under
+  :data:`RAW_SPILL_LIMIT` bytes is spilled raw behind a CRC32, a larger
+  one zlib-compressed.
 
 The parity contract: estimates, RNG streams and the algorithm-level work
 counters are bit-identical between the two stores.  The store only changes
@@ -50,6 +52,7 @@ and excluded from the locked-counter suites for the same reason
 from __future__ import annotations
 
 import pickle
+import struct
 import tempfile
 import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -67,6 +70,17 @@ STORE_NAMES = ("dict", "windowed")
 #: hot path resident while bounding memory; deeper reads (the backward
 #: sampler's descent) stream through the fault cache.
 DEFAULT_WINDOW = 4
+
+#: Pickles shorter than this many bytes are spilled raw: ``zlib.compress``
+#: has a fixed per-call cost about that of pickling a small level, and
+#: saves little on it.  Longer pickles are spilled zlib-compressed, which
+#: bounds a long run's spill file: the n = 10**4 unary-loop run writes
+#: 4.5 MB this way and 143 MB with every level raw.
+RAW_SPILL_LIMIT = 4096
+
+#: Header of a raw spill: a zero tag byte (a zlib stream starts with a
+#: CMF byte whose low nibble is 8, never 0) and the pickle's CRC32.
+_RAW_HEADER = struct.Struct(">BI")
 
 
 def validate_store(store: object) -> str:
@@ -131,8 +145,9 @@ class _WindowedLevelTable:
 
     Entries are grouped by level.  Writing the first entry of a level above
     every level seen so far advances the window: complete levels that fall
-    out of it are pickled (zlib-compressed) to an anonymous temporary file
-    and their resident lists dropped.  Reads of an evicted level fault the
+    out of it are pickled to an anonymous temporary file (raw behind a
+    CRC32 below :data:`RAW_SPILL_LIMIT` bytes, zlib-compressed above) and
+    their resident lists dropped.  Reads of an evicted level fault the
     whole level back into a one-level cache — values are restored
     bit-identically from the spill, so consumers (the backward sampler, the
     uniform word sampler, AppUnion's sample streams) cannot observe the
@@ -182,9 +197,11 @@ class _WindowedLevelTable:
 
     def _spill_level(self, level: int) -> None:
         entries = self._resident.pop(level)
-        payload = zlib.compress(
-            pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL), 1
-        )
+        pickled = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+        if len(pickled) < RAW_SPILL_LIMIT:
+            payload = _RAW_HEADER.pack(0, zlib.crc32(pickled)) + pickled
+        else:
+            payload = zlib.compress(pickled, 1)
         if self._spill_file is None:
             self._spill_file = tempfile.TemporaryFile(prefix="repro-store-")
         self._spill_file.seek(0, 2)
@@ -218,7 +235,14 @@ class _WindowedLevelTable:
                 f"({len(payload)} of {length} bytes)"
             )
         try:
-            entries = pickle.loads(zlib.decompress(payload))
+            if payload[0] == 0:
+                _, checksum = _RAW_HEADER.unpack_from(payload)
+                pickled = payload[_RAW_HEADER.size :]
+                if zlib.crc32(pickled) != checksum:
+                    raise pickle.UnpicklingError("CRC32 mismatch")
+            else:
+                pickled = zlib.decompress(payload)
+            entries = pickle.loads(pickled)
         except (zlib.error, pickle.UnpicklingError) as error:
             raise ReproError(
                 f"windowed store: the spill of level {level} is corrupt ({error})"
@@ -274,38 +298,36 @@ class _WindowedLevelTable:
 
 
 class WindowedStore:
-    """Sliding-window store: resident estimates, windowed samples + counts.
+    """Sliding-window store: resident estimates and counts, windowed samples.
 
-    ``window`` is the number of most-recent levels whose sample lists and
-    per-state sample counts stay resident.  See the module docstring for
-    the design and the parity contract.
+    ``window`` is the number of most-recent levels whose sample lists stay
+    resident.  See the module docstring for the design and the parity
+    contract.
     """
 
     name = "windowed"
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
         self.estimates: Dict[StateLevel, float] = {}
-        self.sample_counts = _WindowedLevelTable(window)
+        self.sample_counts: Dict[StateLevel, int] = {}
         self.samples = _WindowedLevelTable(window)
         self.window = self.samples._window
 
     def counters(self) -> Dict[str, int]:
-        """Store-level diagnostics (spill/evict/fault activity, both tables)."""
+        """Store-level diagnostics: the sample lists' spill/evict/fault activity."""
         samples = self.samples
-        counts = self.sample_counts
         return {
             "store_windowed": 1,
             "store_resident_levels": len(samples._resident),
-            "store_spilled_levels": samples.spilled_levels + counts.spilled_levels,
-            "store_evicted_entries": samples.evicted_entries + counts.evicted_entries,
-            "store_level_faults": samples.level_faults + counts.level_faults,
-            "store_spill_bytes": samples.spill_bytes + counts.spill_bytes,
+            "store_spilled_levels": samples.spilled_levels,
+            "store_evicted_entries": samples.evicted_entries,
+            "store_level_faults": samples.level_faults,
+            "store_spill_bytes": samples.spill_bytes,
         }
 
     def close(self) -> None:
-        """Release the spill files (the estimates table is a plain dict)."""
+        """Release the spill file (the other two tables are plain dicts)."""
         self.samples.close()
-        self.sample_counts.close()
 
     def __del__(self):  # pragma: no cover - GC-time safety net
         try:

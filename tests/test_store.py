@@ -5,9 +5,9 @@ dynamic-program tables live, never their values.  This suite pins that
 contract down in two halves:
 
 * unit tests for the stores themselves — the spill / fault mechanics of
-  the windowed level tables (sample lists *and* per-state sample counts),
-  the evicted-write guard, the mapping protocol, the factory and the knob
-  validators;
+  the windowed sample-list table in both spill formats (raw behind a
+  CRC32, zlib-compressed), the resident sample counts, the evicted-write
+  guard, the mapping protocol, the factory and the knob validators;
 * a property-based differential suite: random automata are counted under
   the dict store and the windowed store (random window widths, every
   importable backend, workers 1 vs 4) and the runs must be bit-identical
@@ -20,11 +20,14 @@ contract down in two halves:
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
+import zlib
 
 import pytest
 
 from repro.automata.engine import available_backends
+from repro.automata.families import substring_nfa
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import CountRequest, count, request_fingerprint
 from repro.counting.fpras import NFACounter
@@ -32,6 +35,7 @@ from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.policy import ExecutionPolicy
 from repro.counting.store import (
     DEFAULT_WINDOW,
+    RAW_SPILL_LIMIT,
     DictStore,
     WindowedStore,
     create_store,
@@ -142,18 +146,21 @@ def test_windowed_store_mapping_protocol():
     store.close()  # idempotent
 
 
-def test_windowed_store_windows_sample_counts_too():
+def test_windowed_store_keeps_sample_counts_resident():
     store = WindowedStore(window=2)
     for level in range(6):
         store.samples[("q", level)] = [("a",) * level]
         store.sample_counts[("q", level)] = level + 1
+    # The counts are O(n*m) scalars, like the estimates: a plain dict.
+    assert type(store.sample_counts) is dict
+    assert store.sample_counts == {("q", level): level + 1 for level in range(6)}
     counters = store.counters()
-    # Both per-level tables spill (counters sum the two).
-    assert counters["store_spilled_levels"] == 8
-    assert counters["store_evicted_entries"] == 8
-    # Cold iteration faults everything back, values intact.
-    assert dict(store.sample_counts) == {
-        ("q", level): level + 1 for level in range(6)
+    # Only the sample lists spill: levels 0..3 of six at window 2.
+    assert counters["store_spilled_levels"] == 4
+    assert counters["store_evicted_entries"] == 4
+    # Cold iteration faults the sample lists back, values intact.
+    assert dict(store.samples) == {
+        ("q", level): [("a",) * level] for level in range(6)
     }
     assert store.counters()["store_level_faults"] > 0
     store.close()
@@ -165,7 +172,7 @@ def test_windowed_len_faults_no_spilled_level_back():
         store.samples[("q", level)] = [("a",) * level]
         store.samples[("r", level)] = []
         store.sample_counts[("q", level)] = level + 1
-    assert store.counters()["store_spilled_levels"] == 8
+    assert store.counters()["store_spilled_levels"] == 4
     assert len(store.samples) == 12
     assert len(store.sample_counts) == 6
     assert store.counters()["store_level_faults"] == 0
@@ -205,6 +212,102 @@ def test_corrupt_spill_raises_typed_error():
     store.close()
 
 
+def test_raw_spill_checksum_catches_a_value_change():
+    # A changed symbol leaves a valid pickle of a wrong word: only the
+    # CRC32 can tell.
+    store = WindowedStore(window=1)
+    store.samples[("q", 0)] = [("symbol-A",)]
+    store.samples[("q", 1)] = [("symbol-A", "symbol-A")]
+    table = store.samples
+    offset, length, _ = table._spill_index[0]
+    spill = table._spill_file
+    spill.seek(offset)
+    payload = spill.read(length)
+    spill.seek(offset + payload.index(b"symbol-A") + len("symbol-"))
+    spill.write(b"B")
+    with pytest.raises(ReproError, match="level 0 is corrupt"):
+        table[("q", 0)]
+    store.close()
+
+
+def _spill_payloads(table):
+    """Each spilled level's payload, read through the spill index."""
+    payloads = {}
+    for level, (offset, length, _) in table._spill_index.items():
+        table._spill_file.seek(offset)
+        payloads[level] = table._spill_file.read(length)
+    return payloads
+
+
+def _is_raw(payload):
+    """A zero tag byte, then the CRC32 of the pickle that follows."""
+    checksum = int.from_bytes(payload[1:5], "big")
+    return payload[0] == 0 and zlib.crc32(payload[5:]) == checksum
+
+
+def _large_words(level):
+    """40 distinct words: a level that pickles to over RAW_SPILL_LIMIT bytes."""
+    return [tuple(format(index + level, "064b")) for index in range(40)]
+
+
+def _large_spilled_store():
+    """A window-1 store whose large levels 0 and 1 sit in the spill file."""
+    store = WindowedStore(window=1)
+    for level in range(3):
+        store.samples[("q", level)] = _large_words(level)
+    return store
+
+
+def test_large_level_spills_compressed_and_faults_back_equal():
+    store = _large_spilled_store()
+    table = store.samples
+    payloads = _spill_payloads(table)
+    assert sorted(payloads) == [0, 1]
+    for level, payload in payloads.items():
+        entries = {("q", level): _large_words(level)}
+        pickled = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(pickled) >= RAW_SPILL_LIMIT
+        assert not _is_raw(payload)
+        assert pickle.loads(zlib.decompress(payload)) == entries
+        assert table[("q", level)] == _large_words(level)
+    assert store.counters()["store_level_faults"] == 2
+    store.close()
+
+
+def test_small_levels_spill_raw():
+    # The fault-injection tests above corrupt these payloads, so they
+    # exercise the raw format's CRC32 and length checks.
+    store = _spilled_store()
+    payloads = _spill_payloads(store.samples)
+    assert sorted(payloads) == [0, 1]
+    assert all(_is_raw(payload) for payload in payloads.values())
+    store.close()
+
+
+def test_corrupt_compressed_spill_raises_typed_error():
+    store = _large_spilled_store()
+    table = store.samples
+    offset, length, _ = table._spill_index[1]
+    spill = table._spill_file
+    spill.seek(offset)
+    payload = spill.read(length)
+    spill.seek(offset + 2)
+    spill.write(bytes(byte ^ 0xFF for byte in payload[2:]))
+    with pytest.raises(ReproError, match="level 1 is corrupt"):
+        table[("q", 1)]
+    store.close()
+
+
+def test_truncated_compressed_spill_raises_typed_error():
+    store = _large_spilled_store()
+    table = store.samples
+    offset, length, _ = table._spill_index[1]
+    table._spill_file.truncate(offset + length - 1)
+    with pytest.raises(ReproError, match="level 1 is truncated"):
+        table.get(("q", 1))
+    store.close()
+
+
 def test_spilled_read_after_close_raises_typed_error():
     store = _spilled_store()
     store.close()
@@ -225,8 +328,11 @@ def _scale() -> ParameterScale:
 
 
 def _run_counter(nfa, length, *, store, window=DEFAULT_WINDOW, backend=None,
-                 seed=20240727, scale=None):
-    """One serial FPRAS run; returns every parity-relevant observable."""
+                 seed=20240727, scale=None, inspect=None):
+    """One serial FPRAS run; returns every parity-relevant observable.
+
+    ``inspect``, when given, is called with the store before it is closed.
+    """
     parameters = FPRASParameters(
         epsilon=0.6,
         delta=0.2,
@@ -247,6 +353,8 @@ def _run_counter(nfa, length, *, store, window=DEFAULT_WINDOW, backend=None,
         "rng_state": counter.rng.getstate(),
     }
     store_counters = counter.store.counters()
+    if inspect is not None:
+        inspect(counter.store)
     counter.store.close()
     return observed, store_counters
 
@@ -281,6 +389,27 @@ def test_windowed_store_matches_dict_store_per_backend(backend):
     resident, _ = _run_counter(nfa, 9, store="dict", backend=backend)
     windowed, _ = _run_counter(nfa, 9, store="windowed", window=2, backend=backend)
     assert windowed == resident
+
+
+def test_windowed_store_matches_dict_store_in_both_spill_formats():
+    """At n = 40 under the default scale, early levels pickle small and
+    spill raw, later ones spill compressed, and the descent faults both
+    kinds back: the results must still equal the dict store's."""
+    nfa = substring_nfa("101")
+    scale = ParameterScale.practical()
+    resident, _ = _run_counter(nfa, 40, store="dict", seed=3, scale=scale)
+    payloads = {}
+    windowed, counters = _run_counter(
+        nfa, 40, store="windowed", window=2, seed=3, scale=scale,
+        inspect=lambda store: payloads.update(_spill_payloads(store.samples)),
+    )
+    assert windowed == resident
+    assert len(payloads) == counters["store_spilled_levels"] == 39
+    compressed = [payload for payload in payloads.values() if not _is_raw(payload)]
+    assert 0 < len(compressed) < len(payloads)
+    for payload in compressed:
+        assert isinstance(pickle.loads(zlib.decompress(payload)), dict)
+    assert counters["store_level_faults"] > 0
 
 
 def _api_observables(report):

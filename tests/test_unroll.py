@@ -107,13 +107,6 @@ class TestOracles:
         assert oracle("01") is True
         assert oracle("00") is False
 
-    def test_warm_cache_precomputes(self, fibonacci_nfa):
-        unroll = UnrolledAutomaton(fibonacci_nfa, 5)
-        unroll.warm_cache(["01010", "00100"])
-        before = unroll.cache.simulated_steps
-        unroll.member("z", "01010")
-        assert unroll.cache.simulated_steps == before  # no extra simulation needed
-
 
 class TestWitness:
     def test_witness_is_in_state_language(self, substring_101_nfa):

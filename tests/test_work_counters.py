@@ -43,14 +43,18 @@ EXPECTED = {
 #: Locked mask-level engine accounting (backend-independent by parity;
 #: ``decode_ops`` is excluded — it is representation-specific by design).
 EXPECTED_ENGINE = {
-    "step_ops": 208,
+    # The live-set unrolling plus the reachability cache's steps.
+    "step_ops": 102,
     # Fans are computed once per (level, handle) per run.
     "pre_ops": 94,
-    "cache_words": 201,
+    # Only samples some coverage count asked about, and their prefixes.
+    "cache_words": 95,
     # Each union plan looks a stored sample up once per run, when a trial
     # first draws it.
-    "cache_lookups": 555,
-    "simulated_steps": 200,
+    "cache_lookups": 265,
+    # A stored sample's reachable set is simulated on first use, never
+    # for a sample no union trial draws.
+    "simulated_steps": 94,
 }
 
 
