@@ -29,5 +29,5 @@ def test_e2_fpras_accuracy(benchmark, report):
     for row in result.rows:
         assert row["exact"] > 0, f"workload {row['name']} has an empty slice"
         assert row["mean_rel_error"] <= 2.0 * EPSILON, row
-    overall = sum(row["within_guarantee"] for row in result.rows) / len(result.rows)
+    overall = sum(row["within_fraction"] for row in result.rows) / len(result.rows)
     assert overall >= 0.5

@@ -49,7 +49,6 @@ import hashlib
 import json
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -611,11 +610,6 @@ class RegisteredMethod:
     runner: MethodRunner = field(repr=False)
     capabilities: MethodCapabilities = field(default_factory=MethodCapabilities)
 
-    @property
-    def supports_workers(self) -> bool:
-        """Deprecated alias for ``capabilities.workers`` (read-only shim)."""
-        return self.capabilities.workers
-
     def run(self, nfa: NFA, length: int, request: CountRequest) -> CountReport:
         """Delegate to the wrapped runner function."""
         return self.runner(nfa, length, request)
@@ -631,7 +625,6 @@ def register_method(
     summary: str,
     options: Tuple[str, ...] = (),
     capabilities: Optional[MethodCapabilities] = None,
-    supports_workers: Optional[bool] = None,
 ) -> Callable[[MethodRunner], MethodRunner]:
     """Class/function decorator adding a counting method to the registry.
 
@@ -642,10 +635,7 @@ def register_method(
     importantly ``workers=True`` declares that the runner honours
     :attr:`CountRequest.workers` (routing through the sharded executor in
     :mod:`repro.counting.parallel`); dispatch rejects ``workers != 1``
-    for methods that do not declare it.  ``supports_workers`` is the
-    deprecated boolean spelling of ``capabilities.workers``: it still
-    works (emitting a :class:`DeprecationWarning`) but may not contradict
-    an explicit ``capabilities`` record.
+    for methods that do not declare it.
 
     >>> @register_method("fortytwo", summary="always 42")
     ... def _run(nfa, length, request):
@@ -657,19 +647,6 @@ def register_method(
     True
     >>> _ = METHOD_REGISTRY.pop("fortytwo")  # keep the doctest side-effect free
     """
-    if supports_workers is not None:
-        warnings.warn(
-            "register_method(supports_workers=...) is deprecated; declare "
-            "capabilities=MethodCapabilities(workers=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if capabilities is None:
-            capabilities = MethodCapabilities(workers=bool(supports_workers))
-        elif capabilities.workers != bool(supports_workers):
-            raise ParameterError(
-                "supports_workers contradicts the explicit capabilities record"
-            )
     resolved = capabilities if capabilities is not None else MethodCapabilities()
 
     def decorator(runner: MethodRunner) -> MethodRunner:
@@ -1131,39 +1108,6 @@ def request_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _warn_flat_execution_kwargs(
-    backend: Optional[str],
-    use_engine_cache: bool,
-    workers: int,
-    options: Mapping[str, object],
-) -> None:
-    """One :class:`DeprecationWarning` for the legacy flat execution knobs.
-
-    Emitted by the user-facing entry points (:func:`count` and
-    :class:`CountingSession`) when execution knobs arrive as flat kwargs
-    instead of an :class:`~repro.counting.policy.ExecutionPolicy`.  The
-    flat spelling keeps working — and denotes exactly the same request,
-    fingerprint included — it is just no longer the recommended surface.
-    """
-    legacy = [
-        name
-        for name, used in (
-            ("backend", backend is not None),
-            ("use_engine_cache", use_engine_cache is not True),
-            ("workers", workers != 1),
-        )
-        if used
-    ]
-    legacy.extend(sorted(set(options) & set(POLICY_OPTION_NAMES)))
-    if legacy:
-        warnings.warn(
-            f"flat execution kwarg(s) {legacy} are deprecated; bundle them "
-            "into an ExecutionPolicy and pass policy=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def count(
     nfa: NFA,
     length: int,
@@ -1172,24 +1116,24 @@ def count(
     epsilon: float = 0.5,
     delta: float = 0.1,
     seed: SeedLike = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-    workers: int = 1,
     policy: Optional[ExecutionPolicy] = None,
     **options: object,
 ) -> CountReport:
     """Count ``|L(A_length)|`` with any registered method (``repro.count``).
 
-    Extra keyword arguments become per-method options (``scale``,
-    ``shards``, ``sample_cap``, ``num_samples``, ``limit``, …).
-    ``policy`` bundles the execution knobs into one typed
-    :class:`~repro.counting.policy.ExecutionPolicy`; the flat ``backend``
-    / ``use_engine_cache`` / ``workers`` (and the ``shards`` / ``store``
-    / ``window`` options) remain as deprecation shims that
-    denote bit-identical requests.  ``workers`` runs methods declaring
-    worker capability (``fpras``, ``montecarlo``) through the sharded
-    parallel executor — see :mod:`repro.counting.parallel`; estimates are
-    bit-identical for every worker count.
+    ``policy`` holds the execution knobs (``backend``, ``use_engine_cache``,
+    ``workers``, ``shards``, ``store``, ``window``) as one typed
+    :class:`~repro.counting.policy.ExecutionPolicy`; the default policy when
+    none is given.  Extra keyword arguments become per-method options
+    (``scale``, ``sample_cap``, ``num_samples``, ``limit``, …): an execution
+    knob passed that way raises, :class:`~repro.errors.ParameterError` for
+    ``shards`` / ``store`` / ``window`` and
+    :class:`~repro.errors.CountingMethodError` (an option the method does
+    not accept) for the others.  A policy with ``workers != 1`` runs
+    methods declaring worker capability (``fpras``, ``montecarlo``)
+    through the sharded parallel executor — see
+    :mod:`repro.counting.parallel`; estimates are bit-identical for every
+    worker count.
 
     >>> from repro.automata.families import no_consecutive_ones_nfa
     >>> count(no_consecutive_ones_nfa(), 5, method="bruteforce").raw
@@ -1203,18 +1147,13 @@ def count(
     repro.errors.CountingMethodError: unknown counting method 'no_such_method'; \
 available: ['acjr', 'bruteforce', 'exact', 'fpras', 'montecarlo']
     """
-    if policy is None:
-        _warn_flat_execution_kwargs(backend, use_engine_cache, workers, options)
     request = CountRequest(
         method=method,
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
-        workers=workers,
         options=options,
-        policy=policy,
+        policy=policy if policy is not None else ExecutionPolicy(),
     )
     return dispatch(nfa, length, request)
 
@@ -1222,8 +1161,9 @@ available: ['acjr', 'bruteforce', 'exact', 'fpras', 'montecarlo']
 class CountingSession:
     """Pins the shared counting knobs once; every call goes through the registry.
 
-    A session is the façade the CLI, harness and applications use: seed,
-    backend and engine-cache policy are fixed at construction, repeated
+    A session is the façade the CLI, harness and applications use: seed
+    and :class:`~repro.counting.policy.ExecutionPolicy` (the default one
+    when none is given) are fixed at construction, repeated
     calls on the same automaton reuse its engine through the shared
     :class:`~repro.automata.engine.EngineRegistry` (watch
     ``report.engine_counters["engine_cache_hit"]``), and every
@@ -1250,24 +1190,16 @@ class CountingSession:
         epsilon: float = 0.5,
         delta: float = 0.1,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
-        use_engine_cache: bool = True,
-        workers: int = 1,
         policy: Optional[ExecutionPolicy] = None,
         **options: object,
     ) -> None:
-        if policy is None:
-            _warn_flat_execution_kwargs(backend, use_engine_cache, workers, options)
         self._base = CountRequest(
             method=method,
             epsilon=epsilon,
             delta=delta,
             seed=seed,
-            backend=backend,
-            use_engine_cache=use_engine_cache,
-            workers=workers,
             options=options,
-            policy=policy,
+            policy=policy if policy is not None else ExecutionPolicy(),
         )
         # Pinned options must be valid for the pinned method, so typos fail
         # here instead of being silently dropped by the per-method filter in

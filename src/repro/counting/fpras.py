@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import FPRASParameters, ParameterScale
-from repro.counting.sampler import SampleDraw, SamplerStatistics, StepTable
+from repro.counting.sampler import SampleDraw, StepTable
 from repro.counting.store import create_store
 from repro.counting.union import approximate_union
 from repro.errors import EmptyLanguageError, ParameterError
@@ -191,11 +191,20 @@ class NFACounter:
         self.estimates = self.store.estimates
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts
-        self.sampler_statistics = SamplerStatistics()
-        # Shared by every per-batch SampleDraw of the run, so each descent
-        # step's fan is derived once per run (see SampleDraw); its union
-        # plans also serve the level estimates and the final estimate.
+        # The run's one drawer: each of its ``draw`` calls is one sampling
+        # batch, and its step table derives each descent step's fan once
+        # per run (see SampleDraw); the table's union plans also serve the
+        # level estimates and the final estimate.
         self._steps = StepTable(length)
+        self._sampler = SampleDraw(
+            self.unroll,
+            self.estimates,
+            self.samples,
+            self.parameters,
+            self.rng,
+            steps=self._steps,
+        )
+        self.sampler_statistics = self._sampler.statistics
         self._union_calls = 0
         self._membership_calls = 0
         self._padded_states = 0
@@ -330,35 +339,26 @@ class NFACounter:
         eta: float,
         ns: int,
         xns: int,
-        rng: Optional[random.Random] = None,
     ) -> None:
         """Lines 12-30 for one (state, level) pair.
 
-        ``rng`` defaults to the instance stream; the sharded executor passes
-        an explicit per-shard substream instead, which is the only difference
-        between serial and sharded state processing.
+        Every draw comes from :attr:`rng`; the sampling batch is one
+        :meth:`~repro.counting.sampler.SampleDraw.draw` call of the run's
+        drawer.  The sharded executor reseeds :attr:`rng` with each shard's
+        substream, which is the only difference between serial and sharded
+        state processing.
         """
-        rng = self.rng if rng is None else rng
-        estimate = self._estimate_state(state, level, beta, eta, rng)
-        estimate = self._maybe_perturb(estimate, level, eta, rng)
+        estimate = self._estimate_state(state, level, beta, eta)
+        estimate = self._maybe_perturb(estimate, level, eta)
         if estimate <= 0.0:
             estimate = self._fallback_estimate(state, level)
         self.estimates[(state, level)] = estimate
 
-        drawer = SampleDraw(
-            self.unroll,
-            self.estimates,
-            self.samples,
-            self.parameters,
-            rng,
-            steps=self._steps,
-        )
         gamma0 = self.parameters.gamma0(estimate)
         eta_sample = eta / max(1, 2 * xns)
-        collected = drawer.draw(
+        collected = self._sampler.draw(
             level, frozenset({state}), gamma0, beta, eta_sample, attempts=xns, needed=ns
         )
-        self._merge_sampler_statistics(drawer.statistics)
         self._sample_counts[(state, level)] = len(collected)
 
         if len(collected) < ns:
@@ -371,14 +371,7 @@ class NFACounter:
             collected.extend([witness] * (ns - len(collected)))
         self.samples[(state, level)] = collected
 
-    def _estimate_state(
-        self,
-        state: State,
-        level: int,
-        beta: float,
-        eta: float,
-        rng: Optional[random.Random] = None,
-    ) -> float:
+    def _estimate_state(self, state: State, level: int, beta: float, eta: float) -> float:
         """Lines 12-17: per-symbol AppUnion over predecessor languages, then sum.
 
         A one-set union is its set: every trial scores 1, so AppUnion would
@@ -386,7 +379,6 @@ class NFACounter:
         It is read directly, with no plan, trials, RNG draws or counter
         increments.
         """
-        rng = self.rng if rng is None else rng
         n = self.length
         beta_prime = (1.0 + beta) ** (level - 1) - 1.0
         delta_union = eta / (2.0 * (1.0 - 2.0 ** -(n + 1)))
@@ -414,7 +406,7 @@ class NFACounter:
                 delta=delta_union,
                 size_slack=beta_prime,
                 parameters=self.parameters,
-                rng=rng,
+                rng=self.rng,
                 coverage_batch=self.unroll.coverage_batch(handle),
                 samples=self.samples,
             )
@@ -423,21 +415,14 @@ class NFACounter:
             total += result.estimate
         return total
 
-    def _maybe_perturb(
-        self,
-        estimate: float,
-        level: int,
-        eta: float,
-        rng: Optional[random.Random] = None,
-    ) -> float:
+    def _maybe_perturb(self, estimate: float, level: int, eta: float) -> float:
         """Lines 16-19: the analysis-only random replacement of the estimate."""
-        rng = self.rng if rng is None else rng
         if not self.parameters.scale.faithful_perturbation:
             return estimate
         threshold = eta / max(1, 2 * self.length)
-        if rng.random() < threshold:
+        if self.rng.random() < threshold:
             ceiling = len(self.nfa.alphabet) ** level
-            return float(rng.randint(0, ceiling))
+            return float(self.rng.randint(0, ceiling))
         return estimate
 
     def _fallback_estimate(self, state: State, level: int) -> float:
@@ -455,16 +440,13 @@ class NFACounter:
                 best = max(best, self.estimates.get((predecessor, level - 1), 0.0))
         return max(1.0, best)
 
-    def _final_estimate(
-        self, beta: float, eta: float, rng: Optional[random.Random] = None
-    ) -> float:
+    def _final_estimate(self, beta: float, eta: float) -> float:
         """Line 31, generalised to any number of accepting states.
 
         With a single live accepting state this is exactly ``N(q_F^n)``;
         with several, the languages may overlap, so one more AppUnion over
         the final level's accepting states produces the union estimate.
         """
-        rng = self.rng if rng is None else rng
         accepting = sorted(self.unroll.accepting_live_states(), key=repr)
         if not accepting:
             return 0.0
@@ -481,24 +463,13 @@ class NFACounter:
             delta=eta / 2.0,
             size_slack=beta_prime,
             parameters=self.parameters,
-            rng=rng,
+            rng=self.rng,
             coverage_batch=self.unroll.coverage_batch(handle),
             samples=self.samples,
         )
         self._union_calls += 1
         self._membership_calls += result.membership_calls
         return result.estimate
-
-    def _merge_sampler_statistics(self, stats: SamplerStatistics) -> None:
-        total = self.sampler_statistics
-        total.draws += stats.draws
-        total.successes += stats.successes
-        total.failures_phi_overflow += stats.failures_phi_overflow
-        total.failures_rejection += stats.failures_rejection
-        total.failures_no_mass += stats.failures_no_mass
-        total.union_calls += stats.union_calls
-        total.union_cache_hits += stats.union_cache_hits
-        total.membership_calls += stats.membership_calls
 
     # ------------------------------------------------------------------
     # Sharded-execution hooks (see repro.counting.parallel)

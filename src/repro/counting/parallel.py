@@ -17,10 +17,12 @@ Design invariants
   in-process, ``workers=k`` spreads it over ``min(k, shards)`` processes,
   and the merged estimate is bit-identical either way.
 * **Deterministic per-shard RNG substreams.**  Every shard task derives its
-  own ``random.Random`` from the request seed with
-  :func:`derive_shard_seed` — a SHA-256 hash of ``(root, *path)``, stable
-  across processes and ``PYTHONHASHSEED`` values (``hash()`` is not).  The
-  derivation scheme and root are recorded in the report details.
+  substream's seed from the request seed with :func:`derive_shard_seed` —
+  a SHA-256 hash of ``(root, *path)``, stable across processes and
+  ``PYTHONHASHSEED`` values (``hash()`` is not) — and reseeds the
+  counter's one stream with it, which leaves the state ``random.Random``
+  of that seed would.  The derivation scheme and root are recorded in the
+  report details.
 * **Workers rebuild state locally.**  The automaton crosses the process
   boundary once per worker through the existing
   :func:`~repro.automata.serialization.nfa_to_dict` /
@@ -325,17 +327,19 @@ def _run_shard(
 ) -> Dict[str, object]:
     """Process one shard's states with its derived substream.
 
-    Runs in a pool worker *and* in-process for ``workers=1``; the result is
-    a pure function of (tables so far, shard states, shard seed), which is
-    what makes the merged run worker-count invariant.
+    ``counter.rng.seed(shard_seed)`` puts the counter's stream, which its
+    drawer shares, in the state ``random.Random(shard_seed)`` would start
+    in.  Runs in a pool worker *and* in-process for ``workers=1``; the
+    result is a pure function of (tables so far, shard states, shard seed),
+    which is what makes the merged run worker-count invariant.
     """
-    rng = random.Random(shard_seed)
+    counter.rng.seed(shard_seed)
     stats_before = counter.work_statistics()
     engine_before = counter.diagnostics_counters()
     beta, eta, ns, xns = counter.derived_parameters()
     entries = []
     for state in states:
-        counter._process_state(state, level, beta, eta, ns, xns, rng=rng)
+        counter._process_state(state, level, beta, eta, ns, xns)
         entries.append(
             (
                 state,
@@ -830,8 +834,8 @@ def run_fpras_sharded(
                         "live_states": len(states),
                     }
                 )
-        final_rng = random.Random(derive_shard_seed(root, "final"))
-        estimate = coordinator._final_estimate(beta, eta, rng=final_rng)
+        coordinator.rng.seed(derive_shard_seed(root, "final"))
+        estimate = coordinator._final_estimate(beta, eta)
     except BaseException:
         failed = True
         raise

@@ -1,23 +1,22 @@
 """Typed execution policies and declarative method capabilities.
 
-Execution of a counting run has historically been configured through a
-sprawl of flat keyword arguments — ``backend``, ``use_engine_cache``,
-``workers`` on the core request plus the fpras-only ``shards`` / ``store``
-/ ``window`` options — spelled slightly differently by
-:func:`repro.count`, :class:`~repro.counting.api.CountingSession` and the
-CLI.  This module is the typed consolidation of that surface:
+The knobs that decide how a counting run executes — ``backend``,
+``use_engine_cache`` and ``workers`` on the core request plus the
+fpras-only ``shards`` / ``store`` / ``window`` options — are set in one
+typed record:
 
 * :class:`ExecutionPolicy` bundles every knob that decides *how* a run
   executes (never *what* it computes: estimates are bit-identical across
   policies with the same seed, which is what the parity suites enforce).
   It is accepted by :class:`~repro.counting.api.CountRequest`,
   :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and
-  the CLI; the old flat kwargs remain as deprecation shims and produce
-  byte-identical request fingerprints (the neutrality test in
+  the CLI.  A request built with a policy equals, fingerprint included,
+  the request that sets the same knobs as
+  :class:`~repro.counting.api.CountRequest` fields (the neutrality test in
   ``tests/test_policy.py`` pins this).
-* :class:`MethodCapabilities` replaces the ad-hoc ``supports_workers``
-  attribute on registry entries with a declarative record (worker
-  support, anytime progress, accepted stores).
+* :class:`MethodCapabilities` is the declarative record of what a
+  registered method supports (workers, anytime progress, accepted
+  stores).
 """
 
 from __future__ import annotations
@@ -162,9 +161,8 @@ class ExecutionPolicy:
 class MethodCapabilities:
     """What a registered counting method declares it can do.
 
-    Dispatch reads these fields instead of probing registry entries with
-    ``getattr(..., "supports_workers", False)``, and ``repro methods``
-    renders them as capability columns.
+    Dispatch reads these fields, ``repro methods`` renders them as
+    capability columns and ``GET /methods`` serves them.
 
     Attributes
     ----------

@@ -73,7 +73,8 @@ def _nearest_branch(probabilities: Sequence[float], index: int) -> int:
 
 @dataclass
 class SamplerStatistics:
-    """Counters describing the work one :class:`SampleDraw` instance performed."""
+    """Counters describing the work a :class:`SampleDraw` performed over all
+    its :meth:`~SampleDraw.draw` calls."""
 
     draws: int = 0
     successes: int = 0
@@ -178,16 +179,17 @@ class SampleDraw:
     rng:
         Randomness source shared with the main algorithm.
     steps:
-        The run's :class:`StepTable`, shared by every per-batch instance of
-        one run; a fresh table when omitted.
+        The run's :class:`StepTable`, shared by every drawer of one run; a
+        fresh table when omitted.
 
     Notes
     -----
-    When ``parameters.scale.reuse_union_estimates`` is set, AppUnion results
-    are memoised per ``(level, predecessor handle)`` for the lifetime of the
-    instance; Algorithm 3 creates a fresh instance per sampling batch (one
-    :meth:`draw` call) so estimates are never reused across batches, and
-    :meth:`clear_cache` starts a new batch on the same instance.
+    One :meth:`draw` call is one sampling batch.  When
+    ``parameters.scale.reuse_union_estimates`` is set, AppUnion results are
+    memoised per ``(level, predecessor handle)`` within the call, never
+    across calls, so one drawer serves a whole run:
+    :class:`~repro.counting.fpras.NFACounter` builds one and calls it once
+    per ``(q, l)``.
 
     Each descent step ``(level, Q')`` is kept in the step table.  Its fan is
     structural, so it is derived once per run.  With
@@ -239,9 +241,6 @@ class SampleDraw:
         self.rng = rng if rng is not None else random.Random()
         self.steps = steps if steps is not None else StepTable(unroll.length)
         self.statistics = SamplerStatistics()
-        self._union_cache: Dict[Tuple[int, object], float] = {}
-        # Stamp of the step entries this batch derives.
-        self._batch = object()
 
     # ------------------------------------------------------------------
     # Public API
@@ -284,13 +283,16 @@ class SampleDraw:
         # union estimates consume; the ``pending`` draws of forced levels
         # are paid in bulk.  The counters are written to :attr:`statistics`
         # once, also when a draw raises: its replay hits so far count too.
+        # ``batch`` stamps the steps and jumps this call derives, and
+        # ``union_cache`` memoises its union estimates.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
         rng = self.rng
         rng_random = rng.random
         # A draw's last forced steps are paid as ``_advance`` would pay them.
         getrandbits = rng.getrandbits if type(rng) is random.Random else None
-        batch = self._batch
+        batch = object()
+        union_cache: Dict[Tuple[int, object], float] = {}
         jumps = self.steps.jumps
         start = self.unroll.engine.encode(states)
         words: List[Word] = []
@@ -317,7 +319,9 @@ class SampleDraw:
                             )
                             run = None
                             pending = 0
-                        entry = self._derive_step(current, current_level, entry, beta, eta_prime)
+                        entry = self._derive_step(
+                            current, current_level, entry, beta, eta_prime, batch, union_cache
+                        )
                         if entry is None:
                             no_mass += 1
                             break
@@ -403,12 +407,6 @@ class SampleDraw:
             statistics.union_cache_hits += cache_hits
         return words
 
-    def clear_cache(self) -> None:
-        """Start a new sampling batch: forget the memoised union estimates
-        and the step weights derived from them."""
-        self._union_cache.clear()
-        self._batch = object()
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -474,11 +472,15 @@ class SampleDraw:
         stale: Optional[tuple],
         beta: float,
         eta_prime: float,
+        batch: object,
+        union_cache: Dict[Tuple[int, object], float],
     ) -> Optional[tuple]:
         """Weigh every branch of step ``(level, current)`` and store the entry.
 
-        ``stale`` is the step's earlier entry, whose fan is reused.  Returns
-        ``None`` when no branch has mass.
+        ``stale`` is the step's earlier entry, whose fan is reused.  An entry
+        that holds only within the calling batch is stamped ``batch``;
+        ``union_cache`` is that batch's union memo.  Returns ``None`` when no
+        branch has mass.
         """
         engine = self.unroll.engine
         if stale is None:
@@ -495,7 +497,7 @@ class SampleDraw:
                 continue
             nonempty += 1
             weights.append(
-                self._estimate_union(predecessors, level - 1, beta, eta_prime)
+                self._estimate_union(predecessors, level - 1, beta, eta_prime, union_cache)
             )
             if whole_run and engine.count(predecessors) != 1:
                 whole_run = False
@@ -506,7 +508,7 @@ class SampleDraw:
             return None
         probabilities = tuple(weight / total for weight in weights)
         entry = (
-            _WHOLE_RUN if whole_run else self._batch if reuse else None,
+            _WHOLE_RUN if whole_run else batch if reuse else None,
             branches,
             tuple(accumulate(weights)),
             total,
@@ -529,13 +531,14 @@ class SampleDraw:
         level: int,
         beta: float,
         eta_prime: float,
+        union_cache: Dict[Tuple[int, object], float],
     ) -> float:
         """``AppUnion`` over ``{L(p^level) : p in predecessors}``.
 
-        ``predecessors`` is an engine handle; it doubles as the memoisation
-        key (handles are hashable and equality matches set equality).  A
-        one-set union is its stored size estimate, read with no plan,
-        trials, RNG draws or counter increments (as in
+        ``predecessors`` is an engine handle; it doubles as the key of the
+        batch's memo ``union_cache`` (handles are hashable and equality
+        matches set equality).  A one-set union is its stored size estimate,
+        read with no plan, trials, RNG draws or counter increments (as in
         :meth:`~repro.counting.fpras.NFACounter._estimate_state`).  The
         size slack ``beta_prime = (1 + beta)^level - 1`` is derived here,
         on the path that actually runs AppUnion — cache hits and singletons
@@ -544,7 +547,7 @@ class SampleDraw:
         cache_key = (level, predecessors)
         reuse = self.parameters.scale.reuse_union_estimates
         if reuse:
-            cached = self._union_cache.get(cache_key)
+            cached = union_cache.get(cache_key)
             if cached is not None:
                 self.statistics.union_cache_hits += 1
                 return cached
@@ -556,7 +559,7 @@ class SampleDraw:
                 (only,) = states
                 estimate = max(0.0, float(self.estimates.get((only, level), 0.0)))
                 if reuse:
-                    self._union_cache[cache_key] = estimate
+                    union_cache[cache_key] = estimate
                 return estimate
             plan = self.steps.union_plan(
                 level,
@@ -579,5 +582,5 @@ class SampleDraw:
         self.statistics.union_calls += 1
         self.statistics.membership_calls += result.membership_calls
         if reuse:
-            self._union_cache[cache_key] = result.estimate
+            union_cache[cache_key] = result.estimate
         return result.estimate

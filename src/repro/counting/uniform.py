@@ -167,7 +167,8 @@ class UniformWordSampler:
             raise EmptyLanguageError("no accepting state is live at the final level")
         parameters = counter.parameters
         # The run's step table: its fans, union plans and whole-run steps
-        # carry over, and its batch steps are stale for a new drawer.
+        # carry over.  The call is a new batch, so the run's batch steps are
+        # derived again.
         drawer = SampleDraw(
             counter.unroll, counter.estimates, counter.samples, parameters, self.rng,
             steps=counter._steps,

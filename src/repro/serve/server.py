@@ -329,17 +329,12 @@ class CountingServer:
         }
 
     def methods(self) -> list:
-        """The ``GET /methods`` payload, straight from the registry.
-
-        ``supports_workers`` is kept alongside the full ``capabilities``
-        record for wire compatibility with pre-capability clients.
-        """
+        """The ``GET /methods`` payload, straight from the registry."""
         return [
             {
                 "name": name,
                 "summary": entry.summary,
                 "options": sorted(entry.option_names),
-                "supports_workers": entry.capabilities.workers,
                 "capabilities": entry.capabilities.describe(),
             }
             for name, entry in sorted(METHOD_REGISTRY.items())

@@ -45,18 +45,20 @@ class StepwiseDraw(ReferenceDraw):
     """The step-table descent without forced steps or jumps, batched one
     draw at a time like :class:`ReferenceDraw`."""
 
-    def _descend(self, level, states, gamma0, beta, eta):
+    def _descend(self, level, states, gamma0, beta, eta, batch, union_cache):
         self.statistics.draws += 1
         eta_prime = eta / max(1, 4 * self.unroll.length)
         alphabet = self.unroll.nfa.alphabet
-        valid = (self._batch, sampler_module._WHOLE_RUN)
+        valid = (batch, sampler_module._WHOLE_RUN)
         phi = gamma0
         word = []
         current = self.unroll.engine.encode(states)
         for current_level in range(level, 0, -1):
             entry = self.steps.levels[current_level].get(current)
             if entry is None or not any(entry[0] is stamp for stamp in valid):
-                entry = self._derive_step(current, current_level, entry, beta, eta_prime)
+                entry = self._derive_step(
+                    current, current_level, entry, beta, eta_prime, batch, union_cache
+                )
                 if entry is None:
                     self.statistics.failures_no_mass += 1
                     return None
@@ -231,7 +233,7 @@ def test_inf_estimate_stays_on_ordinary_path():
             counter.unroll, counter.estimates, counter.samples, counter.parameters,
             random.Random(4),
         )
-        words = [drawer.draw(10, frozenset({"q"}), 0.5, beta, eta) for _ in range(20)]
+        words = drawer.draw(10, frozenset({"q"}), 0.5, beta, eta, attempts=20, needed=20)
         observed.append((words, drawer.rng.getstate(), drawer.statistics))
     assert observed[0] == observed[1]
     assert drawer.statistics.failures_rejection == 20
@@ -254,7 +256,7 @@ def test_weight_below_probability_resolution_is_forced():
             counter.unroll, counter.estimates, counter.samples, counter.parameters,
             random.Random(6),
         )
-        words = [drawer.draw(8, frozenset({"start"}), 0.5, beta, eta) for _ in range(30)]
+        words = drawer.draw(8, frozenset({"start"}), 0.5, beta, eta, attempts=30, needed=30)
         observed.append((words, drawer.rng.getstate(), drawer.statistics))
     assert observed[0] == observed[1]
     handle = counter.unroll.engine.encode(frozenset({"start"}))
@@ -278,9 +280,9 @@ def _two_rail_blocks(block_length):
     return NFA.build(transitions, initial="start", accepting=["start"])
 
 
-def test_clear_cache_drops_batch_jumps():
-    """After ``clear_cache()`` the batch's jumps are stale: the next draws
-    derive their steps again and match a fresh drawer of the same run."""
+def test_each_draw_call_drops_batch_jumps():
+    """A ``draw`` call's jumps are stale for the next call on the drawer: it
+    derives their steps again and matches a fresh drawer of the same run."""
     counter = _finished_counter(_two_rail_blocks(4), 16, PRACTICAL, "bitset")
     beta, eta, _, _ = counter.derived_parameters()
     state = "start"
@@ -292,21 +294,19 @@ def test_clear_cache_drops_batch_jumps():
             steps=steps,
         )
 
+    arguments = (16, frozenset({state}), gamma0, beta, eta)
     used = drawer(random.Random(1))
-    for _ in range(20):
-        used.draw(16, frozenset({state}), gamma0, beta, eta)
+    used.draw(*arguments, attempts=20, needed=20)
     stamps = {jump[0] for jump in used.steps.jumps.values()}
-    assert stamps == {used._batch}
-    used.clear_cache()
-    # A new batch of the same run: it shares the run's step table, whose
-    # whole-run steps both drawers replay.
+    assert len(stamps) == 1 and sampler_module._WHOLE_RUN not in stamps
+    # The next call is a new batch of the same run: it shares the run's step
+    # table, whose whole-run steps both drawers replay.
     fresh = drawer(random.Random(), used.steps)
     fresh.rng.setstate(used.rng.getstate())
     before = dataclasses.asdict(used.statistics)
-    for _ in range(10):
-        assert used.draw(16, frozenset({state}), gamma0, beta, eta) == fresh.draw(
-            16, frozenset({state}), gamma0, beta, eta
-        )
+    assert used.draw(*arguments, attempts=10, needed=10) == fresh.draw(
+        *arguments, attempts=10, needed=10
+    )
     assert used.rng.getstate() == fresh.rng.getstate()
     after = dataclasses.asdict(used.statistics)
     assert {key: after[key] - before[key] for key in after} == dataclasses.asdict(

@@ -64,21 +64,23 @@ CUTS = {"needed-first": (40, 2), "attempts-first": (4, 3)}
 class ReferenceDraw(SampleDraw):
     """The descent without a step table: every visit derives its step.
 
-    A call makes up to ``attempts`` single draws, one at a time, and stops
-    at the ``needed``-th word.
+    A call is one batch, with its own stamp and union memo: it makes up to
+    ``attempts`` single draws, one at a time, and stops at the ``needed``-th
+    word.
     """
 
     def draw(self, level, states, gamma0, beta, eta, attempts=1, needed=1):
+        batch, union_cache = object(), {}
         words = []
         for _ in range(attempts):
             if len(words) >= needed:
                 break
-            word = self._descend(level, states, gamma0, beta, eta)
+            word = self._descend(level, states, gamma0, beta, eta, batch, union_cache)
             if word is not None:
                 words.append(word)
         return words
 
-    def _descend(self, level, states, gamma0, beta, eta):
+    def _descend(self, level, states, gamma0, beta, eta, batch, union_cache):
         if gamma0 <= 0:
             raise ParameterError("gamma0 must be positive")
         self.statistics.draws += 1
@@ -93,7 +95,9 @@ class ReferenceDraw(SampleDraw):
             weights = [
                 0.0
                 if engine.is_empty(predecessors)
-                else self._estimate_union(predecessors, current_level - 1, beta, eta_prime)
+                else self._estimate_union(
+                    predecessors, current_level - 1, beta, eta_prime, union_cache
+                )
                 for predecessors in fan
             ]
             total = sum(weights)
@@ -141,11 +145,11 @@ def _statistics(statistics, scale):
 def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0):
     """Algorithm 3's sampling batches, replayed over a finished run's tables.
 
-    One drawer per (level, live state), as ``NFACounter`` creates them, all
-    sharing one RNG stream (``Random(11)`` unless given) and, for the
-    memoised drawer, one step table (a fresh one unless given).  A batch is
-    ``xns`` calls of one draw each, or with ``cut=(attempts, needed)`` one
-    call ``draw(..., attempts=attempts, needed=needed)``.  Each draw starts
+    One drawer per (level, live state), all sharing one RNG stream
+    (``Random(11)`` unless given) and, for the memoised drawer, one step
+    table (a fresh one unless given).  Each is called ``xns`` times for one
+    draw, each call its own batch, or with ``cut=(attempts, needed)`` once
+    as ``draw(..., attempts=attempts, needed=needed)``.  Each draw starts
     with ``gamma_factor`` times Algorithm 3's ``gamma0``.
     """
     rng = random.Random(11) if rng is None else rng
@@ -357,10 +361,10 @@ def test_long_word_chain_replays_whole_run_steps(store, monkeypatch):
     assert counter.unroll.engine_counters()["pre_ops"] == 64
 
 
-def test_clear_cache_invalidates_batch_steps():
-    """After ``clear_cache()`` the next draw matches a fresh drawer of the
-    same run on the same RNG state: the batch's steps are derived again, not
-    replayed."""
+def test_each_draw_call_derives_batch_steps_again():
+    """A second ``draw`` call on a drawer matches a fresh drawer of the same
+    run on the same RNG state: the first call's batch steps are derived
+    again, not replayed."""
     scale = SCALES["practical"]
     nfa = random_nonempty_nfa(6, 6, density=0.3, accepting_fraction=0.4, seed=17)
     counter = _finished_counter(nfa, 6, scale, "bitset")
@@ -374,24 +378,17 @@ def test_clear_cache_invalidates_batch_steps():
             steps=steps,
         )
 
+    arguments = (6, frozenset({state}), gamma0, beta, eta)
     used = drawer(random.Random(1))
-    for _ in range(20):
-        used.draw(6, frozenset({state}), gamma0, beta, eta)
-    used.clear_cache()
-    # A new batch of the same run: it shares the run's step table, whose
-    # whole-run steps both drawers replay.
+    used.draw(*arguments, attempts=20, needed=20)
+    # The next call is a new batch of the same run: it shares the run's step
+    # table, whose whole-run steps both drawers replay.
     fresh = drawer(random.Random(), used.steps)
     fresh.rng.setstate(used.rng.getstate())
     before = dataclasses.asdict(used.statistics)
-    words = []
-    for _ in range(10):
-        words.append(
-            (
-                used.draw(6, frozenset({state}), gamma0, beta, eta),
-                fresh.draw(6, frozenset({state}), gamma0, beta, eta),
-            )
-        )
-    assert all(left == right for left, right in words)
+    assert used.draw(*arguments, attempts=10, needed=10) == fresh.draw(
+        *arguments, attempts=10, needed=10
+    )
     assert used.rng.getstate() == fresh.rng.getstate()
     after = dataclasses.asdict(used.statistics)
     delta = {key: after[key] - before[key] for key in after}

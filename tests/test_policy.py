@@ -5,10 +5,9 @@ Pins the contracts behind the typed execution-policy API:
 * :class:`~repro.counting.policy.ExecutionPolicy` — validation, the
   defaults-omitted option emission that keeps the policy spelling
   fingerprint-neutral, and the ``CountRequest`` round trip;
-* the deprecation shims: the flat execution kwargs on :func:`repro.count`
-  and :class:`~repro.counting.api.CountingSession` keep working but warn,
-  and the legacy ``supports_workers=`` registration flag maps onto
-  :class:`~repro.counting.policy.MethodCapabilities`;
+* the policy spelling on :func:`repro.count` and
+  :class:`~repro.counting.api.CountingSession`: a policy flows into their
+  requests, and execution knobs passed as flat kwargs raise typed errors;
 * the method registry's declared capabilities (which dispatch reads
   instead of ``getattr`` probes).
 """
@@ -27,7 +26,6 @@ from repro.counting.api import (
     CountRequest,
     canonical_request_knobs,
     count,
-    register_method,
     request_fingerprint,
 )
 from repro.counting.policy import (
@@ -35,7 +33,7 @@ from repro.counting.policy import (
     ExecutionPolicy,
     MethodCapabilities,
 )
-from repro.errors import ParameterError
+from repro.errors import CountingMethodError, ParameterError
 
 
 class TestExecutionPolicyValidation:
@@ -157,18 +155,53 @@ class TestPolicyRequestRoundTrip:
             CountRequest(method="fpras", policy={"backend": "bitset"})
 
 
-class TestDeprecationShims:
+class TestPolicySpelling:
     @pytest.fixture()
     def parity_nfa_2(self):
         return families.parity_nfa(2)
 
-    def test_flat_kwargs_warn_on_count(self, parity_nfa_2):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            count(parity_nfa_2, 4, method="exact", backend="bitset")
-
-    def test_flat_kwargs_warn_on_session(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            CountingSession(seed=1, workers=2)
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda nfa: count(nfa, 4, backend="bitset"),
+                CountingMethodError,
+                r"does not accept option\(s\) \['backend'\]",
+            ),
+            (
+                lambda nfa: count(nfa, 4, workers=2),
+                CountingMethodError,
+                r"does not accept option\(s\) \['workers'\]",
+            ),
+            (
+                lambda nfa: count(nfa, 4, store="windowed"),
+                ParameterError,
+                "set them on the ExecutionPolicy instead",
+            ),
+            (
+                lambda nfa: CountingSession(store="windowed"),
+                ParameterError,
+                "set them on the ExecutionPolicy instead",
+            ),
+            (
+                lambda nfa: CountingSession(workers=2),
+                CountingMethodError,
+                r"session option\(s\) \['workers'\] are not accepted",
+            ),
+        ],
+        ids=[
+            "count-backend",
+            "count-workers",
+            "count-store",
+            "session-store",
+            "session-workers",
+        ],
+    )
+    def test_flat_execution_kwargs_raise_typed_errors(
+        self, parity_nfa_2, call, error, message
+    ):
+        with pytest.raises(error, match=message):
+            call(parity_nfa_2)
 
     def test_policy_spelling_is_silent(self, parity_nfa_2):
         with warnings.catch_warnings():
@@ -230,38 +263,3 @@ class TestMethodCapabilities:
         assert not exact.workers
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
         assert montecarlo.workers and montecarlo.progress
-
-    def test_supports_workers_compat_property(self):
-        assert METHOD_REGISTRY["fpras"].supports_workers is True
-        assert METHOD_REGISTRY["exact"].supports_workers is False
-
-    def test_legacy_registration_flag_maps_to_capabilities(self):
-        name = "policy-test-legacy"
-        try:
-            with pytest.warns(DeprecationWarning, match="supports_workers"):
-
-                @register_method(name, summary="legacy shim", supports_workers=True)
-                def runner(nfa, length, request):  # pragma: no cover - never run
-                    raise AssertionError
-
-            assert METHOD_REGISTRY[name].capabilities.workers is True
-        finally:
-            METHOD_REGISTRY.pop(name, None)
-
-    def test_legacy_flag_contradicting_capabilities_rejected(self):
-        name = "policy-test-contradiction"
-        try:
-            with pytest.raises(ParameterError), warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-
-                @register_method(
-                    name,
-                    summary="contradiction",
-                    capabilities=MethodCapabilities(workers=False),
-                    supports_workers=True,
-                )
-                def runner(nfa, length, request):  # pragma: no cover - never run
-                    raise AssertionError
-
-        finally:
-            METHOD_REGISTRY.pop(name, None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -159,13 +160,28 @@ class TestCaching:
         drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=10, needed=10)
         assert drawer.statistics.union_cache_hits == 0
 
-    def test_clear_cache(self, sampler_setup):
+    def test_each_draw_call_is_a_new_batch(self, sampler_setup):
+        """A second call estimates its unions again, as a fresh drawer on
+        the same step table and RNG state does."""
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(9))
         gamma0 = parameters.gamma0(estimates[("z", length)])
-        drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1)
-        drawer.clear_cache()
-        assert drawer._union_cache == {}
+        arguments = (length, frozenset({"z"}), gamma0, 0.01, 0.1)
+        drawer.draw(*arguments, attempts=20, needed=20)
+        fresh = SampleDraw(
+            unroll, estimates, samples, parameters, random.Random(), steps=drawer.steps
+        )
+        fresh.rng.setstate(drawer.rng.getstate())
+        before = dataclasses.asdict(drawer.statistics)
+        assert drawer.draw(*arguments, attempts=20, needed=20) == fresh.draw(
+            *arguments, attempts=20, needed=20
+        )
+        assert drawer.rng.getstate() == fresh.rng.getstate()
+        after = dataclasses.asdict(drawer.statistics)
+        assert {key: after[key] - before[key] for key in after} == dataclasses.asdict(
+            fresh.statistics
+        )
+        assert fresh.statistics.union_calls > 0
 
     def test_statistics_track_union_calls(self, sampler_setup):
         nfa, length, unroll, estimates, samples, parameters = sampler_setup

@@ -431,7 +431,8 @@ class TestIntrospection:
         names = [entry["name"] for entry in payload["methods"]]
         assert names == sorted(repro.available_methods())
         fpras = next(e for e in payload["methods"] if e["name"] == "fpras")
-        assert fpras["supports_workers"] is True
+        assert fpras["capabilities"]["workers"] is True
+        assert not any("supports_workers" in entry for entry in payload["methods"])
         assert "shards" in fpras["options"]
 
     def test_stats_shape(self, server):
