@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark module regenerates one experiment from the index in DESIGN.md
-(E1 … E7 plus the ablations).  Benchmark files do not match pytest's default
-``test_*.py`` collection pattern, so name them explicitly —
+Each benchmark module regenerates one experiment of the E1 … E8 registry in
+:data:`repro.harness.experiments.EXPERIMENTS`, or one of the ablations.
+Benchmark files do not match pytest's default ``test_*.py`` collection
+pattern, so name them explicitly —
 ``pytest benchmarks/bench_scaling_m.py -q -s`` (optionally with
 ``--benchmark-only``) reproduces the report data.  Each module asserts the
 *shape* of the paper's claim (who wins, what stays flat) rather than

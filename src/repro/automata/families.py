@@ -21,9 +21,11 @@ benchmark harness and the CLI can reference workloads by name.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.automata.nfa import BINARY_ALPHABET, NFA, Symbol, Transition, word_from_string
+from repro.errors import ParameterError
 
 
 def all_words_nfa(alphabet: Sequence[Symbol] = BINARY_ALPHABET) -> NFA:
@@ -306,7 +308,9 @@ def build_family(name: str, **params: object) -> NFA:
     """Instantiate a named family with keyword parameters.
 
     Raises ``KeyError`` with the list of known families when the name is
-    unknown, which the CLI turns into a friendly error message.
+    unknown, which the CLI turns into a friendly error message, and
+    :class:`~repro.errors.ParameterError` naming the family's parameters
+    when one is unknown or missing.
     """
     try:
         builder = FAMILY_REGISTRY[name]
@@ -314,6 +318,13 @@ def build_family(name: str, **params: object) -> NFA:
         raise KeyError(
             f"unknown family {name!r}; known families: {sorted(FAMILY_REGISTRY)}"
         ) from error
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError as error:
+        raise ParameterError(
+            f"family {name!r} takes parameters {list(signature.parameters)}: {error}"
+        ) from None
     return builder(**params)
 
 

@@ -25,6 +25,7 @@ are defined once in a parent parser shared by ``count`` and ``sample``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -36,7 +37,7 @@ from repro.counting.api import (
     CountingSession,
     available_methods,
 )
-from repro.counting.policy import ExecutionPolicy
+from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
 from repro.errors import ReproError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.reporting import format_key_values, format_table
@@ -81,15 +82,24 @@ def _method_options(args: argparse.Namespace) -> dict:
         options["limit"] = args.limit if args.limit > 0 else None
     if args.sample_cap is not None:
         options["sample_cap"] = args.sample_cap
-    if getattr(args, "shards", None) is not None:
-        options["shards"] = args.shards
-    if getattr(args, "store", None) is not None:
-        options["store"] = args.store
-    if getattr(args, "window", None) is not None:
-        options["window"] = args.window
     if getattr(args, "details", None) is not None:
         options["details"] = args.details
     return options
+
+
+def _call_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    """The execution knobs of ``count``'s per-call run (validated at dispatch)."""
+    knobs = {
+        name: getattr(args, name)
+        for name in POLICY_OPTION_NAMES
+        if getattr(args, name) is not None
+    }
+    return ExecutionPolicy(
+        backend=args.backend,
+        use_engine_cache=not args.no_engine_cache,
+        workers=args.workers,
+        **knobs,
+    )
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -106,19 +116,26 @@ def _cmd_count(args: argparse.Namespace) -> int:
             print(format_table(rows, title=f"#NFA for {args.family}, n={args.length}"))
             return 0
     options = _method_options(args)
-    if args.workers != 1:
-        # Explicit per-call override: asking for --workers with a method
-        # that has no worker support fails loudly instead of silently
-        # degrading (the session-pinned copy still degrades for the
-        # ground-truth `exact` run above).
-        options["workers"] = args.workers
-    if args.method == "exact" and exact_report is not None and not options:
+    # Explicit per-call policy: asking for --workers (or --store, ...) with a
+    # method that does not take it fails loudly instead of silently
+    # degrading (the session-pinned copy still degrades for the
+    # ground-truth `exact` run above).
+    policy = _call_policy(args)
+    if (
+        args.method == "exact"
+        and exact_report is not None
+        and not options
+        and policy.workers == 1
+        and not policy.method_options()
+    ):
         # --compare --method exact: the ground truth already ran once.  Any
-        # per-method option still goes through dispatch below so it is
-        # rejected exactly as it would be without --compare.
+        # other knob still goes through dispatch below so it is rejected
+        # exactly as it would be without --compare.
         report = exact_report
     else:
-        report = session.count(nfa, args.length, method=args.method, **options)
+        report = session.count(
+            nfa, args.length, method=args.method, policy=policy, **options
+        )
         row = {"method": report.method, "estimate": report.estimate}
         if exact_value is not None:
             row["rel_error"] = report.relative_error(exact_value)
@@ -669,16 +686,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point used by both the console script and ``python -m repro``.
 
     Library failures (:class:`~repro.errors.ReproError` — e.g. a brute-force
-    enumeration over its safety limit, or options a method rejects) are
-    reported as one-line errors with exit code 2 instead of tracebacks.
+    enumeration over its safety limit, options a method rejects, or family
+    parameters its builder does not take) are reported as one-line errors
+    with exit code 2 instead of tracebacks.  A reader that closes stdout
+    early ends the run with exit code 1 and no traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # Flushed here, a reader that closed the pipe early is caught below.
+        sys.stdout.flush()
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush has nowhere to fail (the Python docs' recipe for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1231,34 +1231,51 @@ class CountingSession:
         return self._reports[-1] if self._reports else None
 
     # ------------------------------------------------------------------
-    def request(self, method: Optional[str] = None, **overrides: object) -> CountRequest:
+    def request(
+        self,
+        method: Optional[str] = None,
+        policy: Optional[ExecutionPolicy] = None,
+        **overrides: object,
+    ) -> CountRequest:
         """The request one call would use: pinned knobs plus overrides.
 
         Session-level options that the target method does not accept are
         dropped (so a session pinned for fpras can still run ``exact``);
         the same applies to pinned ``workers`` when the target method has no
-        worker support.  Per-call overrides are kept verbatim and validated
-        at dispatch.
+        worker support.  A per-call ``policy`` replaces the pinned one, its
+        ``shards`` / ``store`` / ``window`` included.  Per-call overrides
+        and policies are kept verbatim and validated at dispatch, so a flat
+        ``backend`` / ``use_engine_cache`` / ``workers`` override raises
+        :class:`~repro.errors.CountingMethodError` there, as on
+        :func:`count`.
+
+        >>> session = CountingSession(policy=ExecutionPolicy(workers=2))
+        >>> session.request("exact").workers
+        1
+        >>> session.request("exact", policy=ExecutionPolicy(backend="reference")).backend
+        'reference'
         """
         method_name = method if method is not None else self._base.method
         entry = resolve_method(method_name)
         accepted = entry.option_names
         core = {}
-        for knob in ("epsilon", "delta", "seed", "backend", "use_engine_cache", "workers"):
+        for knob in ("epsilon", "delta", "seed"):
             if knob in overrides:
                 core[knob] = overrides.pop(knob)
         options = {
             key: value
             for key, value in self._base.options.items()
-            if key in accepted
+            if key in accepted and (policy is None or key not in POLICY_OPTION_NAMES)
         }
         options.update(overrides)
+        if policy is not None:
+            # Flat fields at their defaults: the request takes them from ``policy``.
+            return replace(
+                self._base, method=method_name, options=options, policy=policy,
+                backend=None, use_engine_cache=True, workers=1, **core,
+            )
         request = replace(self._base, method=method_name, options=options, **core)
-        if (
-            request.workers != 1
-            and "workers" not in core
-            and not entry.capabilities.workers
-        ):
+        if request.workers != 1 and not entry.capabilities.workers:
             request = replace(request, workers=1)
         return request
 
@@ -1282,10 +1299,16 @@ class CountingSession:
         return detach
 
     def count(
-        self, nfa: NFA, length: int, method: Optional[str] = None, **overrides: object
+        self,
+        nfa: NFA,
+        length: int,
+        method: Optional[str] = None,
+        policy: Optional[ExecutionPolicy] = None,
+        **overrides: object,
     ) -> CountReport:
-        """Count one instance through the registry with the pinned knobs."""
-        request = self.request(method, **overrides)
+        """Count one instance through the registry with the pinned knobs
+        (``policy`` and ``overrides`` as in :meth:`request`)."""
+        request = self.request(method, policy, **overrides)
         report = dispatch(nfa, length, request)
         self._reports.append(report)
         for observer in list(self._observers):

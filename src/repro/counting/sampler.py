@@ -16,7 +16,9 @@ The implementation is iterative (the recursion in the paper is a simple tail
 recursion) and generalises from the binary alphabet to any fixed alphabet by
 estimating one union per alphabet symbol.  One :meth:`SampleDraw.draw` call
 runs a whole sampling batch of Algorithm 3: up to ``xns`` draws for one
-``(q, l)``, stopped at the ``ns``-th accepted word.
+``(q, l)``, stopped at the ``ns``-th accepted word.  A level whose pick is
+certain (one symbol holds all the mass) draws no randomness, so a batch
+whose start's slice holds one word is its acceptance tests alone.
 """
 
 from __future__ import annotations
@@ -37,26 +39,6 @@ StateLevel = Tuple[State, int]
 
 #: Stamp of a step entry whose weights hold for the whole run.
 _WHOLE_RUN = object()
-
-
-def _advance(rng: random.Random, count: int) -> None:
-    """Consume what ``count`` calls of ``rng.random()`` would.
-
-    ``random()`` reads two 32-bit Mersenne Twister outputs, so for an exact
-    ``random.Random`` one ``getrandbits(64 * count)`` leaves the same state.
-    A subclass may draw ``random()`` another way, so it is called ``count``
-    times.
-
-    >>> left, right = random.Random(4), random.Random(4)
-    >>> _advance(left, 3); _ = [right.random() for _ in range(3)]
-    >>> left.getstate() == right.getstate()
-    True
-    """
-    if type(rng) is random.Random:
-        rng.getrandbits(64 * count)
-    else:
-        for _ in range(count):
-            rng.random()
 
 
 def _nearest_branch(probabilities: Sequence[float], index: int) -> int:
@@ -196,27 +178,26 @@ class SampleDraw:
     ``reuse_union_estimates`` on, its weights hold for the whole run when
     every non-empty branch is a singleton (a one-set union is its stored
     size), otherwise within the batch that derived them (the union cache
-    fixes them there); with it off, never.  A replay consumes the one
-    ``random()`` and divides ``phi`` by the same ``weight / total`` as a
-    derivation, so only ``union_cache_hits`` tells them apart: a replay
-    counts one hit per non-empty branch, as the cached estimates it stands
-    for would have.
+    fixes them there); with it off, never.  A replay consumes the same
+    ``random()`` (none at a forced step) and divides ``phi`` by the same
+    ``weight / total`` as a derivation, so only ``union_cache_hits`` tells
+    them apart: a replay counts one hit per non-empty branch, as the cached
+    estimates it stands for would have.
 
     A *forced* step has one branch with ``weight / total == 1.0`` and all
-    others at exactly 0.0: every point the ``random()`` can pick bisects onto
-    that branch or onto one of probability 0.0, from which the nearest-branch
-    fallback leads to it, and ``phi`` is divided by 1.0.  The walk therefore
-    takes it without drawing, and owes the generator one ``random()`` per
-    forced step it crossed.  It pays that debt, in one ``getrandbits`` call
-    for an exact ``random.Random``, before anything else reads the
-    generator: a derivation, the next non-forced step and the final
-    rejection test.  A run of two or more forced steps walked with no
-    derivation between them is recorded in :attr:`StepTable.jumps`,
-    extending the jump it ended in, so the next draw through its head
-    crosses the whole run with one lookup.  A jump is stamped like a step:
-    whole-run if every step it skips is, else with the batch that built it.
-    Words, ``phi``, generator states and :class:`SamplerStatistics` equal a
-    step-by-step replay.
+    others at exactly 0.0: the pick is certain and ``phi`` is divided by
+    1.0, so the walk takes the branch without a ``random()`` call.  A draw
+    calls ``random()`` once per non-forced step, plus its derivations'
+    union trials, plus one acceptance test unless ``phi`` overflows.  A run
+    of two or more forced steps walked with no derivation between them is
+    recorded in :attr:`StepTable.jumps`, extending the jump it ended in, so
+    the next draw through its head crosses the whole run with one lookup.
+    A jump is stamped like a step: whole-run if every step it skips is,
+    else with the batch that built it.  Once the batch holds a valid jump
+    from its start to level 0, the start's slice holds one word and each
+    remaining draw is its acceptance test alone.  Words, ``phi``,
+    generator states and :class:`SamplerStatistics` equal a step-by-step
+    replay.
 
     The backward walk tracks the current state set as an opaque engine
     handle (an integer mask on the bitset backend), so one level of the walk
@@ -280,45 +261,57 @@ class SampleDraw:
         # long words quadratic): ``reversed_word`` holds ``level -
         # current_level`` symbols.  Each non-forced level consumes one
         # ``random()`` for the symbol choice plus whatever a derivation's
-        # union estimates consume; the ``pending`` draws of forced levels
-        # are paid in bulk.  The counters are written to :attr:`statistics`
-        # once, also when a draw raises: its replay hits so far count too.
-        # ``batch`` stamps the steps and jumps this call derives, and
-        # ``union_cache`` memoises its union estimates.
+        # union estimates consume; forced levels consume nothing.  The
+        # counters are written to :attr:`statistics` once, also when a draw
+        # raises: its replay hits so far count too.  ``batch`` stamps the
+        # steps and jumps this call derives, and ``union_cache`` memoises
+        # its union estimates.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
-        rng = self.rng
-        rng_random = rng.random
-        # A draw's last forced steps are paid as ``_advance`` would pay them.
-        getrandbits = rng.getrandbits if type(rng) is random.Random else None
+        rng_random = self.rng.random
         batch = object()
         union_cache: Dict[Tuple[int, object], float] = {}
         jumps = self.steps.jumps
         start = self.unroll.engine.encode(states)
+        head = (level, start)
         words: List[Word] = []
         draws = overflows = rejections = no_mass = cache_hits = 0
         try:
             while draws < attempts and len(words) < needed:
+                jump = jumps.get(head)
+                if jump is not None and jump[1] == level and (
+                    jump[0] is batch or jump[0] is _WHOLE_RUN
+                ):
+                    # The start's slice holds one word: every draw left
+                    # would cross this jump to level 0 and draw nothing
+                    # before the acceptance test, so the test is all it is.
+                    _, _, _, hits, symbols = jump
+                    word = tuple(symbols[:level])
+                    while draws < attempts and len(words) < needed:
+                        draws += 1
+                        cache_hits += hits
+                        if gamma0 > 1.0:
+                            overflows += 1
+                        elif rng_random() < gamma0:
+                            words.append(word)
+                        else:
+                            rejections += 1
+                    break
                 draws += 1
                 phi = gamma0
                 reversed_word: List[Symbol] = []
                 current = start
                 current_level = level
-                pending = 0
                 # The forced steps walked since the last derivation, jump or
-                # ordinary step, and the handle heading them.  A derivation
-                # ends the run, so an open run always leaves draws pending.
+                # ordinary step, and the handle heading them.
                 run: Optional[List[tuple]] = None
                 run_head: object = None
                 while current_level:
                     entry = levels[current_level].get(current)
                     if entry is None or (entry[0] is not batch and entry[0] is not _WHOLE_RUN):
-                        if pending:
-                            self._settle(
-                                current_level, run_head, run, reversed_word, current, pending
-                            )
+                        if run is not None:
+                            self._settle(current_level, run_head, run, reversed_word, current)
                             run = None
-                            pending = 0
                         entry = self._derive_step(
                             current, current_level, entry, beta, eta_prime, batch, union_cache
                         )
@@ -338,7 +331,6 @@ class SampleDraw:
                                     run = None
                                 _, skipped, current, hits, symbols = jump
                                 cache_hits += hits
-                                pending += skipped
                                 reversed_word.extend(symbols[skipped - 1::-1])
                                 current_level -= skipped
                                 continue
@@ -349,15 +341,13 @@ class SampleDraw:
                             run = [entry]
                         else:
                             run.append(entry)
-                        pending += 1
                         reversed_word.append(alphabet[forced])
                         current = entry[1][forced]
                         current_level -= 1
                         continue
-                    if pending:
-                        self._settle(current_level, run_head, run, reversed_word, current, pending)
+                    if run is not None:
+                        self._settle(current_level, run_head, run, reversed_word, current)
                         run = None
-                        pending = 0
                     _, branches, cumulative, total, probabilities, _, _ = entry
                     # The first running sum >= point is where a linear ``point
                     # <= running`` scan stops; past the last one (``sum()`` may
@@ -378,18 +368,8 @@ class SampleDraw:
                     current_level -= 1
                 else:
                     # Base case (level 0), reached unless a step had no mass.
-                    # ``_settle`` inlined: nearly every ``wide-fpras`` draw
-                    # ends in a forced run, and a call fewer per draw measured
-                    # 11% more counts/s there (2-CPU host, CPython 3.11.7).
-                    if pending:
-                        if run is not None and len(run) > 1:
-                            self._record_jump(
-                                0, run_head, run, reversed_word, (_WHOLE_RUN, 0, current, 0, [])
-                            )
-                        if getrandbits is None:
-                            _advance(rng, pending)
-                        else:
-                            getrandbits(64 * pending)
+                    if run is not None:
+                        self._settle(0, run_head, run, reversed_word, current)
                     if phi > 1.0:
                         overflows += 1
                     elif rng_random() < phi:
@@ -414,21 +394,19 @@ class SampleDraw:
         self,
         level: int,
         head: object,
-        run: Optional[List[tuple]],
+        run: List[tuple],
         reversed_word: List[Symbol],
         landing: object,
-        pending: int,
     ) -> None:
-        """Pay the ``pending`` draws owed to the generator, and record the
-        forced ``run`` (if any) that ended at handle ``landing`` on ``level``.
+        """Record the forced ``run``, walked from handle ``head``, that ended
+        at handle ``landing`` on ``level``.
 
         A jump over one step would save nothing.
         """
-        if run is not None and len(run) > 1:
+        if len(run) > 1:
             self._record_jump(
                 level, head, run, reversed_word, (_WHOLE_RUN, 0, landing, 0, [])
             )
-        _advance(self.rng, pending)
 
     def _record_jump(
         self,

@@ -1,6 +1,6 @@
 """Experiment registry (E1 … E8) and runners.
 
-Each experiment corresponds to one row of the experiment index in DESIGN.md
+Each experiment is one entry of the :data:`EXPERIMENTS` registry below
 and regenerates one "table or figure" worth of data — here, since the paper
 is purely theoretical, one quantitative claim of the paper or one of the
 application scenarios from its introduction.  Runners return an

@@ -385,11 +385,21 @@ class CountingServer:
         if not isinstance(stream, bool):
             raise _RequestError(400, "'stream' must be a boolean")
         knobs: Dict[str, object] = dict(options)
-        for field in ("method", "epsilon", "delta", "seed", "backend", "workers"):
+        for field in ("method", "epsilon", "delta", "seed"):
             if field in body:
                 knobs[field] = body[field]
+        # Execution knobs travel as one policy built from the pinned one, as
+        # it applies to the method (pinned workers fall back to 1 for a
+        # method without worker support).
+        execution = {name: knobs.pop(name) for name in POLICY_OPTION_NAMES if name in knobs}
+        for field in ("backend", "workers"):
+            if field in body:
+                execution[field] = body[field]
         try:
             nfa = nfa_from_dict(automaton)
+            if execution:
+                pinned = self._session.request(knobs.get("method")).execution_policy()
+                knobs["policy"] = pinned.with_overrides(**execution)
             request = self._session.request(**knobs)
         except (ReproError, TypeError, ValueError) as exc:
             raise _RequestError(400, str(exc)) from None

@@ -3,9 +3,9 @@
 A :class:`Workload` is one #NFA instance (an automaton plus a target length
 and accuracy) with a stable name; a :class:`WorkloadSuite` is an ordered list
 of workloads.  The suites below are the concrete inputs of the experiments
-indexed in DESIGN.md / EXPERIMENTS.md, replacing the (non-existent) benchmark
-suite of the paper with named synthetic families whose ground truth is
-computable.
+E1 … E8 registered in :data:`repro.harness.experiments.EXPERIMENTS`,
+replacing the (non-existent) benchmark suite of the paper with named
+synthetic families whose ground truth is computable.
 """
 
 from __future__ import annotations

@@ -81,8 +81,9 @@ def long_word_scale() -> ParameterScale:
     single-predecessor chain every union is a singleton, answered by its
     stored size, so the level transition does no membership or sample
     reads, and every descent step holds for the whole run once derived.
-    Each of those steps is forced, so a draw crosses the chain below its
-    start with one jump and one bulk generator advance (see
+    Each of those steps is forced and draws nothing, so every slice holds
+    one word, and once a batch holds the jump from its start to level 0
+    each of its draws is one acceptance test (see
     :class:`~repro.counting.sampler.SampleDraw`).
     """
     return ParameterScale(

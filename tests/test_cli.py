@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -83,3 +89,34 @@ class TestCommands:
     def test_experiment_unknown_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize(
+        "arguments, named",
+        [
+            (["parity", "--family-arg", "bogus=2"], "unexpected keyword argument 'bogus'"),
+            (["substring"], "missing a required argument: 'pattern'"),
+        ],
+        ids=["unknown-parameter", "missing-parameter"],
+    )
+    def test_family_parameters_the_builder_does_not_take(self, capsys, arguments, named):
+        assert main(["count", *arguments, "--length", "4"]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1 and error.startswith("error: family ")
+        assert named in error and "takes parameters [" in error
+
+    def test_reader_closing_stdout_leaves_no_traceback(self):
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        environment = dict(os.environ, PYTHONPATH=source)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "families"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=environment,
+        )
+        process.stdout.close()
+        with process.stderr:
+            error = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 1
+        assert "Traceback" not in error and "BrokenPipeError" not in error

@@ -98,10 +98,10 @@ class TestFprasParity:
             seed=SEED,
             scale=ParameterScale.practical(sample_cap=10, union_trial_cap=12),
         )
-        assert report.estimate == 121.00578703703704
+        assert report.estimate == 147.67881944444443
         assert report.raw.union_calls == 51
         assert report.raw.membership_calls == 1332
-        assert report.raw.sample_draws == 1145
+        assert report.raw.sample_draws == 1067
         assert report.details["ns"] == 10
         assert report.details["xns"] == 60
 

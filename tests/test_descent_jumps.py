@@ -1,16 +1,19 @@
 """Forced steps and jumps in the sampler descent.
 
-A *forced* step has one branch with positive weight and ``weight / total ==
-1.0``.  :class:`~repro.counting.sampler.SampleDraw` takes it without a
-``random()`` call, pays the owed calls in bulk before anything else reads
-the generator, and crosses a whole run of forced steps with one lookup in
-:attr:`~repro.counting.sampler.StepTable.jumps`.  The differential tests in
-``tests/test_descent_steps.py`` run it on automata with forced runs (its
-``blocks`` cases) against :class:`ReferenceDraw`; this module adds runs of
-the unary chain and of ``blocks_nfa(8)``, a check that every jump stands
-for the steps it skips, and the edge cases.  :class:`StepwiseDraw` replays
-the step table one level and one ``random()`` at a time, so unlike the
-reference it counts the ``union_cache_hits`` of whole-run replays.
+A *forced* step has one branch with ``weight / total == 1.0`` and every
+other at exactly 0.0, so its pick is certain:
+:class:`~repro.counting.sampler.SampleDraw` takes it without a ``random()``
+call and crosses a whole run of forced steps with one lookup in
+:attr:`~repro.counting.sampler.StepTable.jumps`.  When a jump crosses every
+level from a batch's start, the start's slice holds one word, and the
+batch's remaining draws are acceptance tests alone.  The differential
+tests in ``tests/test_descent_steps.py`` run it on automata with forced
+runs (its ``blocks`` cases) against :class:`ReferenceDraw`; this module
+adds runs of the unary chain and of ``blocks_nfa(8)``, one-word slices, a
+check that every jump stands for the steps it skips, and the edge cases.
+:class:`StepwiseDraw` replays the step table one level at a time, so
+unlike the reference it counts the ``union_cache_hits`` of whole-run
+replays.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ import pytest
 from test_descent_steps import (
     BACKENDS,
     CASES,
+    CUTS,
     SCALES,
     ReferenceDraw,
     _batches,
     _finished_counter,
+    _forced,
     _run_with,
 )
 
-from repro.automata.families import blocks_nfa
+from repro.automata.families import blocks_nfa, divisibility_nfa
 from repro.automata.nfa import NFA
 from repro.cli import main
 from repro.counting import sampler as sampler_module
@@ -42,8 +47,8 @@ PRACTICAL = SCALES["practical"]
 
 
 class StepwiseDraw(ReferenceDraw):
-    """The step-table descent without forced steps or jumps, batched one
-    draw at a time like :class:`ReferenceDraw`."""
+    """The step-table descent without jumps, one level at a time, batched
+    one draw at a time like :class:`ReferenceDraw`."""
 
     def _descend(self, level, states, gamma0, beta, eta, batch, union_cache):
         self.statistics.draws += 1
@@ -65,10 +70,13 @@ class StepwiseDraw(ReferenceDraw):
             else:
                 self.statistics.union_cache_hits += entry[5]
             _, branches, cumulative, total, probabilities, _, _ = entry
-            point = self.rng.random() * total
-            index = min(bisect_left(cumulative, point), len(alphabet) - 1)
-            if probabilities[index] == 0.0:
-                index = sampler_module._nearest_branch(probabilities, index)
+            if _forced(probabilities):
+                index = probabilities.index(1.0)
+            else:
+                point = self.rng.random() * total
+                index = min(bisect_left(cumulative, point), len(alphabet) - 1)
+                if probabilities[index] == 0.0:
+                    index = sampler_module._nearest_branch(probabilities, index)
             phi /= probabilities[index]
             word.insert(0, alphabet[index])
             current = branches[index]
@@ -83,8 +91,7 @@ class StepwiseDraw(ReferenceDraw):
 
 
 class CountingRandom(random.Random):
-    """A generator subclass overriding ``random()``: bulk advances must
-    call it once per owed draw."""
+    """A generator subclass overriding ``random()``, counting its calls."""
 
     calls = 0
 
@@ -146,7 +153,9 @@ def test_blocks_run_matches_reference(store, monkeypatch):
     )
 
 
-def test_random_subclass_calls_random_per_owed_draw():
+def test_random_subclass_calls_random_as_the_reference_does():
+    """A subclass's ``random()`` is called once per non-forced step, union
+    trial draw and acceptance test, as the reference calls it."""
     counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, "bitset")
     generators = {name: CountingRandom(3) for name in ("memoised", "reference")}
     steps = StepTable(counter.length)
@@ -160,9 +169,10 @@ def test_random_subclass_calls_random_per_owed_draw():
 
 
 @pytest.mark.parametrize("cut", [(40, 3), (4, 3)])
-def test_random_subclass_batches_call_random_per_owed_draw(cut):
-    """A batch call pays each draw's last forced steps with one ``random()``
-    per step on a subclass, as single reference draws consume them."""
+def test_random_subclass_batches_call_random_as_the_reference_does(cut):
+    """A batch call calls a subclass's ``random()`` once per non-forced
+    step, union trial draw and acceptance test, as single reference draws
+    call it."""
     counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, "bitset")
     generators = {name: CountingRandom(3) for name in ("memoised", "reference")}
     steps = StepTable(counter.length)
@@ -180,10 +190,13 @@ def test_random_subclass_batches_call_random_per_owed_draw(cut):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exception_mid_batch_counts_the_replay_hits_collected(backend, monkeypatch):
     """Under ``practical`` the first draw from ``start`` derives all 16 of
-    its steps, and the second replays two before it derives a new one, so
-    ``_derive_step`` raising on its 17th call ends the batch in its second
-    draw.  The batch counts that draw's two replay hits, as the stepwise
-    descent does step by step, and leaves the generator as it does."""
+    its steps (its word is all ones).  The second replays the branch point
+    at level 16 (two hits), its first block's three forced steps (one hit
+    each) and the branch point at level 12 (two hits), then turns into a
+    ``0`` block and derives a new step, so ``_derive_step`` raising on its
+    17th call ends the batch in its second draw.  The batch counts that
+    draw's seven replay hits, as the stepwise descent does step by step,
+    and leaves the generator as it does."""
     counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, backend)
     beta, eta, _, _ = counter.derived_parameters()
     gamma0 = counter.parameters.gamma0(counter.estimates[("start", 16)])
@@ -209,16 +222,7 @@ def test_exception_mid_batch_counts_the_replay_hits_collected(backend, monkeypat
 
     state, statistics = interrupted(SampleDraw)
     assert (state, statistics) == interrupted(StepwiseDraw)
-    assert statistics["draws"] == 2 and statistics["union_cache_hits"] == 2
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 1000, 20000])
-def test_bulk_advance_equals_random_calls(count):
-    bulk, stepwise = random.Random(9), random.Random(9)
-    sampler_module._advance(bulk, count)
-    for _ in range(count):
-        stepwise.random()
-    assert bulk.getstate() == stepwise.getstate()
+    assert statistics["draws"] == 2 and statistics["union_cache_hits"] == 7
 
 
 def test_inf_estimate_stays_on_ordinary_path():
@@ -342,6 +346,115 @@ def test_whole_run_jumps_survive_batches():
     assert counter.unroll.engine_counters()["pre_ops"] == pre_ops
 
 
+class _CountingGets(dict):
+    """A level of the step table that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *arguments):
+        self.gets += 1
+        return super().get(*arguments)
+
+
+@pytest.mark.parametrize("head_jump", ["recorded", "dropped"])
+def test_one_word_batch_reads_no_step_after_its_first_draw(head_jump):
+    """The unary chain's slice at level 200 holds one word.  A batch that
+    holds the run's jump from its start to level 0 draws acceptance tests
+    alone; without that jump its first draw walks, records it, and the rest
+    are tests.  Words, generator and statistics are the stepwise descent's,
+    which reads the start's step on every draw."""
+    counter = _finished_counter(unary_loop_nfa(), 200, long_word_scale(), "bitset")
+    steps = counter._steps
+    handle = counter.unroll.engine.encode(frozenset({"q"}))
+    if head_jump == "dropped":
+        del steps.jumps[(200, handle)]
+    beta, eta, _, _ = counter.derived_parameters()
+    observed, reads = [], []
+    for drawer_class in (StepwiseDraw, SampleDraw):
+        steps.levels[200] = level = _CountingGets(steps.levels[200])
+        drawer = drawer_class(
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(8), steps=steps,
+        )
+        words = drawer.draw(200, frozenset({"q"}), 0.5, beta, eta, attempts=40, needed=40)
+        observed.append((words, drawer.rng.getstate(), drawer.statistics))
+        reads.append(level.gets)
+    assert observed[0] == observed[1]
+    assert reads == [40, 0 if head_jump == "recorded" else 1]
+    assert steps.jumps[(200, handle)][1] == 200
+    words, _, statistics = observed[1]
+    assert 0 < len(words) < 40 and statistics.union_cache_hits == 40 * 200
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cut", [None, *sorted(CUTS)])
+def test_one_word_slices_match_stepwise_draws(cut, backend):
+    """Every slice of ``divisibility_nfa(320)`` at ``n = 4`` holds one word,
+    so a batch from level 2 up turns to acceptance tests once it holds a
+    jump to level 0."""
+    counter = _finished_counter(divisibility_nfa(320), 4, PRACTICAL, backend)
+    steps = StepTable(counter.length)
+    cut = CUTS.get(cut)
+    memoised = _batches(counter, SampleDraw, PRACTICAL, steps=steps, cut=cut, exact_hits=True)
+    stepwise = _batches(counter, StepwiseDraw, PRACTICAL, cut=cut, exact_hits=True)
+    assert memoised == stepwise
+    assert any(jump[1] == level for (level, _), jump in steps.jumps.items())
+    assert any(words for draws, _, _ in memoised for words in draws)
+
+
+def _one_word_through_a_union():
+    """``01`` is the one word: its step at level 2 weighs the two-set union
+    of ``L(a^1)`` and ``L(b^1)``, so it and a jump over it hold only for the
+    batch that derived them."""
+    transitions = [("s", "0", "a"), ("s", "0", "b"), ("a", "1", "q"), ("b", "1", "q")]
+    return NFA.build(transitions, initial="s", accepting=["q"])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
+    """In a first ``draw`` call the first draw derives both steps, the
+    second replays them and records the batch's jump, and the other ten are
+    acceptance tests.  That jump is stale for a second call: its first draw
+    derives the step at level 2 again, replays the whole-run one at level 1
+    and records a new jump, and the other eleven are acceptance tests."""
+    counter = _finished_counter(_one_word_through_a_union(), 2, PRACTICAL, backend)
+    beta, eta, _, _ = counter.derived_parameters()
+    gamma0 = counter.parameters.gamma0(counter.estimates[("q", 2)])
+    observed, reads = [], []
+    for drawer_class in (StepwiseDraw, SampleDraw):
+        drawer = drawer_class(
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(3),
+        )
+        calls = []
+        for _ in range(2):
+            drawer.steps.levels[2] = level = _CountingGets(drawer.steps.levels[2])
+            words = drawer.draw(2, frozenset({"q"}), gamma0, beta, eta, attempts=12, needed=12)
+            calls.append((words, drawer.rng.getstate(), dataclasses.replace(drawer.statistics)))
+            reads.append(level.gets)
+        observed.append(calls)
+    assert observed[0] == observed[1]
+    assert reads == [12, 12, 2, 1]
+    (jump,) = drawer.steps.jumps.values()
+    assert jump[1] == 2 and jump[0] is not sampler_module._WHOLE_RUN
+    assert drawer.statistics.union_calls == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_word_batches_overflowing_phi_leave_the_generator(backend):
+    """With eight times Algorithm 3's ``gamma0`` (above 1) every draw from a
+    one-word slice overflows before its acceptance test: no batch touches
+    the generator, as in the stepwise descent."""
+    counter = _finished_counter(divisibility_nfa(320), 4, PRACTICAL, backend)
+    options = dict(cut=(12, 4), gamma_factor=8.0, exact_hits=True)
+    memoised = _batches(counter, SampleDraw, PRACTICAL, **options)
+    assert memoised == _batches(counter, StepwiseDraw, PRACTICAL, **options)
+    untouched = random.Random(11).getstate()
+    for words, state, statistics in memoised:
+        assert words == [] and state == untouched
+        assert statistics["failures_phi_overflow"] == statistics["draws"] == 12
+
+
 def test_chain_jumps_share_one_symbols_list():
     """The unary chain's jumps hold its ``n`` symbols once, not ``O(n^2)``."""
     counter = _finished_counter(
@@ -361,8 +474,8 @@ def test_sample_cli_words_are_pinned(capsys):
         "--seed", "3", "--count", "4",
     ]) == 0
     assert capsys.readouterr().out.strip().splitlines()[-4:] == [
-        "0000000000000000111111110000000011111111000000001111111100000000",
-        "0000000011111111000000000000000011111111111111111111111111111111",
-        "1111111111111111111111111111111100000000000000001111111100000000",
-        "1111111111111111111111111111111100000000111111111111111111111111",
+        "1111111100000000000000000000000000000000111111110000000011111111",
+        "1111111111111111000000000000000000000000000000001111111111111111",
+        "1111111100000000000000000000000011111111111111111111111100000000",
+        "1111111111111111000000001111111100000000111111111111111111111111",
     ]

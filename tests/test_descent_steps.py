@@ -61,8 +61,15 @@ CASES["blocks8-n40"] = (lambda: blocks_nfa(8), 40)
 CUTS = {"needed-first": (40, 2), "attempts-first": (4, 3)}
 
 
+def _forced(probabilities):
+    """Whether one branch has probability exactly 1.0 and every other
+    exactly 0.0: the pick is certain, so the step draws no ``random()``."""
+    return 1.0 in probabilities and probabilities.count(0.0) == len(probabilities) - 1
+
+
 class ReferenceDraw(SampleDraw):
-    """The descent without a step table: every visit derives its step.
+    """The descent without a step table: every visit derives its step, and
+    a forced one takes its certain branch without a ``random()`` call.
 
     A call is one batch, with its own stamp and union memo: it makes up to
     ``attempts`` single draws, one at a time, and stops at the ``needed``-th
@@ -104,14 +111,18 @@ class ReferenceDraw(SampleDraw):
             if total <= 0.0:
                 self.statistics.failures_no_mass += 1
                 return None
-            point = self.rng.random() * total
-            running = 0.0
-            index = len(weights) - 1
-            for position, weight in enumerate(weights):
-                running += weight
-                if point <= running:
-                    index = position
-                    break
+            probabilities = [weight / total for weight in weights]
+            if _forced(probabilities):
+                index = probabilities.index(1.0)
+            else:
+                point = self.rng.random() * total
+                running = 0.0
+                index = len(weights) - 1
+                for position, weight in enumerate(weights):
+                    running += weight
+                    if point <= running:
+                        index = position
+                        break
             phi /= weights[index] / total
             word.insert(0, alphabet[index])
             current = fan[index]
@@ -142,7 +153,10 @@ def _statistics(statistics, scale):
     return fields
 
 
-def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0):
+def _batches(
+    counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0,
+    exact_hits=False,
+):
     """Algorithm 3's sampling batches, replayed over a finished run's tables.
 
     One drawer per (level, live state), all sharing one RNG stream
@@ -150,7 +164,8 @@ def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma
     table (a fresh one unless given).  Each is called ``xns`` times for one
     draw, each call its own batch, or with ``cut=(attempts, needed)`` once
     as ``draw(..., attempts=attempts, needed=needed)``.  Each draw starts
-    with ``gamma_factor`` times Algorithm 3's ``gamma0``.
+    with ``gamma_factor`` times Algorithm 3's ``gamma0``.  ``exact_hits``
+    keeps ``union_cache_hits``, which drawers on a step table count alike.
     """
     rng = random.Random(11) if rng is None else rng
     parameters = dataclasses.replace(counter.parameters, scale=scale)
@@ -170,7 +185,12 @@ def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma
             else:
                 attempts, needed = cut
                 words = drawer.draw(*arguments, attempts=attempts, needed=needed)
-            observed.append((words, rng.getstate(), _statistics(drawer.statistics, scale)))
+            statistics = (
+                dataclasses.asdict(drawer.statistics)
+                if exact_hits
+                else _statistics(drawer.statistics, scale)
+            )
+            observed.append((words, rng.getstate(), statistics))
     return observed
 
 
@@ -297,13 +317,13 @@ def test_sample_cli_words_with_derived_steps_are_pinned(backend, capsys):
         "--length", "6", "--seed", "3", "--count", "6", "--backend", backend,
     ]) == 0
     assert capsys.readouterr().out.strip().splitlines() == [
-        "estimated |L(A_6)| = 60.25",
-        "011000",
-        "001010",
+        "estimated |L(A_6)| = 61.05",
+        "101011",
+        "111000",
+        "001001",
+        "101110",
+        "001000",
         "100111",
-        "011000",
-        "000100",
-        "010000",
     ]
 
 

@@ -355,9 +355,12 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
     # mirroring how inapplicable pinned options are dropped.
     exact = session.count(substring_101_nfa, 6, method="exact")
     assert exact.exact
-    # Explicit per-call workers on an unsupported method still fail loudly.
+    # An explicit per-call policy with workers on an unsupported method
+    # still fails loudly.
     with pytest.raises(CountingMethodError):
-        session.count(substring_101_nfa, 6, method="exact", workers=2)
+        session.count(
+            substring_101_nfa, 6, method="exact", policy=ExecutionPolicy(workers=2)
+        )
     assert session.describe()["workers"] == 2
 
 

@@ -188,6 +188,21 @@ class TestPolicySpelling:
                 CountingMethodError,
                 r"session option\(s\) \['workers'\] are not accepted",
             ),
+            (
+                lambda nfa: CountingSession(seed=1).count(nfa, 4, backend="reference"),
+                CountingMethodError,
+                r"does not accept option\(s\) \['backend'\]",
+            ),
+            (
+                lambda nfa: CountingSession(seed=1).count(nfa, 4, use_engine_cache=False),
+                CountingMethodError,
+                r"does not accept option\(s\) \['use_engine_cache'\]",
+            ),
+            (
+                lambda nfa: CountingSession(seed=1).count(nfa, 4, workers=2),
+                CountingMethodError,
+                r"does not accept option\(s\) \['workers'\]",
+            ),
         ],
         ids=[
             "count-backend",
@@ -195,6 +210,9 @@ class TestPolicySpelling:
             "count-store",
             "session-store",
             "session-workers",
+            "session-call-backend",
+            "session-call-use-engine-cache",
+            "session-call-workers",
         ],
     )
     def test_flat_execution_kwargs_raise_typed_errors(
@@ -232,6 +250,18 @@ class TestPolicySpelling:
         # A method that does not accept the store option drops it.
         assert "store" not in session.request(method="exact").options
         assert session.count(parity_nfa_2, 4, method="exact").raw > 0
+
+    def test_call_policy_replaces_the_pinned_one(self, parity_nfa_2):
+        session = CountingSession(
+            seed=1, policy=ExecutionPolicy(backend="bitset", store="windowed")
+        )
+        report = session.count(
+            parity_nfa_2, 4, policy=ExecutionPolicy(backend="reference")
+        )
+        assert report.backend == "reference"
+        request = session.request(policy=ExecutionPolicy(backend="reference"))
+        assert request.backend == "reference" and "store" not in request.options
+        assert report.estimate == count(parity_nfa_2, 4, seed=1).estimate
 
 
 class TestMethodCapabilities:

@@ -28,14 +28,14 @@ SEED = 7
 
 #: Locked counter values for the fixed instance, seed and parameters.
 EXPECTED = {
-    "estimate": 121.00578703703704,
+    "estimate": 147.67881944444443,
     # One-set unions are read directly, so only multi-set unions count.
     "union_calls": 51,
     # A coverage count asks every set of the union about each trial's sample.
     "membership_calls": 1332,
-    "sample_draws": 1145,
-    "sample_successes": 290,
-    "padded_states": 0,
+    "sample_draws": 1067,
+    "sample_successes": 288,
+    "padded_states": 2,
     "ns": 10,
     "xns": 60,
 }
@@ -44,17 +44,17 @@ EXPECTED = {
 #: ``decode_ops`` is excluded — it is representation-specific by design).
 EXPECTED_ENGINE = {
     # The live-set unrolling plus the reachability cache's steps.
-    "step_ops": 102,
+    "step_ops": 97,
     # Fans are computed once per (level, handle) per run.
     "pre_ops": 94,
     # Only samples some coverage count asked about, and their prefixes.
-    "cache_words": 95,
+    "cache_words": 90,
     # Each union plan looks a stored sample up once per run, when a trial
     # first draws it.
-    "cache_lookups": 265,
+    "cache_lookups": 269,
     # A stored sample's reachable set is simulated on first use, never
     # for a sample no union trial draws.
-    "simulated_steps": 94,
+    "simulated_steps": 89,
 }
 
 
