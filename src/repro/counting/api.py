@@ -84,6 +84,11 @@ SeedLike = Union[None, int, random.Random]
 #: The method used when a request / session does not name one.
 DEFAULT_METHOD = "fpras"
 
+#: Baseline options checked where a request is built: a positive ``int``
+#: (bools rejected) or ``None`` — the default ``num_samples``, and no
+#: enumeration ``limit``.
+POSITIVE_INT_OPTIONS = ("num_samples", "limit")
+
 
 # ----------------------------------------------------------------------
 # Request and report
@@ -175,6 +180,14 @@ class CountRequest:
             raise ParameterError("options must be a mapping of option names to values")
         if any(not isinstance(key, str) for key in options):
             raise ParameterError("option names must be strings")
+        for name in POSITIVE_INT_OPTIONS:
+            value = options.get(name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                raise ParameterError(
+                    f"{name} must be a positive integer or None (got {value!r})"
+                )
         if self.policy is not None:
             if not isinstance(self.policy, ExecutionPolicy):
                 raise ParameterError(

@@ -10,8 +10,12 @@ density, is interesting.  The scaling benchmarks plot this contrast.
 
 This module never spells words out as symbol tuples: :func:`draw_words`
 returns a block of them as a ``(count, length)`` matrix of positions in
-``nfa.alphabet``, and :meth:`~repro.automata.engine.Engine.accepts_batch`
-takes that matrix as it is.
+``nfa.alphabet``, drawn by NumPy's ``MT19937`` from the ``random.Random``
+stream's own Mersenne Twister state (so the words and the stream's final
+state are those of a ``rng.choice`` loop), and
+:meth:`~repro.automata.engine.Engine.accepts_batch` takes that matrix as
+it is.  A block is 8192 words, or ``2**18`` positions when that is more
+words, so a run of short words shares one trie walk.
 """
 
 from __future__ import annotations
@@ -25,6 +29,13 @@ import numpy as np
 from repro.automata.engine import Engine
 from repro.automata.nfa import NFA
 from repro.errors import ParameterError
+
+#: Fewest words in one :func:`run_montecarlo` block.
+BLOCK_WORDS = 8192
+#: Most positions in one block once it holds more than :data:`BLOCK_WORDS`
+#: words: ``8192 * 32``, so a block of words under 32 symbols holds no more
+#: positions than an 8192-word block at ``n = 32``.
+BLOCK_POSITIONS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,14 @@ def draw_words(
     a ``size``-symbol alphabet return, and ``rng`` is left in the same
     state those calls leave it in.
 
-    For a plain :class:`random.Random` the draws come straight from the
-    Mersenne Twister in bulk: ``getrandbits(32 * k)`` yields ``k`` 32-bit
-    outputs, lowest word first; ``choice`` keeps an output's top
+    For a plain :class:`random.Random` the draws come from NumPy's
+    :class:`~numpy.random.MT19937`, which runs the same Mersenne Twister:
+    it is loaded with ``rng``'s 624 key words and index (from
+    ``getstate()``), its 32-bit outputs are taken in bulk with
+    ``random_raw``, and its advanced state is written back with
+    ``setstate`` (``gauss_next`` kept).  ``choice`` keeps an output's top
     ``size.bit_length()`` bits when they fall below ``size`` (the filter
-    of ``Random._randbelow``) and otherwise draws again.  Each bulk pull
+    of ``Random._randbelow``) and otherwise draws again; each bulk pull
     asks only for the shortfall, so it never reads past the last output
     the scalar loop would read.  Subclasses (which may override
     ``random`` or ``getrandbits``) and alphabets of ``2**32`` or more
@@ -83,18 +97,26 @@ def draw_words(
         positions = range(size)
         flat = [rng.choice(positions) for _ in range(draws)]
         return np.array(flat, dtype=np.intp).reshape(count, length)
-    shift = 32 - bits
-    kept = [np.empty(0, dtype=np.intp)]
-    shortfall = draws
-    while shortfall:
-        outputs = np.frombuffer(
-            rng.getrandbits(32 * shortfall).to_bytes(4 * shortfall, "little"),
-            dtype="<u4",
-        ) >> shift
-        accepted = outputs[outputs < size]
-        kept.append(accepted.astype(np.intp))
-        shortfall -= len(accepted)
-    return np.concatenate(kept).reshape(count, length)
+    words = np.empty(draws, dtype=np.intp)
+    if draws:
+        version, internal, gauss_next = rng.getstate()
+        twister = np.random.MT19937(0)  # seeded only to be overwritten
+        key = np.array(internal[:-1], dtype=np.uint32)
+        twister.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": key, "pos": internal[-1]},
+        }
+        shift = 32 - bits
+        filled = 0
+        while filled < draws:
+            outputs = twister.random_raw(draws - filled)
+            outputs >>= shift
+            kept = outputs.compress(outputs < size)
+            words[filled : filled + len(kept)] = kept
+            filled += len(kept)
+        state = twister.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return words.reshape(count, length)
 
 
 def run_montecarlo(
@@ -112,12 +134,15 @@ def run_montecarlo(
     ``repro.count(..., method="montecarlo")`` instead of calling it
     directly.
 
-    Words are drawn in blocks of 8192 by :func:`draw_words` (consuming
-    the RNG stream exactly as the historical word-at-a-time loop did) and
-    each block is accepted by one
+    Words are drawn in blocks by :func:`draw_words` (consuming the RNG
+    stream exactly as the historical word-at-a-time loop did) and each
+    block is accepted by one
     :meth:`~repro.automata.engine.Engine.accepts_batch` call on its
     position matrix, so words sharing a prefix are simulated through it
-    once.  The drawn words and acceptance decisions — and therefore the
+    once.  A block is :data:`BLOCK_WORDS` words or :data:`BLOCK_POSITIONS`
+    positions, whichever is more words: words under 32 symbols share one
+    trie walk per ``2**18`` positions, and longer words keep 8192-word
+    blocks.  The drawn words and acceptance decisions — and therefore the
     estimate — are backend- and batching-independent for a fixed seed.
     """
     if length < 0:
@@ -126,9 +151,9 @@ def run_montecarlo(
         raise ParameterError("num_samples must be positive")
     size = len(nfa.alphabet)
     total_words = size**length
-    # Fixed-size blocks keep peak memory bounded regardless of num_samples;
+    # Bounded blocks keep peak memory bounded regardless of num_samples;
     # the block size also fixes the batch counters (one batch per block).
-    block_size = 8192
+    block_size = max(BLOCK_WORDS, BLOCK_POSITIONS // max(length, 1))
     hits = 0
     remaining = num_samples
     while remaining:

@@ -892,7 +892,7 @@ def run_fpras_sharded(
 #: Words drawn per coordinator wave (a multiple of the chunk size, so chunk
 #: boundaries are identical to chunking the whole stream at once).  Bounds
 #: coordinator memory at one wave of words regardless of ``num_samples`` —
-#: the parallel analogue of the serial loop's fixed-block drawing.  Drawing
+#: the parallel analogue of the serial loop's bounded-block drawing.  Drawing
 #: the same stream in differently sized blocks yields the same words.
 MC_WAVE_WORDS = 32 * MC_CHUNK_WORDS
 

@@ -290,6 +290,21 @@ class TestErrorPaths:
             count(nfa, 4, method="fpras", limit=10)
 
     @pytest.mark.parametrize(
+        "method, length, option, value",
+        [
+            ("montecarlo", 6, "num_samples", 2.5),
+            ("montecarlo", 6, "num_samples", True),
+            ("montecarlo", 6, "num_samples", "10"),
+            ("bruteforce", 6, "limit", "10"),
+            ("bruteforce", 0, "limit", True),  # not read as a limit of 1
+        ],
+    )
+    def test_integer_options_are_typed(self, method, length, option, value):
+        with pytest.raises(ParameterError) as excinfo:
+            count(substring_nfa("1"), length, method=method, **{option: value})
+        assert option in str(excinfo.value)
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"epsilon": 0.0},

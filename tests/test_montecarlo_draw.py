@@ -8,7 +8,8 @@ replaced, which are kept below as references:
   generator in the same state;
 * whole Monte-Carlo runs must reproduce the reference loop's estimate,
   hits, final generator state and batch counters on every backend, serial,
-  sharded and with a progress callback;
+  sharded and with a progress callback; a serial block is 8192 words, or
+  ``2**18`` positions when that is more words;
 * the numpy backend's vectorised trie walk must agree with the generic
   sorted walk, handle for handle and counter for counter.
 """
@@ -21,10 +22,11 @@ import numpy as np
 import pytest
 
 from repro.automata.engine import Engine, create_engine
+from repro.automata.families import substring_nfa
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import CountRequest, count_with_progress, dispatch
-from repro.counting.montecarlo import MonteCarloEstimate, draw_words
+from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
 from repro.counting.parallel import MC_CHUNK_WORDS
 from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
@@ -41,10 +43,11 @@ def reference_draw(rng, alphabet, length, count):
 
 
 def reference_run_montecarlo(nfa, length, num_samples, rng, engine):
-    """The historical ``run_montecarlo`` loop (8192-word tuple blocks)."""
+    """The historical ``run_montecarlo`` loop over tuple-word blocks."""
     alphabet = list(nfa.alphabet)
     total_words = len(alphabet) ** length
-    block_size = 8192
+    # 8192 words, or 2**18 positions when that is more words.
+    block_size = max(8192, 2**18 // max(length, 1))
     hits = 0
     remaining = num_samples
     while remaining:
@@ -108,6 +111,25 @@ def test_draw_matches_choice_loop_for_subclasses(rng_class, size):
     assert bulk.getstate() == scalar.getstate()
 
 
+@pytest.mark.parametrize("size", [2, 3, 257])
+def test_draw_from_a_used_generator(size):
+    # Index mid-block and gauss_next set: the draw starts where the stream
+    # stands and writes back gauss_next with the advanced twister state.
+    alphabet = _alphabet(size)
+    bulk, scalar = random.Random(size), random.Random(size)
+    for rng in (bulk, scalar):
+        for _ in range(100):
+            rng.random()
+        rng.gauss(0.0, 1.0)
+    assert bulk.getstate()[1][-1] not in (0, 624)
+    assert bulk.getstate()[2] is not None
+    matrix = draw_words(bulk, size, 7, 900)
+    expected = reference_draw(scalar, alphabet, 7, 900)
+    assert [tuple(alphabet[p] for p in row) for row in matrix.tolist()] == expected
+    assert bulk.getstate() == scalar.getstate()
+    assert bulk.gauss(0.0, 1.0) == scalar.gauss(0.0, 1.0)
+
+
 def test_draw_continues_a_stream_block_by_block():
     # Blocks of any size read one stream: 3 + 5 words equal 8 words.
     split, whole = random.Random(4), random.Random(4)
@@ -119,16 +141,16 @@ def test_draw_continues_a_stream_block_by_block():
 # ----------------------------------------------------------------------
 # Whole runs
 # ----------------------------------------------------------------------
-def _reference_run(nfa, length, num_samples, seed, chunk):
+def _reference_run(nfa, length, num_samples, seed, chunk=None):
     """Hits, final stream state and batch counters of the reference loop.
 
-    ``chunk`` is the accepts_batch size: the serial loop's 8192-word blocks
-    or the sharded executor's :data:`MC_CHUNK_WORDS`.  Counters are
-    backend-independent, so the reference engine answers for all.
+    ``chunk`` is the accepts_batch size: ``None`` for the serial loop's
+    blocks, or the sharded executor's :data:`MC_CHUNK_WORDS`.  Counters
+    are backend-independent, so the reference engine answers for all.
     """
     rng = random.Random(seed)
     engine = create_engine(nfa, "reference")
-    if chunk == 8192:
+    if chunk is None:
         result = reference_run_montecarlo(nfa, length, num_samples, rng, engine)
         hits = result.hits
     else:
@@ -156,7 +178,7 @@ _RUN_NFAS = {
 @pytest.mark.parametrize("backend", ["bitset", "reference", "numpy"])
 def test_run_matches_reference_loop(name, with_progress, workers, backend):
     nfa, length = _RUN_NFAS[name]
-    num_samples = 10_000  # one full 8192-word block plus a partial one
+    num_samples = 10_000  # one serial block; four full chunks and a partial one
     rng = random.Random(17)
     request = CountRequest(
         method="montecarlo",
@@ -171,13 +193,56 @@ def test_run_matches_reference_loop(name, with_progress, workers, backend):
         report = dispatch(nfa, length, request)
     sharded = workers != 1 or with_progress
     hits, state, counters = _reference_run(
-        nfa, length, num_samples, 17, MC_CHUNK_WORDS if sharded else 8192
+        nfa, length, num_samples, 17, MC_CHUNK_WORDS if sharded else None
     )
     assert report.details["hits"] == hits
     assert report.estimate == hits / num_samples * len(nfa.alphabet) ** length
     assert rng.getstate() == state
     assert {key: report.engine_counters[key] for key in BATCH_COUNTERS} == counters
     assert bool(events) == with_progress
+
+
+def _blocks_of(nfa, length, num_samples, seed, backend):
+    """Shapes of the serial run's accepts_batch blocks, with its counters."""
+    engine = create_engine(nfa, backend)
+    shapes = []
+    accepts_batch = engine.accepts_batch
+
+    def recording(words):
+        shapes.append(words.shape)
+        return accepts_batch(words)
+
+    engine.accepts_batch = recording
+    rng = random.Random(seed)
+    result = run_montecarlo(nfa, length, num_samples, rng, engine)
+    counters = {key: engine.counters()[key] for key in BATCH_COUNTERS}
+    return shapes, (result.hits, rng.getstate(), counters)
+
+
+def test_short_words_share_one_block():
+    # 20,000 words of 12 symbols are 240,000 positions: one walk, where
+    # 8192-word blocks took three.
+    nfa = random_nonempty_nfa(70, 12, density=0.03, seed=2)
+    shapes, run = _blocks_of(nfa, 12, 20_000, 3, "numpy")
+    assert shapes == [(20_000, 12)]
+    assert run == _reference_run(nfa, 12, 20_000, 3)
+
+
+def test_long_words_keep_8192_word_blocks():
+    # At n = 40 an 8192-word block already holds more than 2**18 positions,
+    # so the blocks and batch counters are those of fixed 8192-word blocks.
+    nfa = substring_nfa("1011")
+    shapes, run = _blocks_of(nfa, 40, 8292, 5, "bitset")
+    assert shapes == [(8192, 40), (100, 40)]
+    assert run == _reference_run(nfa, 40, 8292, 5, chunk=8192)
+
+
+def test_short_word_blocks_split_at_2_18_positions():
+    nfa, length = _RUN_NFAS["ternary-12"]
+    per_block = 2**18 // length  # 52,428 five-symbol words
+    shapes, run = _blocks_of(nfa, length, 2 * per_block + 100, 9, "bitset")
+    assert shapes == [(per_block, length), (per_block, length), (100, length)]
+    assert run == _reference_run(nfa, length, 2 * per_block + 100, 9)
 
 
 # ----------------------------------------------------------------------

@@ -433,6 +433,21 @@ class TestRequestValidation:
         assert status == 400
         assert "num_samples" in payload["error"]
 
+    @pytest.mark.parametrize("num_samples", [2.5, True, "10"])
+    def test_mistyped_num_samples_is_400(self, server, num_samples):
+        status, payload = _post(
+            server,
+            _body(
+                no_consecutive_ones_nfa(),
+                5,
+                method="montecarlo",
+                seed=1,
+                options={"num_samples": num_samples},
+            ),
+        )
+        assert status == 400
+        assert "num_samples" in payload["error"]
+
 
 # ----------------------------------------------------------------------
 # /stats and /methods
