@@ -3,8 +3,8 @@
 Each switch (see :class:`~repro.counting.params.ParameterScale`) is compared
 on one instance with one seed:
 
-* ``reuse_union_estimates`` — memoising AppUnion estimates inside a sampling
-  batch (fast default) vs the paper's fresh randomisation per call;
+* ``reuse_union_estimates`` — memoising the sampler's AppUnion estimates for
+  the run (fast default) vs the paper's fresh randomisation per call;
 * ``strict_sample_consumption`` — the paper's destructive dequeue vs the
   cyclic reuse of the stored sample multiset;
 * membership-oracle amortisation — the per-word reachability cache vs naive
@@ -79,7 +79,7 @@ def test_ablation_union_estimate_reuse(benchmark, report):
             "seconds": fresh_time,
         },
     ]
-    report(format_table(rows, title="Ablation: AppUnion estimate reuse inside a batch"))
+    report(format_table(rows, title="Ablation: AppUnion estimate reuse for the run"))
 
     # Reuse must do strictly fewer AppUnion calls and stay accurate.
     assert reuse_result.union_calls < fresh_result.union_calls

@@ -38,6 +38,7 @@ from repro.counting.api import (
     available_methods,
 )
 from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
+from repro.counting.uniform import validate_count
 from repro.errors import ReproError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.reporting import format_key_values, format_table
@@ -183,6 +184,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    validate_count(args.count)
     nfa = build_family(args.family, **_family_arguments(args.family_arg))
     sampler = _session_from_args(args).sampler(nfa, args.length)
     estimate = sampler.prepare()

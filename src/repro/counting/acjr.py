@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
-from repro.counting.params import acjr_samples_per_state
+from repro.counting.params import acjr_samples_per_state, validate_epsilon
 from repro.errors import EmptyLanguageError, ParameterError
 
 StateLevel = Tuple[State, int]
@@ -61,8 +61,7 @@ class ACJRParameters:
     use_engine_cache: bool = True
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        validate_epsilon(self.epsilon)
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
         if self.sample_cap < 2:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -70,7 +71,7 @@ from repro.counting.bruteforce import DEFAULT_ENUMERATION_LIMIT, enumerate_count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate, run_montecarlo
 from repro.counting.parallel import ProgressCallback, validate_workers
-from repro.counting.params import ParameterScale
+from repro.counting.params import ParameterScale, validate_epsilon
 from repro.counting.policy import (
     POLICY_OPTION_NAMES,
     ExecutionPolicy,
@@ -147,7 +148,7 @@ class CountRequest:
     >>> CountRequest(epsilon=0.0)
     Traceback (most recent call last):
         ...
-    repro.errors.ParameterError: epsilon must be positive
+    repro.errors.ParameterError: epsilon must be a finite positive number, got 0.0
     >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).workers
     2
     >>> CountRequest(policy=ExecutionPolicy(store="windowed")) == CountRequest(
@@ -168,8 +169,7 @@ class CountRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
             raise ParameterError("method must be a non-empty string")
-        if not isinstance(self.epsilon, (int, float)) or not self.epsilon > 0:
-            raise ParameterError("epsilon must be positive")
+        validate_epsilon(self.epsilon)
         if not isinstance(self.delta, (int, float)) or not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
         if self.seed is not None and not isinstance(self.seed, (int, random.Random)):
@@ -969,8 +969,10 @@ def _run_exact(nfa: NFA, length: int, request: CountRequest) -> CountReport:
 # ----------------------------------------------------------------------
 # Dispatch and convenience entry points
 # ----------------------------------------------------------------------
-def _check_dispatch(method: CounterMethod, request: CountRequest) -> None:
+def _check_dispatch(method: CounterMethod, length: int, request: CountRequest) -> None:
     """Shared request validation for :func:`dispatch` and :func:`count_with_progress`."""
+    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
+        raise ParameterError(f"length must be a non-negative int, got {length!r}")
     unknown = set(request.options) - set(method.option_names)
     if unknown:
         accepted = sorted(method.option_names)
@@ -994,7 +996,7 @@ def _check_dispatch(method: CounterMethod, request: CountRequest) -> None:
 def dispatch(nfa: NFA, length: int, request: CountRequest) -> CountReport:
     """Resolve a request's method, validate its options, and run it."""
     method = resolve_method(request.method)
-    _check_dispatch(method, request)
+    _check_dispatch(method, length, request)
     return method.run(nfa, length, request)
 
 
@@ -1019,7 +1021,7 @@ def count_with_progress(
     ``repro.count`` call would have produced.
     """
     method = resolve_method(request.method)
-    _check_dispatch(method, request)
+    _check_dispatch(method, length, request)
     if request.method == "fpras":
         return _run_fpras(nfa, length, request, progress=progress)
     if request.method == "montecarlo":

@@ -192,9 +192,10 @@ class NFACounter:
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts
         # The run's one drawer: each of its ``draw`` calls is one sampling
-        # batch, and its step table derives each descent step's fan once
-        # per run (see SampleDraw); the table's union plans also serve the
-        # level estimates and the final estimate.
+        # batch, its descent union estimates hold until it is reseeded
+        # (for the whole run when serial), and its step table derives each
+        # descent step's fan once per run (see SampleDraw); the table's
+        # union plans also serve the level estimates and the final estimate.
         self._steps = StepTable(length)
         self._sampler = SampleDraw(
             self.unroll,
@@ -344,9 +345,9 @@ class NFACounter:
 
         Every draw comes from :attr:`rng`; the sampling batch is one
         :meth:`~repro.counting.sampler.SampleDraw.draw` call of the run's
-        drawer.  The sharded executor reseeds :attr:`rng` with each shard's
-        substream, which is the only difference between serial and sharded
-        state processing.
+        drawer.  The sharded executor reseeds that drawer, and with it
+        :attr:`rng`, with each shard's substream, which is the only
+        difference between serial and sharded state processing.
         """
         estimate = self._estimate_state(state, level, beta, eta)
         estimate = self._maybe_perturb(estimate, level, eta)

@@ -327,13 +327,15 @@ def _run_shard(
 ) -> Dict[str, object]:
     """Process one shard's states with its derived substream.
 
-    ``counter.rng.seed(shard_seed)`` puts the counter's stream, which its
-    drawer shares, in the state ``random.Random(shard_seed)`` would start
-    in.  Runs in a pool worker *and* in-process for ``workers=1``; the
-    result is a pure function of (tables so far, shard states, shard seed),
-    which is what makes the merged run worker-count invariant.
+    Reseeding the counter's drawer puts the stream it shares with the
+    counter in the state ``random.Random(shard_seed)`` would start in, and
+    starts a new scope, so no union estimate, step or jump of an earlier
+    shard task weighs this one's draws.  Runs in a pool worker *and*
+    in-process for ``workers=1``; the result is a pure function of (tables
+    so far, shard states, shard seed), which is what makes the merged run
+    worker-count invariant.
     """
-    counter.rng.seed(shard_seed)
+    counter._sampler.reseed(shard_seed)
     stats_before = counter.work_statistics()
     engine_before = counter.diagnostics_counters()
     beta, eta, ns, xns = counter.derived_parameters()

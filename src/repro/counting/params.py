@@ -27,6 +27,7 @@ paper value and the operational value so the gap is explicit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -38,6 +39,23 @@ EULER = math.e
 #: Success probability lower bound of one `sample` call (Theorem 2, part 2):
 #: the failure probability is at most ``1 - 2/(3 e^2)``.
 SAMPLE_SUCCESS_LOWER_BOUND = 2.0 / (3.0 * EULER**2)
+
+
+def validate_epsilon(epsilon: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``epsilon`` is a
+    finite, positive real number that is not a bool.
+
+    >>> validate_epsilon(float("inf"))
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: epsilon must be a finite positive number, got inf
+    """
+    if (
+        isinstance(epsilon, bool)
+        or not isinstance(epsilon, numbers.Real)
+        or not 0 < epsilon < math.inf
+    ):
+        raise ParameterError(f"epsilon must be a finite positive number, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +81,13 @@ class ParameterScale:
         Lower bound on the same quantity (keeps tiny instances from using a
         statistically meaningless handful of trials).
     reuse_union_estimates:
-        When set, the recursive sampler memoises AppUnion estimates per
-        ``(level, state-set, symbol)`` within one per-state sampling batch.
-        This is a large constant-factor speedup (the default for scaled
-        runs); the faithful behaviour re-randomises every call.  The
-        ablation benchmark quantifies the difference.
+        When set, the recursive sampler memoises AppUnion estimates of
+        multi-set unions per ``(level, predecessor set)`` for its drawer's
+        scope, which is the whole run when serial and one shard task when
+        sharded (see :class:`~repro.counting.sampler.SampleDraw`).  This is
+        a large constant-factor speedup (the default for scaled runs); the
+        faithful behaviour re-randomises every call.  The ablation
+        benchmark quantifies the difference.
     faithful_perturbation:
         Algorithm 3 (lines 16-19) replaces ``N(q^l)`` by a uniformly random
         value with probability ``eta / 2n`` — a device used by the analysis.
@@ -214,8 +234,7 @@ class FPRASParameters:
     details: str = "full"
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon:
-            raise ParameterError("epsilon must be positive")
+        validate_epsilon(self.epsilon)
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
         if self.backend is None:

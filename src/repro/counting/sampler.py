@@ -16,9 +16,12 @@ The implementation is iterative (the recursion in the paper is a simple tail
 recursion) and generalises from the binary alphabet to any fixed alphabet by
 estimating one union per alphabet symbol.  One :meth:`SampleDraw.draw` call
 runs a whole sampling batch of Algorithm 3: up to ``xns`` draws for one
-``(q, l)``, stopped at the ``ns``-th accepted word.  A level whose pick is
-certain (one symbol holds all the mass) draws no randomness, so a batch
-whose start's slice holds one word is its acceptance tests alone.
+``(q, l)``, stopped at the ``ns``-th accepted word.  A drawer keeps the
+union estimates its batches derive, and the steps and jumps they weigh,
+until its stream is reseeded (:meth:`SampleDraw.reseed`); one
+:class:`~repro.counting.fpras.NFACounter` run keeps one drawer.  A level
+whose pick is certain (one symbol holds all the mass) draws no randomness,
+so a batch whose start's slice holds one word is its acceptance tests alone.
 """
 
 from __future__ import annotations
@@ -87,10 +90,11 @@ class StepTable:
     ``(level, state-set handle)``.
 
     ``levels[l][Q']`` is ``(stamp, branches, cumulative, total,
-    probabilities, nonempty, forced)``: ``Pred(Q', b)`` per symbol, the
+    probabilities, hits, forced)``: ``Pred(Q', b)`` per symbol, the
     running sums of the union estimates, their ``sum()``, each ``weight /
-    total``, the number of non-empty branches and the index of the one
-    branch a *forced* step always takes (-1 if the step is not forced);
+    total``, the number of non-empty branches that are multi-set unions
+    (the ``union_cache_hits`` of a replay) and the index of the one branch
+    a *forced* step always takes (-1 if the step is not forced);
     ``(None, branches)`` if no branch had mass.  ``shared`` interns
     whole-run entries, so the equal steps of a sparse chain are one object
     (see :class:`SampleDraw`).
@@ -166,23 +170,32 @@ class SampleDraw:
 
     Notes
     -----
-    One :meth:`draw` call is one sampling batch.  When
-    ``parameters.scale.reuse_union_estimates`` is set, AppUnion results are
-    memoised per ``(level, predecessor handle)`` within the call, never
-    across calls, so one drawer serves a whole run:
-    :class:`~repro.counting.fpras.NFACounter` builds one and calls it once
-    per ``(q, l)``.
+    One :meth:`draw` call is one sampling batch.  A drawer's *scope* runs
+    from its construction or its last :meth:`reseed` to its next reseed:
+    :class:`~repro.counting.fpras.NFACounter` builds one drawer per run and
+    calls it once per ``(q, l)``, so a serial run is one scope, and the
+    sharded executor reseeds the drawer for each shard task.  When
+    ``parameters.scale.reuse_union_estimates`` is set, AppUnion results of
+    multi-set unions are memoised per ``(level, predecessor handle)`` for
+    the scope; a one-set union is its stored size, a table read, and is
+    never memoised.
 
     Each descent step ``(level, Q')`` is kept in the step table.  Its fan is
     structural, so it is derived once per run.  With
     ``reuse_union_estimates`` on, its weights hold for the whole run when
-    every non-empty branch is a singleton (a one-set union is its stored
-    size), otherwise within the batch that derived them (the union cache
-    fixes them there); with it off, never.  A replay consumes the same
-    ``random()`` (none at a forced step) and divides ``phi`` by the same
-    ``weight / total`` as a derivation, so only ``union_cache_hits`` tells
-    them apart: a replay counts one hit per non-empty branch, as the cached
-    estimates it stands for would have.
+    every non-empty branch is a singleton, otherwise for the scope that
+    derived them (the union memo fixes them there); with it off, never.
+    Holding an estimate for a scope leaves the output uniform: a draw
+    accepts its word with probability ``phi = gamma0 / P(path)``, so while
+    ``phi <= 1`` every word of the slice is returned with probability
+    ``gamma0``, whatever estimates weighed its path.  A replay consumes the
+    same ``random()`` (none at a forced step) and divides ``phi`` by the
+    same ``weight / total`` as a derivation.  ``union_cache_hits`` counts
+    the multi-set union estimates a step took from the memo instead of
+    AppUnion: a derivation counts each one it reads there, and a replay
+    counts the multi-set branches whose estimates it stands for.  One-set
+    branches count nothing, so a replay counts what deriving the step
+    again on the same memo would.
 
     A *forced* step has one branch with ``weight / total == 1.0`` and all
     others at exactly 0.0: the pick is certain and ``phi`` is divided by
@@ -193,7 +206,7 @@ class SampleDraw:
     recorded in :attr:`StepTable.jumps`, extending the jump it ended in, so
     the next draw through its head crosses the whole run with one lookup.
     A jump is stamped like a step: whole-run if every step it skips is,
-    else with the batch that built it.  Once the batch holds a valid jump
+    else with the scope that built it.  Once the batch holds a valid jump
     from its start to level 0, the start's slice holds one word and each
     remaining draw is its acceptance test alone.  Words, ``phi``,
     generator states and :class:`SamplerStatistics` equal a step-by-step
@@ -222,10 +235,27 @@ class SampleDraw:
         self.rng = rng if rng is not None else random.Random()
         self.steps = steps if steps is not None else StepTable(unroll.length)
         self.statistics = SamplerStatistics()
+        # The scope's stamp for the steps and jumps it derives, and its memo
+        # of multi-set union estimates.
+        self._scope = object()
+        self._union_cache: Dict[Tuple[int, object], float] = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def reseed(self, seed: int) -> None:
+        """Seed the drawer's stream with ``seed`` and start a new scope.
+
+        The stream is left in the state ``random.Random(seed)`` starts in,
+        and the steps, jumps and union estimates of earlier scopes are
+        derived again when next visited (whole-run steps and jumps stay),
+        so the draws that follow depend on the tables and ``seed`` alone,
+        as a fresh drawer's would.
+        """
+        self.rng.seed(seed)
+        self._scope = object()
+        self._union_cache = {}
+
     def draw(
         self,
         level: int,
@@ -263,14 +293,12 @@ class SampleDraw:
         # ``random()`` for the symbol choice plus whatever a derivation's
         # union estimates consume; forced levels consume nothing.  The
         # counters are written to :attr:`statistics` once, also when a draw
-        # raises: its replay hits so far count too.  ``batch`` stamps the
-        # steps and jumps this call derives, and ``union_cache`` memoises
-        # its union estimates.
+        # raises: its replay hits so far count too.  ``scope`` is the stamp
+        # of the steps and jumps this drawer derived since its last reseed.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
         rng_random = self.rng.random
-        batch = object()
-        union_cache: Dict[Tuple[int, object], float] = {}
+        scope = self._scope
         jumps = self.steps.jumps
         start = self.unroll.engine.encode(states)
         head = (level, start)
@@ -280,7 +308,7 @@ class SampleDraw:
             while draws < attempts and len(words) < needed:
                 jump = jumps.get(head)
                 if jump is not None and jump[1] == level and (
-                    jump[0] is batch or jump[0] is _WHOLE_RUN
+                    jump[0] is scope or jump[0] is _WHOLE_RUN
                 ):
                     # The start's slice holds one word: every draw left
                     # would cross this jump to level 0 and draw nothing
@@ -308,13 +336,11 @@ class SampleDraw:
                 run_head: object = None
                 while current_level:
                     entry = levels[current_level].get(current)
-                    if entry is None or (entry[0] is not batch and entry[0] is not _WHOLE_RUN):
+                    if entry is None or (entry[0] is not scope and entry[0] is not _WHOLE_RUN):
                         if run is not None:
                             self._settle(current_level, run_head, run, reversed_word, current)
                             run = None
-                        entry = self._derive_step(
-                            current, current_level, entry, beta, eta_prime, batch, union_cache
-                        )
+                        entry = self._derive_step(current, current_level, entry, beta, eta_prime)
                         if entry is None:
                             no_mass += 1
                             break
@@ -323,7 +349,7 @@ class SampleDraw:
                         forced = entry[6]
                         if forced >= 0:
                             jump = jumps.get((current_level, current))
-                            if jump is not None and (jump[0] is batch or jump[0] is _WHOLE_RUN):
+                            if jump is not None and (jump[0] is scope or jump[0] is _WHOLE_RUN):
                                 if run is not None:
                                     self._record_jump(
                                         current_level, run_head, run, reversed_word, jump
@@ -450,15 +476,12 @@ class SampleDraw:
         stale: Optional[tuple],
         beta: float,
         eta_prime: float,
-        batch: object,
-        union_cache: Dict[Tuple[int, object], float],
     ) -> Optional[tuple]:
         """Weigh every branch of step ``(level, current)`` and store the entry.
 
         ``stale`` is the step's earlier entry, whose fan is reused.  An entry
-        that holds only within the calling batch is stamped ``batch``;
-        ``union_cache`` is that batch's union memo.  Returns ``None`` when no
-        branch has mass.
+        whose weights hold only within the drawer's scope is stamped with
+        it.  Returns ``None`` when no branch has mass.
         """
         engine = self.unroll.engine
         if stale is None:
@@ -466,32 +489,29 @@ class SampleDraw:
         else:
             branches = stale[1]
         reuse = self.parameters.scale.reuse_union_estimates
-        whole_run = reuse
         weights: List[float] = []
-        nonempty = 0
+        hits = 0
         for predecessors in branches:
             if engine.is_empty(predecessors):
                 weights.append(0.0)
                 continue
-            nonempty += 1
-            weights.append(
-                self._estimate_union(predecessors, level - 1, beta, eta_prime, union_cache)
-            )
-            if whole_run and engine.count(predecessors) != 1:
-                whole_run = False
+            weights.append(self._estimate_union(predecessors, level - 1, beta, eta_prime))
+            if reuse and engine.count(predecessors) != 1:
+                hits += 1
         total = sum(weights)
         steps = self.steps
         if total <= 0.0:
             steps.levels[level][current] = (None, branches)
             return None
         probabilities = tuple(weight / total for weight in weights)
+        whole_run = reuse and not hits
         entry = (
-            _WHOLE_RUN if whole_run else batch if reuse else None,
+            _WHOLE_RUN if whole_run else self._scope if reuse else None,
             branches,
             tuple(accumulate(weights)),
             total,
             probabilities,
-            nonempty,
+            hits,
             # Forced: one branch has probability exactly 1.0 and every other
             # exactly 0.0.  An ``inf`` or ``nan`` weight makes ``nan``, not 1.0.
             probabilities.index(1.0)
@@ -509,14 +529,13 @@ class SampleDraw:
         level: int,
         beta: float,
         eta_prime: float,
-        union_cache: Dict[Tuple[int, object], float],
     ) -> float:
         """``AppUnion`` over ``{L(p^level) : p in predecessors}``.
 
         ``predecessors`` is an engine handle; it doubles as the key of the
-        batch's memo ``union_cache`` (handles are hashable and equality
-        matches set equality).  A one-set union is its stored size estimate,
-        read with no plan, trials, RNG draws or counter increments (as in
+        scope's memo (handles are hashable and equality matches set
+        equality).  A one-set union is its stored size estimate, read with
+        no plan, trials, RNG draws, memo entry or counter increments (as in
         :meth:`~repro.counting.fpras.NFACounter._estimate_state`).  The
         size slack ``beta_prime = (1 + beta)^level - 1`` is derived here,
         on the path that actually runs AppUnion — cache hits and singletons
@@ -525,7 +544,7 @@ class SampleDraw:
         cache_key = (level, predecessors)
         reuse = self.parameters.scale.reuse_union_estimates
         if reuse:
-            cached = union_cache.get(cache_key)
+            cached = self._union_cache.get(cache_key)
             if cached is not None:
                 self.statistics.union_cache_hits += 1
                 return cached
@@ -535,10 +554,7 @@ class SampleDraw:
             states = self.unroll.engine.decode(predecessors)
             if len(states) == 1:
                 (only,) = states
-                estimate = max(0.0, float(self.estimates.get((only, level), 0.0)))
-                if reuse:
-                    union_cache[cache_key] = estimate
-                return estimate
+                return max(0.0, float(self.estimates.get((only, level), 0.0)))
             plan = self.steps.union_plan(
                 level,
                 predecessors,
@@ -560,5 +576,5 @@ class SampleDraw:
         self.statistics.union_calls += 1
         self.statistics.membership_calls += result.membership_calls
         if reuse:
-            union_cache[cache_key] = result.estimate
+            self._union_cache[cache_key] = result.estimate
         return result.estimate

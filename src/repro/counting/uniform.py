@@ -12,6 +12,7 @@ regular-path-query and probabilistic-database applications consume.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -21,6 +22,13 @@ from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters
 from repro.counting.sampler import SampleDraw
 from repro.errors import EmptyLanguageError, ParameterError, SamplingError
+
+
+def validate_count(count: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``count``, a
+    number of words to draw, is a non-negative int that is not a bool."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise ParameterError(f"count must be a non-negative int, got {count!r}")
 
 
 @dataclass
@@ -144,6 +152,7 @@ class UniformWordSampler:
 
     def sample_many(self, count: int) -> List[Word]:
         """Draw ``count`` words (independent rejection-sampling attempts)."""
+        validate_count(count)
         return [self.sample() for _ in range(count)]
 
     def sample_with_report(self, count: int) -> tuple:
@@ -153,6 +162,7 @@ class UniformWordSampler:
         report records how many attempts were spent, which the uniformity
         experiment (E7) uses to measure the empirical acceptance rate.
         """
+        validate_count(count)
         words, attempts = self._draw(count * self.max_attempts_per_word, count)
         report = SamplingReport(requested=count, produced=len(words), attempts=attempts)
         return words, report
@@ -167,8 +177,8 @@ class UniformWordSampler:
             raise EmptyLanguageError("no accepting state is live at the final level")
         parameters = counter.parameters
         # The run's step table: its fans, union plans and whole-run steps
-        # carry over.  The call is a new batch, so the run's batch steps are
-        # derived again.
+        # carry over.  The call's drawer is a new scope, so the steps whose
+        # weights came from the run's union estimates are derived again.
         drawer = SampleDraw(
             counter.unroll, counter.estimates, counter.samples, parameters, self.rng,
             steps=counter._steps,

@@ -106,6 +106,21 @@ class TestOneLineErrors:
         assert error.count("\n") == 1 and error.startswith("error: family ")
         assert named in error and "takes parameters [" in error
 
+    def test_negative_sample_count_fails_before_counting(self, capsys, monkeypatch):
+        from repro.counting.uniform import UniformWordSampler
+
+        def counted(self):
+            raise AssertionError("the counting pass ran")
+
+        monkeypatch.setattr(UniformWordSampler, "prepare", counted)
+        assert main([
+            "sample", "substring", "--family-arg", "pattern=101", "--length", "6",
+            "--count", "-2",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be a non-negative int, got -2\n"
+
     def test_reader_closing_stdout_leaves_no_traceback(self):
         source = str(Path(repro.__file__).resolve().parent.parent)
         environment = dict(os.environ, PYTHONPATH=source)

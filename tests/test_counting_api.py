@@ -15,6 +15,7 @@ Three families of checks:
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 
@@ -98,10 +99,10 @@ class TestFprasParity:
             seed=SEED,
             scale=ParameterScale.practical(sample_cap=10, union_trial_cap=12),
         )
-        assert report.estimate == 147.67881944444443
-        assert report.raw.union_calls == 51
-        assert report.raw.membership_calls == 1332
-        assert report.raw.sample_draws == 1067
+        assert report.estimate == 138.5763888888889
+        assert report.raw.union_calls == 23
+        assert report.raw.membership_calls == 612
+        assert report.raw.sample_draws == 1006
         assert report.details["ns"] == 10
         assert report.details["xns"] == 60
 
@@ -323,6 +324,34 @@ class TestErrorPaths:
     def test_invalid_request_fields(self, fields):
         with pytest.raises(ParameterError):
             CountRequest(**fields)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, True])
+    @pytest.mark.parametrize("method", ["fpras", "acjr", "montecarlo", "bruteforce", "exact"])
+    def test_mistyped_epsilon_is_a_parameter_error(self, nfa, method, epsilon):
+        """Every method gets a finite, positive epsilon that is not a bool,
+        also those that ignore it."""
+        with pytest.raises(ParameterError, match="epsilon"):
+            count(nfa, 5, method=method, epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "method, length",
+        [
+            (method, length)
+            for method in ("fpras", "acjr", "montecarlo", "bruteforce", "exact")
+            for length in (2.0, True, "3")
+        ]
+        + [("exact", -1)],
+    )
+    def test_mistyped_length_is_a_parameter_error(self, nfa, method, length):
+        with pytest.raises(ParameterError, match="length"):
+            count(nfa, length, method=method)
+
+    @pytest.mark.parametrize("length", [2.0, True])
+    def test_progress_path_checks_the_length(self, nfa, length):
+        from repro.counting.api import count_with_progress
+
+        with pytest.raises(ParameterError, match="length"):
+            count_with_progress(nfa, length, CountRequest(method="fpras"), lambda event: None)
 
     def test_request_defaults_are_valid(self):
         request = CountRequest()

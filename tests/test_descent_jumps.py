@@ -11,9 +11,7 @@ tests in ``tests/test_descent_steps.py`` run it on automata with forced
 runs (its ``blocks`` cases) against :class:`ReferenceDraw`; this module
 adds runs of the unary chain and of ``blocks_nfa(8)``, one-word slices, a
 check that every jump stands for the steps it skips, and the edge cases.
-:class:`StepwiseDraw` replays the step table one level at a time, so
-unlike the reference it counts the ``union_cache_hits`` of whole-run
-replays.
+:class:`StepwiseDraw` replays the step table one level at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from test_descent_steps import (
     SCALES,
     ReferenceDraw,
     _batches,
+    _assert_scope_holds_until_reseed,
     _finished_counter,
     _forced,
     _run_with,
@@ -50,20 +49,18 @@ class StepwiseDraw(ReferenceDraw):
     """The step-table descent without jumps, one level at a time, batched
     one draw at a time like :class:`ReferenceDraw`."""
 
-    def _descend(self, level, states, gamma0, beta, eta, batch, union_cache):
+    def _descend(self, level, states, gamma0, beta, eta):
         self.statistics.draws += 1
         eta_prime = eta / max(1, 4 * self.unroll.length)
         alphabet = self.unroll.nfa.alphabet
-        valid = (batch, sampler_module._WHOLE_RUN)
+        valid = (self._scope, sampler_module._WHOLE_RUN)
         phi = gamma0
         word = []
         current = self.unroll.engine.encode(states)
         for current_level in range(level, 0, -1):
             entry = self.steps.levels[current_level].get(current)
             if entry is None or not any(entry[0] is stamp for stamp in valid):
-                entry = self._derive_step(
-                    current, current_level, entry, beta, eta_prime, batch, union_cache
-                )
+                entry = self._derive_step(current, current_level, entry, beta, eta_prime)
                 if entry is None:
                     self.statistics.failures_no_mass += 1
                     return None
@@ -109,7 +106,7 @@ def _assert_jumps_replay_their_steps(steps, alphabet):
         for step_level in range(level, level - skipped, -1):
             entry = steps.levels[step_level][handle]
             if entry[0] is not stamp and entry[0] is not sampler_module._WHOLE_RUN:
-                break  # derived again by a later batch
+                break  # derived again in a later scope
             assert entry[6] >= 0
             walked_hits += entry[5]
             walked.append(alphabet[entry[6]])
@@ -123,12 +120,14 @@ def _assert_jumps_replay_their_steps(steps, alphabet):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scale_name", ["practical", "long_word"])
-@pytest.mark.parametrize("case", ["blocks4-n16", "blocks8-n40"])
+@pytest.mark.parametrize("case", ["blocks4-n16", "blocks8-n40", "two-rail4-n16"])
 def test_jumps_replay_their_steps(case, scale_name, backend):
-    """Batch-stamped jumps under ``practical``, whole-run ones under
-    ``long_word``; the words are checked in ``tests/test_descent_steps.py``."""
+    """Whole-run jumps over the one-set steps of ``blocks_nfa``, and jumps
+    stamped with a drawer's scope over the two-set steps of
+    :func:`_two_rail_blocks`; the words are checked in
+    ``tests/test_descent_steps.py``."""
     scale = SCALES[scale_name]
-    build, length = CASES[case]
+    build, length = CASES.get(case, (lambda: _two_rail_blocks(4), 16))
     counter = _finished_counter(build(), length, scale, backend)
     steps = StepTable(counter.length)
     _batches(counter, SampleDraw, scale, steps=steps)
@@ -189,15 +188,17 @@ def test_random_subclass_batches_call_random_as_the_reference_does(cut):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exception_mid_batch_counts_the_replay_hits_collected(backend, monkeypatch):
-    """Under ``practical`` the first draw from ``start`` derives all 16 of
-    its steps (its word is all ones).  The second replays the branch point
-    at level 16 (two hits), its first block's three forced steps (one hit
-    each) and the branch point at level 12 (two hits), then turns into a
-    ``0`` block and derives a new step, so ``_derive_step`` raising on its
-    17th call ends the batch in its second draw.  The batch counts that
-    draw's seven replay hits, as the stepwise descent does step by step,
-    and leaves the generator as it does."""
-    counter = _finished_counter(blocks_nfa(4), 16, PRACTICAL, backend)
+    """Under ``practical`` the first draw from ``start`` through
+    :func:`_two_rail_blocks` derives all 16 of its steps.  The second walks
+    the same word on replays alone: per block a branch point over two
+    two-set unions (two hits), two forced steps over a two-set union (one
+    hit each) and one over the one-set ``{start}`` (none), 16 hits.  The
+    third replays the branch point at level 16 (two hits), then turns into
+    the other block and derives a new step, so ``_derive_step`` raising on
+    its 17th call ends the batch in its third draw.  The batch counts the
+    18 replay hits, as the stepwise descent does step by step, and leaves
+    the generator as it does."""
+    counter = _finished_counter(_two_rail_blocks(4), 16, PRACTICAL, backend)
     beta, eta, _, _ = counter.derived_parameters()
     gamma0 = counter.parameters.gamma0(counter.estimates[("start", 16)])
     derive = SampleDraw._derive_step
@@ -222,7 +223,7 @@ def test_exception_mid_batch_counts_the_replay_hits_collected(backend, monkeypat
 
     state, statistics = interrupted(SampleDraw)
     assert (state, statistics) == interrupted(StepwiseDraw)
-    assert statistics["draws"] == 2 and statistics["union_cache_hits"] == 7
+    assert statistics["draws"] == 3 and statistics["union_cache_hits"] == 18
 
 
 def test_inf_estimate_stays_on_ordinary_path():
@@ -271,7 +272,7 @@ def test_weight_below_probability_resolution_is_forced():
 def _two_rail_blocks(block_length):
     """:func:`blocks_nfa` with two parallel rails per block: the forced
     steps inside a block weigh two-set unions, so their jumps hold only for
-    the batch that built them (one-set steps hold for the whole run)."""
+    the scope that built them (one-set steps hold for the whole run)."""
     transitions = []
     for bit in "01":
         for rail in "xy":
@@ -284,44 +285,20 @@ def _two_rail_blocks(block_length):
     return NFA.build(transitions, initial="start", accepting=["start"])
 
 
-def test_each_draw_call_drops_batch_jumps():
-    """A ``draw`` call's jumps are stale for the next call on the drawer: it
-    derives their steps again and matches a fresh drawer of the same run."""
+def test_scope_jumps_hold_until_a_reseed():
+    """The jumps of a drawer's first ``draw`` call, over forced steps that
+    weigh two-set unions, carry its second call; after a reseed the drawer
+    derives their steps again, as a fresh drawer of the same run does."""
     counter = _finished_counter(_two_rail_blocks(4), 16, PRACTICAL, "bitset")
-    beta, eta, _, _ = counter.derived_parameters()
-    state = "start"
-    gamma0 = counter.parameters.gamma0(counter.estimates[(state, 16)])
-
-    def drawer(rng, steps=None):
-        return SampleDraw(
-            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng,
-            steps=steps,
-        )
-
-    arguments = (16, frozenset({state}), gamma0, beta, eta)
-    used = drawer(random.Random(1))
-    used.draw(*arguments, attempts=20, needed=20)
-    stamps = {jump[0] for jump in used.steps.jumps.values()}
-    assert len(stamps) == 1 and sampler_module._WHOLE_RUN not in stamps
-    # The next call is a new batch of the same run: it shares the run's step
-    # table, whose whole-run steps both drawers replay.
-    fresh = drawer(random.Random(), used.steps)
-    fresh.rng.setstate(used.rng.getstate())
-    before = dataclasses.asdict(used.statistics)
-    assert used.draw(*arguments, attempts=10, needed=10) == fresh.draw(
-        *arguments, attempts=10, needed=10
-    )
-    assert used.rng.getstate() == fresh.rng.getstate()
-    after = dataclasses.asdict(used.statistics)
-    assert {key: after[key] - before[key] for key in after} == dataclasses.asdict(
-        fresh.statistics
-    )
-    assert fresh.statistics.union_calls > 0
+    fresh = _assert_scope_holds_until_reseed(counter, 16, "start", attempts=20)
+    stamps = {jump[0] for jump in fresh.steps.jumps.values()}
+    assert fresh._scope in stamps and sampler_module._WHOLE_RUN not in stamps
 
 
 def test_whole_run_jumps_survive_batches():
     """A new batch over the unary chain's table crosses all ``n`` levels with
-    the run's jump: no fan, no union, no new jump."""
+    the run's jump: no fan, no union, no new jump.  Its branches are one-set
+    unions, which count no ``union_cache_hits``."""
     counter = _finished_counter(unary_loop_nfa(), 64, long_word_scale(), "bitset")
     steps = counter._steps
     jumps = dict(steps.jumps)
@@ -341,7 +318,7 @@ def test_whole_run_jumps_survive_batches():
         assert word == stepwise.draw(64, frozenset({"q"}), 0.5, beta, eta)
     assert drawer.rng.getstate() == stepwise.rng.getstate()
     assert drawer.statistics == stepwise.statistics
-    assert drawer.statistics.union_cache_hits == 5 * 64
+    assert drawer.statistics.union_cache_hits == 0
     assert steps.jumps == jumps
     assert counter.unroll.engine_counters()["pre_ops"] == pre_ops
 
@@ -383,7 +360,7 @@ def test_one_word_batch_reads_no_step_after_its_first_draw(head_jump):
     assert reads == [40, 0 if head_jump == "recorded" else 1]
     assert steps.jumps[(200, handle)][1] == 200
     words, _, statistics = observed[1]
-    assert 0 < len(words) < 40 and statistics.union_cache_hits == 40 * 200
+    assert 0 < len(words) < 40 and statistics.union_cache_hits == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -395,8 +372,8 @@ def test_one_word_slices_match_stepwise_draws(cut, backend):
     counter = _finished_counter(divisibility_nfa(320), 4, PRACTICAL, backend)
     steps = StepTable(counter.length)
     cut = CUTS.get(cut)
-    memoised = _batches(counter, SampleDraw, PRACTICAL, steps=steps, cut=cut, exact_hits=True)
-    stepwise = _batches(counter, StepwiseDraw, PRACTICAL, cut=cut, exact_hits=True)
+    memoised = _batches(counter, SampleDraw, PRACTICAL, steps=steps, cut=cut)
+    stepwise = _batches(counter, StepwiseDraw, PRACTICAL, cut=cut)
     assert memoised == stepwise
     assert any(jump[1] == level for (level, _), jump in steps.jumps.items())
     assert any(words for draws, _, _ in memoised for words in draws)
@@ -405,7 +382,7 @@ def test_one_word_slices_match_stepwise_draws(cut, backend):
 def _one_word_through_a_union():
     """``01`` is the one word: its step at level 2 weighs the two-set union
     of ``L(a^1)`` and ``L(b^1)``, so it and a jump over it hold only for the
-    batch that derived them."""
+    scope that derived them."""
     transitions = [("s", "0", "a"), ("s", "0", "b"), ("a", "1", "q"), ("b", "1", "q")]
     return NFA.build(transitions, initial="s", accepting=["q"])
 
@@ -413,10 +390,12 @@ def _one_word_through_a_union():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
     """In a first ``draw`` call the first draw derives both steps, the
-    second replays them and records the batch's jump, and the other ten are
-    acceptance tests.  That jump is stale for a second call: its first draw
-    derives the step at level 2 again, replays the whole-run one at level 1
-    and records a new jump, and the other eleven are acceptance tests."""
+    second replays them and records a jump stamped with the drawer's scope,
+    and the other ten are acceptance tests.  That jump holds for a second
+    call, whose twelve draws are all acceptance tests.  After a reseed the
+    first draw derives the step at level 2 again, replays the whole-run one
+    at level 1 and records a new jump, and the other eleven are acceptance
+    tests."""
     counter = _finished_counter(_one_word_through_a_union(), 2, PRACTICAL, backend)
     beta, eta, _, _ = counter.derived_parameters()
     gamma0 = counter.parameters.gamma0(counter.estimates[("q", 2)])
@@ -427,16 +406,18 @@ def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
             random.Random(3),
         )
         calls = []
-        for _ in range(2):
+        for call in range(3):
+            if call == 2:
+                drawer.reseed(4)
             drawer.steps.levels[2] = level = _CountingGets(drawer.steps.levels[2])
             words = drawer.draw(2, frozenset({"q"}), gamma0, beta, eta, attempts=12, needed=12)
             calls.append((words, drawer.rng.getstate(), dataclasses.replace(drawer.statistics)))
             reads.append(level.gets)
         observed.append(calls)
     assert observed[0] == observed[1]
-    assert reads == [12, 12, 2, 1]
+    assert reads == [12, 12, 12, 2, 0, 1]
     (jump,) = drawer.steps.jumps.values()
-    assert jump[1] == 2 and jump[0] is not sampler_module._WHOLE_RUN
+    assert jump[1] == 2 and jump[0] is drawer._scope
     assert drawer.statistics.union_calls == 2
 
 
@@ -446,7 +427,7 @@ def test_one_word_batches_overflowing_phi_leave_the_generator(backend):
     one-word slice overflows before its acceptance test: no batch touches
     the generator, as in the stepwise descent."""
     counter = _finished_counter(divisibility_nfa(320), 4, PRACTICAL, backend)
-    options = dict(cut=(12, 4), gamma_factor=8.0, exact_hits=True)
+    options = dict(cut=(12, 4), gamma_factor=8.0)
     memoised = _batches(counter, SampleDraw, PRACTICAL, **options)
     assert memoised == _batches(counter, StepwiseDraw, PRACTICAL, **options)
     untouched = random.Random(11).getstate()

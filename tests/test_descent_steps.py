@@ -5,10 +5,9 @@ every visit: one predecessor fan per level, one union estimate per symbol
 and a linear running-sum scan for the symbol choice.  The memoised
 :class:`~repro.counting.sampler.SampleDraw` must return the same words,
 leave the RNG in the same state and report the same
-:class:`~repro.counting.sampler.SamplerStatistics`.  The one exception is
-``union_cache_hits`` under ``reuse_union_estimates``: there a step whose
-unions are all singletons is replayed for the whole run, and counts hits
-the reference, which derives it again in a later batch, does not.
+:class:`~repro.counting.sampler.SamplerStatistics`, ``union_cache_hits``
+included: both count the multi-set union estimates a step takes from the
+drawer's memo, a replay as many as deriving the step again would.
 
 One ``draw(attempts=A, needed=K)`` call is a whole sampling batch: it must
 return the words of ``A`` single reference draws cut at the ``K``-th word,
@@ -71,23 +70,23 @@ class ReferenceDraw(SampleDraw):
     """The descent without a step table: every visit derives its step, and
     a forced one takes its certain branch without a ``random()`` call.
 
-    A call is one batch, with its own stamp and union memo: it makes up to
-    ``attempts`` single draws, one at a time, and stops at the ``needed``-th
-    word.
+    A call is one batch: it makes up to ``attempts`` single draws, one at a
+    time, and stops at the ``needed``-th word.  The union memo is the
+    drawer's, kept across calls and renewed by
+    :meth:`~repro.counting.sampler.SampleDraw.reseed`.
     """
 
     def draw(self, level, states, gamma0, beta, eta, attempts=1, needed=1):
-        batch, union_cache = object(), {}
         words = []
         for _ in range(attempts):
             if len(words) >= needed:
                 break
-            word = self._descend(level, states, gamma0, beta, eta, batch, union_cache)
+            word = self._descend(level, states, gamma0, beta, eta)
             if word is not None:
                 words.append(word)
         return words
 
-    def _descend(self, level, states, gamma0, beta, eta, batch, union_cache):
+    def _descend(self, level, states, gamma0, beta, eta):
         if gamma0 <= 0:
             raise ParameterError("gamma0 must be positive")
         self.statistics.draws += 1
@@ -102,9 +101,7 @@ class ReferenceDraw(SampleDraw):
             weights = [
                 0.0
                 if engine.is_empty(predecessors)
-                else self._estimate_union(
-                    predecessors, current_level - 1, beta, eta_prime, union_cache
-                )
+                else self._estimate_union(predecessors, current_level - 1, beta, eta_prime)
                 for predecessors in fan
             ]
             total = sum(weights)
@@ -146,17 +143,7 @@ def _finished_counter(nfa, length, scale, backend, seed=5, store="dict"):
     return counter
 
 
-def _statistics(statistics, scale):
-    fields = dataclasses.asdict(statistics)
-    if scale.reuse_union_estimates:
-        del fields["union_cache_hits"]
-    return fields
-
-
-def _batches(
-    counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0,
-    exact_hits=False,
-):
+def _batches(counter, drawer_class, scale, rng=None, steps=None, cut=None, gamma_factor=1.0):
     """Algorithm 3's sampling batches, replayed over a finished run's tables.
 
     One drawer per (level, live state), all sharing one RNG stream
@@ -164,8 +151,7 @@ def _batches(
     table (a fresh one unless given).  Each is called ``xns`` times for one
     draw, each call its own batch, or with ``cut=(attempts, needed)`` once
     as ``draw(..., attempts=attempts, needed=needed)``.  Each draw starts
-    with ``gamma_factor`` times Algorithm 3's ``gamma0``.  ``exact_hits``
-    keeps ``union_cache_hits``, which drawers on a step table count alike.
+    with ``gamma_factor`` times Algorithm 3's ``gamma0``.
     """
     rng = random.Random(11) if rng is None else rng
     parameters = dataclasses.replace(counter.parameters, scale=scale)
@@ -185,12 +171,7 @@ def _batches(
             else:
                 attempts, needed = cut
                 words = drawer.draw(*arguments, attempts=attempts, needed=needed)
-            statistics = (
-                dataclasses.asdict(drawer.statistics)
-                if exact_hits
-                else _statistics(drawer.statistics, scale)
-            )
-            observed.append((words, rng.getstate(), statistics))
+            observed.append((words, rng.getstate(), dataclasses.asdict(drawer.statistics)))
     return observed
 
 
@@ -308,8 +289,9 @@ def test_exception_mid_batch_counts_the_draws_begun(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sample_cli_words_with_derived_steps_are_pinned(backend, capsys):
-    """A dense random NFA (64 words of length 6) whose descents derive
-    steps inside a batch: every backend prints these lines."""
+    """A dense random NFA (64 words of length 6) whose descents weigh
+    multi-set unions, so the run's union estimates weigh its steps: every
+    backend prints these lines."""
     assert main([
         "sample", "random_nfa", "--family-arg", "num_states=20",
         "--family-arg", "length=6", "--family-arg", "density=0.12",
@@ -317,13 +299,13 @@ def test_sample_cli_words_with_derived_steps_are_pinned(backend, capsys):
         "--length", "6", "--seed", "3", "--count", "6", "--backend", backend,
     ]) == 0
     assert capsys.readouterr().out.strip().splitlines() == [
-        "estimated |L(A_6)| = 61.05",
-        "101011",
-        "111000",
-        "001001",
-        "101110",
-        "001000",
-        "100111",
+        "estimated |L(A_6)| = 62.73",
+        "111101",
+        "111111",
+        "001011",
+        "101000",
+        "010010",
+        "010000",
     ]
 
 
@@ -351,7 +333,7 @@ def _run_with(drawer_class, monkeypatch, nfa, length, scale, backend, store="dic
         "work": (result.union_calls, result.membership_calls, result.sample_draws,
                  result.sample_successes, result.padded_states),
         "rng_state": counter.rng.getstate(),
-        "sampler": _statistics(counter.sampler_statistics, scale),
+        "sampler": dataclasses.asdict(counter.sampler_statistics),
     }
 
 
@@ -381,36 +363,60 @@ def test_long_word_chain_replays_whole_run_steps(store, monkeypatch):
     assert counter.unroll.engine_counters()["pre_ops"] == 64
 
 
-def test_each_draw_call_derives_batch_steps_again():
-    """A second ``draw`` call on a drawer matches a fresh drawer of the same
-    run on the same RNG state: the first call's batch steps are derived
-    again, not replayed."""
-    scale = SCALES["practical"]
-    nfa = random_nonempty_nfa(6, 6, density=0.3, accepting_fraction=0.4, seed=17)
-    counter = _finished_counter(nfa, 6, scale, "bitset")
+def _assert_scope_holds_until_reseed(counter, level, state, attempts):
+    """A second ``draw`` call on a drawer replays the steps and jumps its
+    first call derived, with no union trial.  After a reseed the drawer
+    derives them again, as a fresh drawer on the same step table and seed
+    does; returns that fresh drawer."""
     beta, eta, _, _ = counter.derived_parameters()
-    state = sorted(counter.unroll.live_states(6), key=repr)[0]
-    gamma0 = counter.parameters.gamma0(counter.estimates[(state, 6)])
+    gamma0 = counter.parameters.gamma0(counter.estimates[(state, level)])
+    arguments = (level, frozenset({state}), gamma0, beta, eta)
 
-    def drawer(rng, steps=None):
+    def drawer(seed, steps=None):
         return SampleDraw(
-            counter.unroll, counter.estimates, counter.samples, counter.parameters, rng,
-            steps=steps,
+            counter.unroll, counter.estimates, counter.samples, counter.parameters,
+            random.Random(seed), steps=steps,
         )
 
-    arguments = (6, frozenset({state}), gamma0, beta, eta)
-    used = drawer(random.Random(1))
-    used.draw(*arguments, attempts=20, needed=20)
-    # The next call is a new batch of the same run: it shares the run's step
-    # table, whose whole-run steps both drawers replay.
-    fresh = drawer(random.Random(), used.steps)
-    fresh.rng.setstate(used.rng.getstate())
+    def batch(drawer):
+        return drawer.draw(*arguments, attempts=attempts, needed=attempts)
+
+    used = drawer(1)
+    batch(used)
+    steps = used.steps
+    derived = {
+        (step_level, handle): entry
+        for step_level, entries in enumerate(steps.levels)
+        for handle, entry in entries.items()
+        if entry[0] is not None
+    }
+    jumps = dict(steps.jumps)
+    assert jumps
+    first = dataclasses.replace(used.statistics)
+    batch(used)
+    assert used.statistics.union_calls == first.union_calls
+    assert used.statistics.union_cache_hits > first.union_cache_hits
+    assert all(steps.levels[key[0]][key[1]] is entry for key, entry in derived.items())
+    assert all(steps.jumps[key] is jump for key, jump in jumps.items())
+
+    used.reseed(2)
+    fresh = drawer(2, steps)
     before = dataclasses.asdict(used.statistics)
-    assert used.draw(*arguments, attempts=10, needed=10) == fresh.draw(
-        *arguments, attempts=10, needed=10
-    )
+    assert batch(used) == batch(fresh)
     assert used.rng.getstate() == fresh.rng.getstate()
     after = dataclasses.asdict(used.statistics)
-    delta = {key: after[key] - before[key] for key in after}
-    assert delta == dataclasses.asdict(fresh.statistics)
+    assert {key: after[key] - before[key] for key in after} == dataclasses.asdict(
+        fresh.statistics
+    )
     assert fresh.statistics.union_calls > 0
+    return fresh
+
+
+def test_draw_calls_share_their_scope_until_a_reseed():
+    """The union estimates of a drawer's first ``draw`` call weigh its
+    second call's steps; a reseed drops them, and the drawer's batch steps
+    are derived again."""
+    nfa = random_nonempty_nfa(6, 6, density=0.3, accepting_fraction=0.4, seed=17)
+    counter = _finished_counter(nfa, 6, SCALES["practical"], "bitset")
+    state = sorted(counter.unroll.live_states(6), key=repr)[0]
+    _assert_scope_holds_until_reseed(counter, 6, state, attempts=60)

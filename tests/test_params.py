@@ -69,6 +69,11 @@ class TestFPRASParameters:
         with pytest.raises(ParameterError):
             FPRASParameters(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, True])
+    def test_epsilon_must_be_finite_and_not_a_bool(self, epsilon):
+        with pytest.raises(ParameterError, match="epsilon"):
+            FPRASParameters(epsilon=epsilon)
+
     def test_delta_must_be_a_probability(self):
         with pytest.raises(ParameterError):
             FPRASParameters(delta=1.5)

@@ -160,18 +160,24 @@ class TestCaching:
         drawer.draw(length, frozenset({"z"}), gamma0, 0.01, 0.1, attempts=10, needed=10)
         assert drawer.statistics.union_cache_hits == 0
 
-    def test_each_draw_call_is_a_new_batch(self, sampler_setup):
-        """A second call estimates its unions again, as a fresh drawer on
-        the same step table and RNG state does."""
+    def test_draw_calls_share_a_scope_until_a_reseed(self, sampler_setup):
+        """A second call replays the first call's steps with no union
+        trial; after a reseed the drawer estimates its unions again, as a
+        fresh drawer on the same step table and seed does."""
         nfa, length, unroll, estimates, samples, parameters = sampler_setup
         drawer = SampleDraw(unroll, estimates, samples, parameters, random.Random(9))
         gamma0 = parameters.gamma0(estimates[("z", length)])
         arguments = (length, frozenset({"z"}), gamma0, 0.01, 0.1)
         drawer.draw(*arguments, attempts=20, needed=20)
+        union_calls = drawer.statistics.union_calls
+        assert union_calls > 0
+        drawer.draw(*arguments, attempts=20, needed=20)
+        assert drawer.statistics.union_calls == union_calls
+
+        drawer.reseed(10)
         fresh = SampleDraw(
-            unroll, estimates, samples, parameters, random.Random(), steps=drawer.steps
+            unroll, estimates, samples, parameters, random.Random(10), steps=drawer.steps
         )
-        fresh.rng.setstate(drawer.rng.getstate())
         before = dataclasses.asdict(drawer.statistics)
         assert drawer.draw(*arguments, attempts=20, needed=20) == fresh.draw(
             *arguments, attempts=20, needed=20

@@ -36,10 +36,13 @@ def server():
 
 
 def _post(server, body, timeout=60):
-    """POST /count; returns (status, parsed JSON body)."""
+    """POST /count; returns (status, parsed JSON body).  A ``str`` body is
+    sent as it is."""
+    if not isinstance(body, str):
+        body = json.dumps(body)
     request = urllib.request.Request(
         server.url + "/count",
-        data=json.dumps(body).encode("utf-8"),
+        data=body.encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
     try:
@@ -382,6 +385,14 @@ class TestRequestValidation:
             status, payload = _post(server, {"automaton": doc, "length": length})
             assert status == 400
             assert "length" in payload["error"]
+
+    @pytest.mark.parametrize("epsilon", ["Infinity", "1e400", "true"])
+    def test_mistyped_epsilon_is_400(self, server, epsilon):
+        """Python's ``json`` reads ``Infinity`` and ``1e400`` as ``inf``."""
+        body = json.dumps(_body(no_consecutive_ones_nfa(), 5, method="fpras", epsilon=0.5))
+        status, payload = _post(server, body.replace('"epsilon": 0.5', f'"epsilon": {epsilon}'))
+        assert status == 400
+        assert "epsilon" in payload["error"]
 
     def test_unknown_method_is_400(self, server):
         status, payload = _post(

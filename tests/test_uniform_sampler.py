@@ -82,6 +82,13 @@ class TestSampling:
         assert report.attempts >= report.produced
         assert 0.0 < report.acceptance_rate <= 1.0
 
+    @pytest.mark.parametrize("count", [2.5, -2, True, "3"])
+    @pytest.mark.parametrize("call", ["sample_many", "sample_with_report"])
+    def test_word_count_must_be_a_non_negative_int(self, fib_sampler, call, count):
+        _nfa, sampler = fib_sampler
+        with pytest.raises(ParameterError, match="count"):
+            getattr(sampler, call)(count)
+
     def test_distribution_roughly_uniform(self, accurate_parameters):
         nfa = families.no_consecutive_ones_nfa()
         counter = NFACounter(nfa, 6, accurate_parameters)

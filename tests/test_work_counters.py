@@ -28,14 +28,15 @@ SEED = 7
 
 #: Locked counter values for the fixed instance, seed and parameters.
 EXPECTED = {
-    "estimate": 147.67881944444443,
-    # One-set unions are read directly, so only multi-set unions count.
-    "union_calls": 51,
+    "estimate": 138.5763888888889,
+    # One-set unions are read directly, so only multi-set unions count, and
+    # the descent estimates each of those once per run.
+    "union_calls": 23,
     # A coverage count asks every set of the union about each trial's sample.
-    "membership_calls": 1332,
-    "sample_draws": 1067,
-    "sample_successes": 288,
-    "padded_states": 2,
+    "membership_calls": 612,
+    "sample_draws": 1006,
+    "sample_successes": 289,
+    "padded_states": 1,
     "ns": 10,
     "xns": 60,
 }
@@ -44,17 +45,17 @@ EXPECTED = {
 #: ``decode_ops`` is excluded — it is representation-specific by design).
 EXPECTED_ENGINE = {
     # The live-set unrolling plus the reachability cache's steps.
-    "step_ops": 97,
+    "step_ops": 96,
     # Fans are computed once per (level, handle) per run.
     "pre_ops": 94,
     # Only samples some coverage count asked about, and their prefixes.
-    "cache_words": 90,
+    "cache_words": 89,
     # Each union plan looks a stored sample up once per run, when a trial
     # first draws it.
-    "cache_lookups": 269,
+    "cache_lookups": 187,
     # A stored sample's reachable set is simulated on first use, never
     # for a sample no union trial draws.
-    "simulated_steps": 89,
+    "simulated_steps": 88,
 }
 
 
