@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -70,8 +69,8 @@ from repro.counting.acjr import ACJRCounter, ACJRParameters, ACJRResult
 from repro.counting.bruteforce import DEFAULT_ENUMERATION_LIMIT, enumerate_count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate, run_montecarlo
-from repro.counting.parallel import ProgressCallback, validate_workers
-from repro.counting.params import ParameterScale, validate_epsilon
+from repro.counting.parallel import validate_workers
+from repro.counting.params import ParameterScale, validate_epsilon, validate_length
 from repro.counting.policy import (
     POLICY_OPTION_NAMES,
     ExecutionPolicy,
@@ -84,6 +83,13 @@ SeedLike = Union[None, int, random.Random]
 
 #: The method used when a request / session does not name one.
 DEFAULT_METHOD = "fpras"
+
+#: An anytime-progress callback: called with a small plain-dict snapshot
+#: after every completed unit of work (fpras: one level of the dynamic
+#: program; montecarlo: one serial block, or one wave of a pooled run).
+#: Callbacks run on the calling thread, never touch the RNG streams, and
+#: therefore cannot change the estimate.
+ProgressCallback = Callable[[Dict[str, object]], None]
 
 #: Baseline options checked where a request is built: a positive ``int``
 #: (bools rejected) or ``None`` — the default ``num_samples``, and no
@@ -606,11 +612,19 @@ class CounterMethod(Protocol):
     option_names: FrozenSet[str]
     capabilities: MethodCapabilities
 
-    def run(self, nfa: NFA, length: int, request: CountRequest) -> CountReport:
+    def run(
+        self,
+        nfa: NFA,
+        length: int,
+        request: CountRequest,
+        progress: Optional[ProgressCallback] = None,
+    ) -> CountReport:
         """Execute the method for one instance and return its report."""
 
 
-MethodRunner = Callable[[NFA, int, CountRequest], CountReport]
+#: ``runner(nfa, length, request)``, plus a ``progress`` callback argument
+#: for methods whose capabilities declare ``progress``.
+MethodRunner = Callable[..., CountReport]
 
 
 @dataclass(frozen=True)
@@ -623,9 +637,17 @@ class RegisteredMethod:
     runner: MethodRunner = field(repr=False)
     capabilities: MethodCapabilities = field(default_factory=MethodCapabilities)
 
-    def run(self, nfa: NFA, length: int, request: CountRequest) -> CountReport:
-        """Delegate to the wrapped runner function."""
-        return self.runner(nfa, length, request)
+    def run(
+        self,
+        nfa: NFA,
+        length: int,
+        request: CountRequest,
+        progress: Optional[ProgressCallback] = None,
+    ) -> CountReport:
+        """Delegate to the wrapped runner, passing ``progress`` when given."""
+        if progress is None:
+            return self.runner(nfa, length, request)
+        return self.runner(nfa, length, request, progress)
 
 
 #: All registered counting methods, keyed by name.
@@ -647,8 +669,9 @@ def register_method(
     :class:`~repro.counting.policy.MethodCapabilities` record — most
     importantly ``workers=True`` declares that the runner honours
     :attr:`CountRequest.workers` (routing through the sharded executor in
-    :mod:`repro.counting.parallel`); dispatch rejects ``workers != 1``
-    for methods that do not declare it.
+    :mod:`repro.counting.parallel`), and ``progress=True`` that it takes a
+    fourth argument, an anytime :data:`ProgressCallback`; dispatch rejects
+    ``workers != 1`` and a callback for methods that do not declare them.
 
     >>> @register_method("fortytwo", summary="always 42")
     ... def _run(nfa, length, request):
@@ -747,9 +770,10 @@ def _run_fpras(
     ``workers != 1`` or ``shards > 1`` route through the sharded executor
     (:func:`repro.counting.parallel.run_fpras_sharded`); a one-shard plan is
     bit-identical to the serial run, and a fixed multi-shard plan is
-    bit-identical across worker counts.  ``progress`` (the anytime hook —
-    see :func:`count_with_progress`) observes completed levels without
-    touching the RNG stream, so it never changes the estimate.
+    bit-identical across worker counts.  Either way
+    :meth:`NFACounter.run` runs the levels, and ``progress`` (see
+    :func:`dispatch`) observes each completed one without touching the RNG
+    stream, so it never changes the estimate.
     """
     shards = request.option("shards", 1)
     if request.workers != 1 or shards != 1:
@@ -853,20 +877,17 @@ def _run_montecarlo(
     ``workers != 1`` routes through the sharded executor
     (:func:`repro.counting.parallel.run_montecarlo_sharded`): the word
     stream is drawn by the coordinator exactly as the serial loop draws it,
-    so the estimate is bit-identical to serial for every worker count.
-    A ``progress`` callback (see :func:`count_with_progress`) also routes
-    through the wave-structured executor even for ``workers=1`` so waves
-    can be observed — the drawn word stream, and hence the estimate, stays
-    bit-identical to the serial loop; only engine batching counters chunk
-    differently.
+    so the estimate is bit-identical to serial for every worker count.  A
+    ``progress`` callback (see :func:`dispatch`) observes every serial
+    block (pooled: every wave) without touching the stream.
     """
     num_samples = request.option("num_samples", 10_000)
     rng = request.rng()
-    if request.workers != 1 or progress is not None:
+    if request.workers != 1:
         from repro.counting.parallel import run_montecarlo_sharded
 
         started = time.perf_counter()
-        result, counters, parallel_details = run_montecarlo_sharded(
+        result, counters, details = run_montecarlo_sharded(
             nfa,
             length,
             num_samples,
@@ -877,44 +898,31 @@ def _run_montecarlo(
             progress=progress,
         )
         elapsed = time.perf_counter() - started
-        backend_name = parallel_details.pop("backend")
-        return CountReport(
-            estimate=result.estimate,
-            method="montecarlo",
-            length=length,
-            num_states=nfa.num_states,
-            elapsed_seconds=elapsed,
-            backend=backend_name,
-            engine_counters=counters,
-            details={
-                "hits": result.hits,
-                "samples": result.samples,
-                "total_words": result.total_words,
-                "density_estimate": result.density_estimate,
-                **parallel_details,
-            },
-            raw=result,
+        backend = details.pop("backend")
+    else:
+        engine, from_cache = acquire_engine(
+            nfa, request.backend, use_cache=request.use_engine_cache
         )
-    engine, from_cache = acquire_engine(
-        nfa, request.backend, use_cache=request.use_engine_cache
-    )
-    base = dict(engine.counters())
-    started = time.perf_counter()
-    result = run_montecarlo(nfa, length, num_samples, rng, engine)
-    elapsed = time.perf_counter() - started
+        base = dict(engine.counters())
+        started = time.perf_counter()
+        result = run_montecarlo(nfa, length, num_samples, rng, engine, progress)
+        elapsed = time.perf_counter() - started
+        counters = _engine_counter_deltas(engine, base, from_cache)
+        backend, details = engine.name, {}
     return CountReport(
         estimate=result.estimate,
         method="montecarlo",
         length=length,
         num_states=nfa.num_states,
         elapsed_seconds=elapsed,
-        backend=engine.name,
-        engine_counters=_engine_counter_deltas(engine, base, from_cache),
+        backend=backend,
+        engine_counters=counters,
         details={
             "hits": result.hits,
             "samples": result.samples,
             "total_words": result.total_words,
             "density_estimate": result.density_estimate,
+            **details,
         },
         raw=result,
     )
@@ -969,10 +977,32 @@ def _run_exact(nfa: NFA, length: int, request: CountRequest) -> CountReport:
 # ----------------------------------------------------------------------
 # Dispatch and convenience entry points
 # ----------------------------------------------------------------------
-def _check_dispatch(method: CounterMethod, length: int, request: CountRequest) -> None:
-    """Shared request validation for :func:`dispatch` and :func:`count_with_progress`."""
-    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
-        raise ParameterError(f"length must be a non-negative int, got {length!r}")
+def _methods_with(capability: str) -> List[str]:
+    """Names of the registered methods whose capabilities declare ``capability``."""
+    return sorted(
+        name
+        for name, entry in METHOD_REGISTRY.items()
+        if getattr(entry.capabilities, capability)
+    )
+
+
+def dispatch(
+    nfa: NFA,
+    length: int,
+    request: CountRequest,
+    progress: Optional[ProgressCallback] = None,
+) -> CountReport:
+    """Resolve a request's method, validate its options, and run it.
+
+    ``progress`` is an anytime callback (the serving layer's streaming
+    hook), accepted by methods whose capabilities declare ``progress``:
+    fpras reports after every completed level of the dynamic program,
+    montecarlo after every serial block (every wave when pooled).  It runs
+    on the calling thread and never touches the RNG streams, so the report
+    is bit-identical to a run without it.
+    """
+    method = resolve_method(request.method)
+    validate_length(length)
     unknown = set(request.options) - set(method.option_names)
     if unknown:
         accepted = sorted(method.option_names)
@@ -981,60 +1011,17 @@ def _check_dispatch(method: CounterMethod, length: int, request: CountRequest) -
             f"accepted options: {accepted if accepted else 'none'}"
         )
     if request.workers != 1 and not method.capabilities.workers:
-        supported = sorted(
-            name
-            for name, entry in METHOD_REGISTRY.items()
-            if entry.capabilities.workers
-        )
         raise CountingMethodError(
             f"method {request.method!r} does not support sharded parallel "
             f"execution (workers={request.workers}); methods with worker "
-            f"support: {supported}"
+            f"support: {_methods_with('workers')}"
         )
-
-
-def dispatch(nfa: NFA, length: int, request: CountRequest) -> CountReport:
-    """Resolve a request's method, validate its options, and run it."""
-    method = resolve_method(request.method)
-    _check_dispatch(method, length, request)
-    return method.run(nfa, length, request)
-
-
-#: Methods whose runners accept an anytime progress callback.
-PROGRESS_METHODS = ("fpras", "montecarlo")
-
-
-def count_with_progress(
-    nfa: NFA,
-    length: int,
-    request: CountRequest,
-    progress: ProgressCallback,
-) -> CountReport:
-    """Run a request with an anytime progress callback (serving-layer hook).
-
-    Only the trial-loop methods (:data:`PROGRESS_METHODS`) support progress:
-    fpras reports after every completed level of the dynamic program,
-    montecarlo after every wave of samples.  Callbacks run on the calling
-    thread and never touch the RNG streams, so the returned report's
-    estimate is bit-identical to a plain :func:`dispatch` of the same
-    request — the streaming front-end serves exactly the number a direct
-    ``repro.count`` call would have produced.
-    """
-    method = resolve_method(request.method)
-    _check_dispatch(method, length, request)
-    if request.method == "fpras":
-        return _run_fpras(nfa, length, request, progress=progress)
-    if request.method == "montecarlo":
-        return _run_montecarlo(nfa, length, request, progress=progress)
-    supported = sorted(
-        name
-        for name, entry in METHOD_REGISTRY.items()
-        if entry.capabilities.progress
-    )
-    raise CountingMethodError(
-        f"method {request.method!r} does not support anytime progress; "
-        f"methods with progress support: {supported}"
-    )
+    if progress is not None and not method.capabilities.progress:
+        raise CountingMethodError(
+            f"method {request.method!r} does not support anytime progress; "
+            f"methods with progress support: {_methods_with('progress')}"
+        )
+    return method.run(nfa, length, request, progress)
 
 
 # ----------------------------------------------------------------------

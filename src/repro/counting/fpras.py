@@ -245,14 +245,12 @@ class NFACounter:
         """
         start = time.perf_counter()
         n = self.length
-        m = self.nfa.num_states
         beta, eta, ns, xns = self.derived_parameters()
 
         self._initialise_level_zero(ns)
         for level in range(1, n + 1):
             states = sorted(self.unroll.live_states(level), key=repr)
-            for state in states:
-                self._process_state(state, level, beta, eta, ns, xns)
+            self._process_level(level, states, beta, eta, ns, xns)
             if progress is not None:
                 progress(
                     {
@@ -277,23 +275,18 @@ class NFACounter:
         return CountResult(
             estimate=estimate,
             length=n,
-            num_states=m,
+            num_states=self.nfa.num_states,
             epsilon=self.parameters.epsilon,
             delta=self.parameters.delta,
             ns=ns,
             xns=xns,
             elapsed_seconds=elapsed,
-            union_calls=self._union_calls + self.sampler_statistics.union_calls,
-            membership_calls=self._membership_calls
-            + self.sampler_statistics.membership_calls,
-            sample_draws=self.sampler_statistics.draws,
-            sample_successes=self.sampler_statistics.successes,
-            padded_states=self._padded_states,
             state_estimates=state_estimates,
             sample_counts=sample_counts,
             backend=self.unroll.backend,
             engine_counters=self.diagnostics_counters(),
             table_summary=table_summary,
+            **self.work_statistics(),
         )
 
     def diagnostics_counters(self) -> Dict[str, int]:
@@ -331,6 +324,24 @@ class NFACounter:
         # is padded to ns copies so AppUnion at level 1 never runs dry.
         self.samples[(initial, 0)] = [()] * max(1, ns)
         self._sample_counts[(initial, 0)] = 1
+
+    def _process_level(
+        self,
+        level: int,
+        states: Sequence[State],
+        beta: float,
+        eta: float,
+        ns: int,
+        xns: int,
+    ) -> None:
+        """Lines 12-30 for every live state of one level, in ``repr`` order.
+
+        A level reads only the tables of the levels below it, so this is
+        the one place a shard plan (:mod:`repro.counting.parallel`) changes
+        how a level is processed.
+        """
+        for state in states:
+            self._process_state(state, level, beta, eta, ns, xns)
 
     def _process_state(
         self,
@@ -478,10 +489,11 @@ class NFACounter:
     def work_statistics(self) -> Dict[str, int]:
         """Snapshot of the algorithm-level work counters accumulated so far.
 
-        The keys match the corresponding :class:`CountResult` fields.  The
-        sharded executor snapshots this before and after a shard task; the
-        difference is the task's deterministic work contribution, which is
-        identical no matter which worker process executes the task.
+        The keys are the corresponding :class:`CountResult` fields, which
+        :meth:`run` fills from them.  The sharded executor snapshots this
+        before and after a shard task; the difference is the task's
+        deterministic work contribution, which is identical no matter which
+        worker process executes the task.
         """
         stats = self.sampler_statistics
         return {

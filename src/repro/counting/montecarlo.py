@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -125,6 +125,7 @@ def run_montecarlo(
     num_samples: int,
     rng: random.Random,
     engine: Engine,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> MonteCarloEstimate:
     """Core Monte-Carlo loop over an already-acquired simulation engine.
 
@@ -144,6 +145,11 @@ def run_montecarlo(
     trie walk per ``2**18`` positions, and longer words keep 8192-word
     blocks.  The drawn words and acceptance decisions — and therefore the
     estimate — are backend- and batching-independent for a fixed seed.
+
+    ``progress``, when given, is called after every block with
+    ``{"method", "samples", "num_samples", "hits", "total_words"}`` — the
+    anytime hook the serving layer streams running estimates from.  It
+    never touches ``rng``, so a monitored run is bit-identical.
     """
     if length < 0:
         raise ParameterError("length must be non-negative")
@@ -160,6 +166,16 @@ def run_montecarlo(
         block = min(block_size, remaining)
         hits += sum(engine.accepts_batch(draw_words(rng, size, length, block)))
         remaining -= block
+        if progress is not None:
+            progress(
+                {
+                    "method": "montecarlo",
+                    "samples": num_samples - remaining,
+                    "num_samples": num_samples,
+                    "hits": hits,
+                    "total_words": total_words,
+                }
+            )
     estimate = (hits / num_samples) * total_words
     return MonteCarloEstimate(
         estimate=estimate, hits=hits, samples=num_samples, total_words=total_words

@@ -36,14 +36,17 @@ Sharding the two methods
 ------------------------
 **FPRAS** (``shards`` per-method option, default 1): the dynamic program is
 level-synchronous — states at level ``l`` depend only on the merged tables
-of levels ``< l`` — so the sorted live states of each level are dealt
-round-robin into ``shards`` groups, each processed with its own derived
-substream ``derive_shard_seed(root, "level", l, "shard", s)``.  After each
-level the coordinator merges the per-shard ``N`` / ``S`` entries (their key
-sets are disjoint) and broadcasts them to every worker; the final AppUnion
-over the accepting states runs in the coordinator on the
-``("final",)``-derived substream.  ``shards=1`` degenerates to the exact
-serial :class:`~repro.counting.fpras.NFACounter` run — bit-identical to not
+of levels ``< l`` — so a shard plan is one more way to process a level.  A
+``shards > 1`` run is an :class:`~repro.counting.fpras.NFACounter` whose
+``_process_level`` deals the level's sorted live states round-robin into
+``shards`` groups, each processed with its own derived substream
+``derive_shard_seed(root, "level", l, "shard", s)``; its ``run`` is the
+serial one (level loop, progress events and result).  With a pool the
+coordinator merges the per-shard ``N`` / ``S`` entries after each level
+(their key sets are disjoint) and broadcasts them to every worker.  The
+final AppUnion over the accepting states runs in the coordinator on the
+``("final",)``-derived substream.  ``shards=1`` is the serial
+:class:`~repro.counting.fpras.NFACounter` run — bit-identical to not
 passing ``workers`` at all.  Because sharded runs execute on the
 serialisation round-trip of the automaton (so coordinator and workers agree
 on state labels), automata that :func:`nfa_to_dict` rejects cannot be
@@ -56,7 +59,8 @@ estimate — are bit-identical to serial execution for *any* worker count;
 workers only run :meth:`~repro.automata.engine.Engine.accepts_batch` over
 fixed-size row slices of the coordinator's position matrix
 (:data:`MC_CHUNK_WORDS`, worker-count independent) and the accepted counts
-are summed.
+are summed.  A run whose plan needs one process (one chunk, or one CPU) is
+the serial :func:`~repro.counting.montecarlo.run_montecarlo` loop.
 
 Crash handling and pool reuse
 -----------------------------
@@ -67,9 +71,10 @@ the worker and its exit code, with ``close()`` still reaping the
 survivors.  Long-lived callers (the :mod:`repro.serve` layer) install a
 :class:`WorkerPoolManager` so pools persist across counting runs instead
 of being spawned per call; a failed run discards its pool and the next
-lease starts clean.  Both sharded entry points also accept an anytime
-``progress`` callback (per FPRAS level / per Monte-Carlo wave) that never
-touches the RNG streams, so streaming progress cannot change an estimate.
+lease starts clean.  Both entry points also accept an anytime
+``progress`` callback (per FPRAS level, per pooled Monte-Carlo wave or
+serial block) that never touches the RNG streams, so streaming progress
+cannot change an estimate.
 
 What is and is not invariant
 ----------------------------
@@ -98,7 +103,7 @@ from repro.automata.engine import acquire_engine, resolve_backend
 from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
-from repro.counting.montecarlo import MonteCarloEstimate, draw_words
+from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
 from repro.errors import (
     AutomatonError,
     CountingMethodError,
@@ -122,13 +127,6 @@ SEED_DERIVATION_SCHEME = "sha256(root, *path)[:8]"
 #: windowed stores, their window advance/spill sequence — are identical to
 #: a single monolithic sync.
 SYNC_CHUNK_ENTRIES = 64
-
-#: An anytime-progress callback: called with a small plain-dict snapshot
-#: after every completed unit of work (fpras: one level of the dynamic
-#: program; montecarlo: one wave of samples).  Callbacks run on the
-#: coordinator thread, never touch the RNG streams, and therefore cannot
-#: change the estimate.
-ProgressCallback = Callable[[Dict[str, object]], None]
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +257,10 @@ def _fork_context():
 def _worker_main(connection) -> None:
     """Message loop run by every pool worker.
 
-    The worker owns either an :class:`NFACounter` (fpras mode: mutable
-    ``N`` / ``S`` tables synchronised by the coordinator between levels) or
-    a bare engine (montecarlo mode).  Every request is answered with
+    The worker owns either an :class:`NFACounter` (fpras mode: level 0
+    built on ``init-fpras``, later levels' ``N`` / ``S`` entries
+    synchronised by the coordinator) or a bare engine (montecarlo mode).
+    Every request is answered with
     ``("ok", payload)`` or ``("error", traceback_text)``; the coordinator
     re-raises the latter.
     """
@@ -277,6 +276,8 @@ def _worker_main(connection) -> None:
                     counter = NFACounter(
                         nfa_from_dict(document), length, parameters
                     )
+                    _, _, ns, _ = counter.derived_parameters()
+                    counter._initialise_level_zero(ns)
                     connection.send(("ok", None))
                 elif kind == "init-mc":
                     document, backend, use_engine_cache = message[1:]
@@ -330,27 +331,28 @@ def _run_shard(
     Reseeding the counter's drawer puts the stream it shares with the
     counter in the state ``random.Random(shard_seed)`` would start in, and
     starts a new scope, so no union estimate, step or jump of an earlier
-    shard task weighs this one's draws.  Runs in a pool worker *and*
-    in-process for ``workers=1``; the result is a pure function of (tables
-    so far, shard states, shard seed), which is what makes the merged run
-    worker-count invariant.
+    shard task weighs this one's draws; the states then go through the
+    serial level step.  Runs in a pool worker *and* in-process for
+    ``workers=1``; the result is a pure function of (tables so far, shard
+    states, shard seed), which is what makes the merged run worker-count
+    invariant.
     """
     counter._sampler.reseed(shard_seed)
     stats_before = counter.work_statistics()
     engine_before = counter.diagnostics_counters()
-    beta, eta, ns, xns = counter.derived_parameters()
-    entries = []
-    for state in states:
-        counter._process_state(state, level, beta, eta, ns, xns)
-        entries.append(
-            (
-                state,
-                level,
-                counter.estimates[(state, level)],
-                counter.samples[(state, level)],
-                counter._sample_counts[(state, level)],
-            )
+    NFACounter._process_level(
+        counter, level, states, *counter.derived_parameters()
+    )
+    entries = [
+        (
+            state,
+            level,
+            counter.estimates[(state, level)],
+            counter.samples[(state, level)],
+            counter._sample_counts[(state, level)],
         )
+        for state in states
+    ]
     stats_after = counter.work_statistics()
     engine_after = counter.diagnostics_counters()
     return {
@@ -710,10 +712,74 @@ def _finish_pool(
 # ----------------------------------------------------------------------
 # FPRAS sharded execution
 # ----------------------------------------------------------------------
-def _sync_entries(pool: _WorkerPool, entries: Sequence[Tuple]) -> None:
-    """Broadcast merged table entries in bounded, order-preserving chunks."""
-    for start in range(0, len(entries), SYNC_CHUNK_ENTRIES):
-        pool.broadcast(("sync", entries[start : start + SYNC_CHUNK_ENTRIES]))
+def _add_counts(totals: Dict[str, int], deltas: Dict[str, int]) -> None:
+    """Add a pool task's counter deltas into running totals."""
+    for key, value in deltas.items():
+        totals[key] = totals.get(key, 0) + value
+
+
+class _ShardedCounter(NFACounter):
+    """An :class:`NFACounter` that processes each level under a shard plan.
+
+    :meth:`NFACounter.run` drives it exactly as it drives a serial run;
+    only a level's processing, the final estimate's substream and (with a
+    pool) the work and engine totals differ.  Without a :attr:`pool` every
+    shard task runs in-process through :func:`_run_shard`; with one, the
+    tasks run on the workers, and their entries are installed here and
+    broadcast to every worker before the next level.
+    """
+
+    def __init__(
+        self,
+        nfa: NFA,
+        length: int,
+        parameters: FPRASParameters,
+        shards: int,
+        root: int,
+    ) -> None:
+        super().__init__(nfa, length, parameters)
+        self.shards = shards
+        self.root = root
+        self.pool: Optional[_WorkerPool] = None
+        self._task_stats: Dict[str, int] = {}
+        self._task_engine: Dict[str, int] = {}
+
+    def _process_level(self, level, states, beta, eta, ns, xns) -> None:
+        tasks = [
+            (
+                level,
+                states[shard :: self.shards],
+                derive_shard_seed(self.root, "level", level, "shard", shard),
+            )
+            for shard in range(min(self.shards, len(states)))
+        ]
+        if self.pool is None:
+            for task in tasks:
+                _run_shard(self, *task)
+            return
+        entries = []
+        for outcome in self.pool.run_tasks([("run-states", *task) for task in tasks]):
+            entries.extend(outcome["entries"])
+            _add_counts(self._task_stats, outcome["stats"])
+            _add_counts(self._task_engine, outcome["engine"])
+        for entry in entries:
+            self.install_state(*entry)
+        for start in range(0, len(entries), SYNC_CHUNK_ENTRIES):
+            self.pool.broadcast(("sync", entries[start : start + SYNC_CHUNK_ENTRIES]))
+
+    def _final_estimate(self, beta: float, eta: float) -> float:
+        self.rng.seed(derive_shard_seed(self.root, "final"))
+        return super()._final_estimate(beta, eta)
+
+    def work_statistics(self) -> Dict[str, int]:
+        stats = super().work_statistics()
+        _add_counts(stats, self._task_stats)
+        return stats
+
+    def diagnostics_counters(self) -> Dict[str, int]:
+        counters = super().diagnostics_counters()
+        _add_counts(counters, self._task_engine)
+        return counters
 
 
 def run_fpras_sharded(
@@ -725,7 +791,7 @@ def run_fpras_sharded(
     workers: int,
     seed: object,
     pool_manager: Optional[WorkerPoolManager] = None,
-    progress: Optional[ProgressCallback] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Tuple[CountResult, Dict[str, object]]:
     """Execute the FPRAS under a ``shards``-way plan with ``workers`` processes.
 
@@ -733,14 +799,14 @@ def run_fpras_sharded(
     report details (``workers``, ``shards``, seed-derivation record).  The
     result is bit-identical for every ``workers`` value, because the plan —
     shard membership and every substream seed — depends only on
-    ``(seed, shards)`` and the workload.
+    ``(seed, shards)`` and the workload.  Its ``elapsed_seconds`` covers
+    the pool lease and release.
 
     ``pool_manager`` (or a manager installed via :func:`install_pool_manager`)
     reuses persistent worker pools across calls instead of spawning per run;
     a run that fails discards its pool so the next lease starts clean.
-    ``progress`` is called after every completed level with
-    ``{"method", "level", "levels", "live_states"}`` — it runs on the
-    coordinator thread and cannot affect the estimate.
+    ``progress`` is :meth:`NFACounter.run`'s per-level callback — it runs
+    on the coordinator thread and cannot affect the estimate.
     """
     shards = validate_shards(shards)
     workers = resolve_workers(workers)
@@ -764,120 +830,25 @@ def run_fpras_sharded(
 
     root = shard_root_seed(seed)
     nfa, document = _roundtrip_nfa(nfa)
-    coordinator = NFACounter(nfa, length, parameters)
-    beta, eta, ns, xns = coordinator.derived_parameters()
-    coordinator._initialise_level_zero(ns)
-
+    # Built before the pool forks, so workers inherit its engine.
+    counter = _ShardedCounter(nfa, length, parameters, shards, root)
     pool_size = min(workers, shards)
-    pool: Optional[_WorkerPool] = None
     manager: Optional[WorkerPoolManager] = None
     failed = False
-    task_stats: Dict[str, int] = {}
-    task_engine: Dict[str, int] = {}
     try:
         if pool_size > 1:
-            pool, manager = _acquire_pool(
+            counter.pool, manager = _acquire_pool(
                 pool_size,
                 ("init-fpras", document, length, parameters),
                 pool_manager,
             )
-            initial = coordinator.nfa.initial
-            _sync_entries(
-                pool,
-                [
-                    (
-                        initial,
-                        0,
-                        coordinator.estimates[(initial, 0)],
-                        coordinator.samples[(initial, 0)],
-                        coordinator._sample_counts[(initial, 0)],
-                    )
-                ],
-            )
-        for level in range(1, length + 1):
-            states = sorted(coordinator.unroll.live_states(level), key=repr)
-            groups = [
-                (shard, states[shard::shards])
-                for shard in range(shards)
-                if states[shard::shards]
-            ]
-            seeds = {
-                shard: derive_shard_seed(root, "level", level, "shard", shard)
-                for shard, _ in groups
-            }
-            if pool is None:
-                level_entries = []
-                for shard, group in groups:
-                    outcome = _run_shard(coordinator, level, group, seeds[shard])
-                    level_entries.extend(outcome["entries"])
-            else:
-                outcomes = pool.run_tasks(
-                    [
-                        ("run-states", level, group, seeds[shard])
-                        for shard, group in groups
-                    ]
-                )
-                level_entries = []
-                for outcome in outcomes:
-                    level_entries.extend(outcome["entries"])
-                    for key, value in outcome["stats"].items():
-                        task_stats[key] = task_stats.get(key, 0) + value
-                    for key, value in outcome["engine"].items():
-                        task_engine[key] = task_engine.get(key, 0) + value
-                for state, lvl, estimate, samples, drawn in level_entries:
-                    coordinator.install_state(state, lvl, estimate, samples, drawn)
-                _sync_entries(pool, level_entries)
-            if progress is not None:
-                progress(
-                    {
-                        "method": "fpras",
-                        "level": level,
-                        "levels": length,
-                        "live_states": len(states),
-                    }
-                )
-        coordinator.rng.seed(derive_shard_seed(root, "final"))
-        estimate = coordinator._final_estimate(beta, eta)
+        result = counter.run(progress=progress)
     except BaseException:
         failed = True
         raise
     finally:
-        _finish_pool(pool, manager, failed)
-
-    stats = coordinator.work_statistics()
-    for key, value in task_stats.items():
-        stats[key] += value
-    engine_counters = coordinator.diagnostics_counters()
-    for key, value in task_engine.items():
-        engine_counters[key] = engine_counters.get(key, 0) + value
-    if parameters.details == "summary":
-        state_estimates: Dict = {}
-        sample_counts: Dict = {}
-        table_summary = coordinator.table_summary()
-    else:
-        state_estimates = dict(coordinator.estimates)
-        sample_counts = dict(coordinator._sample_counts)
-        table_summary = {}
-    result = CountResult(
-        estimate=estimate,
-        length=length,
-        num_states=nfa.num_states,
-        epsilon=parameters.epsilon,
-        delta=parameters.delta,
-        ns=ns,
-        xns=xns,
-        elapsed_seconds=time.perf_counter() - started,
-        union_calls=stats["union_calls"],
-        membership_calls=stats["membership_calls"],
-        sample_draws=stats["sample_draws"],
-        sample_successes=stats["sample_successes"],
-        padded_states=stats["padded_states"],
-        state_estimates=state_estimates,
-        sample_counts=sample_counts,
-        backend=coordinator.unroll.backend,
-        engine_counters=engine_counters,
-        table_summary=table_summary,
-    )
+        _finish_pool(counter.pool, manager, failed)
+    result.elapsed_seconds = time.perf_counter() - started
     details = {
         "workers": workers,
         "shards": shards,
@@ -909,7 +880,7 @@ def run_montecarlo_sharded(
     use_engine_cache: bool,
     workers: int,
     pool_manager: Optional[WorkerPoolManager] = None,
-    progress: Optional[ProgressCallback] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Tuple[MonteCarloEstimate, Dict[str, int], Dict[str, object]]:
     """The Monte-Carlo trial loop over a worker pool.
 
@@ -917,14 +888,15 @@ def run_montecarlo_sharded(
     the serial loop) and workers only answer acceptance over
     :data:`MC_CHUNK_WORDS`-row slices of each wave's position matrix, so
     the estimate equals serial Monte-Carlo for any worker count while peak
-    memory stays at one wave of words.  Returns ``(estimate, merged
-    engine-counter deltas, details)``.
+    memory stays at one wave of words.  A plan that needs one process runs
+    :func:`~repro.counting.montecarlo.run_montecarlo` in-process instead.
+    Returns ``(estimate, merged engine-counter deltas, details)``.
 
     ``pool_manager`` (or an installed process-wide manager) reuses
     persistent pools across calls.  ``progress`` is called after every wave
-    with ``{"method", "samples", "num_samples", "hits", "total_words"}``
-    — the anytime hook the serving layer streams partial estimates from;
-    it never touches ``rng``, so the final estimate is unchanged.
+    (or serial block) with ``{"method", "samples", "num_samples", "hits",
+    "total_words"}``; it never touches ``rng``, so the final estimate is
+    unchanged.
     """
     if length < 0:
         raise ReproError("length must be non-negative")
@@ -934,79 +906,66 @@ def run_montecarlo_sharded(
     size = len(nfa.alphabet)
     total_words = size**length
     total_chunks = -(-num_samples // MC_CHUNK_WORDS)
-
-    def _wave_progress(done: int, hits_so_far: int) -> None:
-        if progress is not None:
-            progress(
-                {
-                    "method": "montecarlo",
-                    "samples": done,
-                    "num_samples": num_samples,
-                    "hits": hits_so_far,
-                    "total_words": total_words,
-                }
-            )
-
     pool_size = min(workers, total_chunks)
+    details: Dict[str, object] = {
+        "workers": workers,
+        "pool_processes": pool_size if pool_size > 1 else 0,
+        "chunk_words": MC_CHUNK_WORDS,
+        "chunks": total_chunks,
+    }
+    if pool_size == 1:
+        engine, from_cache = acquire_engine(nfa, backend, use_cache=use_engine_cache)
+        base = dict(engine.counters())
+        result = run_montecarlo(nfa, length, num_samples, rng, engine, progress)
+        deltas = {
+            key: value - base.get(key, 0)
+            for key, value in engine.counters().items()
+        }
+        deltas["engine_cache_hit"] = int(from_cache)
+        return result, deltas, {**details, "backend": engine.name}
+
+    roundtripped, document = _roundtrip_nfa(nfa)
+    backend_name = resolve_backend(roundtripped, backend)
+    pool, manager = _acquire_pool(
+        pool_size, ("init-mc", document, backend, use_engine_cache), pool_manager
+    )
     counters: Dict[str, int] = {}
     hits = 0
-    if pool_size > 1:
-        roundtripped, document = _roundtrip_nfa(nfa)
-        backend_name = resolve_backend(roundtripped, backend)
-        pool, manager = _acquire_pool(
-            pool_size, ("init-mc", document, backend, use_engine_cache), pool_manager
-        )
-        failed = False
-        try:
-            remaining = num_samples
-            while remaining:
-                wave = draw_words(rng, size, length, min(remaining, MC_WAVE_WORDS))
-                remaining -= len(wave)
-                outcomes = pool.run_tasks(
-                    [
-                        ("mc-chunk", wave[start : start + MC_CHUNK_WORDS])
-                        for start in range(0, len(wave), MC_CHUNK_WORDS)
-                    ]
-                )
-                for outcome in outcomes:
-                    hits += outcome["hits"]
-                    for key, value in outcome["engine"].items():
-                        counters[key] = counters.get(key, 0) + value
-                _wave_progress(num_samples - remaining, hits)
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            _finish_pool(pool, manager, failed)
-        counters["engine_cache_hit"] = 0
-    else:
-        engine, from_cache = acquire_engine(nfa, backend, use_cache=use_engine_cache)
-        backend_name = engine.name
-        base = dict(engine.counters())
+    failed = False
+    try:
         remaining = num_samples
         while remaining:
             wave = draw_words(rng, size, length, min(remaining, MC_WAVE_WORDS))
             remaining -= len(wave)
-            for start in range(0, len(wave), MC_CHUNK_WORDS):
-                hits += int(sum(engine.accepts_batch(wave[start : start + MC_CHUNK_WORDS])))
-            _wave_progress(num_samples - remaining, hits)
-        counters = {
-            key: value - base.get(key, 0)
-            for key, value in engine.counters().items()
-        }
-        counters["engine_cache_hit"] = int(from_cache)
-
+            outcomes = pool.run_tasks(
+                [
+                    ("mc-chunk", wave[start : start + MC_CHUNK_WORDS])
+                    for start in range(0, len(wave), MC_CHUNK_WORDS)
+                ]
+            )
+            for outcome in outcomes:
+                hits += outcome["hits"]
+                _add_counts(counters, outcome["engine"])
+            if progress is not None:
+                progress(
+                    {
+                        "method": "montecarlo",
+                        "samples": num_samples - remaining,
+                        "num_samples": num_samples,
+                        "hits": hits,
+                        "total_words": total_words,
+                    }
+                )
+    except BaseException:
+        failed = True
+        raise
+    finally:
+        _finish_pool(pool, manager, failed)
+    counters["engine_cache_hit"] = 0
     estimate = MonteCarloEstimate(
         estimate=(hits / num_samples) * total_words,
         hits=hits,
         samples=num_samples,
         total_words=total_words,
     )
-    details = {
-        "workers": workers,
-        "pool_processes": pool_size if pool_size > 1 else 0,
-        "chunk_words": MC_CHUNK_WORDS,
-        "chunks": total_chunks,
-        "backend": backend_name,
-    }
-    return estimate, counters, details
+    return estimate, counters, {**details, "backend": backend_name}

@@ -58,6 +58,19 @@ def validate_epsilon(epsilon: object) -> None:
         raise ParameterError(f"epsilon must be a finite positive number, got {epsilon!r}")
 
 
+def validate_length(length: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``length``, a word
+    length, is a non-negative int that is not a bool.
+
+    >>> validate_length(True)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: length must be a non-negative int, got True
+    """
+    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
+        raise ParameterError(f"length must be a non-negative int, got {length!r}")
+
+
 @dataclass(frozen=True)
 class ParameterScale:
     """How to derive operational parameters from the paper's formulas.

@@ -170,8 +170,8 @@ class MethodCapabilities:
         The runner honours ``CountRequest.workers`` through the sharded
         executor (:mod:`repro.counting.parallel`).
     progress:
-        The runner accepts an anytime progress callback
-        (:func:`~repro.counting.api.count_with_progress`).
+        The runner accepts an anytime progress callback (the ``progress``
+        argument of :func:`~repro.counting.api.dispatch`).
     stores:
         State-table store names the method accepts (every method handles
         the default resident ``"dict"`` store).

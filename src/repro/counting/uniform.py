@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.automata.nfa import NFA, Word
 from repro.counting.fpras import NFACounter
-from repro.counting.params import FPRASParameters
+from repro.counting.params import FPRASParameters, validate_length
 from repro.counting.sampler import SampleDraw
 from repro.errors import EmptyLanguageError, ParameterError, SamplingError
 
@@ -86,7 +86,8 @@ class UniformWordSampler:
 
         The counting pass that backs the sampler always runs the paper's
         FPRAS (sampling needs its ``N`` / ``S`` tables), so the request's
-        method must be ``"fpras"``.  This is the path
+        method must be ``"fpras"``, and ``length`` is checked as
+        :func:`~repro.counting.api.dispatch` checks it.  This is the path
         :meth:`repro.counting.api.CountingSession.sampler` uses, and it is
         bit-identical to building the :class:`NFACounter` by hand from the
         same knobs.
@@ -98,6 +99,7 @@ class UniformWordSampler:
                 f"uniform sampling requires the 'fpras' counting method, "
                 f"not {request.method!r} (the sampler reuses the FPRAS tables)"
             )
+        validate_length(length)
         counter = fpras_counter(nfa, length, request)
         return cls(counter, max_attempts_per_word=max_attempts_per_word)
 

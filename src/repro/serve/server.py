@@ -29,9 +29,10 @@ Endpoints
     :meth:`~repro.counting.api.CountReport.to_dict` payload with a
     ``"served"`` envelope (cache disposition + fingerprint).  With
     ``"stream": true`` the response is chunked NDJSON: one ``progress``
-    event per FPRAS level / Monte-Carlo wave (with a running estimate where
-    one exists), then a final ``result`` event.  An early client disconnect
-    does not abort the run — the result still lands in the cache.
+    event per FPRAS level / Monte-Carlo block or pooled wave (with a
+    running estimate where one exists), then a final ``result`` event.  An
+    early client disconnect does not abort the run — the result still
+    lands in the cache.
 ``GET /stats``
     Counters: cache, queue, pool-manager snapshots plus request totals.
 ``GET /methods``
@@ -57,12 +58,11 @@ from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.api import (
     METHOD_REGISTRY,
-    PROGRESS_METHODS,
     CountingSession,
     CountRequest,
-    count_with_progress,
     dispatch,
     request_fingerprint,
+    resolve_method,
 )
 from repro.counting.parallel import WorkerPoolManager, install_pool_manager
 from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
@@ -542,10 +542,8 @@ class CountingServer:
             emit(event)
 
         try:
-            if request.method in PROGRESS_METHODS:
-                report = count_with_progress(nfa, length, request, progress)
-            else:
-                report = dispatch(nfa, length, request)
+            streamed = resolve_method(request.method).capabilities.progress
+            report = dispatch(nfa, length, request, progress if streamed else None)
         except WorkerCrashError as exc:
             self._bump("worker_crashes")
             emit({"event": "error", "status": 503, "error": str(exc)})

@@ -348,10 +348,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("length", [2.0, True])
     def test_progress_path_checks_the_length(self, nfa, length):
-        from repro.counting.api import count_with_progress
-
         with pytest.raises(ParameterError, match="length"):
-            count_with_progress(nfa, length, CountRequest(method="fpras"), lambda event: None)
+            dispatch(nfa, length, CountRequest(method="fpras"), progress=lambda event: None)
+
+    @pytest.mark.parametrize("length", [2.0, True])
+    def test_sampler_path_checks_the_length(self, length):
+        with pytest.raises(ParameterError, match="length"):
+            CountingSession(seed=1).sampler(substring_nfa("101"), length).prepare()
 
     def test_request_defaults_are_valid(self):
         request = CountRequest()
@@ -874,55 +877,47 @@ class TestRequestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# Anytime progress (count_with_progress)
+# Anytime progress (dispatch(..., progress=...))
 # ----------------------------------------------------------------------
 class TestCountWithProgress:
     SCALE = ParameterScale.practical(sample_cap=8, union_trial_cap=10)
 
     def test_fpras_progress_levels_and_identical_estimate(self):
-        from repro.counting.api import count_with_progress
-
         nfa = no_consecutive_ones_nfa()
         request = CountRequest(
             method="fpras", epsilon=0.5, seed=SEED, options={"scale": self.SCALE}
         )
         events = []
-        streamed = count_with_progress(nfa, 6, request, events.append)
+        streamed = dispatch(nfa, 6, request, progress=events.append)
         direct = dispatch(nfa, 6, request)
         assert streamed.estimate == direct.estimate
         assert [e["level"] for e in events] == list(range(1, 7))
         assert all(e["method"] == "fpras" for e in events)
 
     def test_montecarlo_progress_waves_and_identical_estimate(self):
-        from repro.counting.api import count_with_progress
-
         nfa = no_consecutive_ones_nfa()
         request = CountRequest(
             method="montecarlo", seed=SEED, options={"num_samples": 100}
         )
         events = []
-        streamed = count_with_progress(nfa, 6, request, events.append)
+        streamed = dispatch(nfa, 6, request, progress=events.append)
         direct = dispatch(nfa, 6, request)
         assert streamed.estimate == direct.estimate
         assert events and events[-1]["samples"] == 100
         assert all(e["method"] == "montecarlo" for e in events)
 
     def test_unsupported_method_rejected(self):
-        from repro.counting.api import count_with_progress
-
         with pytest.raises(CountingMethodError) as excinfo:
-            count_with_progress(
-                no_consecutive_ones_nfa(), 6, CountRequest(method="exact"), print
+            dispatch(
+                no_consecutive_ones_nfa(), 6, CountRequest(method="exact"), progress=print
             )
         assert "progress" in str(excinfo.value)
 
     def test_unknown_options_still_rejected(self):
-        from repro.counting.api import count_with_progress
-
         with pytest.raises(CountingMethodError):
-            count_with_progress(
+            dispatch(
                 no_consecutive_ones_nfa(),
                 6,
                 CountRequest(method="fpras", options={"bogus": 1}),
-                print,
+                progress=print,
             )

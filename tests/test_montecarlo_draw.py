@@ -25,7 +25,7 @@ from repro.automata.engine import Engine, create_engine
 from repro.automata.families import substring_nfa
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nonempty_nfa
-from repro.counting.api import CountRequest, count_with_progress, dispatch
+from repro.counting.api import CountRequest, dispatch
 from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
 from repro.counting.parallel import MC_CHUNK_WORDS
 from repro.counting.policy import ExecutionPolicy
@@ -187,11 +187,10 @@ def test_run_matches_reference_loop(name, with_progress, workers, backend):
         policy=ExecutionPolicy(backend=backend, workers=workers, use_engine_cache=False),
     )
     events = []
-    if with_progress:
-        report = count_with_progress(nfa, length, request, events.append)
-    else:
-        report = dispatch(nfa, length, request)
-    sharded = workers != 1 or with_progress
+    report = dispatch(
+        nfa, length, request, progress=events.append if with_progress else None
+    )
+    sharded = workers != 1
     hits, state, counters = _reference_run(
         nfa, length, num_samples, 17, MC_CHUNK_WORDS if sharded else None
     )

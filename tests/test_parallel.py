@@ -179,6 +179,27 @@ def test_fpras_sharded_on_overlapping_union_family():
     assert pooled.raw.state_estimates == serial.raw.state_estimates
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fpras_sharded_run_goes_through_the_serial_run(
+    substring_101_nfa, monkeypatch, workers
+):
+    """A shard plan only changes how a level is processed: the one level
+    loop, ``NFACounter.run``, drives a sharded count once, pooled or not."""
+    from repro.counting.fpras import NFACounter
+
+    calls = []
+    run = NFACounter.run
+
+    def counted_run(self, *args, **kwargs):
+        calls.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(NFACounter, "run", counted_run)
+    report = _fpras(substring_101_nfa, 7, workers=workers, shards=3)
+    assert len(calls) == 1
+    assert report.details["shards"] == 3
+
+
 def test_fpras_sharded_run_is_deterministic(substring_101_nfa):
     first = _fpras(substring_101_nfa, 6, workers=2, shards=2)
     second = _fpras(substring_101_nfa, 6, workers=2, shards=2)

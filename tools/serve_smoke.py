@@ -11,6 +11,9 @@ service contract end to end:
   for the same (automaton, knobs) — the server adds transport, never noise;
 * ``/stats`` shows the duplicate traffic collapsing onto cache lines:
   exactly one counting run per distinct request, everything else hits;
+* ``"stream": true`` requests (a serial Monte-Carlo run and a two-shard
+  fpras run on two workers) end in the result a direct ``repro.count()``
+  gives, after progress events that reach every sample / the last level;
 * SIGINT produces a clean, prompt exit (code 0) with no orphan processes.
 
 Exit code 0 on success; any assertion failure or timeout is non-zero.
@@ -35,6 +38,7 @@ from typing import Dict, List, Tuple
 from repro.automata.families import divisibility_nfa, no_consecutive_ones_nfa
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.api import count
+from repro.counting.policy import ExecutionPolicy
 
 #: Seed shared by every request so served-vs-direct parity is checkable.
 SEED = 20240808
@@ -48,6 +52,13 @@ WORKLOADS = [
 
 #: Concurrent POSTs per workload; all but the first should be cache traffic.
 CLIENTS_PER_WORKLOAD = 4
+
+#: (label, method, options, workers) of the streamed requests, each run on
+#: the ``divisibility_7`` workload; neither is in the cache when it is sent.
+STREAMS = [
+    ("montecarlo", "montecarlo", {"num_samples": 20_000}, 1),
+    ("fpras-sharded", "fpras", {"shards": 2}, 2),
+]
 
 
 def _start_server() -> Tuple[subprocess.Popen, str]:
@@ -97,6 +108,61 @@ def _post_count(url: str, document: Dict, length: int) -> Dict:
     with urllib.request.urlopen(request, timeout=120) as response:
         assert response.status == 200, f"POST /count -> {response.status}"
         return json.loads(response.read())
+
+
+def _post_stream(url: str, body: Dict) -> List[Dict]:
+    """POST /count with ``"stream": true``; the NDJSON events in order."""
+    data = json.dumps(dict(body, stream=True)).encode("utf-8")
+    request = urllib.request.Request(url + "/count", data=data)
+    with urllib.request.urlopen(request, timeout=120) as response:
+        assert response.status == 200, f"streamed POST /count -> {response.status}"
+        raw = response.read()
+    return [json.loads(line) for line in raw.splitlines() if line.strip()]
+
+
+def _check_streams(url: str) -> None:
+    """Each stream ends in the direct result after complete progress."""
+    _, document, length = WORKLOADS[1]
+    for label, method, options, workers in STREAMS:
+        events = _post_stream(
+            url,
+            {
+                "automaton": document,
+                "length": length,
+                "method": method,
+                "epsilon": 0.5,
+                "seed": SEED,
+                "workers": workers,
+                "options": options,
+            },
+        )
+        progress = [event for event in events if event["event"] == "progress"]
+        result = events[-1]
+        assert result["event"] == "result", f"{label} stream ended with {result}"
+        assert progress, f"{label} stream sent no progress event"
+        shards = options.get("shards", 1)
+        knobs = {key: value for key, value in options.items() if key != "shards"}
+        policy = ExecutionPolicy(workers=workers, shards=shards)
+        direct = count(
+            nfa_from_dict(document), length, method=method, epsilon=0.5,
+            seed=SEED, policy=policy, **knobs,
+        )
+        assert result["estimate"] == direct.estimate, (
+            f"streamed {label} estimate {result['estimate']} != "
+            f"direct {direct.estimate}"
+        )
+        assert result["details"] == json.loads(json.dumps(direct.details)), (
+            f"streamed {label} details diverged from direct count()"
+        )
+        last = progress[-1]
+        if method == "montecarlo":
+            assert last["samples"] == options["num_samples"], last
+        else:
+            assert last["level"] == last["levels"] == length, last
+        print(
+            f"stream {label}: {len(progress)} progress event(s), "
+            f"result equals direct count()"
+        )
 
 
 def _get_stats(url: str) -> Dict:
@@ -167,6 +233,8 @@ def main() -> int:
         after = _get_stats(url)["counters"]
         assert after["counting_runs"] == counters["counting_runs"]
         print("post-hoc duplicate: cache hit, no new counting run")
+
+        _check_streams(url)
     finally:
         process.send_signal(signal.SIGINT)
         try:
