@@ -2,13 +2,14 @@
 
 The :class:`repro.counting.api.CountingSession` / ``repro.count`` layer is
 pure dispatch — request validation, one dictionary probe into the method
-registry and report normalisation — on top of the same
-:class:`~repro.counting.fpras.NFACounter` run the legacy ``count_nfa`` entry
-point performs.  This benchmark pins that down:
+registry and report normalisation — on top of one
+:class:`~repro.counting.fpras.NFACounter` run.  This benchmark pins that
+down:
 
-* the façade must add **less than 5 %** wall-clock overhead over direct
-  ``count_nfa`` calls on a representative instance (best-of-``ROUNDS``
-  timing on both sides, identical seeds, engine registry warm for both);
+* the façade must add **less than 5 %** wall-clock overhead over building
+  and running the ``NFACounter`` directly on a representative instance
+  (best-of-two timing per round on every path, identical seeds, engine
+  registry warm for all);
 * repeated session calls on the same automaton must reuse the engine from
   the shared :class:`~repro.automata.engine.EngineRegistry`
   (``engine_counters["engine_cache_hit"] == 1``) and stay bit-identical
@@ -22,7 +23,8 @@ from statistics import median
 
 from repro.automata.families import substring_nfa
 from repro.counting.api import CountingSession, count
-from repro.counting.fpras import count_nfa
+from repro.counting.fpras import NFACounter
+from repro.counting.params import FPRASParameters
 from repro.harness.reporting import format_table
 
 #: The fixed instance: heavy enough that one run takes tens of milliseconds,
@@ -44,15 +46,16 @@ MAX_OVERHEAD_FACTOR = 1.05
 
 def _overhead_comparison():
     nfa = substring_nfa("101")
-    # Warm the shared engine registry so neither path pays construction.
-    count_nfa(nfa, LENGTH, epsilon=EPSILON, seed=SEED)
+
+    def direct():
+        return NFACounter(nfa, LENGTH, FPRASParameters(epsilon=EPSILON, seed=SEED)).run()
+
+    # Warm the shared engine registry so no path pays construction.
+    direct()
     session = CountingSession(epsilon=EPSILON, seed=SEED)
 
     paths = [
-        (
-            "count_nfa (legacy shim)",
-            lambda: count_nfa(nfa, LENGTH, epsilon=EPSILON, seed=SEED),
-        ),
+        ("NFACounter.run (direct)", direct),
         ("CountingSession.count", lambda: session.count(nfa, LENGTH)),
         (
             "repro.count one-shot",
@@ -88,7 +91,7 @@ def _overhead_comparison():
 
 
 def test_session_overhead_under_five_percent(benchmark, report):
-    """Façade dispatch must stay within 5% of direct count_nfa wall time."""
+    """Façade dispatch must stay within 5% of a direct NFACounter run."""
     _nfa, _session, rows = benchmark.pedantic(
         _overhead_comparison, rounds=1, iterations=1
     )
@@ -100,7 +103,7 @@ def test_session_overhead_under_five_percent(benchmark, report):
     )
     for row in rows[1:]:
         assert row["vs_direct"] <= MAX_OVERHEAD_FACTOR, (
-            f"{row['path']} is {row['vs_direct']:.3f}x direct count_nfa "
+            f"{row['path']} is {row['vs_direct']:.3f}x a direct NFACounter run "
             f"(limit {MAX_OVERHEAD_FACTOR}x)"
         )
 

@@ -53,10 +53,6 @@ from repro.counting import (
     approximate_union,
     available_methods,
     count,
-    count_bruteforce,
-    count_montecarlo,
-    count_nfa,
-    count_nfa_acjr,
     register_method,
 )
 
@@ -84,11 +80,7 @@ __all__ = [
     "UniformWordSampler",
     "approximate_union",
     "count",
-    "count_nfa",
-    "count_nfa_acjr",
     "ACJRCounter",
-    "count_bruteforce",
-    "count_montecarlo",
     "CountingSession",
     "CountReport",
     "CountRequest",

@@ -45,6 +45,7 @@ from repro.automata.families import FAMILY_REGISTRY, build_family
 from repro.automata.nfa import NFA
 from repro.counting.api import CountRequest, available_methods
 from repro.counting.params import ParameterScale
+from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
 from repro.errors import AuditError
 
 #: Spec keys :func:`expand_matrix` understands; anything else is an error.
@@ -105,7 +106,9 @@ class Scenario:
     epsilon, delta, seed:
         The accuracy target and the RNG seed of this cell.
     options:
-        Per-method knobs forwarded into :attr:`CountRequest.options`.
+        Per-method knobs forwarded into :attr:`CountRequest.options`; the
+        fpras execution knobs ``shards`` / ``store`` / ``window`` among
+        them go to the request's policy instead.
     scale:
         Optional plain-dictionary form of
         :meth:`~repro.counting.params.ParameterScale.practical` arguments,
@@ -174,18 +177,10 @@ class Scenario:
         :class:`~repro.counting.params.ParameterScale` here, at the last
         moment, so everything stored on the scenario itself stays JSON.
         """
-        options = dict(self.options)
+        scale = None
         if self.scale is not None and self.method == "fpras":
-            options["scale"] = ParameterScale.practical(**dict(self.scale))
-        return CountRequest(
-            method=self.method,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
-            options=options,
-        )
+            scale = ParameterScale.practical(**dict(self.scale))
+        return self._request(scale)
 
     def fingerprint_request(self) -> CountRequest:
         """A JSON-canonicalisable twin of :meth:`request` for fingerprinting.
@@ -195,17 +190,28 @@ class Scenario:
         executing request and the fingerprinted request denote the same
         computation.
         """
-        options = dict(self.options)
+        scale = None
         if self.scale is not None and self.method == "fpras":
-            options["scale"] = {key: self.scale[key] for key in sorted(self.scale)}
+            scale = {key: self.scale[key] for key in sorted(self.scale)}
+        return self._request(scale)
+
+    def _request(self, scale: object) -> CountRequest:
+        """The scenario's request with ``scale`` (if not ``None``) as an option."""
+        options = dict(self.options)
+        execution = {
+            name: options.pop(name) for name in POLICY_OPTION_NAMES if name in options
+        }
+        if scale is not None:
+            options["scale"] = scale
         return CountRequest(
             method=self.method,
             epsilon=self.epsilon,
             delta=self.delta,
             seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
             options=options,
+            policy=ExecutionPolicy(
+                backend=self.backend, workers=self.workers, **execution
+            ),
         )
 
     def describe(self) -> Dict[str, object]:

@@ -10,8 +10,8 @@ Public entry points:
   :data:`~repro.counting.api.METHOD_REGISTRY` behind them — the one API
   every method (fpras, acjr, montecarlo, bruteforce, exact) is invocable
   through;
-* :class:`~repro.counting.fpras.NFACounter` / :func:`~repro.counting.fpras.count_nfa`
-  — Algorithm 3 of the paper (the faster FPRAS);
+* :class:`~repro.counting.fpras.NFACounter` — Algorithm 3 of the paper
+  (the faster FPRAS);
 * :func:`~repro.counting.union.approximate_union` — Algorithm 1 (Karp–Luby
   style union estimation);
 * :class:`~repro.counting.sampler.SampleDraw` — Algorithm 2 (backward
@@ -19,20 +19,18 @@ Public entry points:
 * :class:`~repro.counting.uniform.UniformWordSampler` — almost-uniform word
   generation built on the counter (the counting↔sampling direction used by
   the applications);
-* baselines: :func:`~repro.counting.acjr.count_nfa_acjr`,
-  :func:`~repro.counting.montecarlo.count_montecarlo`,
-  :func:`~repro.counting.bruteforce.count_bruteforce` — all thin shims over
-  the registry now.
+* baselines: :class:`~repro.counting.acjr.ACJRCounter` (the prior-work
+  FPRAS) and the ``acjr``, ``montecarlo``, ``bruteforce`` and ``exact``
+  methods of the registry.
 """
 
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.policy import ExecutionPolicy, MethodCapabilities
 from repro.counting.union import SetAccess, UnionEstimate, approximate_union
 from repro.counting.sampler import SampleDraw
-from repro.counting.fpras import CountResult, NFACounter, count_nfa
-from repro.counting.acjr import ACJRCounter, count_nfa_acjr
-from repro.counting.montecarlo import MonteCarloEstimate, count_montecarlo
-from repro.counting.bruteforce import count_bruteforce
+from repro.counting.fpras import CountResult, NFACounter
+from repro.counting.acjr import ACJRCounter
+from repro.counting.montecarlo import MonteCarloEstimate
 from repro.counting.uniform import UniformWordSampler
 from repro.counting.diagnostics import InvariantReport, check_invariants
 from repro.counting.api import (
@@ -59,12 +57,8 @@ __all__ = [
     "SampleDraw",
     "CountResult",
     "NFACounter",
-    "count_nfa",
     "ACJRCounter",
-    "count_nfa_acjr",
     "MonteCarloEstimate",
-    "count_montecarlo",
-    "count_bruteforce",
     "UniformWordSampler",
     "InvariantReport",
     "check_invariants",

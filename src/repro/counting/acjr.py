@@ -35,7 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
-from repro.counting.params import acjr_samples_per_state, validate_epsilon
+from repro.counting.params import (
+    acjr_samples_per_state,
+    validate_attempt_factor,
+    validate_epsilon,
+    validate_sample_cap,
+)
 from repro.errors import EmptyLanguageError, ParameterError
 
 StateLevel = Tuple[State, int]
@@ -45,7 +50,10 @@ StateLevel = Tuple[State, int]
 class ACJRParameters:
     """Accuracy targets and scaled sample caps for the ACJR baseline.
 
-    ``backend`` and ``use_engine_cache`` mirror the same knobs on
+    ``sample_cap`` must be an int of at least 2 and ``attempt_factor`` a
+    finite number of at least 1, as on
+    :class:`~repro.counting.params.ParameterScale`.  ``backend`` and
+    ``use_engine_cache`` mirror the same knobs on
     :class:`~repro.counting.params.FPRASParameters`: they select the NFA
     simulation engine and whether it is acquired from the shared
     :class:`~repro.automata.engine.EngineRegistry`.  Results are identical
@@ -64,8 +72,8 @@ class ACJRParameters:
         validate_epsilon(self.epsilon)
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
-        if self.sample_cap < 2:
-            raise ParameterError("sample_cap must be at least 2")
+        validate_sample_cap(self.sample_cap)
+        validate_attempt_factor(self.attempt_factor)
 
     def samples_per_state_paper(self, num_states: int, length: int) -> float:
         """The configured (un-scaled) ACJR sample count ``κ^7``."""
@@ -279,36 +287,3 @@ class ACJRCounter:
         if len(accepting) == 1:
             return self.estimates.get((accepting[0], self.length), 0.0)
         return self._union_estimate(accepting, self.length)
-
-
-def count_nfa_acjr(
-    nfa: NFA,
-    length: int,
-    epsilon: float = 0.5,
-    delta: float = 0.1,
-    sample_cap: int = 96,
-    seed: Optional[int] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-) -> ACJRResult:
-    """Convenience wrapper around :class:`ACJRCounter`.
-
-    Legacy one-call entry point.  It delegates through the unified counting
-    registry (``repro.count(..., method="acjr")``) and returns the raw
-    :class:`ACJRResult`; estimates, RNG stream and work counters are
-    bit-identical to constructing :class:`ACJRCounter` directly.
-    """
-    from repro.counting.api import count
-    from repro.counting.policy import ExecutionPolicy
-
-    report = count(
-        nfa,
-        length,
-        method="acjr",
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
-        sample_cap=sample_cap,
-    )
-    return report.raw

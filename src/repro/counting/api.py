@@ -7,8 +7,9 @@ entry point, knob spelling and result type.  This module is the single
 coherent surface over all of them:
 
 * :class:`CountRequest` normalises the shared knobs (``epsilon``,
-  ``delta``, ``seed``, ``backend``, ``use_engine_cache``) plus a per-method
-  ``options`` mapping, with validation at construction time;
+  ``delta``, ``seed``), a per-method ``options`` mapping and the
+  :class:`~repro.counting.policy.ExecutionPolicy` that says how the run
+  executes, with validation at construction time;
 * :data:`METHOD_REGISTRY` maps method names to :class:`CounterMethod`
   implementations; new estimators plug in with :func:`register_method`
   instead of new one-off wiring;
@@ -22,12 +23,9 @@ coherent surface over all of them:
 * :func:`count` is the module-level convenience re-exported as
   ``repro.count``.
 
-The legacy entry points (:func:`~repro.counting.fpras.count_nfa`,
-:func:`~repro.counting.acjr.count_nfa_acjr`,
-:func:`~repro.counting.montecarlo.count_montecarlo`,
-:func:`~repro.counting.bruteforce.count_bruteforce`) remain available as
-thin shims that delegate through this registry with bit-identical RNG
-streams, estimates and work counters.
+The counter classes (:class:`~repro.counting.fpras.NFACounter`,
+:class:`~repro.counting.acjr.ACJRCounter`) stay usable on their own; a
+registered method's report carries their result as :attr:`CountReport.raw`.
 
 >>> from repro.automata.nfa import NFA
 >>> nfa = NFA.build(
@@ -62,14 +60,13 @@ from typing import (
     Union,
 )
 
-from repro.automata.engine import acquire_engine, available_backends
+from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
 from repro.counting.acjr import ACJRCounter, ACJRParameters, ACJRResult
 from repro.counting.bruteforce import DEFAULT_ENUMERATION_LIMIT, enumerate_count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate, run_montecarlo
-from repro.counting.parallel import validate_workers
 from repro.counting.params import ParameterScale, validate_epsilon, validate_length
 from repro.counting.policy import (
     POLICY_OPTION_NAMES,
@@ -115,39 +112,22 @@ class CountRequest:
         multiplicative guarantee (``montecarlo``) or that are exact
         (``bruteforce``, ``exact``) ignore them.
     seed:
-        ``None``, an ``int``, or a ``random.Random`` stream to continue —
-        the latter is how differential tests compare RNG streams across
-        entry points.
-    backend:
-        Simulation-engine name (``None`` selects the default backend).
-    use_engine_cache:
-        Whether engines are acquired from the shared
-        :class:`~repro.automata.engine.EngineRegistry`.
-    workers:
-        Process count for the sharded parallel executor
-        (:mod:`repro.counting.parallel`): ``1`` (the default) is the serial
-        path, ``0`` means one worker per CPU, and any other value runs the
-        method's shard plan over that many processes.  Only methods
-        registered with worker support (``fpras``, ``montecarlo``) accept
-        ``workers != 1``; estimates are bit-identical for every worker
-        count.  Invalid values and unsupported methods raise
-        :class:`~repro.errors.CountingMethodError`.
+        ``None``, an ``int`` (not a bool), or a ``random.Random`` stream to
+        continue — the latter is how differential tests compare RNG
+        streams across entry points.
     options:
-        Per-method knobs, e.g. ``scale`` / ``shards`` (fpras),
-        ``sample_cap`` / ``attempt_factor`` (acjr), ``num_samples``
-        (montecarlo), ``limit`` (bruteforce).  Unknown options are rejected
-        at dispatch.
+        Per-method knobs, e.g. ``scale`` (fpras), ``sample_cap`` /
+        ``attempt_factor`` (acjr), ``num_samples`` (montecarlo), ``limit``
+        (bruteforce).  Unknown options are rejected at dispatch; the
+        execution knobs ``shards`` / ``store`` / ``window`` are rejected
+        here, since they belong on ``policy``.
     policy:
-        Optional :class:`~repro.counting.policy.ExecutionPolicy` bundling
-        the execution knobs (``backend``, ``use_engine_cache``,
-        ``workers``, ``shards``, ``store``, ``window``).  A
-        policy is *consumed* at construction: its core knobs populate the
-        flat fields, its non-default method options merge into
-        ``options``, and the stored ``policy`` attribute is normalised
-        back to ``None`` — so a policy-built request compares (and
-        fingerprints) equal to the flat-kwarg spelling of the same run.
-        Passing a policy together with conflicting flat execution knobs
-        is an error rather than a silent override.
+        The :class:`~repro.counting.policy.ExecutionPolicy` that says how
+        the run executes (``backend``, ``use_engine_cache``, ``workers``,
+        ``shards``, ``store``, ``window``).  Only methods registered with
+        worker support (``fpras``, ``montecarlo``) accept ``workers != 1``
+        and only fpras takes ``shards`` / ``store`` / ``window``; dispatch
+        rejects the rest with :class:`~repro.errors.CountingMethodError`.
 
     >>> CountRequest(method="montecarlo", options={"num_samples": 64}).epsilon
     0.5
@@ -155,22 +135,16 @@ class CountRequest:
     Traceback (most recent call last):
         ...
     repro.errors.ParameterError: epsilon must be a finite positive number, got 0.0
-    >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).workers
+    >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).policy.workers
     2
-    >>> CountRequest(policy=ExecutionPolicy(store="windowed")) == CountRequest(
-    ...     options={"store": "windowed"})
-    True
     """
 
     method: str = DEFAULT_METHOD
     epsilon: float = 0.5
     delta: float = 0.1
     seed: SeedLike = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
-    workers: int = 1
     options: Mapping[str, object] = field(default_factory=dict)
-    policy: Optional[ExecutionPolicy] = None
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
@@ -178,8 +152,12 @@ class CountRequest:
         validate_epsilon(self.epsilon)
         if not isinstance(self.delta, (int, float)) or not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
-        if self.seed is not None and not isinstance(self.seed, (int, random.Random)):
-            raise ParameterError("seed must be None, an int, or a random.Random")
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, (int, random.Random))
+        ):
+            raise ParameterError(
+                f"seed must be None, an int, or a random.Random (got {self.seed!r})"
+            )
         try:
             options = dict(self.options)
         except (TypeError, ValueError):
@@ -194,46 +172,18 @@ class CountRequest:
                 raise ParameterError(
                     f"{name} must be a positive integer or None (got {value!r})"
                 )
-        if self.policy is not None:
-            if not isinstance(self.policy, ExecutionPolicy):
-                raise ParameterError(
-                    "policy must be an ExecutionPolicy instance "
-                    f"(got {type(self.policy).__name__})"
-                )
-            conflicts = [
-                name
-                for name, used in (
-                    ("backend", self.backend is not None),
-                    ("use_engine_cache", self.use_engine_cache is not True),
-                    ("workers", self.workers != 1),
-                )
-                if used
-            ]
-            conflicts.extend(sorted(set(options) & set(POLICY_OPTION_NAMES)))
-            if conflicts:
-                raise ParameterError(
-                    f"execution knob(s) {conflicts} conflict with the explicit "
-                    "policy; set them on the ExecutionPolicy instead"
-                )
-            object.__setattr__(self, "backend", self.policy.backend)
-            object.__setattr__(self, "use_engine_cache", self.policy.use_engine_cache)
-            object.__setattr__(self, "workers", self.policy.workers)
-            options.update(self.policy.method_options())
-            # Consumed: the normalised request is spelling-independent.
-            object.__setattr__(self, "policy", None)
-        if self.backend is not None and self.backend not in available_backends():
+        misplaced = sorted(set(options) & set(POLICY_OPTION_NAMES))
+        if misplaced:
             raise ParameterError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"available: {list(available_backends())}"
+                f"execution knob(s) {misplaced} are not per-method options; "
+                "set them on the ExecutionPolicy instead"
             )
-        if not isinstance(self.use_engine_cache, bool):
-            raise ParameterError("use_engine_cache must be a bool")
-        validate_workers(self.workers)
+        if not isinstance(self.policy, ExecutionPolicy):
+            raise ParameterError(
+                "policy must be an ExecutionPolicy instance "
+                f"(got {type(self.policy).__name__})"
+            )
         object.__setattr__(self, "options", options)
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """The :class:`ExecutionPolicy` this normalised request denotes."""
-        return ExecutionPolicy.from_request(self)
 
     def rng(self) -> random.Random:
         """The run's randomness stream (a fresh ``Random`` unless one was given)."""
@@ -667,8 +617,8 @@ def register_method(
     :attr:`CountRequest.options`; anything else is rejected at dispatch.
     ``capabilities`` is the method's declarative
     :class:`~repro.counting.policy.MethodCapabilities` record — most
-    importantly ``workers=True`` declares that the runner honours
-    :attr:`CountRequest.workers` (routing through the sharded executor in
+    importantly ``workers=True`` declares that the runner honours the
+    request policy's ``workers`` (routing through the sharded executor in
     :mod:`repro.counting.parallel`), and ``progress=True`` that it takes a
     fourth argument, an anytime :data:`ProgressCallback`; dispatch rejects
     ``workers != 1`` and a callback for methods that do not declare them.
@@ -721,15 +671,16 @@ def resolve_method(name: str) -> CounterMethod:
 def fpras_parameters(request: CountRequest) -> FPRASParameters:
     """The :class:`FPRASParameters` a request denotes (shared with the sampler)."""
     scale = request.option("scale")
+    policy = request.policy
     return FPRASParameters(
         epsilon=request.epsilon,
         delta=request.delta,
         scale=scale if scale is not None else ParameterScale.practical(),
         seed=request.integer_seed(),
-        backend=request.backend,
-        use_engine_cache=request.use_engine_cache,
-        store=request.option("store", "dict"),
-        window=request.option("window", 4),
+        backend=policy.backend,
+        use_engine_cache=policy.use_engine_cache,
+        store=policy.store,
+        window=policy.window,
         details=request.option("details", "full"),
     )
 
@@ -775,16 +726,16 @@ def _run_fpras(
     :func:`dispatch`) observes each completed one without touching the RNG
     stream, so it never changes the estimate.
     """
-    shards = request.option("shards", 1)
-    if request.workers != 1 or shards != 1:
+    policy = request.policy
+    if policy.workers != 1 or policy.shards != 1:
         from repro.counting.parallel import run_fpras_sharded
 
         result, parallel_details = run_fpras_sharded(
             nfa,
             length,
             fpras_parameters(request),
-            shards=shards,
-            workers=request.workers,
+            shards=policy.shards,
+            workers=policy.workers,
             seed=request.seed,
             progress=progress,
         )
@@ -809,11 +760,8 @@ def _run_fpras(
             "sample_draws": result.sample_draws,
             "padded_states": result.padded_states,
             **(
-                {
-                    "store": request.option("store", "dict"),
-                    "window": request.option("window", 4),
-                }
-                if request.option("store", "dict") != "dict"
+                {"store": policy.store, "window": policy.window}
+                if policy.store != "dict"
                 else {}
             ),
             **parallel_details,
@@ -835,8 +783,8 @@ def _run_acjr(nfa: NFA, length: int, request: CountRequest) -> CountReport:
         sample_cap=request.option("sample_cap", 96),
         attempt_factor=request.option("attempt_factor", 6.0),
         seed=request.integer_seed(),
-        backend=request.backend,
-        use_engine_cache=request.use_engine_cache,
+        backend=request.policy.backend,
+        use_engine_cache=request.policy.use_engine_cache,
     )
     rng = request.seed if isinstance(request.seed, random.Random) else None
     counter = ACJRCounter(nfa, length, parameters, rng=rng)
@@ -883,7 +831,8 @@ def _run_montecarlo(
     """
     num_samples = request.option("num_samples", 10_000)
     rng = request.rng()
-    if request.workers != 1:
+    policy = request.policy
+    if policy.workers != 1:
         from repro.counting.parallel import run_montecarlo_sharded
 
         started = time.perf_counter()
@@ -892,16 +841,16 @@ def _run_montecarlo(
             length,
             num_samples,
             rng,
-            backend=request.backend,
-            use_engine_cache=request.use_engine_cache,
-            workers=request.workers,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
+            workers=policy.workers,
             progress=progress,
         )
         elapsed = time.perf_counter() - started
         backend = details.pop("backend")
     else:
         engine, from_cache = acquire_engine(
-            nfa, request.backend, use_cache=request.use_engine_cache
+            nfa, policy.backend, use_cache=policy.use_engine_cache
         )
         base = dict(engine.counters())
         started = time.perf_counter()
@@ -937,7 +886,7 @@ def _run_bruteforce(nfa: NFA, length: int, request: CountRequest) -> CountReport
     """Enumerate the slice exactly, reporting limit info and counter deltas."""
     limit = request.options.get("limit", DEFAULT_ENUMERATION_LIMIT)
     engine, from_cache = acquire_engine(
-        nfa, request.backend, use_cache=request.use_engine_cache
+        nfa, request.policy.backend, use_cache=request.policy.use_engine_cache
     )
     base = dict(engine.counters())
     started = time.perf_counter()
@@ -1003,17 +952,20 @@ def dispatch(
     """
     method = resolve_method(request.method)
     validate_length(length)
-    unknown = set(request.options) - set(method.option_names)
+    policy = request.policy
+    unknown = (set(request.options) | set(policy.method_options())) - set(
+        method.option_names
+    )
     if unknown:
         accepted = sorted(method.option_names)
         raise CountingMethodError(
             f"method {request.method!r} does not accept option(s) {sorted(unknown)}; "
             f"accepted options: {accepted if accepted else 'none'}"
         )
-    if request.workers != 1 and not method.capabilities.workers:
+    if policy.workers != 1 and not method.capabilities.workers:
         raise CountingMethodError(
             f"method {request.method!r} does not support sharded parallel "
-            f"execution (workers={request.workers}); methods with worker "
+            f"execution (workers={policy.workers}); methods with worker "
             f"support: {_methods_with('workers')}"
         )
     if progress is not None and not method.capabilities.progress:
@@ -1041,39 +993,44 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
 
     Contains exactly the knobs that can change an estimate: the method
     name, the instance length, the epsilon/delta targets, the integer
-    seed, the backend, and the per-method options in sorted order —
-    notably the fpras ``shards``, which selects the shard plan and hence
-    the RNG substream layout.  ``workers`` and ``use_engine_cache`` are
-    deliberately absent: the sharded executor's plan-invariance contract
-    makes estimates bit-identical across worker counts, and the engine
-    registry never changes results — so one cached answer serves every
-    worker configuration.  Result-neutral per-method options
-    (:data:`RESULT_NEUTRAL_OPTIONS` — the fpras ``store`` / ``window`` /
-    ``details`` knobs) are filtered out for the same reason.
+    seed, the policy's backend, and the per-method options in sorted
+    order, joined by the policy's non-default fpras knobs — notably
+    ``shards``, which selects the shard plan and hence the RNG substream
+    layout.  ``workers`` and ``use_engine_cache`` are deliberately absent:
+    the sharded executor's plan-invariance contract makes estimates
+    bit-identical across worker counts, and the engine registry never
+    changes results — so one cached answer serves every worker
+    configuration.  Result-neutral options (:data:`RESULT_NEUTRAL_OPTIONS`
+    — the fpras ``store`` / ``window`` / ``details`` knobs) are filtered
+    out for the same reason.
 
-    >>> a = CountRequest(method="fpras", seed=7, options={"shards": 2})
-    >>> b = CountRequest(method="fpras", seed=7, workers=4, options={"shards": 2})
+    >>> a = CountRequest(method="fpras", seed=7, policy=ExecutionPolicy(shards=2))
+    >>> b = CountRequest(method="fpras", seed=7,
+    ...                  policy=ExecutionPolicy(workers=4, shards=2))
     >>> canonical_request_knobs(a, 8) == canonical_request_knobs(b, 8)
     True
     >>> c = CountRequest(method="fpras", seed=7,
-    ...                  options={"shards": 2, "store": "windowed", "window": 8})
+    ...                  policy=ExecutionPolicy(shards=2, store="windowed", window=8))
     >>> canonical_request_knobs(c, 8) == canonical_request_knobs(a, 8)
     True
+    >>> canonical_request_knobs(a, 8)["options"]
+    {'shards': 2}
     """
     if isinstance(request.seed, random.Random):
         raise CountingMethodError(
             "a random.Random seed is a live stream and cannot be canonicalised"
         )
+    options = {**request.options, **request.policy.method_options()}
     return {
         "method": request.method,
         "length": int(length),
         "epsilon": float(request.epsilon),
         "delta": float(request.delta),
         "seed": request.seed,
-        "backend": request.backend,
+        "backend": request.policy.backend,
         "options": {
-            key: request.options[key]
-            for key in sorted(request.options)
+            key: options[key]
+            for key in sorted(options)
             if key not in RESULT_NEUTRAL_OPTIONS
         },
     }
@@ -1207,7 +1164,9 @@ class CountingSession:
         # here instead of being silently dropped by the per-method filter in
         # :meth:`request` (which only exists so a session pinned for one
         # method can still run the others).
-        unknown = set(self._base.options) - set(resolve_method(method).option_names)
+        unknown = (
+            set(self._base.options) | set(self._base.policy.method_options())
+        ) - set(resolve_method(method).option_names)
         if unknown:
             raise CountingMethodError(
                 f"session option(s) {sorted(unknown)} are not accepted by the "
@@ -1243,18 +1202,20 @@ class CountingSession:
 
         Session-level options that the target method does not accept are
         dropped (so a session pinned for fpras can still run ``exact``);
-        the same applies to pinned ``workers`` when the target method has no
-        worker support.  A per-call ``policy`` replaces the pinned one, its
-        ``shards`` / ``store`` / ``window`` included.  Per-call overrides
-        and policies are kept verbatim and validated at dispatch, so a flat
-        ``backend`` / ``use_engine_cache`` / ``workers`` override raises
-        :class:`~repro.errors.CountingMethodError` there, as on
-        :func:`count`.
+        so are the pinned policy's ``shards`` / ``store`` / ``window`` and
+        ``workers`` when the method does not take them, which go back to
+        their defaults.  A per-call ``policy`` replaces the pinned one.
+        Per-call overrides and policies are kept verbatim and validated at
+        dispatch, so a flat ``backend`` / ``use_engine_cache`` / ``workers``
+        override raises :class:`~repro.errors.CountingMethodError` there, as
+        on :func:`count`; a flat ``shards`` / ``store`` / ``window`` raises
+        :class:`~repro.errors.ParameterError` when the request is built.
 
         >>> session = CountingSession(policy=ExecutionPolicy(workers=2))
-        >>> session.request("exact").workers
+        >>> session.request("exact").policy.workers
         1
-        >>> session.request("exact", policy=ExecutionPolicy(backend="reference")).backend
+        >>> session.request(
+        ...     "exact", policy=ExecutionPolicy(backend="reference")).policy.backend
         'reference'
         """
         method_name = method if method is not None else self._base.method
@@ -1265,21 +1226,20 @@ class CountingSession:
             if knob in overrides:
                 core[knob] = overrides.pop(knob)
         options = {
-            key: value
-            for key, value in self._base.options.items()
-            if key in accepted and (policy is None or key not in POLICY_OPTION_NAMES)
+            key: value for key, value in self._base.options.items() if key in accepted
         }
         options.update(overrides)
-        if policy is not None:
-            # Flat fields at their defaults: the request takes them from ``policy``.
-            return replace(
-                self._base, method=method_name, options=options, policy=policy,
-                backend=None, use_engine_cache=True, workers=1, **core,
+        if policy is None:
+            unused = [name for name in POLICY_OPTION_NAMES if name not in accepted]
+            if not entry.capabilities.workers:
+                unused.append("workers")
+            defaults = ExecutionPolicy()
+            policy = replace(
+                self._base.policy, **{name: getattr(defaults, name) for name in unused}
             )
-        request = replace(self._base, method=method_name, options=options, **core)
-        if request.workers != 1 and not entry.capabilities.workers:
-            request = replace(request, workers=1)
-        return request
+        return replace(
+            self._base, method=method_name, options=options, policy=policy, **core
+        )
 
     # ------------------------------------------------------------------
     # Manifest hooks: the audit pipeline observes sessions through these.
@@ -1340,15 +1300,13 @@ class CountingSession:
         )
 
     def describe(self) -> Dict[str, object]:
-        """The pinned knobs as a plain dictionary (for reporting)."""
+        """The pinned knobs, policy fields included, as a plain dictionary."""
         return {
             "method": self._base.method,
             "epsilon": self._base.epsilon,
             "delta": self._base.delta,
             "seed": self._base.seed,
-            "backend": self._base.backend,
-            "use_engine_cache": self._base.use_engine_cache,
-            "workers": self._base.workers,
+            **self._base.policy.describe(),
             "options": dict(self._base.options),
             "calls": len(self._reports),
         }
@@ -1357,6 +1315,6 @@ class CountingSession:
         return (
             f"CountingSession(method={self._base.method!r}, "
             f"epsilon={self._base.epsilon}, delta={self._base.delta}, "
-            f"seed={self._base.seed!r}, backend={self._base.backend!r}, "
+            f"seed={self._base.seed!r}, backend={self._base.policy.backend!r}, "
             f"calls={len(self._reports)})"
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -131,9 +131,8 @@ def run_montecarlo(
 
     This is the implementation behind the registered ``"montecarlo"``
     counting method (see :mod:`repro.counting.api`), which handles engine
-    acquisition and diagnostics; use :func:`count_montecarlo` or
-    ``repro.count(..., method="montecarlo")`` instead of calling it
-    directly.
+    acquisition and diagnostics; use ``repro.count(...,
+    method="montecarlo")`` instead of calling it directly.
 
     Words are drawn in blocks by :func:`draw_words` (consuming the RNG
     stream exactly as the historical word-at-a-time loop did) and each
@@ -180,33 +179,3 @@ def run_montecarlo(
     return MonteCarloEstimate(
         estimate=estimate, hits=hits, samples=num_samples, total_words=total_words
     )
-
-
-def count_montecarlo(
-    nfa: NFA,
-    length: int,
-    num_samples: int = 10_000,
-    seed: Optional[Union[int, random.Random]] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-) -> MonteCarloEstimate:
-    """Estimate ``|L(A_length)|`` with ``num_samples`` uniform random words.
-
-    Legacy one-call entry point.  It delegates through the unified counting
-    registry (``repro.count(..., method="montecarlo")``) and returns the raw
-    :class:`MonteCarloEstimate`; the RNG stream, drawn words and estimate
-    are bit-identical to the historical direct implementation.  ``seed`` may
-    be an ``int`` or an existing ``random.Random`` stream to continue.
-    """
-    from repro.counting.api import count
-    from repro.counting.policy import ExecutionPolicy
-
-    report = count(
-        nfa,
-        length,
-        method="montecarlo",
-        seed=seed,
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
-        num_samples=num_samples,
-    )
-    return report.raw

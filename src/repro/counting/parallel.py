@@ -135,8 +135,8 @@ SYNC_CHUNK_ENTRIES = 64
 def validate_workers(workers: object) -> int:
     """Validate the ``workers`` knob without resolving ``0``.
 
-    Shared by :class:`~repro.counting.api.CountRequest` (which must keep the
-    literal ``0`` so the resolution happens at execution time) and
+    Shared by :class:`~repro.counting.policy.ExecutionPolicy` (which must
+    keep the literal ``0`` so the resolution happens at execution time) and
     :func:`resolve_workers`.
 
     >>> validate_workers(0), validate_workers(3)

@@ -71,6 +71,44 @@ def validate_length(length: object) -> None:
         raise ParameterError(f"length must be a non-negative int, got {length!r}")
 
 
+def validate_sample_cap(sample_cap: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``sample_cap``, a
+    cap on the samples kept per (state, level), is an int of at least 2
+    that is not a bool.
+
+    >>> validate_sample_cap(2.5)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: sample_cap must be an int of at least 2, got 2.5
+    """
+    if (
+        isinstance(sample_cap, bool)
+        or not isinstance(sample_cap, numbers.Integral)
+        or sample_cap < 2
+    ):
+        raise ParameterError(f"sample_cap must be an int of at least 2, got {sample_cap!r}")
+
+
+def validate_attempt_factor(attempt_factor: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``attempt_factor``,
+    the ratio of sampling attempts to kept samples, is a finite real number
+    of at least 1 that is not a bool.
+
+    >>> validate_attempt_factor(0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: attempt_factor must be a finite number of at least 1, got 0
+    """
+    if (
+        isinstance(attempt_factor, bool)
+        or not isinstance(attempt_factor, numbers.Real)
+        or not 1 <= attempt_factor < math.inf
+    ):
+        raise ParameterError(
+            f"attempt_factor must be a finite number of at least 1, got {attempt_factor!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ParameterScale:
     """How to derive operational parameters from the paper's formulas.
@@ -134,10 +172,8 @@ class ParameterScale:
     def __post_init__(self) -> None:
         if self.mode not in ("paper", "scaled"):
             raise ParameterError(f"unknown parameter scale mode {self.mode!r}")
-        if self.sample_cap < 2:
-            raise ParameterError("sample_cap must be at least 2")
-        if self.attempt_factor < 1.0:
-            raise ParameterError("attempt_factor must be at least 1")
+        validate_sample_cap(self.sample_cap)
+        validate_attempt_factor(self.attempt_factor)
         if self.union_trial_floor < 1 or self.union_trial_cap < self.union_trial_floor:
             raise ParameterError("union trial bounds are inconsistent")
 
@@ -250,6 +286,10 @@ class FPRASParameters:
         validate_epsilon(self.epsilon)
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
+        if not isinstance(self.scale, ParameterScale):
+            raise ParameterError(
+                f"scale must be a ParameterScale, got {type(self.scale).__name__}"
+            )
         if self.backend is None:
             object.__setattr__(self, "backend", DEFAULT_BACKEND)
         if self.backend not in available_backends():

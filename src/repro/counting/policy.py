@@ -1,19 +1,15 @@
 """Typed execution policies and declarative method capabilities.
 
 The knobs that decide how a counting run executes — ``backend``,
-``use_engine_cache`` and ``workers`` on the core request plus the
-fpras-only ``shards`` / ``store`` / ``window`` options — are set in one
-typed record:
+``use_engine_cache`` and ``workers`` for every method plus the
+fpras-only ``shards`` / ``store`` / ``window`` — live in one typed
+record:
 
 * :class:`ExecutionPolicy` bundles every knob that decides *how* a run
-  executes (never *what* it computes: estimates are bit-identical across
-  policies with the same seed, which is what the parity suites enforce).
-  It is accepted by :class:`~repro.counting.api.CountRequest`,
+  executes.  It is the ``policy`` field of
+  :class:`~repro.counting.api.CountRequest` and the ``policy`` argument of
   :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and
-  the CLI.  A request built with a policy equals, fingerprint included,
-  the request that sets the same knobs as
-  :class:`~repro.counting.api.CountRequest` fields (the neutrality test in
-  ``tests/test_policy.py`` pins this).
+  the CLI; the method runners read it from the request.
 * :class:`MethodCapabilities` is the declarative record of what a
   registered method supports (workers, anytime progress, accepted
   stores).
@@ -27,11 +23,11 @@ from typing import Dict, Optional, Tuple
 from repro.automata.engine import available_backends
 from repro.errors import ParameterError
 
-#: The per-method option names :class:`ExecutionPolicy` manages.  These
-#: are carried inside :attr:`CountRequest.options` (the fpras execution
-#: options); the policy emits only non-default values so a default policy
-#: denotes exactly the same request — and the same fingerprint — as no
-#: policy at all.
+#: The policy fields a method accepts only if it names them among its
+#: options (fpras does).  A request's ``options`` may not hold them — they
+#: belong on the policy — but the two external formats that spell them as
+#: options, a ``POST /count`` body and an audit spec's per-method
+#: ``options``, route them here.
 POLICY_OPTION_NAMES: Tuple[str, ...] = ("shards", "store", "window")
 
 
@@ -57,10 +53,15 @@ class ExecutionPolicy:
         State-table store layout (``"dict"`` / ``"windowed"``) and the
         windowed store's resident level count.
 
-    None of these change an estimate — they are execution detail by
-    contract, so a policy never perturbs the content-addressed result
-    cache (see :data:`~repro.counting.api.RESULT_NEUTRAL_OPTIONS` and the
-    fingerprint-neutrality test).
+    Only ``backend`` and ``shards`` are part of a run's cache key (see
+    :func:`~repro.counting.api.canonical_request_knobs`).  The other four
+    never change an estimate: the parity suites hold estimates
+    bit-identical across worker counts, stores and windows, and the engine
+    registry only shares transition tables.  ``shards`` picks the shard
+    plan and hence the random substreams each group of states draws from,
+    so it moves the estimate (``substring("101")`` at n = 8, seed 1 reads
+    143.13 unsharded and 146.53 with ``shards=3``).  Every backend gives the
+    same estimate too, but the key keeps the one the client named.
 
     >>> ExecutionPolicy().describe()["store"]
     'dict'
@@ -101,12 +102,12 @@ class ExecutionPolicy:
 
     # ------------------------------------------------------------------
     def method_options(self) -> Dict[str, object]:
-        """The per-method options this policy denotes, defaults omitted.
+        """The fpras-only knobs this policy sets, defaults omitted.
 
-        Omitting default values is what makes the policy spelling
-        fingerprint-neutral: a default policy contributes no options, so
-        the canonical request knobs — and hence the content-addressed
-        cache key — are byte-identical to the flat-kwarg spelling.
+        Dispatch checks these names against the method's options (so a
+        windowed store on ``exact`` raises), and the cache key carries
+        them beside the request's options; a default policy contributes
+        none.
         """
         options: Dict[str, object] = {}
         if self.shards != 1:
@@ -136,26 +137,6 @@ class ExecutionPolicy:
         """
         return replace(self, **changes)
 
-    @classmethod
-    def from_request(cls, request) -> "ExecutionPolicy":
-        """The policy a normalised :class:`CountRequest` denotes.
-
-        Inverse of passing ``policy=`` to the request: core execution
-        fields come back from the flat attributes, managed options from
-        the options mapping (absent options mean defaults), so
-        ``ExecutionPolicy.from_request(CountRequest(policy=p)) == p``
-        whenever ``p`` only sets policy-managed knobs — the round-trip
-        test pins it.
-        """
-        return cls(
-            backend=request.backend,
-            use_engine_cache=request.use_engine_cache,
-            workers=request.workers,
-            shards=request.option("shards", 1),
-            store=request.option("store", "dict"),
-            window=request.option("window", 4),
-        )
-
 
 @dataclass(frozen=True)
 class MethodCapabilities:
@@ -167,7 +148,7 @@ class MethodCapabilities:
     Attributes
     ----------
     workers:
-        The runner honours ``CountRequest.workers`` through the sharded
+        The runner honours the policy's ``workers`` through the sharded
         executor (:mod:`repro.counting.parallel`).
     progress:
         The runner accepts an anytime progress callback (the ``progress``

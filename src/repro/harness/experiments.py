@@ -567,7 +567,7 @@ def run_uniformity(
         population = enumerate_slice(nfa, length)
         request = CountRequest(
             method="fpras", epsilon=0.4, delta=0.2,
-            seed=_derive_seed(rng), backend=backend,
+            seed=_derive_seed(rng), policy=ExecutionPolicy(backend=backend),
         )
         sampler = UniformWordSampler.from_request(nfa, length, request)
         words, report = sampler.sample_with_report(sample_count)

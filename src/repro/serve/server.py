@@ -398,7 +398,7 @@ class CountingServer:
         try:
             nfa = nfa_from_dict(automaton)
             if execution:
-                pinned = self._session.request(knobs.get("method")).execution_policy()
+                pinned = self._session.request(knobs.get("method")).policy
                 knobs["policy"] = pinned.with_overrides(**execution)
             request = self._session.request(**knobs)
         except (ReproError, TypeError, ValueError) as exc:

@@ -7,9 +7,8 @@ import pytest
 from repro.automata import families
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
-from repro.counting.acjr import ACJRCounter, ACJRParameters, count_nfa_acjr
-from repro.counting.bruteforce import count_bruteforce
-from repro.counting.montecarlo import count_montecarlo
+from repro.counting.acjr import ACJRCounter, ACJRParameters
+from repro.counting.api import count
 from repro.counting.params import acjr_samples_per_state
 from repro.errors import ParameterError
 
@@ -17,34 +16,34 @@ from repro.errors import ParameterError
 class TestBruteForce:
     def test_matches_exact_counter(self, substring_101_nfa):
         for length in range(8):
-            assert count_bruteforce(substring_101_nfa, length) == count_exact(
-                substring_101_nfa, length
-            )
+            assert count(
+                substring_101_nfa, length, method="bruteforce"
+            ).raw == count_exact(substring_101_nfa, length)
 
     def test_negative_length_rejected(self, substring_101_nfa):
         with pytest.raises(ParameterError):
-            count_bruteforce(substring_101_nfa, -1)
+            count(substring_101_nfa, -1, method="bruteforce")
 
     def test_limit_enforced(self, substring_101_nfa):
         with pytest.raises(ParameterError):
-            count_bruteforce(substring_101_nfa, 30, limit=1000)
+            count(substring_101_nfa, 30, method="bruteforce", limit=1000)
 
     def test_limit_can_be_disabled(self, substring_101_nfa):
-        assert count_bruteforce(substring_101_nfa, 4, limit=None) == count_exact(
-            substring_101_nfa, 4
-        )
+        assert count(
+            substring_101_nfa, 4, method="bruteforce", limit=None
+        ).raw == count_exact(substring_101_nfa, 4)
 
 
 class TestMonteCarlo:
     def test_dense_language_estimate(self):
         nfa = families.all_words_nfa()
-        estimate = count_montecarlo(nfa, 10, num_samples=500, seed=1)
+        estimate = count(nfa, 10, method="montecarlo", seed=1, num_samples=500).raw
         assert estimate.estimate == pytest.approx(1024.0)
         assert estimate.density_estimate == 1.0
 
     def test_moderate_density_estimate(self, substring_101_nfa):
         exact = count_exact(substring_101_nfa, 10)
-        estimate = count_montecarlo(substring_101_nfa, 10, num_samples=6000, seed=2)
+        estimate = count(substring_101_nfa, 10, method="montecarlo", seed=2, num_samples=6000).raw
         assert estimate.relative_error(exact) < 0.15
 
     def test_sparse_language_misses(self):
@@ -54,24 +53,24 @@ class TestMonteCarlo:
         nfa = NFA.build(
             transitions, initial="s0", accepting=["s12"], alphabet=("0", "1")
         )
-        estimate = count_montecarlo(nfa, 12, num_samples=200, seed=3)
+        estimate = count(nfa, 12, method="montecarlo", seed=3, num_samples=200).raw
         assert estimate.hits == 0
         assert estimate.estimate == 0.0
 
     def test_invalid_arguments(self, substring_101_nfa):
         with pytest.raises(ParameterError):
-            count_montecarlo(substring_101_nfa, -1)
+            count(substring_101_nfa, -1, method="montecarlo")
         with pytest.raises(ParameterError):
-            count_montecarlo(substring_101_nfa, 4, num_samples=0)
+            count(substring_101_nfa, 4, method="montecarlo", num_samples=0)
 
     def test_reproducible_with_seed(self, substring_101_nfa):
-        first = count_montecarlo(substring_101_nfa, 8, num_samples=500, seed=7)
-        second = count_montecarlo(substring_101_nfa, 8, num_samples=500, seed=7)
+        first = count(substring_101_nfa, 8, method="montecarlo", seed=7, num_samples=500).raw
+        second = count(substring_101_nfa, 8, method="montecarlo", seed=7, num_samples=500).raw
         assert first.estimate == second.estimate
 
     def test_relative_error_zero_exact(self):
         nfa = NFA.build([("a", "0", "b")], initial="a", accepting=["b"])
-        estimate = count_montecarlo(nfa, 3, num_samples=100, seed=1)
+        estimate = count(nfa, 3, method="montecarlo", seed=1, num_samples=100).raw
         assert estimate.relative_error(0) == 0.0
 
 
@@ -120,24 +119,29 @@ class TestACJRCounter:
     def test_accuracy(self, builder, length):
         nfa = builder()
         exact = count_exact(nfa, length)
-        result = count_nfa_acjr(nfa, length, epsilon=0.3, sample_cap=64, seed=1)
+        result = ACJRCounter(
+            nfa, length, ACJRParameters(epsilon=0.3, sample_cap=64, seed=1)
+        ).run()
         assert result.relative_error(exact) < 0.35
 
     def test_empty_slice(self):
         nfa = NFA.build([("a", "0", "b")], initial="a", accepting=["b"])
-        result = count_nfa_acjr(nfa, 3, seed=1)
+        result = ACJRCounter(nfa, 3, ACJRParameters(seed=1)).run()
         assert result.estimate == 0.0
 
     def test_result_diagnostics(self, substring_101_nfa):
-        result = count_nfa_acjr(substring_101_nfa, 6, epsilon=0.4, sample_cap=32, seed=2)
+        result = ACJRCounter(
+            substring_101_nfa, 6, ACJRParameters(epsilon=0.4, sample_cap=32, seed=2)
+        ).run()
         assert result.ns == 32 or result.ns <= 32
         assert result.sample_draws >= result.sample_successes
         assert result.membership_calls >= 0
         assert result.elapsed_seconds > 0
 
     def test_deterministic_given_seed(self, suffix_nfa_0110):
-        first = count_nfa_acjr(suffix_nfa_0110, 7, epsilon=0.4, seed=11).estimate
-        second = count_nfa_acjr(suffix_nfa_0110, 7, epsilon=0.4, seed=11).estimate
+        parameters = ACJRParameters(epsilon=0.4, seed=11)
+        first = ACJRCounter(suffix_nfa_0110, 7, parameters).run().estimate
+        second = ACJRCounter(suffix_nfa_0110, 7, parameters).run().estimate
         assert first == second
 
     def test_keeps_more_samples_than_new_scheme_formula(self):

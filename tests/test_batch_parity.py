@@ -37,7 +37,7 @@ from repro.automata.engine import (
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_nonempty_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
-from repro.counting.fpras import NFACounter, count_nfa
+from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.union import SetAccess, approximate_union
 
@@ -301,9 +301,12 @@ class TestEngineRegistry:
 
     def test_shared_and_private_runs_bit_identical(self):
         nfa = families.no_consecutive_ones_nfa()
-        shared_first = count_nfa(nfa, 8, epsilon=0.5, seed=13)
-        shared_second = count_nfa(nfa, 8, epsilon=0.5, seed=13)
-        private = count_nfa(nfa, 8, epsilon=0.5, seed=13, use_engine_cache=False)
+        shared = FPRASParameters(epsilon=0.5, seed=13)
+        shared_first = NFACounter(nfa, 8, shared).run()
+        shared_second = NFACounter(nfa, 8, shared).run()
+        private = NFACounter(
+            nfa, 8, FPRASParameters(epsilon=0.5, seed=13, use_engine_cache=False)
+        ).run()
         assert shared_first.estimate == shared_second.estimate == private.estimate
         assert (
             shared_first.membership_calls

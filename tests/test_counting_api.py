@@ -3,9 +3,9 @@
 Three families of checks:
 
 * **differential parity** — ``repro.count(..., method=X)`` must be
-  bit-identical (estimate, RNG stream, work counters) to each legacy entry
-  point and to direct construction of the underlying counter classes under
-  a shared seed;
+  bit-identical (estimate, RNG stream, work counters) to direct
+  construction of the underlying counter classes (or, for Monte-Carlo, the
+  core loop) under a shared seed;
 * **error paths** — unknown methods, invalid :class:`CountRequest` fields
   and unknown per-method options are rejected with typed errors;
 * **façade behaviour** — :class:`CountingSession` pinning, engine reuse
@@ -30,10 +30,11 @@ from repro.applications.pqe import (
     ProbabilisticDatabase,
     evaluate_path_query,
 )
+from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import no_consecutive_ones_nfa, substring_nfa
 from repro.cli import main
-from repro.counting.acjr import ACJRCounter, ACJRParameters, count_nfa_acjr
+from repro.counting.acjr import ACJRCounter, ACJRParameters
 from repro.counting.api import (
     METHOD_REGISTRY,
     CountingSession,
@@ -45,9 +46,8 @@ from repro.counting.api import (
     register_method,
     resolve_method,
 )
-from repro.counting.bruteforce import count_bruteforce
-from repro.counting.fpras import FPRASParameters, NFACounter, count_nfa
-from repro.counting.montecarlo import count_montecarlo
+from repro.counting.fpras import FPRASParameters, NFACounter
+from repro.counting.montecarlo import run_montecarlo
 from repro.counting.params import ParameterScale
 from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
@@ -62,20 +62,22 @@ def nfa():
 
 
 # ----------------------------------------------------------------------
-# Differential parity: façade vs legacy entry points vs direct classes
+# Differential parity: façade vs direct classes
 # ----------------------------------------------------------------------
 class TestFprasParity:
-    def test_shim_returns_identical_count_result(self, nfa):
-        legacy = count_nfa(nfa, 8, epsilon=0.5, delta=0.2, seed=SEED)
+    def test_int_seed_matches_direct_counter(self, nfa):
+        direct = NFACounter(
+            nfa, 8, FPRASParameters(epsilon=0.5, delta=0.2, seed=SEED)
+        ).run()
         report = count(nfa, 8, method="fpras", epsilon=0.5, delta=0.2, seed=SEED)
-        assert type(report.raw) is type(legacy)
-        assert report.estimate == legacy.estimate
-        assert report.raw.union_calls == legacy.union_calls
-        assert report.raw.membership_calls == legacy.membership_calls
-        assert report.raw.sample_draws == legacy.sample_draws
-        assert report.raw.sample_successes == legacy.sample_successes
-        assert report.raw.state_estimates == legacy.state_estimates
-        assert report.backend == legacy.backend
+        assert type(report.raw) is type(direct)
+        assert report.estimate == direct.estimate
+        assert report.raw.union_calls == direct.union_calls
+        assert report.raw.membership_calls == direct.membership_calls
+        assert report.raw.sample_draws == direct.sample_draws
+        assert report.raw.sample_successes == direct.sample_successes
+        assert report.raw.state_estimates == direct.state_estimates
+        assert report.backend == direct.backend
 
     def test_rng_stream_identical_to_direct_counter(self, nfa):
         direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
@@ -120,15 +122,17 @@ class TestFprasParity:
 
 
 class TestACJRParity:
-    def test_shim_returns_identical_result(self, nfa):
-        legacy = count_nfa_acjr(nfa, 6, epsilon=0.4, sample_cap=32, seed=2)
+    def test_int_seed_matches_direct_counter(self, nfa):
+        direct = ACJRCounter(
+            nfa, 6, ACJRParameters(epsilon=0.4, sample_cap=32, seed=2)
+        ).run()
         report = count(
             nfa, 6, method="acjr", epsilon=0.4, seed=2, sample_cap=32
         )
-        assert report.estimate == legacy.estimate
-        assert report.raw.membership_calls == legacy.membership_calls
-        assert report.raw.sample_draws == legacy.sample_draws
-        assert report.raw.state_estimates == legacy.state_estimates
+        assert report.estimate == direct.estimate
+        assert report.raw.membership_calls == direct.membership_calls
+        assert report.raw.sample_draws == direct.sample_draws
+        assert report.raw.state_estimates == direct.state_estimates
 
     def test_rng_stream_identical_to_direct_counter(self, nfa):
         direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
@@ -147,19 +151,15 @@ class TestACJRParity:
 
 
 class TestMonteCarloParity:
-    def test_shim_returns_identical_estimate(self, nfa):
-        legacy = count_montecarlo(nfa, 8, num_samples=400, seed=3)
-        report = count(nfa, 8, method="montecarlo", seed=3, num_samples=400)
-        assert report.raw == legacy  # frozen dataclass equality: all fields
-        assert report.details["hits"] == legacy.hits
-        assert report.details["total_words"] == legacy.total_words
-
-    def test_rng_stream_identical(self, nfa):
-        legacy_rng, api_rng = random.Random(SEED), random.Random(SEED)
-        legacy = count_montecarlo(nfa, 8, num_samples=300, seed=legacy_rng)
+    def test_rng_stream_identical_to_core_loop(self, nfa):
+        direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
+        engine, _ = acquire_engine(nfa, None, use_cache=False)
+        direct = run_montecarlo(nfa, 8, 300, direct_rng, engine)
         report = count(nfa, 8, method="montecarlo", seed=api_rng, num_samples=300)
-        assert legacy_rng.getstate() == api_rng.getstate()
-        assert report.estimate == legacy.estimate
+        assert direct_rng.getstate() == api_rng.getstate()
+        assert report.raw == direct  # frozen dataclass equality: all fields
+        assert report.details["hits"] == direct.hits
+        assert report.details["total_words"] == direct.total_words
 
     def test_no_guarantee_fields(self, nfa):
         report = count(nfa, 6, method="montecarlo", seed=1, num_samples=50)
@@ -169,11 +169,6 @@ class TestMonteCarloParity:
 
 
 class TestBruteForceParity:
-    def test_shim_still_returns_bare_int(self, nfa):
-        value = count_bruteforce(nfa, 7)
-        assert isinstance(value, int)
-        assert value == count_exact(nfa, 7)
-
     def test_report_is_structured(self, nfa):
         report = count(nfa, 7, method="bruteforce", limit=1000)
         assert report.exact
@@ -183,42 +178,18 @@ class TestBruteForceParity:
         assert "step_ops" in report.engine_counters
         assert report.error_bounds() == (report.estimate, report.estimate)
 
-    def test_limit_error_propagates_through_shim_and_facade(self, nfa):
-        with pytest.raises(ParameterError):
-            count_bruteforce(nfa, 30, limit=1000)
+    def test_limit_error_propagates_through_facade(self, nfa):
         with pytest.raises(ParameterError):
             count(nfa, 30, method="bruteforce", limit=1000)
 
     def test_limit_none_disables_check(self, nfa):
-        assert count_bruteforce(nfa, 4, limit=None) == count_exact(nfa, 4)
         assert count(nfa, 4, method="bruteforce", limit=None).raw == count_exact(nfa, 4)
 
 
 class TestLegacyWrappersUsePolicies:
-    """The wrappers' documented ``backend`` / ``use_engine_cache`` arguments
-    reach ``repro.count`` as a policy, not as deprecated flat kwargs."""
-
-    @pytest.mark.parametrize(
-        "knobs", [{"backend": "reference"}, {"use_engine_cache": False}]
-    )
-    def test_wrappers_match_the_policy_spelling_without_warning(self, nfa, knobs):
-        policy = ExecutionPolicy(**knobs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            montecarlo = count_montecarlo(nfa, 8, num_samples=300, seed=3, **knobs)
-            bruteforce = count_bruteforce(nfa, 7, **knobs)
-            acjr = count_nfa_acjr(nfa, 6, epsilon=0.4, sample_cap=32, seed=2, **knobs)
-            fpras = count_nfa(nfa, 6, epsilon=0.4, seed=2, **knobs)
-        assert montecarlo == count(
-            nfa, 8, method="montecarlo", num_samples=300, seed=3, policy=policy
-        ).raw
-        assert bruteforce == count(nfa, 7, method="bruteforce", policy=policy).raw
-        assert acjr.estimate == count(
-            nfa, 6, method="acjr", epsilon=0.4, sample_cap=32, seed=2, policy=policy
-        ).estimate
-        assert fpras.estimate == count(
-            nfa, 6, epsilon=0.4, seed=2, policy=policy
-        ).estimate
+    """The application wrappers' documented ``backend`` /
+    ``use_engine_cache`` arguments reach ``repro.count`` as a policy, not
+    as deprecated flat kwargs."""
 
     @pytest.mark.parametrize(
         "knobs", [{"backend": "reference"}, {"use_engine_cache": False}]
@@ -306,6 +277,25 @@ class TestErrorPaths:
         assert option in str(excinfo.value)
 
     @pytest.mark.parametrize(
+        "method, option, value",
+        [
+            ("acjr", "sample_cap", "10"),
+            ("acjr", "sample_cap", 2.5),
+            ("acjr", "attempt_factor", "x"),
+            ("acjr", "attempt_factor", 0),
+            ("acjr", "attempt_factor", -3),
+            ("acjr", "attempt_factor", math.inf),
+            ("acjr", "attempt_factor", math.nan),
+            ("acjr", "attempt_factor", True),
+            ("fpras", "scale", "x"),
+            ("fpras", "scale", {"sample_cap": 8}),
+        ],
+    )
+    def test_estimator_options_are_typed(self, nfa, method, option, value):
+        with pytest.raises(ParameterError, match=option):
+            count(nfa, 6, method=method, seed=1, **{option: value})
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"epsilon": 0.0},
@@ -313,8 +303,6 @@ class TestErrorPaths:
             {"delta": 0.0},
             {"delta": 1.0},
             {"seed": "not-a-seed"},
-            {"backend": "no_such_backend"},
-            {"use_engine_cache": "yes"},
             {"method": ""},
             {"method": 42},
             {"options": 17},
@@ -805,11 +793,11 @@ class TestRequestFingerprint:
             (CountRequest(seed=3), CountRequest(seed=4)),
             (
                 CountRequest(seed=3),
-                CountRequest(seed=3, backend="reference"),
+                CountRequest(seed=3, policy=ExecutionPolicy(backend="reference")),
             ),
             (
                 CountRequest(seed=3),
-                CountRequest(seed=3, options={"shards": 2}),
+                CountRequest(seed=3, policy=ExecutionPolicy(shards=2)),
             ),
         ],
         ids=["method", "epsilon", "delta", "seed", "backend", "shards"],
@@ -838,8 +826,8 @@ class TestRequestFingerprint:
         document = self._document()
         base = request_fingerprint(document, 6, CountRequest(seed=3))
         for variant in (
-            CountRequest(seed=3, workers=4),
-            CountRequest(seed=3, use_engine_cache=False),
+            CountRequest(seed=3, policy=ExecutionPolicy(workers=4)),
+            CountRequest(seed=3, policy=ExecutionPolicy(use_engine_cache=False)),
         ):
             assert request_fingerprint(document, 6, variant) == base
 

@@ -298,18 +298,24 @@ class TestAlgorithmParity:
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_montecarlo_and_bruteforce_backend_agreement(self, backend):
-        from repro.counting.bruteforce import count_bruteforce
-        from repro.counting.montecarlo import count_montecarlo
+        from repro.counting.api import count
+        from repro.counting.policy import ExecutionPolicy
 
+        fast, reference = ExecutionPolicy(backend=backend), ExecutionPolicy(
+            backend="reference"
+        )
         for seed in range(112, 118):
             nfa = _random_instance(seed)
-            assert count_bruteforce(nfa, 7, backend=backend) == count_bruteforce(
-                nfa, 7, backend="reference"
+            assert (
+                count(nfa, 7, method="bruteforce", policy=fast).raw
+                == count(nfa, 7, method="bruteforce", policy=reference).raw
             )
-            mc_fast = count_montecarlo(nfa, 7, num_samples=400, seed=5, backend=backend)
-            mc_ref = count_montecarlo(
-                nfa, 7, num_samples=400, seed=5, backend="reference"
-            )
+            mc_fast = count(
+                nfa, 7, method="montecarlo", seed=5, policy=fast, num_samples=400
+            ).raw
+            mc_ref = count(
+                nfa, 7, method="montecarlo", seed=5, policy=reference, num_samples=400
+            ).raw
             assert mc_fast.estimate == mc_ref.estimate
             assert mc_fast.hits == mc_ref.hits
 

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 3 — the main FPRAS (NFACounter / count_nfa)."""
+"""Tests for Algorithm 3 — the main FPRAS (NFACounter / ``repro.count``)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import pytest
 from repro.automata import families
 from repro.automata.exact import count_exact, count_per_state_exact
 from repro.automata.nfa import NFA
-from repro.counting.fpras import CountResult, FPRASParameters, NFACounter, count_nfa
+from repro.counting.api import count
+from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.params import ParameterScale
 from repro.errors import ParameterError
 
@@ -59,8 +60,12 @@ class TestBasicBehaviour:
         assert run_once() == run_once()
 
     def test_different_seeds_generally_differ(self, suffix_nfa_0110):
-        first = count_nfa(suffix_nfa_0110, 8, epsilon=0.4, seed=1).estimate
-        second = count_nfa(suffix_nfa_0110, 8, epsilon=0.4, seed=2).estimate
+        first = NFACounter(
+            suffix_nfa_0110, 8, FPRASParameters(epsilon=0.4, seed=1)
+        ).run().estimate
+        second = NFACounter(
+            suffix_nfa_0110, 8, FPRASParameters(epsilon=0.4, seed=2)
+        ).run().estimate
         # Not a hard guarantee, but with randomised estimates an exact tie
         # across different seeds would indicate the seed is being ignored.
         assert first != second or first == pytest.approx(count_exact(suffix_nfa_0110, 8))
@@ -88,7 +93,9 @@ class TestAccuracy:
     def test_mean_over_seeds_is_close(self, substring_101_nfa):
         exact = count_exact(substring_101_nfa, 9)
         estimates = [
-            count_nfa(substring_101_nfa, 9, epsilon=0.3, seed=seed).estimate
+            NFACounter(
+                substring_101_nfa, 9, FPRASParameters(epsilon=0.3, seed=seed)
+            ).run().estimate
             for seed in range(5)
         ]
         mean = sum(estimates) / len(estimates)
@@ -269,6 +276,6 @@ class TestScaleModes:
         assert result.relative_error(exact) < 1.0
 
     def test_convenience_wrapper_defaults(self, substring_101_nfa):
-        result = count_nfa(substring_101_nfa, 7, epsilon=0.4, delta=0.2, seed=5)
+        result = count(substring_101_nfa, 7, epsilon=0.4, delta=0.2, seed=5).raw
         assert isinstance(result, CountResult)
         assert result.epsilon == 0.4

@@ -23,12 +23,13 @@ import random
 import pytest
 
 import repro
+from repro.automata.engine import acquire_engine
 from repro.automata.families import (
     divisibility_nfa,
     union_of_patterns_nfa,
 )
 from repro.counting.api import CountingSession, CountRequest
-from repro.counting.montecarlo import count_montecarlo
+from repro.counting.montecarlo import run_montecarlo
 from repro.counting.parallel import (
     MC_CHUNK_WORDS,
     derive_shard_seed,
@@ -139,8 +140,8 @@ def test_derive_shard_seed_is_stable_and_distinct():
 
 def test_request_validates_workers_at_construction():
     with pytest.raises(CountingMethodError):
-        CountRequest(workers=-2)
-    assert CountRequest(workers=0).workers == 0
+        CountRequest(policy=ExecutionPolicy(workers=-2))
+    assert CountRequest(policy=ExecutionPolicy(workers=0)).policy.workers == 0
 
 
 # ----------------------------------------------------------------------
@@ -281,11 +282,14 @@ def test_montecarlo_parallel_bit_identical_to_serial(substring_101_nfa):
         )
         for workers in (1, 2, 4)
     }
-    legacy = count_montecarlo(substring_101_nfa, 8, num_samples=3 * MC_CHUNK_WORDS, seed=5)
+    engine, _ = acquire_engine(substring_101_nfa, None, use_cache=False)
+    serial = run_montecarlo(
+        substring_101_nfa, 8, 3 * MC_CHUNK_WORDS, random.Random(5), engine
+    )
     estimates = {report.estimate for report in reports.values()}
-    assert estimates == {legacy.estimate}
+    assert estimates == {serial.estimate}
     hits = {report.details["hits"] for report in reports.values()}
-    assert hits == {legacy.hits}
+    assert hits == {serial.hits}
 
 
 def test_montecarlo_parallel_merged_counters_worker_invariant(substring_101_nfa):
@@ -366,11 +370,11 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
     substring_101_nfa,
 ):
     session = CountingSession(
-        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2)
+        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2, shards=2)
     )
-    assert session.defaults.workers == 2
+    assert session.defaults.policy.workers == 2
     # Pinned workers apply to supported methods ...
-    report = session.count(substring_101_nfa, 6, shards=2)
+    report = session.count(substring_101_nfa, 6)
     assert report.details["workers"] == 2
     # ... and silently degrade to serial for methods without support,
     # mirroring how inapplicable pinned options are dropped.
@@ -387,9 +391,9 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
 
 def test_session_sharded_matches_module_level_count(substring_101_nfa):
     session = CountingSession(
-        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2)
+        epsilon=0.5, seed=11, scale=SCALE, policy=ExecutionPolicy(workers=2, shards=3)
     )
-    via_session = session.count(substring_101_nfa, 7, shards=3)
+    via_session = session.count(substring_101_nfa, 7)
     via_count = _fpras(substring_101_nfa, 7, workers=2, shards=3)
     assert via_session.estimate == via_count.estimate
 

@@ -3,8 +3,8 @@
 Pins the contracts behind the typed execution-policy API:
 
 * :class:`~repro.counting.policy.ExecutionPolicy` — validation, the
-  defaults-omitted option emission that keeps the policy spelling
-  fingerprint-neutral, and the ``CountRequest`` round trip;
+  defaults-omitted option emission, and its place as the ``policy`` field
+  of ``CountRequest`` (cache key included);
 * the policy spelling on :func:`repro.count` and
   :class:`~repro.counting.api.CountingSession`: a policy flows into their
   requests, and execution knobs passed as flat kwargs raise typed errors;
@@ -99,56 +99,45 @@ class TestExecutionPolicyValidation:
         assert set(POLICY_OPTION_NAMES) - {"shards"} <= RESULT_NEUTRAL_OPTIONS
 
 
-class TestPolicyRequestRoundTrip:
-    def test_policy_and_flat_spellings_denote_equal_requests(self):
-        flat = CountRequest(
-            method="fpras",
-            seed=7,
-            backend="bitset",
-            workers=2,
-            options={"store": "windowed"},
+class TestRequestPolicyField:
+    def test_cache_key_reads_the_policy(self):
+        # Corpus fingerprints, serve cache keys and audit manifests hash
+        # this JSON, so its value is pinned.
+        request = CountRequest(
+            seed=3,
+            policy=ExecutionPolicy(backend="bitset", shards=2, store="windowed"),
         )
-        styled = CountRequest(
-            method="fpras",
-            seed=7,
-            policy=ExecutionPolicy(backend="bitset", workers=2, store="windowed"),
-        )
-        assert styled == flat
-        assert styled.policy is None  # consumed during normalisation
-
-    def test_fingerprint_neutrality(self):
-        nfa_doc = {"states": ["a"], "initial": "a", "transitions": [], "accepting": ["a"]}
-        flat = CountRequest(method="fpras", seed=3, backend="bitset")
-        styled = CountRequest(
-            method="fpras", seed=3, policy=ExecutionPolicy(backend="bitset")
-        )
-        assert canonical_request_knobs(styled, 6) == canonical_request_knobs(flat, 6)
-        fingerprints = {
-            request_fingerprint(nfa_doc, 6, request) for request in (flat, styled)
+        assert canonical_request_knobs(request, 6) == {
+            "method": "fpras",
+            "length": 6,
+            "epsilon": 0.5,
+            "delta": 0.1,
+            "seed": 3,
+            "backend": "bitset",
+            "options": {"shards": 2},
         }
-        assert len(fingerprints) == 1
-
-    def test_round_trip_from_request(self):
-        policy = ExecutionPolicy(
-            backend="numpy", workers=3, shards=2, store="windowed"
+        nfa_doc = {"states": ["a"], "initial": "a", "transitions": [], "accepting": ["a"]}
+        neutral = CountRequest(
+            seed=3,
+            policy=ExecutionPolicy(backend="bitset", shards=2, workers=2, window=8),
         )
-        request = CountRequest(method="fpras", policy=policy)
-        assert ExecutionPolicy.from_request(request) == policy
-        assert request.execution_policy() == policy
+        assert request_fingerprint(nfa_doc, 6, neutral) == request_fingerprint(
+            nfa_doc, 6, request
+        )
 
-    def test_conflicting_flat_knobs_rejected(self):
-        with pytest.raises(ParameterError):
-            CountRequest(
-                method="fpras",
-                backend="bitset",
-                policy=ExecutionPolicy(backend="numpy"),
-            )
-        with pytest.raises(ParameterError):
-            CountRequest(
-                method="fpras",
-                options={"store": "windowed"},
-                policy=ExecutionPolicy(),
-            )
+    @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
+    def test_execution_knobs_in_options_rejected(self, name):
+        value = {"shards": 2, "store": "windowed", "window": 8}[name]
+        for policy in (ExecutionPolicy(), ExecutionPolicy(backend="numpy")):
+            with pytest.raises(ParameterError, match="set them on the ExecutionPolicy"):
+                CountRequest(method="fpras", options={name: value}, policy=policy)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be"):
+            CountRequest(seed=seed)
+        with pytest.raises(ParameterError, match="seed must be"):
+            count(families.parity_nfa(2), 4, seed=seed, policy=ExecutionPolicy(shards=2))
 
     def test_policy_must_be_a_policy(self):
         with pytest.raises(ParameterError):
@@ -221,6 +210,13 @@ class TestPolicySpelling:
         with pytest.raises(error, match=message):
             call(parity_nfa_2)
 
+    @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
+    def test_session_call_flat_execution_option_raises(self, parity_nfa_2, name):
+        value = {"shards": 2, "store": "windowed", "window": 8}[name]
+        session = CountingSession(seed=1, policy=ExecutionPolicy(workers=2))
+        with pytest.raises(ParameterError, match="set them on the ExecutionPolicy"):
+            session.count(parity_nfa_2, 4, **{name: value})
+
     def test_policy_spelling_is_silent(self, parity_nfa_2):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -245,10 +241,12 @@ class TestPolicySpelling:
             policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         pinned = session.request()
-        assert pinned.backend == "bitset"
-        assert pinned.option("store") == "windowed"
+        assert pinned.policy == ExecutionPolicy(backend="bitset", store="windowed")
+        assert "store" not in pinned.options
         # A method that does not accept the store option drops it.
-        assert "store" not in session.request(method="exact").options
+        assert session.request(method="exact").policy == ExecutionPolicy(
+            backend="bitset"
+        )
         assert session.count(parity_nfa_2, 4, method="exact").raw > 0
 
     def test_call_policy_replaces_the_pinned_one(self, parity_nfa_2):
@@ -260,7 +258,7 @@ class TestPolicySpelling:
         )
         assert report.backend == "reference"
         request = session.request(policy=ExecutionPolicy(backend="reference"))
-        assert request.backend == "reference" and "store" not in request.options
+        assert request.policy == ExecutionPolicy(backend="reference")
         assert report.estimate == count(parity_nfa_2, 4, seed=1).estimate
 
 

@@ -459,6 +459,30 @@ class TestRequestValidation:
         assert status == 400
         assert "num_samples" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "method, option, value",
+        [
+            ("acjr", "sample_cap", "10"),
+            ("acjr", "sample_cap", 2.5),
+            ("acjr", "attempt_factor", "x"),
+            ("acjr", "attempt_factor", 0),
+            ("fpras", "scale", {"sample_cap": 8}),
+        ],
+    )
+    def test_mistyped_estimator_options_are_400(self, server, method, option, value):
+        status, payload = _post(
+            server,
+            _body(
+                no_consecutive_ones_nfa(),
+                5,
+                method=method,
+                seed=1,
+                options={option: value},
+            ),
+        )
+        assert status == 400
+        assert option in payload["error"]
+
 
 # ----------------------------------------------------------------------
 # /stats and /methods

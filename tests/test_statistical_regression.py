@@ -32,8 +32,7 @@ import repro
 from repro.automata import families
 from repro.automata.exact import enumerate_slice
 from repro.automata.random_gen import random_nonempty_nfa
-from repro.counting.bruteforce import count_bruteforce
-from repro.counting.fpras import NFACounter, count_nfa
+from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.uniform import UniformWordSampler
 
@@ -135,11 +134,11 @@ class TestApproxCountAccuracy:
         ],
     )
     def test_relative_error_against_bruteforce(self, name, nfa, length):
-        exact = count_bruteforce(nfa, length)
+        exact = repro.count(nfa, length, method="bruteforce").raw
         assert exact > 0
         errors = []
         for seed in range(5):
-            result = count_nfa(nfa, length, epsilon=0.3, delta=0.1, seed=seed)
+            result = repro.count(nfa, length, epsilon=0.3, delta=0.1, seed=seed).raw
             errors.append(result.relative_error(exact))
         # Individual runs stay within a loose multiple of epsilon (the scaled
         # constants weaken the concentration bound); the mean is tighter.
@@ -156,7 +155,7 @@ class TestApproxCountAccuracy:
             for word in _all_words(nfa.alphabet, length)
             if nfa.accepts(word)
         )
-        assert count_bruteforce(nfa, length) == expected
+        assert repro.count(nfa, length, method="bruteforce").raw == expected
 
 
 class TestDenseUnions:

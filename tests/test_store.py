@@ -455,7 +455,7 @@ def test_store_knobs_are_fingerprint_neutral():
     base = CountRequest(method="fpras", seed=3)
     variants = [
         CountRequest(method="fpras", seed=3,
-                     options={"store": "windowed", "window": 2}),
+                     policy=ExecutionPolicy(store="windowed", window=2)),
         CountRequest(method="fpras", seed=3, options={"details": "summary"}),
     ]
     fingerprints = {request_fingerprint(document, 6, req)
