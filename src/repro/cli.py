@@ -29,7 +29,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.automata.engine import DEFAULT_BACKEND, available_backends
+from repro.automata.engine import available_backends
 from repro.automata.families import FAMILY_REGISTRY, build_family
 from repro.automata.nfa import word_to_string
 from repro.counting.api import (
@@ -175,15 +175,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.workers != 1:
-        # The sampler's counting pass reuses the FPRAS N/S tables serially;
-        # fail loudly instead of silently ignoring the flag.
-        print(
-            "error: sample does not support --workers "
-            "(the sampler's counting pass is serial)",
-            file=sys.stderr,
-        )
-        return 2
     validate_count(args.count)
     nfa = build_family(args.family, **_family_arguments(args.family_arg))
     sampler = _session_from_args(args).sampler(nfa, args.length)
@@ -404,10 +395,10 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
     shared.add_argument(
         "--backend",
         choices=sorted(available_backends()),
-        default=DEFAULT_BACKEND,
-        help="NFA simulation engine (bitset for up to a few hundred states, "
-        "numpy for larger automata, auto to pick by size; reference is the "
-        "frozenset baseline)",
+        default=None,
+        help="NFA simulation engine: unset runs montecarlo on numpy and the "
+        "other methods on bitset; auto does the same but picks numpy above "
+        "256 states; reference is the frozenset baseline",
     )
     shared.add_argument(
         "--no-engine-cache",
@@ -419,9 +410,8 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for the sharded parallel executor (fpras/montecarlo): "
-        "1 = serial (default), 0 = one per CPU; estimates are bit-identical "
-        "for every worker count",
+        help="processes for the sharded fpras executor: 1 = serial (default), "
+        "0 = one per CPU; estimates are bit-identical for every worker count",
     )
     shared.add_argument(
         "--family-arg", action="append", metavar="KEY=VALUE", help="family parameter"

@@ -1,13 +1,15 @@
-"""Sharded parallel execution of the trial-loop counting methods.
+"""Sharded parallel execution of the FPRAS.
 
-The FPRAS and the Monte-Carlo baseline both spend their time in loops of
-independent trials — per-state AppUnion/sampling batches for the FPRAS,
-word-acceptance tests for Monte-Carlo — so both can be split across a
+The FPRAS spends its time in per-state AppUnion/sampling batches that are
+independent within a level, so a level's states can be split across a
 :mod:`multiprocessing` process pool.  This module is that execution layer,
 surfaced through the ``workers`` knob on
 :class:`~repro.counting.api.CountRequest` /
 :class:`~repro.counting.api.CountingSession` / ``repro.count`` and the CLI's
-``--workers`` flag.
+``--workers`` flag.  The Monte-Carlo baseline has no pooled path: its
+serial :func:`~repro.counting.montecarlo.run_montecarlo` loop on the numpy
+backend beat every pooled run measured on a 2-CPU host, so ``montecarlo``
+declares no worker capability.
 
 Design invariants
 -----------------
@@ -32,14 +34,15 @@ Design invariants
   ``engine_counters`` deltas are merged into the one
   :class:`~repro.counting.api.CountReport`.
 
-Sharding the two methods
-------------------------
-**FPRAS** (``shards`` per-method option, default 1): the dynamic program is
-level-synchronous — states at level ``l`` depend only on the merged tables
-of levels ``< l`` — so a shard plan is one more way to process a level.  A
-``shards > 1`` run is an :class:`~repro.counting.fpras.NFACounter` whose
-``_process_level`` deals the level's sorted live states round-robin into
-``shards`` groups, each processed with its own derived substream
+The shard plan
+--------------
+The ``shards`` policy knob (default 1) sizes the plan.  The dynamic
+program is level-synchronous — states at level ``l`` depend only on the
+merged tables of levels ``< l`` — so a shard plan is one more way to
+process a level.  A ``shards > 1`` run is an
+:class:`~repro.counting.fpras.NFACounter` whose ``_process_level`` deals
+the level's sorted live states round-robin into ``shards`` groups, each
+processed with its own derived substream
 ``derive_shard_seed(root, "level", l, "shard", s)``; its ``run`` is the
 serial one (level loop, progress events and result).  With a pool the
 coordinator merges the per-shard ``N`` / ``S`` entries after each level
@@ -52,16 +55,6 @@ serialisation round-trip of the automaton (so coordinator and workers agree
 on state labels), automata that :func:`nfa_to_dict` rejects cannot be
 sharded.
 
-**Monte-Carlo**: the coordinator draws every word from the request stream
-with the serial loop's :func:`~repro.counting.montecarlo.draw_words`
-(drawing never depends on acceptance), so the words — and therefore the
-estimate — are bit-identical to serial execution for *any* worker count;
-workers only run :meth:`~repro.automata.engine.Engine.accepts_batch` over
-fixed-size row slices of the coordinator's position matrix
-(:data:`MC_CHUNK_WORDS`, worker-count independent) and the accepted counts
-are summed.  A run whose plan needs one process (one chunk, or one CPU) is
-the serial :func:`~repro.counting.montecarlo.run_montecarlo` loop.
-
 Crash handling and pool reuse
 -----------------------------
 The coordinator never blocks forever on a worker: replies are awaited with
@@ -71,10 +64,9 @@ the worker and its exit code, with ``close()`` still reaping the
 survivors.  Long-lived callers (the :mod:`repro.serve` layer) install a
 :class:`WorkerPoolManager` so pools persist across counting runs instead
 of being spawned per call; a failed run discards its pool and the next
-lease starts clean.  Both entry points also accept an anytime
-``progress`` callback (per FPRAS level, per pooled Monte-Carlo wave or
-serial block) that never touches the RNG streams, so streaming progress
-cannot change an estimate.
+lease starts clean.  :func:`run_fpras_sharded` also accepts an anytime
+``progress`` callback (per FPRAS level) that never touches the RNG
+streams, so streaming progress cannot change an estimate.
 
 What is and is not invariant
 ----------------------------
@@ -99,21 +91,15 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.engine import acquire_engine, resolve_backend
 from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
-from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
 from repro.errors import (
     AutomatonError,
     CountingMethodError,
     ReproError,
     WorkerCrashError,
 )
-
-#: Words per Monte-Carlo acceptance chunk.  Fixed (never derived from the
-#: worker count) so the merged batch counters are worker-count invariant.
-MC_CHUNK_WORDS = 2048
 
 #: Name recorded in report details for the substream derivation scheme.
 SEED_DERIVATION_SCHEME = "sha256(root, *path)[:8]"
@@ -257,15 +243,13 @@ def _fork_context():
 def _worker_main(connection) -> None:
     """Message loop run by every pool worker.
 
-    The worker owns either an :class:`NFACounter` (fpras mode: level 0
-    built on ``init-fpras``, later levels' ``N`` / ``S`` entries
-    synchronised by the coordinator) or a bare engine (montecarlo mode).
-    Every request is answered with
+    The worker owns an :class:`NFACounter` (level 0 built on
+    ``init-fpras``, later levels' ``N`` / ``S`` entries synchronised by the
+    coordinator).  Every request is answered with
     ``("ok", payload)`` or ``("error", traceback_text)``; the coordinator
     re-raises the latter.
     """
     counter: Optional[NFACounter] = None
-    engine = None
     try:
         while True:
             message = connection.recv()
@@ -279,14 +263,6 @@ def _worker_main(connection) -> None:
                     _, _, ns, _ = counter.derived_parameters()
                     counter._initialise_level_zero(ns)
                     connection.send(("ok", None))
-                elif kind == "init-mc":
-                    document, backend, use_engine_cache = message[1:]
-                    engine, _ = acquire_engine(
-                        nfa_from_dict(document),
-                        backend,
-                        use_cache=use_engine_cache,
-                    )
-                    connection.send(("ok", None))
                 elif kind == "sync":
                     for state, level, estimate, samples, drawn in message[1]:
                         counter.install_state(state, level, estimate, samples, drawn)
@@ -296,15 +272,6 @@ def _worker_main(connection) -> None:
                     connection.send(
                         ("ok", _run_shard(counter, level, states, shard_seed))
                     )
-                elif kind == "mc-chunk":
-                    words = message[1]
-                    base = dict(engine.counters())
-                    hits = int(sum(engine.accepts_batch(words)))
-                    delta = {
-                        key: value - base.get(key, 0)
-                        for key, value in engine.counters().items()
-                    }
-                    connection.send(("ok", {"hits": hits, "engine": delta}))
                 elif kind == "ping":
                     # Liveness / warm-up probe: lets a pool be constructed
                     # (and later health-checked) before any method-specific
@@ -467,10 +434,9 @@ class _WorkerPool:
 
     #: Maximum unanswered tasks per worker pipe.  Bounding the in-flight
     #: window keeps at most this many unread results queued on any pipe, so
-    #: a long task list (thousands of Monte-Carlo chunks) can never fill an
-    #: OS pipe buffer in both directions and deadlock coordinator against
-    #: worker; results for the sharded methods are far smaller than a pipe
-    #: buffer divided by this bound.
+    #: a long task list (a plan of many more shards than workers) can never
+    #: fill an OS pipe buffer in both directions and deadlock coordinator
+    #: against worker.
     WINDOW = 4
 
     def run_tasks(self, messages: Sequence[Tuple]) -> List[object]:
@@ -546,9 +512,9 @@ class WorkerPoolManager:
     All methods are thread-safe — the serving layer leases from concurrent
     request threads.
 
-    Pass a manager to :func:`run_fpras_sharded` / :func:`run_montecarlo_sharded`
-    explicitly, or install one process-wide with :func:`install_pool_manager`
-    so every dispatch through :mod:`repro.counting.api` picks it up.
+    Pass a manager to :func:`run_fpras_sharded` explicitly, or install one
+    process-wide with :func:`install_pool_manager` so every dispatch
+    through :mod:`repro.counting.api` picks it up.
     """
 
     def __init__(self, max_idle_per_size: int = 2) -> None:
@@ -857,115 +823,3 @@ def run_fpras_sharded(
         "seed_derivation": SEED_DERIVATION_SCHEME,
     }
     return result, details
-
-
-# ----------------------------------------------------------------------
-# Monte-Carlo sharded execution
-# ----------------------------------------------------------------------
-#: Words drawn per coordinator wave (a multiple of the chunk size, so chunk
-#: boundaries are identical to chunking the whole stream at once).  Bounds
-#: coordinator memory at one wave of words regardless of ``num_samples`` —
-#: the parallel analogue of the serial loop's bounded-block drawing.  Drawing
-#: the same stream in differently sized blocks yields the same words.
-MC_WAVE_WORDS = 32 * MC_CHUNK_WORDS
-
-
-def run_montecarlo_sharded(
-    nfa: NFA,
-    length: int,
-    num_samples: int,
-    rng: random.Random,
-    *,
-    backend: Optional[str],
-    use_engine_cache: bool,
-    workers: int,
-    pool_manager: Optional[WorkerPoolManager] = None,
-    progress: Optional[Callable[[Dict[str, object]], None]] = None,
-) -> Tuple[MonteCarloEstimate, Dict[str, int], Dict[str, object]]:
-    """The Monte-Carlo trial loop over a worker pool.
-
-    The coordinator draws words in bounded waves (bit-identical stream to
-    the serial loop) and workers only answer acceptance over
-    :data:`MC_CHUNK_WORDS`-row slices of each wave's position matrix, so
-    the estimate equals serial Monte-Carlo for any worker count while peak
-    memory stays at one wave of words.  A plan that needs one process runs
-    :func:`~repro.counting.montecarlo.run_montecarlo` in-process instead.
-    Returns ``(estimate, merged engine-counter deltas, details)``.
-
-    ``pool_manager`` (or an installed process-wide manager) reuses
-    persistent pools across calls.  ``progress`` is called after every wave
-    (or serial block) with ``{"method", "samples", "num_samples", "hits",
-    "total_words"}``; it never touches ``rng``, so the final estimate is
-    unchanged.
-    """
-    if length < 0:
-        raise ReproError("length must be non-negative")
-    if num_samples <= 0:
-        raise ReproError("num_samples must be positive")
-    workers = resolve_workers(workers)
-    size = len(nfa.alphabet)
-    total_words = size**length
-    total_chunks = -(-num_samples // MC_CHUNK_WORDS)
-    pool_size = min(workers, total_chunks)
-    details: Dict[str, object] = {
-        "workers": workers,
-        "pool_processes": pool_size if pool_size > 1 else 0,
-        "chunk_words": MC_CHUNK_WORDS,
-        "chunks": total_chunks,
-    }
-    if pool_size == 1:
-        engine, from_cache = acquire_engine(nfa, backend, use_cache=use_engine_cache)
-        base = dict(engine.counters())
-        result = run_montecarlo(nfa, length, num_samples, rng, engine, progress)
-        deltas = {
-            key: value - base.get(key, 0)
-            for key, value in engine.counters().items()
-        }
-        deltas["engine_cache_hit"] = int(from_cache)
-        return result, deltas, {**details, "backend": engine.name}
-
-    roundtripped, document = _roundtrip_nfa(nfa)
-    backend_name = resolve_backend(roundtripped, backend)
-    pool, manager = _acquire_pool(
-        pool_size, ("init-mc", document, backend, use_engine_cache), pool_manager
-    )
-    counters: Dict[str, int] = {}
-    hits = 0
-    failed = False
-    try:
-        remaining = num_samples
-        while remaining:
-            wave = draw_words(rng, size, length, min(remaining, MC_WAVE_WORDS))
-            remaining -= len(wave)
-            outcomes = pool.run_tasks(
-                [
-                    ("mc-chunk", wave[start : start + MC_CHUNK_WORDS])
-                    for start in range(0, len(wave), MC_CHUNK_WORDS)
-                ]
-            )
-            for outcome in outcomes:
-                hits += outcome["hits"]
-                _add_counts(counters, outcome["engine"])
-            if progress is not None:
-                progress(
-                    {
-                        "method": "montecarlo",
-                        "samples": num_samples - remaining,
-                        "num_samples": num_samples,
-                        "hits": hits,
-                        "total_words": total_words,
-                    }
-                )
-    except BaseException:
-        failed = True
-        raise
-    finally:
-        _finish_pool(pool, manager, failed)
-    counters["engine_cache_hit"] = 0
-    estimate = MonteCarloEstimate(
-        estimate=(hits / num_samples) * total_words,
-        hits=hits,
-        samples=num_samples,
-        total_words=total_words,
-    )
-    return estimate, counters, {**details, "backend": backend_name}

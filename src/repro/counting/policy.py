@@ -40,7 +40,8 @@ class ExecutionPolicy:
     backend:
         Simulation-engine name (``None`` selects the default backend; see
         :func:`repro.automata.engine.resolve_backend` for the ``"auto"``
-        rule).
+        rule).  The ``montecarlo`` runner takes ``None`` and ``"auto"`` as
+        ``"numpy"``.
     use_engine_cache:
         Whether engines come from the shared
         :class:`~repro.automata.engine.EngineRegistry`.

@@ -87,10 +87,12 @@ class UniformWordSampler:
         The counting pass that backs the sampler always runs the paper's
         FPRAS (sampling needs its ``N`` / ``S`` tables), so the request's
         method must be ``"fpras"``, and ``length`` is checked as
-        :func:`~repro.counting.api.dispatch` checks it.  This is the path
-        :meth:`repro.counting.api.CountingSession.sampler` uses, and it is
-        bit-identical to building the :class:`NFACounter` by hand from the
-        same knobs.
+        :func:`~repro.counting.api.dispatch` checks it.  The pass is the
+        serial :class:`NFACounter` run, so a policy with ``shards`` or
+        ``workers`` other than 1 raises instead of being ignored.  This is
+        the path :meth:`repro.counting.api.CountingSession.sampler` uses,
+        and it is bit-identical to building the :class:`NFACounter` by hand
+        from the same knobs.
         """
         from repro.counting.api import fpras_counter
 
@@ -98,6 +100,13 @@ class UniformWordSampler:
             raise ParameterError(
                 f"uniform sampling requires the 'fpras' counting method, "
                 f"not {request.method!r} (the sampler reuses the FPRAS tables)"
+            )
+        policy = request.policy
+        if policy.shards != 1 or policy.workers != 1:
+            raise ParameterError(
+                f"uniform sampling runs a serial counting pass; it takes "
+                f"shards=1 and workers=1, got shards={policy.shards} and "
+                f"workers={policy.workers}"
             )
         validate_length(length)
         counter = fpras_counter(nfa, length, request)

@@ -156,29 +156,6 @@ class UnionPlan:
         self.keys = range(len(self.sizes)) if keys is None else tuple(keys)
 
 
-def _shuffle(items: List[int], rng: random.Random) -> None:
-    """``rng.shuffle(items)``: the same swaps and generator state, faster.
-
-    For an exact ``random.Random`` this is CPython's ``Random.shuffle`` with
-    ``_randbelow_with_getrandbits`` inlined.  Any other generator keeps its
-    own ``shuffle``: a subclass that overrides ``random()`` draws its swap
-    indices another way.  :func:`approximate_union` no longer calls it: a
-    trial draws its stored sample with replacement instead of walking a
-    shuffled copy.
-    """
-    if type(rng) is not random.Random:
-        rng.shuffle(items)
-        return
-    getrandbits = rng.getrandbits
-    for size in range(len(items), 1, -1):
-        bits = size.bit_length()
-        index = getrandbits(bits)
-        while index >= size:
-            index = getrandbits(bits)
-        last = size - 1
-        items[last], items[index] = items[index], items[last]
-
-
 def _oracle_coverage(sets: Sequence[SetAccess]) -> BatchCoverage:
     """Every set's oracle asked about every sample, in :data:`BatchCoverage` form."""
     oracles = [entry.oracle for entry in sets]

@@ -29,8 +29,8 @@ Endpoints
     :meth:`~repro.counting.api.CountReport.to_dict` payload with a
     ``"served"`` envelope (cache disposition + fingerprint).  With
     ``"stream": true`` the response is chunked NDJSON: one ``progress``
-    event per FPRAS level / Monte-Carlo block or pooled wave (with a
-    running estimate where one exists), then a final ``result`` event.  An
+    event per FPRAS level / Monte-Carlo block (with a running estimate
+    where one exists), then a final ``result`` event.  An
     early client disconnect does not abort the run — the result still
     lands in the cache.
 ``GET /stats``
@@ -207,8 +207,9 @@ class CountingServer:
     restores the previous pool manager and reaps the idle pools.
 
     ``session_knobs`` are the server-side defaults for fields a request
-    omits — e.g. ``CountingServer(..., workers=2)`` makes every request
-    parallel unless the client says otherwise.
+    omits — e.g. ``CountingServer(..., workers=2)`` makes every fpras
+    request parallel unless the client says otherwise (the other methods
+    run serially).
     """
 
     def __init__(

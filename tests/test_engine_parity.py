@@ -423,3 +423,20 @@ class TestAutoBackend:
         assert results["auto"].estimate == results["bitset"].estimate
         # The report names the concrete backend the run actually used.
         assert results["auto"].backend == "bitset"
+
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_unset_backend_runs_montecarlo_on_numpy(self, backend):
+        from repro.counting.api import count
+        from repro.counting.policy import ExecutionPolicy
+
+        nfa = families.substring_nfa("101")  # below the block threshold
+        unset, bitset = (
+            count(
+                nfa, 8, method="montecarlo", seed=5, num_samples=400,
+                policy=ExecutionPolicy(backend=name),
+            )
+            for name in (backend, "bitset")
+        )
+        assert unset.backend == "numpy"
+        assert unset.estimate == bitset.estimate
+        assert unset.details["hits"] == bitset.details["hits"]

@@ -7,9 +7,10 @@ replaced, which are kept below as references:
   positions successive ``rng.choice(alphabet)`` calls return, and leave the
   generator in the same state;
 * whole Monte-Carlo runs must reproduce the reference loop's estimate,
-  hits, final generator state and batch counters on every backend, serial,
-  sharded and with a progress callback; a serial block is 8192 words, or
-  ``2**18`` positions when that is more words;
+  hits, final generator state and batch counters on every backend (an
+  unset one runs numpy), with and without a progress callback, and from a
+  session pinned with workers (Monte-Carlo takes none and runs serially);
+  a block is 8192 words, or ``2**18`` positions when that is more words;
 * the numpy backend's vectorised trie walk must agree with the generic
   sorted walk, handle for handle and counter for counter.
 """
@@ -25,9 +26,8 @@ from repro.automata.engine import Engine, create_engine
 from repro.automata.families import substring_nfa
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nonempty_nfa
-from repro.counting.api import CountRequest, dispatch
+from repro.counting.api import CountingSession, CountRequest, dispatch
 from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
-from repro.counting.parallel import MC_CHUNK_WORDS
 from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
@@ -100,6 +100,20 @@ def test_draw_matches_choice_loop(size):
             assert bulk.getstate() == scalar.getstate(), (size, length, count_)
 
 
+@pytest.mark.parametrize("size", range(1, 65))
+def test_draw_filters_like_randbelow_at_every_small_size(size):
+    # Each size keeps the top size.bit_length() bits of an output and
+    # rejects those >= size, as ``Random._randbelow`` does; up to 64 that
+    # is every bit width from 1 to 7 and every rejection rate it allows.
+    alphabet = _alphabet(size)
+    for seed in range(4):
+        bulk, scalar = random.Random(seed * 1000 + size), random.Random(seed * 1000 + size)
+        matrix = draw_words(bulk, size, 5, 120)
+        expected = reference_draw(scalar, alphabet, 5, 120)
+        assert [tuple(alphabet[p] for p in row) for row in matrix.tolist()] == expected
+        assert bulk.getstate() == scalar.getstate(), (size, seed)
+
+
 @pytest.mark.parametrize("rng_class", [FloatOnlyRandom, BitReversedRandom])
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 257])
 def test_draw_matches_choice_loop_for_subclasses(rng_class, size):
@@ -141,26 +155,17 @@ def test_draw_continues_a_stream_block_by_block():
 # ----------------------------------------------------------------------
 # Whole runs
 # ----------------------------------------------------------------------
-def _reference_run(nfa, length, num_samples, seed, chunk=None):
+def _reference_run(nfa, length, num_samples, seed):
     """Hits, final stream state and batch counters of the reference loop.
 
-    ``chunk`` is the accepts_batch size: ``None`` for the serial loop's
-    blocks, or the sharded executor's :data:`MC_CHUNK_WORDS`.  Counters
-    are backend-independent, so the reference engine answers for all.
+    Counters are backend-independent, so the reference engine answers for
+    all.
     """
     rng = random.Random(seed)
     engine = create_engine(nfa, "reference")
-    if chunk is None:
-        result = reference_run_montecarlo(nfa, length, num_samples, rng, engine)
-        hits = result.hits
-    else:
-        words = reference_draw(rng, list(nfa.alphabet), length, num_samples)
-        hits = sum(
-            sum(engine.accepts_batch(words[start : start + chunk]))
-            for start in range(0, num_samples, chunk)
-        )
+    result = reference_run_montecarlo(nfa, length, num_samples, rng, engine)
     counters = engine.counters()
-    return hits, rng.getstate(), {key: counters[key] for key in BATCH_COUNTERS}
+    return result.hits, rng.getstate(), {key: counters[key] for key in BATCH_COUNTERS}
 
 
 _RUN_NFAS = {
@@ -175,30 +180,39 @@ _RUN_NFAS = {
 @pytest.mark.parametrize("name", sorted(_RUN_NFAS))
 @pytest.mark.parametrize("with_progress", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("backend", ["bitset", "reference", "numpy"])
+@pytest.mark.parametrize("backend", ["bitset", "reference", "numpy", None, "auto"])
 def test_run_matches_reference_loop(name, with_progress, workers, backend):
     nfa, length = _RUN_NFAS[name]
-    num_samples = 10_000  # one serial block; four full chunks and a partial one
+    num_samples = 10_000  # one block
     rng = random.Random(17)
-    request = CountRequest(
-        method="montecarlo",
-        seed=rng,
-        options={"num_samples": num_samples},
-        policy=ExecutionPolicy(backend=backend, workers=workers, use_engine_cache=False),
-    )
+    policy = ExecutionPolicy(backend=backend, workers=workers, use_engine_cache=False)
+    if workers == 1:
+        request = CountRequest(
+            method="montecarlo",
+            seed=rng,
+            options={"num_samples": num_samples},
+            policy=policy,
+        )
+    else:
+        # Monte-Carlo takes no workers: a session pinned with them drops
+        # them for it, and the run is the same serial loop.
+        session = CountingSession(
+            method="montecarlo", num_samples=num_samples, policy=policy
+        )
+        request = session.request(seed=rng)
+        assert request.policy.workers == 1
     events = []
     report = dispatch(
         nfa, length, request, progress=events.append if with_progress else None
     )
-    sharded = workers != 1
-    hits, state, counters = _reference_run(
-        nfa, length, num_samples, 17, MC_CHUNK_WORDS if sharded else None
-    )
+    hits, state, counters = _reference_run(nfa, length, num_samples, 17)
     assert report.details["hits"] == hits
     assert report.estimate == hits / num_samples * len(nfa.alphabet) ** length
     assert rng.getstate() == state
     assert {key: report.engine_counters[key] for key in BATCH_COUNTERS} == counters
     assert bool(events) == with_progress
+    # An unset backend (None or "auto") runs Monte-Carlo on numpy.
+    assert report.backend == (backend if backend in ("bitset", "reference") else "numpy")
 
 
 def _blocks_of(nfa, length, num_samples, seed, backend):
@@ -233,7 +247,7 @@ def test_long_words_keep_8192_word_blocks():
     nfa = substring_nfa("1011")
     shapes, run = _blocks_of(nfa, 40, 8292, 5, "bitset")
     assert shapes == [(8192, 40), (100, 40)]
-    assert run == _reference_run(nfa, 40, 8292, 5, chunk=8192)
+    assert run == _reference_run(nfa, 40, 8292, 5)
 
 
 def test_short_word_blocks_split_at_2_18_positions():

@@ -24,14 +24,10 @@ import pytest
 
 import repro
 from repro.automata.engine import acquire_engine
-from repro.automata.families import (
-    divisibility_nfa,
-    union_of_patterns_nfa,
-)
+from repro.automata.families import divisibility_nfa, union_of_patterns_nfa
 from repro.counting.api import CountingSession, CountRequest
 from repro.counting.montecarlo import run_montecarlo
 from repro.counting.parallel import (
-    MC_CHUNK_WORDS,
     derive_shard_seed,
     resolve_workers,
     run_fpras_sharded,
@@ -40,7 +36,7 @@ from repro.counting.parallel import (
 )
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.policy import ExecutionPolicy
-from repro.errors import CountingMethodError, ReproError
+from repro.errors import CountingMethodError
 
 SCALE = ParameterScale.practical(sample_cap=8, union_trial_cap=10)
 
@@ -74,7 +70,7 @@ def test_non_integer_workers_rejected(substring_101_nfa, bad):
         repro.count(substring_101_nfa, 4, method="fpras", policy=ExecutionPolicy(workers=bad))
 
 
-@pytest.mark.parametrize("method", ["exact", "bruteforce", "acjr"])
+@pytest.mark.parametrize("method", ["exact", "bruteforce", "acjr", "montecarlo"])
 @pytest.mark.parametrize("workers", [0, 2, 8])
 def test_workers_on_unsupported_method_rejected(substring_101_nfa, method, workers):
     with pytest.raises(CountingMethodError, match="does not support sharded"):
@@ -266,76 +262,6 @@ def test_run_fpras_sharded_direct_entry_point(substring_101_nfa):
     assert serial_result.estimate == result.estimate
 
 
-# ----------------------------------------------------------------------
-# Monte-Carlo: serial-vs-parallel differentials
-# ----------------------------------------------------------------------
-def test_montecarlo_parallel_bit_identical_to_serial(substring_101_nfa):
-    """The coordinator draws the serial word stream, so every k agrees."""
-    reports = {
-        workers: repro.count(
-            substring_101_nfa,
-            8,
-            method="montecarlo",
-            seed=5,
-            num_samples=3 * MC_CHUNK_WORDS,
-            policy=ExecutionPolicy(workers=workers),
-        )
-        for workers in (1, 2, 4)
-    }
-    engine, _ = acquire_engine(substring_101_nfa, None, use_cache=False)
-    serial = run_montecarlo(
-        substring_101_nfa, 8, 3 * MC_CHUNK_WORDS, random.Random(5), engine
-    )
-    estimates = {report.estimate for report in reports.values()}
-    assert estimates == {serial.estimate}
-    hits = {report.details["hits"] for report in reports.values()}
-    assert hits == {serial.hits}
-
-
-def test_montecarlo_parallel_merged_counters_worker_invariant(substring_101_nfa):
-    """Chunking is fixed, so pooled counter merges agree across pool sizes."""
-    two = repro.count(
-        substring_101_nfa, 8, method="montecarlo", seed=5,
-        num_samples=4 * MC_CHUNK_WORDS, policy=ExecutionPolicy(workers=2),
-    )
-    four = repro.count(
-        substring_101_nfa, 8, method="montecarlo", seed=5,
-        num_samples=4 * MC_CHUNK_WORDS, policy=ExecutionPolicy(workers=4),
-    )
-    assert two.engine_counters == four.engine_counters
-    assert two.details["chunks"] == four.details["chunks"] == 4
-    assert two.details["chunk_words"] == MC_CHUNK_WORDS
-
-
-def test_montecarlo_parallel_on_larger_divisibility_instance():
-    nfa = divisibility_nfa(16)
-    serial = repro.count(nfa, 10, method="montecarlo", seed=13, num_samples=5000)
-    pooled = repro.count(
-        nfa, 10, method="montecarlo", seed=13, num_samples=5000,
-        policy=ExecutionPolicy(workers=3),
-    )
-    assert pooled.estimate == serial.estimate
-    assert pooled.details["hits"] == serial.details["hits"]
-
-
-def test_montecarlo_parallel_wave_boundary_parity(substring_101_nfa):
-    """Runs longer than one drawing wave still match the serial stream."""
-    from repro.counting.parallel import MC_WAVE_WORDS
-
-    num_samples = MC_WAVE_WORDS + 3 * MC_CHUNK_WORDS // 2  # crosses the wave
-    serial = repro.count(
-        substring_101_nfa, 6, method="montecarlo", seed=17,
-        num_samples=num_samples,
-    )
-    pooled = repro.count(
-        substring_101_nfa, 6, method="montecarlo", seed=17,
-        num_samples=num_samples, policy=ExecutionPolicy(workers=2),
-    )
-    assert pooled.estimate == serial.estimate
-    assert pooled.details["hits"] == serial.details["hits"]
-    assert pooled.details["chunks"] == -(-num_samples // MC_CHUNK_WORDS)
-
-
 def test_run_fpras_sharded_single_shard_honours_int_seed(substring_101_nfa):
     """Direct shards=1 calls must be deterministic under an explicit int seed."""
     parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=SCALE, seed=None)
@@ -346,21 +272,6 @@ def test_run_fpras_sharded_single_shard_honours_int_seed(substring_101_nfa):
         substring_101_nfa, 6, parameters, shards=1, workers=2, seed=9
     )
     assert first.estimate == second.estimate
-
-
-def test_montecarlo_parallel_validates_arguments(substring_101_nfa):
-    from repro.counting.parallel import run_montecarlo_sharded
-
-    with pytest.raises(ReproError):
-        run_montecarlo_sharded(
-            substring_101_nfa, 4, 0, random.Random(1),
-            backend=None, use_engine_cache=True, workers=2,
-        )
-    with pytest.raises(ReproError):
-        run_montecarlo_sharded(
-            substring_101_nfa, -1, 10, random.Random(1),
-            backend=None, use_engine_cache=True, workers=2,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +291,8 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
     # mirroring how inapplicable pinned options are dropped.
     exact = session.count(substring_101_nfa, 6, method="exact")
     assert exact.exact
+    montecarlo = session.count(substring_101_nfa, 6, method="montecarlo")
+    assert "workers" not in montecarlo.details
     # An explicit per-call policy with workers on an unsupported method
     # still fails loudly.
     with pytest.raises(CountingMethodError):
@@ -387,6 +300,33 @@ def test_session_pins_workers_and_degrades_for_unsupported_methods(
             substring_101_nfa, 6, method="exact", policy=ExecutionPolicy(workers=2)
         )
     assert session.describe()["workers"] == 2
+
+
+_MC_BATCH_KEYS = ("step_ops", "batch_steps_saved", "batch_calls", "batch_words")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("instance", ["substring-101", "divisibility-16"])
+def test_montecarlo_pinned_workers_run_the_serial_loop(
+    substring_101_nfa, instance, workers
+):
+    """Monte-Carlo has one loop: a session pinned with any worker count
+    runs ``run_montecarlo`` itself, with its estimate, hits and counters."""
+    nfa, length, seed, num_samples = {
+        "substring-101": (substring_101_nfa, 8, 5, 20_000),
+        "divisibility-16": (divisibility_nfa(16), 10, 13, 5000),
+    }[instance]
+    session = CountingSession(seed=seed, policy=ExecutionPolicy(workers=workers))
+    report = session.count(nfa, length, method="montecarlo", num_samples=num_samples)
+    engine, _ = acquire_engine(nfa, "numpy", use_cache=False)
+    serial = run_montecarlo(nfa, length, num_samples, random.Random(seed), engine)
+    assert report.estimate == serial.estimate
+    assert report.details["hits"] == serial.hits
+    assert "workers" not in report.details
+    counters = engine.counters()
+    assert {key: report.engine_counters[key] for key in _MC_BATCH_KEYS} == {
+        key: counters[key] for key in _MC_BATCH_KEYS
+    }
 
 
 def test_session_sharded_matches_module_level_count(substring_101_nfa):
@@ -422,7 +362,7 @@ def test_cli_sample_rejects_workers(capsys):
         ["sample", "no_consecutive_ones", "-n", "6", "--seed", "7", "--workers", "2"]
     )
     assert code == 2
-    assert "does not support --workers" in capsys.readouterr().err
+    assert "workers=2" in capsys.readouterr().err
 
 
 def test_cli_rejects_workers_on_unsupported_method(capsys):
@@ -436,6 +376,28 @@ def test_cli_rejects_workers_on_unsupported_method(capsys):
     )
     assert code == 2
     assert "does not support sharded" in capsys.readouterr().err
+
+
+def test_cli_montecarlo_refuses_workers_and_runs_serially(capsys):
+    from repro.cli import main
+
+    base = [
+        "count", "divisibility", "--family-arg", "divisor=4",
+        "--length", "6", "--method", "montecarlo", "--seed", "3",
+    ]
+    assert main(base + ["--workers", "2"]) == 2
+    assert "does not support sharded" in capsys.readouterr().err
+    outputs = []
+    for extra in ([], ["--workers", "1"]):
+        assert main(base + extra) == 0
+        outputs.append(
+            [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("montecarlo ", "accepting_hits"))
+            ]
+        )
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------

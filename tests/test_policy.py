@@ -290,4 +290,4 @@ class TestMethodCapabilities:
         exact = METHOD_REGISTRY["exact"].capabilities
         assert not exact.workers
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
-        assert montecarlo.workers and montecarlo.progress
+        assert not montecarlo.workers and montecarlo.progress

@@ -112,16 +112,21 @@ class TestServedParity:
 
     def test_execution_knobs_apply_over_pinned_workers(self):
         """Body execution knobs replace the server's pinned ones as they
-        apply to the method: pinned workers fall back to 1 for ``exact``,
-        while an explicit ``workers`` on ``exact`` is refused."""
+        apply to the method: pinned workers fall back to 1 for ``exact``
+        and ``montecarlo``, while an explicit ``workers`` on either is
+        refused."""
         nfa = no_consecutive_ones_nfa()
         with CountingServer(port=0, workers=2) as pinned:
+            for method in ("exact", "montecarlo"):
+                status, _ = _post(pinned, _body(nfa, 6, method=method, seed=1, workers=2))
+                assert status == 400
             status, served = _post(
                 pinned, _body(nfa, 6, method="exact", seed=1, backend="reference")
             )
             assert status == 200 and served["estimate"] == 21.0
-            status, _ = _post(pinned, _body(nfa, 6, method="exact", seed=1, workers=2))
-            assert status == 400
+            status, served = _post(pinned, _body(nfa, 6, method="montecarlo", seed=1))
+            direct = repro.count(nfa, 6, method="montecarlo", seed=1)
+            assert status == 200 and served["estimate"] == direct.estimate
 
     def test_workers_request_served_identically(self, server):
         nfa = no_consecutive_ones_nfa()
