@@ -4,7 +4,7 @@ The package turns "the parity suite passed today" into a continuously
 audited claim:
 
 * :mod:`repro.audit.scenarios` expands one declarative spec dictionary
-  into a factorial scenario matrix (method x backend x workers x
+  into a factorial scenario matrix (method x backend x
   ``(epsilon, delta)`` x automaton family x seed);
 * :mod:`repro.audit.manifest` runs matrices through the unified counting
   facade and emits one append-only JSON manifest per run — git revision,

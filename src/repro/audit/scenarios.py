@@ -5,8 +5,8 @@ nested ``for`` loop (``harness/experiments.py``, the old
 ``tools/bench_report.py`` workload list).  This module replaces those ad-hoc
 loops with a single declarative *matrix spec*: one plain dictionary naming
 the levels of each factor — automaton family, word length, counting method,
-simulation backend, worker count, ``(epsilon, delta)`` accuracy target and
-seed — which :func:`expand_matrix` crosses factorially into a flat list of
+simulation backend, ``(epsilon, delta)`` accuracy target and seed — which
+:func:`expand_matrix` crosses factorially into a flat list of
 :class:`Scenario` objects, the way experiment-design tools cross factorial
 design levels.
 
@@ -50,8 +50,7 @@ from repro.errors import AuditError
 
 #: Spec keys :func:`expand_matrix` understands; anything else is an error.
 SPEC_KEYS = frozenset(
-    {"families", "methods", "backends", "workers", "accuracy", "seeds",
-     "options", "scale"}
+    {"families", "methods", "backends", "accuracy", "seeds", "options", "scale"}
 )
 
 #: The smoke-scale matrix CI audits on every run: both estimators with a
@@ -78,7 +77,6 @@ DEFAULT_MATRIX: Mapping[str, object] = {
     ],
     "methods": ["fpras", "montecarlo"],
     "backends": [None],
-    "workers": [1],
     "accuracy": [{"epsilon": 0.4, "delta": 0.2}],
     "seeds": [11, 12, 13, 14, 15],
     "options": {"montecarlo": {"num_samples": 20000}},
@@ -100,15 +98,15 @@ class Scenario:
     family, family_args, length:
         The workload: a registered automaton family, its construction
         arguments and the word length ``n``.
-    method, backend, workers:
-        How to count: a registered method, a simulation backend (``None``
-        means the default) and the sharded-executor worker count.
+    method, backend:
+        How to count: a registered method and a simulation backend
+        (``None`` means the default).
     epsilon, delta, seed:
         The accuracy target and the RNG seed of this cell.
     options:
         Per-method knobs forwarded into :attr:`CountRequest.options`; the
-        fpras execution knobs ``shards`` / ``store`` / ``window`` among
-        them go to the request's policy instead.
+        fpras execution knobs ``store`` / ``window`` among them go to the
+        request's policy instead.
     scale:
         Optional plain-dictionary form of
         :meth:`~repro.counting.params.ParameterScale.practical` arguments,
@@ -121,7 +119,6 @@ class Scenario:
     length: int = 8
     method: str = "fpras"
     backend: Optional[str] = None
-    workers: int = 1
     epsilon: float = 0.5
     delta: float = 0.1
     seed: int = 0
@@ -154,8 +151,9 @@ class Scenario:
         delta-coverage across the seed sweep.
         """
         backend = self.backend if self.backend is not None else "default"
+        # "+w1" stays so these ids still match earlier manifests' (every run is serial).
         return (
-            f"{self.method}+{backend}+w{self.workers}"
+            f"{self.method}+{backend}+w1"
             f"+eps{self.epsilon}+delta{self.delta}"
             f"+{self.family}({_format_args(self.family_args)})+n{self.length}"
         )
@@ -209,9 +207,7 @@ class Scenario:
             delta=self.delta,
             seed=self.seed,
             options=options,
-            policy=ExecutionPolicy(
-                backend=self.backend, workers=self.workers, **execution
-            ),
+            policy=ExecutionPolicy(backend=self.backend, **execution),
         )
 
     def describe(self) -> Dict[str, object]:
@@ -222,7 +218,6 @@ class Scenario:
             "length": self.length,
             "method": self.method,
             "backend": self.backend,
-            "workers": self.workers,
             "epsilon": self.epsilon,
             "delta": self.delta,
             "seed": self.seed,
@@ -244,7 +239,6 @@ class Scenario:
                 length=int(document["length"]),
                 method=document["method"],
                 backend=document.get("backend"),
-                workers=int(document.get("workers", 1)),
                 epsilon=float(document["epsilon"]),
                 delta=float(document["delta"]),
                 seed=int(document["seed"]),
@@ -301,13 +295,13 @@ def expand_matrix(spec: Mapping[str, object]) -> List[Scenario]:
     The spec is one dictionary whose keys are the factorial axes —
     ``families`` (each entry a family name or ``{"family", "args",
     "lengths"}`` mapping), ``methods``, ``backends`` (default ``[None]``),
-    ``workers`` (default ``[1]``), ``accuracy`` (``{"epsilon", "delta"}``
-    mappings or ``(epsilon, delta)`` pairs) and ``seeds`` (default
-    ``[0]``) — plus two non-crossed modifiers: ``options`` (a mapping
-    *per method*, attached to every scenario of that method) and ``scale``
-    (plain :meth:`ParameterScale.practical` keywords applied to fpras
-    scenarios).  Expansion order is deterministic: families outermost,
-    seeds innermost, exactly as written in the spec.
+    ``accuracy`` (``{"epsilon", "delta"}`` mappings or ``(epsilon, delta)``
+    pairs) and ``seeds`` (default ``[0]``) — plus two non-crossed
+    modifiers: ``options`` (a mapping *per method*, attached to every
+    scenario of that method) and ``scale`` (plain
+    :meth:`ParameterScale.practical` keywords applied to fpras scenarios).
+    Expansion order is deterministic: families outermost, seeds innermost,
+    exactly as written in the spec.
 
     >>> len(expand_matrix(DEFAULT_MATRIX))
     40
@@ -324,7 +318,6 @@ def expand_matrix(spec: Mapping[str, object]) -> List[Scenario]:
     if not methods:
         raise AuditError("matrix spec 'methods' list must not be empty")
     backends = list(spec.get("backends", [None]))
-    workers = [int(w) for w in spec.get("workers", [1])]
     seeds = [int(s) for s in spec.get("seeds", [0])]
     per_method_options = dict(spec.get("options") or {})
     scale = spec.get("scale")
@@ -333,26 +326,22 @@ def expand_matrix(spec: Mapping[str, object]) -> List[Scenario]:
         for length in lengths:
             for method in methods:
                 for backend in backends:
-                    for worker_count in workers:
-                        for epsilon, delta in _accuracy_entries(spec):
-                            for seed in seeds:
-                                scenarios.append(
-                                    Scenario(
-                                        family=family,
-                                        family_args=args,
-                                        length=length,
-                                        method=method,
-                                        backend=backend,
-                                        workers=worker_count,
-                                        epsilon=epsilon,
-                                        delta=delta,
-                                        seed=seed,
-                                        options=dict(
-                                            per_method_options.get(method) or {}
-                                        ),
-                                        scale=scale,
-                                    )
+                    for epsilon, delta in _accuracy_entries(spec):
+                        for seed in seeds:
+                            scenarios.append(
+                                Scenario(
+                                    family=family,
+                                    family_args=args,
+                                    length=length,
+                                    method=method,
+                                    backend=backend,
+                                    epsilon=epsilon,
+                                    delta=delta,
+                                    seed=seed,
+                                    options=dict(per_method_options.get(method) or {}),
+                                    scale=scale,
                                 )
+                            )
     ids = [scenario.scenario_id for scenario in scenarios]
     if len(set(ids)) != len(ids):
         raise AuditError("matrix spec expands to duplicate scenario ids")

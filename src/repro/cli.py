@@ -63,7 +63,6 @@ def _session_from_args(args: argparse.Namespace) -> CountingSession:
     policy = ExecutionPolicy(
         backend=args.backend,
         use_engine_cache=not args.no_engine_cache,
-        workers=args.workers,
     )
     return CountingSession(
         epsilon=args.epsilon,
@@ -98,7 +97,6 @@ def _call_policy(args: argparse.Namespace) -> ExecutionPolicy:
     return ExecutionPolicy(
         backend=args.backend,
         use_engine_cache=not args.no_engine_cache,
-        workers=args.workers,
         **knobs,
     )
 
@@ -117,7 +115,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             print(format_table(rows, title=f"#NFA for {args.family}, n={args.length}"))
             return 0
     options = _method_options(args)
-    # Explicit per-call policy: asking for --workers (or --store, ...) with a
+    # Explicit per-call policy: asking for --store (or --window) with a
     # method that does not take it fails loudly instead of silently
     # degrading (the session-pinned copy still degrades for the
     # ground-truth `exact` run above).
@@ -126,7 +124,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         args.method == "exact"
         and exact_report is not None
         and not options
-        and policy.workers == 1
         and not policy.method_options()
     ):
         # --compare --method exact: the ground truth already ran once.  Any
@@ -150,9 +147,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         "batched_membership_words": report.engine_counters.get("cache_batch_words", 0),
         "elapsed_seconds": report.elapsed_seconds,
     }
-    if args.workers != 1:
-        details["workers"] = report.details.get("workers", args.workers)
-        details["shards"] = report.details.get("shards", 1)
     if report.method == "fpras":
         details["samples_per_state (ns)"] = report.raw.ns
         details["sampling_attempts (xns)"] = report.raw.xns
@@ -213,7 +207,6 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
                 "method": name,
                 "summary": entry.summary,
                 "options": ", ".join(sorted(entry.option_names)) or "-",
-                "workers": "yes" if capabilities.workers else "-",
                 "progress": "yes" if capabilities.progress else "-",
                 "stores": ", ".join(capabilities.stores),
             }
@@ -367,7 +360,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_capacity=args.queue_capacity,
         cache_entries=args.cache_entries,
-        workers=args.workers,
     )
     host, port = server.address
     print(f"repro serve listening on http://{host}:{port}")
@@ -405,13 +397,6 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
         action="store_true",
         help="build a private engine instead of using the shared engine registry "
         "(results are identical; use for isolated timing or debugging)",
-    )
-    shared.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for the sharded fpras executor: 1 = serial (default), "
-        "0 = one per CPU; estimates are bit-identical for every worker count",
     )
     shared.add_argument(
         "--family-arg", action="append", metavar="KEY=VALUE", help="family parameter"
@@ -457,14 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="acjr: per-(state, level) sample cap (default: 96)",
-    )
-    count.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="fpras: shard-plan size for parallel execution (default: 1 = the "
-        "serial plan; the plan, and hence the estimate, is independent of "
-        "--workers)",
     )
     count.add_argument(
         "--store",
@@ -577,13 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="size of the content-addressed result cache (default: 1024)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="default worker processes per counting run when the request "
-        "does not say (default: 1; pools persist across requests)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -365,7 +365,7 @@ def corpus_matrix_spec(
     ``lengths_per_fixture`` suggested lengths; the result is a plain spec
     dict for :func:`repro.audit.scenarios.expand_matrix` /
     :func:`repro.audit.manifest.run_matrix`, so corpus workloads cross
-    with methods, backends, workers and accuracy targets exactly like the
+    with methods, backends and accuracy targets exactly like the
     synthetic families.
     """
     selected = list(ids) if ids is not None else list(DEFAULT_MATRIX_IDS)

@@ -119,14 +119,13 @@ class CountRequest:
         Per-method knobs, e.g. ``scale`` (fpras), ``sample_cap`` /
         ``attempt_factor`` (acjr), ``num_samples`` (montecarlo), ``limit``
         (bruteforce).  Unknown options are rejected at dispatch; the
-        execution knobs ``shards`` / ``store`` / ``window`` are rejected
-        here, since they belong on ``policy``.
+        execution knobs ``store`` / ``window`` are rejected here, since
+        they belong on ``policy``.
     policy:
         The :class:`~repro.counting.policy.ExecutionPolicy` that says how
-        the run executes (``backend``, ``use_engine_cache``, ``workers``,
-        ``shards``, ``store``, ``window``).  Only fpras, the one method
-        registered with worker support, accepts ``workers != 1`` or takes
-        ``shards`` / ``store`` / ``window``; dispatch rejects the rest with
+        the run executes (``backend``, ``use_engine_cache``, ``store``,
+        ``window``).  Only fpras takes a non-default ``store`` /
+        ``window``; dispatch rejects them on the other methods with
         :class:`~repro.errors.CountingMethodError`.
 
     >>> CountRequest(method="montecarlo", options={"num_samples": 64}).epsilon
@@ -135,8 +134,8 @@ class CountRequest:
     Traceback (most recent call last):
         ...
     repro.errors.ParameterError: epsilon must be a finite positive number, got 0.0
-    >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).policy.workers
-    2
+    >>> CountRequest(policy=ExecutionPolicy(backend="bitset")).policy.backend
+    'bitset'
     """
 
     method: str = DEFAULT_METHOD
@@ -616,19 +615,16 @@ def register_method(
     ``options`` names the per-method knobs the method accepts through
     :attr:`CountRequest.options`; anything else is rejected at dispatch.
     ``capabilities`` is the method's declarative
-    :class:`~repro.counting.policy.MethodCapabilities` record — most
-    importantly ``workers=True`` declares that the runner honours the
-    request policy's ``workers`` (fpras routes it through the sharded
-    executor in :mod:`repro.counting.parallel`), and ``progress=True`` that
-    it takes a fourth argument, an anytime :data:`ProgressCallback`;
-    dispatch rejects ``workers != 1`` and a callback for methods that do
-    not declare them.
+    :class:`~repro.counting.policy.MethodCapabilities` record —
+    ``progress=True`` declares that the runner takes a fourth argument, an
+    anytime :data:`ProgressCallback`, and dispatch rejects a callback for
+    methods that do not declare it.
 
     >>> @register_method("fortytwo", summary="always 42")
     ... def _run(nfa, length, request):
     ...     return CountReport(estimate=42.0, method="fortytwo", length=length,
     ...                        num_states=nfa.num_states, elapsed_seconds=0.0)
-    >>> METHOD_REGISTRY["fortytwo"].capabilities.workers
+    >>> METHOD_REGISTRY["fortytwo"].capabilities.progress
     False
     >>> "fortytwo" in available_methods()
     True
@@ -704,9 +700,8 @@ def _engine_counter_deltas(engine, base: Dict[str, int], from_cache: bool) -> Di
 @register_method(
     "fpras",
     summary="the paper's FPRAS (Algorithm 3)",
-    options=("scale", "shards", "store", "window", "details"),
+    options=("scale", "store", "window", "details"),
     capabilities=MethodCapabilities(
-        workers=True,
         progress=True,
         stores=("dict", "windowed"),
     ),
@@ -719,30 +714,12 @@ def _run_fpras(
 ) -> CountReport:
     """Run :class:`NFACounter` and normalise its :class:`CountResult`.
 
-    ``workers != 1`` or ``shards > 1`` route through the sharded executor
-    (:func:`repro.counting.parallel.run_fpras_sharded`); a one-shard plan is
-    bit-identical to the serial run, and a fixed multi-shard plan is
-    bit-identical across worker counts.  Either way
     :meth:`NFACounter.run` runs the levels, and ``progress`` (see
     :func:`dispatch`) observes each completed one without touching the RNG
     stream, so it never changes the estimate.
     """
     policy = request.policy
-    if policy.workers != 1 or policy.shards != 1:
-        from repro.counting.parallel import run_fpras_sharded
-
-        result, parallel_details = run_fpras_sharded(
-            nfa,
-            length,
-            fpras_parameters(request),
-            shards=policy.shards,
-            workers=policy.workers,
-            seed=request.seed,
-            progress=progress,
-        )
-    else:
-        result = fpras_counter(nfa, length, request).run(progress=progress)
-        parallel_details = {}
+    result = fpras_counter(nfa, length, request).run(progress=progress)
     return CountReport(
         estimate=result.estimate,
         method="fpras",
@@ -765,7 +742,6 @@ def _run_fpras(
                 if policy.store != "dict"
                 else {}
             ),
-            **parallel_details,
         },
         raw=result,
     )
@@ -917,25 +893,31 @@ def _methods_with(capability: str) -> List[str]:
     )
 
 
-def dispatch(
-    nfa: NFA,
+def validate_request(
     length: int,
     request: CountRequest,
     progress: Optional[ProgressCallback] = None,
-) -> CountReport:
-    """Resolve a request's method, validate its options, and run it.
+) -> CounterMethod:
+    """Every check :func:`dispatch` makes before it runs a request.
 
-    ``progress`` is an anytime callback (the serving layer's streaming
-    hook), accepted by methods whose capabilities declare ``progress``:
-    fpras reports after every completed level of the dynamic program,
-    montecarlo after every block of its serial loop.  It runs
-    on the calling thread and never touches the RNG streams, so the report
-    is bit-identical to a run without it.
+    Resolves the method, checks ``length``, checks the request's options
+    and the policy's non-default fpras knobs against the method's option
+    names, and checks that a ``progress`` callback goes only to a method
+    that declares it.  Returns the resolved method.  The serving layer
+    calls this before its result-cache lookup, so a request that would
+    fail never reads a cached answer.
+
+    >>> validate_request(4, CountRequest(method="exact")).name
+    'exact'
+    >>> validate_request(4, CountRequest(method="exact", options={"scale": 1}))
+    Traceback (most recent call last):
+        ...
+    repro.errors.CountingMethodError: method 'exact' does not accept option(s) \
+['scale']; accepted options: none
     """
     method = resolve_method(request.method)
     validate_length(length)
-    policy = request.policy
-    unknown = (set(request.options) | set(policy.method_options())) - set(
+    unknown = (set(request.options) | set(request.policy.method_options())) - set(
         method.option_names
     )
     if unknown:
@@ -944,17 +926,30 @@ def dispatch(
             f"method {request.method!r} does not accept option(s) {sorted(unknown)}; "
             f"accepted options: {accepted if accepted else 'none'}"
         )
-    if policy.workers != 1 and not method.capabilities.workers:
-        raise CountingMethodError(
-            f"method {request.method!r} does not support sharded parallel "
-            f"execution (workers={policy.workers}); methods with worker "
-            f"support: {_methods_with('workers')}"
-        )
     if progress is not None and not method.capabilities.progress:
         raise CountingMethodError(
             f"method {request.method!r} does not support anytime progress; "
             f"methods with progress support: {_methods_with('progress')}"
         )
+    return method
+
+
+def dispatch(
+    nfa: NFA,
+    length: int,
+    request: CountRequest,
+    progress: Optional[ProgressCallback] = None,
+) -> CountReport:
+    """Validate a request (:func:`validate_request`) and run its method.
+
+    ``progress`` is an anytime callback (the serving layer's streaming
+    hook), accepted by methods whose capabilities declare ``progress``:
+    fpras reports after every completed level of the dynamic program,
+    montecarlo after every block of its serial loop.  It runs
+    on the calling thread and never touches the RNG streams, so the report
+    is bit-identical to a run without it.
+    """
+    method = validate_request(length, request, progress)
     return method.run(nfa, length, request, progress)
 
 
@@ -964,8 +959,8 @@ def dispatch(
 #: Per-method options that can never change an estimate — the state-table
 #: store and its window only move table entries between RAM and spill (the
 #: parity contract in :mod:`repro.counting.store`), and ``details`` only
-#: selects how much of the tables a report embeds.  Like ``workers``, they
-#: are excluded from the cache key so one cached answer serves every
+#: selects how much of the tables a report embeds.  Like ``use_engine_cache``,
+#: they are excluded from the cache key so one cached answer serves every
 #: execution configuration.
 RESULT_NEUTRAL_OPTIONS = frozenset({"store", "window", "details"})
 
@@ -976,27 +971,20 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
     Contains exactly the knobs that can change an estimate: the method
     name, the instance length, the epsilon/delta targets, the integer
     seed, the policy's backend, and the per-method options in sorted
-    order, joined by the policy's non-default fpras knobs — notably
-    ``shards``, which selects the shard plan and hence the RNG substream
-    layout.  ``workers`` and ``use_engine_cache`` are deliberately absent:
-    the sharded executor's plan-invariance contract makes estimates
-    bit-identical across worker counts, and the engine registry never
-    changes results — so one cached answer serves every worker
-    configuration.  Result-neutral options (:data:`RESULT_NEUTRAL_OPTIONS`
-    — the fpras ``store`` / ``window`` / ``details`` knobs) are filtered
-    out for the same reason.
+    order.  ``use_engine_cache`` is deliberately absent: the engine
+    registry never changes results.  Result-neutral options
+    (:data:`RESULT_NEUTRAL_OPTIONS` — the fpras ``store`` / ``window`` /
+    ``details`` knobs) are filtered out for the same reason, so one cached
+    answer serves every execution configuration.
 
-    >>> a = CountRequest(method="fpras", seed=7, policy=ExecutionPolicy(shards=2))
+    >>> a = CountRequest(method="fpras", seed=7, options={"details": "summary"})
     >>> b = CountRequest(method="fpras", seed=7,
-    ...                  policy=ExecutionPolicy(workers=4, shards=2))
+    ...                  policy=ExecutionPolicy(store="windowed", window=8))
     >>> canonical_request_knobs(a, 8) == canonical_request_knobs(b, 8)
     True
-    >>> c = CountRequest(method="fpras", seed=7,
-    ...                  policy=ExecutionPolicy(shards=2, store="windowed", window=8))
-    >>> canonical_request_knobs(c, 8) == canonical_request_knobs(a, 8)
-    True
-    >>> canonical_request_knobs(a, 8)["options"]
-    {'shards': 2}
+    >>> c = CountRequest(method="acjr", seed=7, options={"sample_cap": 48})
+    >>> canonical_request_knobs(c, 8)["options"]
+    {'sample_cap': 48}
     """
     if isinstance(request.seed, random.Random):
         raise CountingMethodError(
@@ -1063,17 +1051,13 @@ def count(
     """Count ``|L(A_length)|`` with any registered method (``repro.count``).
 
     ``policy`` holds the execution knobs (``backend``, ``use_engine_cache``,
-    ``workers``, ``shards``, ``store``, ``window``) as one typed
+    ``store``, ``window``) as one typed
     :class:`~repro.counting.policy.ExecutionPolicy`; the default policy when
     none is given.  Extra keyword arguments become per-method options
     (``scale``, ``sample_cap``, ``num_samples``, ``limit``, …): an execution
     knob passed that way raises, :class:`~repro.errors.ParameterError` for
-    ``shards`` / ``store`` / ``window`` and
-    :class:`~repro.errors.CountingMethodError` (an option the method does
-    not accept) for the others.  A policy with ``workers != 1`` runs
-    fpras, the one method declaring worker capability, through the sharded
-    parallel executor — see :mod:`repro.counting.parallel`; estimates are
-    bit-identical for every worker count.
+    ``store`` / ``window`` and :class:`~repro.errors.CountingMethodError`
+    (an option the method does not accept) for the others.
 
     >>> from repro.automata.families import no_consecutive_ones_nfa
     >>> count(no_consecutive_ones_nfa(), 5, method="bruteforce").raw
@@ -1183,18 +1167,18 @@ class CountingSession:
 
         Session-level options that the target method does not accept are
         dropped (so a session pinned for fpras can still run ``exact``);
-        so are the pinned policy's ``shards`` / ``store`` / ``window`` and
-        ``workers`` when the method does not take them, which go back to
-        their defaults.  A per-call ``policy`` replaces the pinned one.
-        Per-call overrides and policies are kept verbatim and validated at
-        dispatch, so a flat ``backend`` / ``use_engine_cache`` / ``workers``
-        override raises :class:`~repro.errors.CountingMethodError` there, as
-        on :func:`count`; a flat ``shards`` / ``store`` / ``window`` raises
+        so are the pinned policy's ``store`` / ``window`` when the method
+        does not take them, which go back to their defaults.  A per-call
+        ``policy`` replaces the pinned one.  Per-call overrides and policies
+        are kept verbatim and validated at dispatch, so a flat ``backend`` /
+        ``use_engine_cache`` override raises
+        :class:`~repro.errors.CountingMethodError` there, as on
+        :func:`count`; a flat ``store`` / ``window`` raises
         :class:`~repro.errors.ParameterError` when the request is built.
 
-        >>> session = CountingSession(policy=ExecutionPolicy(workers=2))
-        >>> session.request("exact").policy.workers
-        1
+        >>> session = CountingSession(policy=ExecutionPolicy(store="windowed"))
+        >>> session.request("exact").policy.store
+        'dict'
         >>> session.request(
         ...     "exact", policy=ExecutionPolicy(backend="reference")).policy.backend
         'reference'
@@ -1212,8 +1196,6 @@ class CountingSession:
         options.update(overrides)
         if policy is None:
             unused = [name for name in POLICY_OPTION_NAMES if name not in accepted]
-            if not entry.capabilities.workers:
-                unused.append("workers")
             defaults = ExecutionPolicy()
             policy = replace(
                 self._base.policy, **{name: getattr(defaults, name) for name in unused}

@@ -183,19 +183,18 @@ class NFACounter:
         )
         # The state-table store decides where the N / S tables live (all
         # resident for "dict", sliding sample window for "windowed"); the
-        # bound views keep every call site — including the sampler and the
-        # sharded executor — working against ``counter.estimates`` /
-        # ``counter.samples`` exactly as before.  For the default DictStore
-        # the views *are* plain dicts.
+        # bound views keep every call site — including the sampler — working
+        # against ``counter.estimates`` / ``counter.samples`` exactly as
+        # before.  For the default DictStore the views *are* plain dicts.
         self.store = create_store(self.parameters.store, self.parameters.window)
         self.estimates = self.store.estimates
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts
         # The run's one drawer: each of its ``draw`` calls is one sampling
-        # batch, its descent union estimates hold until it is reseeded
-        # (for the whole run when serial), and its step table derives each
-        # descent step's fan once per run (see SampleDraw); the table's
-        # union plans also serve the level estimates and the final estimate.
+        # batch, its descent union estimates hold for the whole run, and its
+        # step table derives each descent step's fan once per run (see
+        # SampleDraw); the table's union plans also serve the level
+        # estimates and the final estimate.
         self._steps = StepTable(length)
         self._sampler = SampleDraw(
             self.unroll,
@@ -215,12 +214,8 @@ class NFACounter:
     # Main procedure
     # ------------------------------------------------------------------
     def derived_parameters(self) -> Tuple[float, float, int, int]:
-        """The operational ``(beta, eta, ns, xns)`` tuple for this instance.
-
-        Pure functions of the constructor arguments; exposed so the sharded
-        executor (:mod:`repro.counting.parallel`) can process states with
-        exactly the values :meth:`run` would use.
-        """
+        """The operational ``(beta, eta, ns, xns)`` tuple for this instance
+        (pure functions of the constructor arguments)."""
         n = self.length
         m = self.nfa.num_states
         return (
@@ -249,8 +244,10 @@ class NFACounter:
 
         self._initialise_level_zero(ns)
         for level in range(1, n + 1):
+            # Lines 12-30 for every live state of the level, in ``repr`` order.
             states = sorted(self.unroll.live_states(level), key=repr)
-            self._process_level(level, states, beta, eta, ns, xns)
+            for state in states:
+                self._process_state(state, level, beta, eta, ns, xns)
             if progress is not None:
                 progress(
                     {
@@ -325,24 +322,6 @@ class NFACounter:
         self.samples[(initial, 0)] = [()] * max(1, ns)
         self._sample_counts[(initial, 0)] = 1
 
-    def _process_level(
-        self,
-        level: int,
-        states: Sequence[State],
-        beta: float,
-        eta: float,
-        ns: int,
-        xns: int,
-    ) -> None:
-        """Lines 12-30 for every live state of one level, in ``repr`` order.
-
-        A level reads only the tables of the levels below it, so this is
-        the one place a shard plan (:mod:`repro.counting.parallel`) changes
-        how a level is processed.
-        """
-        for state in states:
-            self._process_state(state, level, beta, eta, ns, xns)
-
     def _process_state(
         self,
         state: State,
@@ -356,9 +335,7 @@ class NFACounter:
 
         Every draw comes from :attr:`rng`; the sampling batch is one
         :meth:`~repro.counting.sampler.SampleDraw.draw` call of the run's
-        drawer.  The sharded executor reseeds that drawer, and with it
-        :attr:`rng`, with each shard's substream, which is the only
-        difference between serial and sharded state processing.
+        drawer.
         """
         estimate = self._estimate_state(state, level, beta, eta)
         estimate = self._maybe_perturb(estimate, level, eta)
@@ -483,17 +460,11 @@ class NFACounter:
         self._membership_calls += result.membership_calls
         return result.estimate
 
-    # ------------------------------------------------------------------
-    # Sharded-execution hooks (see repro.counting.parallel)
-    # ------------------------------------------------------------------
     def work_statistics(self) -> Dict[str, int]:
         """Snapshot of the algorithm-level work counters accumulated so far.
 
         The keys are the corresponding :class:`CountResult` fields, which
-        :meth:`run` fills from them.  The sharded executor snapshots this
-        before and after a shard task; the difference is the task's
-        deterministic work contribution, which is identical no matter which
-        worker process executes the task.
+        :meth:`run` fills from them.
         """
         stats = self.sampler_statistics
         return {
@@ -503,26 +474,6 @@ class NFACounter:
             "sample_successes": stats.successes,
             "padded_states": self._padded_states,
         }
-
-    def install_state(
-        self,
-        state: State,
-        level: int,
-        estimate: float,
-        samples: Sequence[Word],
-        drawn: int,
-    ) -> None:
-        """Install an externally computed ``(state, level)`` table entry.
-
-        Used by the sharded executor to merge per-shard results into the
-        coordinator's (and every worker's) ``N`` / ``S`` tables between
-        levels; values always come from :meth:`_process_state` runs, so the
-        tables end up exactly as a serial execution of the same shard plan
-        would leave them.
-        """
-        self.estimates[(state, level)] = estimate
-        self.samples[(state, level)] = list(samples)
-        self._sample_counts[(state, level)] = drawn
 
     # ------------------------------------------------------------------
     # Post-run accessors

@@ -134,10 +134,10 @@ class ParameterScale:
     reuse_union_estimates:
         When set, the recursive sampler memoises AppUnion estimates of
         multi-set unions per ``(level, predecessor set)`` for its drawer's
-        scope, which is the whole run when serial and one shard task when
-        sharded (see :class:`~repro.counting.sampler.SampleDraw`).  This is
-        a large constant-factor speedup (the default for scaled runs); the
-        faithful behaviour re-randomises every call.  The ablation
+        scope, which is the whole run (see
+        :class:`~repro.counting.sampler.SampleDraw`).  This is a large
+        constant-factor speedup (the default for scaled runs); the faithful
+        behaviour re-randomises every call.  The ablation
         benchmark quantifies the difference.
     faithful_perturbation:
         Algorithm 3 (lines 16-19) replaces ``N(q^l)`` by a uniformly random

@@ -1,9 +1,8 @@
 """Typed execution policies and declarative method capabilities.
 
-The knobs that decide how a counting run executes — ``backend``,
-``use_engine_cache`` and ``workers`` for every method plus the
-fpras-only ``shards`` / ``store`` / ``window`` — live in one typed
-record:
+The knobs that decide how a counting run executes — ``backend`` and
+``use_engine_cache`` for every method plus the fpras-only ``store`` /
+``window`` — live in one typed record:
 
 * :class:`ExecutionPolicy` bundles every knob that decides *how* a run
   executes.  It is the ``policy`` field of
@@ -11,8 +10,7 @@ record:
   :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and
   the CLI; the method runners read it from the request.
 * :class:`MethodCapabilities` is the declarative record of what a
-  registered method supports (workers, anytime progress, accepted
-  stores).
+  registered method supports (anytime progress, accepted stores).
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.automata.engine import available_backends
+from repro.counting.store import validate_store, validate_window
 from repro.errors import ParameterError
 
 #: The policy fields a method accepts only if it names them among its
@@ -28,7 +27,7 @@ from repro.errors import ParameterError
 #: belong on the policy — but the two external formats that spell them as
 #: options, a ``POST /count`` body and an audit spec's per-method
 #: ``options``, route them here.
-POLICY_OPTION_NAMES: Tuple[str, ...] = ("shards", "store", "window")
+POLICY_OPTION_NAMES: Tuple[str, ...] = ("store", "window")
 
 
 @dataclass(frozen=True)
@@ -45,28 +44,20 @@ class ExecutionPolicy:
     use_engine_cache:
         Whether engines come from the shared
         :class:`~repro.automata.engine.EngineRegistry`.
-    workers:
-        Process count for the sharded executor (``1`` serial, ``0`` one
-        per CPU).
-    shards:
-        Shard-plan size for methods that honour it (fpras).
     store, window:
         State-table store layout (``"dict"`` / ``"windowed"``) and the
         windowed store's resident level count.
 
-    Only ``backend`` and ``shards`` are part of a run's cache key (see
-    :func:`~repro.counting.api.canonical_request_knobs`).  The other four
+    Only ``backend`` is part of a run's cache key (see
+    :func:`~repro.counting.api.canonical_request_knobs`).  The other three
     never change an estimate: the parity suites hold estimates
-    bit-identical across worker counts, stores and windows, and the engine
-    registry only shares transition tables.  ``shards`` picks the shard
-    plan and hence the random substreams each group of states draws from,
-    so it moves the estimate (``substring("101")`` at n = 8, seed 1 reads
-    143.13 unsharded and 146.53 with ``shards=3``).  Every backend gives the
-    same estimate too, but the key keeps the one the client named.
+    bit-identical across stores and windows, and the engine registry only
+    shares transition tables.  Every backend gives the same estimate too,
+    but the key keeps the one the client named.  Every run is serial.
 
     >>> ExecutionPolicy().describe()["store"]
     'dict'
-    >>> ExecutionPolicy(backend="numpy", workers=2).method_options()
+    >>> ExecutionPolicy(backend="numpy").method_options()
     {}
     >>> ExecutionPolicy(store="windowed", window=8).method_options()
     {'store': 'windowed', 'window': 8}
@@ -78,8 +69,6 @@ class ExecutionPolicy:
 
     backend: Optional[str] = None
     use_engine_cache: bool = True
-    workers: int = 1
-    shards: int = 1
     store: str = "dict"
     window: int = 4
 
@@ -91,15 +80,14 @@ class ExecutionPolicy:
             )
         if not isinstance(self.use_engine_cache, bool):
             raise ParameterError("use_engine_cache must be a bool")
-        # Late imports keep this module importable before the counting
-        # package finishes wiring (parallel/store import no policy symbols).
-        from repro.counting.parallel import validate_shards, validate_workers
-        from repro.counting.store import validate_store, validate_window
-
-        validate_workers(self.workers)
-        validate_shards(self.shards)
         validate_store(self.store)
         validate_window(self.window)
+
+    # Kept read-only because perfbench's oversubscription guard reads it.
+    @property
+    def workers(self) -> int:
+        """Always 1: every run is serial."""
+        return 1
 
     # ------------------------------------------------------------------
     def method_options(self) -> Dict[str, object]:
@@ -111,8 +99,6 @@ class ExecutionPolicy:
         none.
         """
         options: Dict[str, object] = {}
-        if self.shards != 1:
-            options["shards"] = self.shards
         if self.store != "dict":
             options["store"] = self.store
         if self.window != 4:
@@ -124,8 +110,6 @@ class ExecutionPolicy:
         return {
             "backend": self.backend,
             "use_engine_cache": self.use_engine_cache,
-            "workers": self.workers,
-            "shards": self.shards,
             "store": self.store,
             "window": self.window,
         }
@@ -133,8 +117,8 @@ class ExecutionPolicy:
     def with_overrides(self, **changes: object) -> "ExecutionPolicy":
         """A modified copy — convenience for sweeps and CLI wiring.
 
-        >>> ExecutionPolicy().with_overrides(workers=4).workers
-        4
+        >>> ExecutionPolicy().with_overrides(store="windowed").store
+        'windowed'
         """
         return replace(self, **changes)
 
@@ -148,9 +132,6 @@ class MethodCapabilities:
 
     Attributes
     ----------
-    workers:
-        The runner honours the policy's ``workers`` through the sharded
-        executor (:mod:`repro.counting.parallel`).
     progress:
         The runner accepts an anytime progress callback (the ``progress``
         argument of :func:`~repro.counting.api.dispatch`).
@@ -158,9 +139,9 @@ class MethodCapabilities:
         State-table store names the method accepts (every method handles
         the default resident ``"dict"`` store).
 
-    >>> MethodCapabilities().workers
+    >>> MethodCapabilities().progress
     False
-    >>> MethodCapabilities(workers=True, stores=("dict", "windowed")).stores
+    >>> MethodCapabilities(progress=True, stores=("dict", "windowed")).stores
     ('dict', 'windowed')
     >>> MethodCapabilities(stores=())
     Traceback (most recent call last):
@@ -168,25 +149,20 @@ class MethodCapabilities:
     repro.errors.ParameterError: stores must name at least one store
     """
 
-    workers: bool = False
     progress: bool = False
     stores: Tuple[str, ...] = ("dict",)
 
     def __post_init__(self) -> None:
-        for flag in ("workers", "progress"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ParameterError(f"{flag} must be a bool")
+        if not isinstance(self.progress, bool):
+            raise ParameterError("progress must be a bool")
         if not isinstance(self.stores, tuple) or not self.stores:
             raise ParameterError("stores must name at least one store")
-        from repro.counting.store import validate_store
-
         for store in self.stores:
             validate_store(store)
 
     def describe(self) -> Dict[str, object]:
         """The capabilities as a plain dictionary (for ``repro methods``)."""
         return {
-            "workers": self.workers,
             "progress": self.progress,
             "stores": list(self.stores),
         }

@@ -18,10 +18,10 @@ estimating one union per alphabet symbol.  One :meth:`SampleDraw.draw` call
 runs a whole sampling batch of Algorithm 3: up to ``xns`` draws for one
 ``(q, l)``, stopped at the ``ns``-th accepted word.  A drawer keeps the
 union estimates its batches derive, and the steps and jumps they weigh,
-until its stream is reseeded (:meth:`SampleDraw.reseed`); one
-:class:`~repro.counting.fpras.NFACounter` run keeps one drawer.  A level
-whose pick is certain (one symbol holds all the mass) draws no randomness,
-so a batch whose start's slice holds one word is its acceptance tests alone.
+for its lifetime; one :class:`~repro.counting.fpras.NFACounter` run keeps
+one drawer.  A level whose pick is certain (one symbol holds all the mass)
+draws no randomness, so a batch whose start's slice holds one word is its
+acceptance tests alone.
 """
 
 from __future__ import annotations
@@ -170,11 +170,11 @@ class SampleDraw:
 
     Notes
     -----
-    One :meth:`draw` call is one sampling batch.  A drawer's *scope* runs
-    from its construction or its last :meth:`reseed` to its next reseed:
-    :class:`~repro.counting.fpras.NFACounter` builds one drawer per run and
-    calls it once per ``(q, l)``, so a serial run is one scope, and the
-    sharded executor reseeds the drawer for each shard task.  When
+    One :meth:`draw` call is one sampling batch.  A drawer's *scope* is its
+    lifetime: :class:`~repro.counting.fpras.NFACounter` builds one drawer
+    per run and calls it once per ``(q, l)``, so a run is one scope, and
+    each :class:`~repro.counting.uniform.UniformWordSampler` call builds a
+    new drawer over the run's step table, a new scope.  When
     ``parameters.scale.reuse_union_estimates`` is set, AppUnion results of
     multi-set unions are memoised per ``(level, predecessor handle)`` for
     the scope; a one-set union is its stored size, a table read, and is
@@ -235,27 +235,14 @@ class SampleDraw:
         self.rng = rng if rng is not None else random.Random()
         self.steps = steps if steps is not None else StepTable(unroll.length)
         self.statistics = SamplerStatistics()
-        # The scope's stamp for the steps and jumps it derives, and its memo
-        # of multi-set union estimates.
+        # The drawer's scope stamp for the steps and jumps it derives, and
+        # its memo of multi-set union estimates.
         self._scope = object()
         self._union_cache: Dict[Tuple[int, object], float] = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def reseed(self, seed: int) -> None:
-        """Seed the drawer's stream with ``seed`` and start a new scope.
-
-        The stream is left in the state ``random.Random(seed)`` starts in,
-        and the steps, jumps and union estimates of earlier scopes are
-        derived again when next visited (whole-run steps and jumps stay),
-        so the draws that follow depend on the tables and ``seed`` alone,
-        as a fresh drawer's would.
-        """
-        self.rng.seed(seed)
-        self._scope = object()
-        self._union_cache = {}
-
     def draw(
         self,
         level: int,
@@ -294,7 +281,7 @@ class SampleDraw:
         # union estimates consume; forced levels consume nothing.  The
         # counters are written to :attr:`statistics` once, also when a draw
         # raises: its replay hits so far count too.  ``scope`` is the stamp
-        # of the steps and jumps this drawer derived since its last reseed.
+        # of the steps and jumps this drawer derived.
         alphabet = self.unroll.nfa.alphabet
         last_index = len(alphabet) - 1
         rng_random = self.rng.random

@@ -48,19 +48,6 @@ class CountingMethodError(ParameterError, ValueError):
     """
 
 
-class WorkerCrashError(CountingMethodError):
-    """Raised when a sharded-executor worker process dies without replying.
-
-    A worker that is OOM-killed or hit by an external signal cannot send its
-    ``("error", traceback)`` reply, so the coordinator detects the death by
-    polling process liveness and raises this instead of blocking forever on
-    the pipe.  The message names the dead worker and its exit code.  Derives
-    from :class:`CountingMethodError` so existing ``except`` clauses around
-    sharded runs keep working; the serving layer additionally catches it to
-    discard the crashed pool and answer 503 instead of 400.
-    """
-
-
 class SampleExhaustedError(ReproError):
     """Raised in strict mode when AppUnion consumes more samples than stored.
 

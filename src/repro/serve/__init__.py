@@ -1,9 +1,9 @@
 """Counting-as-a-service: the HTTP serving layer (stdlib only).
 
 The package turns the unified counting façade into a long-lived service:
-:class:`CountingServer` answers ``POST /count`` over persistent worker
-pools, a content-addressed result cache (:class:`ResultCache`) so repeated
-questions run zero trials, and bounded admission
+:class:`CountingServer` answers ``POST /count`` with a content-addressed
+result cache (:class:`ResultCache`) so repeated questions run zero trials,
+and bounded admission
 (:class:`BoundedRequestQueue`) that answers ``429 Retry-After`` instead of
 piling work up.  Start one from Python::
 

@@ -6,8 +6,7 @@ knobs — to a finished :meth:`~repro.counting.api.CountReport.to_dict`
 payload.  Because the key hashes the *computation content* rather than any
 client identity, a million clients asking about the same regex with the
 same knobs share one counting run: the first request pays for the trials,
-every later duplicate is answered from memory without touching a worker
-pool or an engine.
+every later duplicate is answered from memory without touching an engine.
 
 Entries are kept in a bounded LRU: a hit refreshes recency, a store over
 capacity evicts the least-recently-used key.  All operations take the

@@ -2,7 +2,7 @@
 
 Counting runs are CPU-bound and can take seconds, so the server cannot
 simply accept every connection the threading HTTP layer hands it: a burst
-of distinct requests would pile up unbounded worker pools.  Instead every
+of distinct requests would pile up unbounded concurrent runs.  Instead every
 *counting* request (cache hits are free and bypass admission) must first
 acquire a slot from a :class:`BoundedRequestQueue`.  When all slots are
 taken the server answers ``429 Too Many Requests`` with a ``Retry-After``

@@ -2,14 +2,9 @@
 
 :class:`CountingServer` turns the in-process counting stack into a
 long-lived service without adding a single dependency — it is
-``http.server`` + ``threading`` all the way down.  Three pieces make it
+``http.server`` + ``threading`` all the way down.  Two pieces make it
 more than a toy:
 
-* **Persistent worker pools.**  The server installs a
-  :class:`~repro.counting.parallel.WorkerPoolManager` process-wide, so
-  sharded runs lease warm worker processes instead of forking a fresh pool
-  per request; the pools outlive any single ``count()`` call and crashed
-  pools are discarded, never reused.
 * **A content-addressed result cache.**  Each counting request is keyed by
   :func:`~repro.counting.api.request_fingerprint` — the SHA-256 of the
   canonical automaton document plus the normalised knobs — so repeated
@@ -25,7 +20,7 @@ Endpoints
 ``POST /count``
     Body: ``{"automaton": <nfa_to_dict document>, "length": n`` plus any
     of ``"method"``, ``"epsilon"``, ``"delta"``, ``"seed"``, ``"backend"``,
-    ``"workers"``, ``"options"``, ``"stream"}``.  Response: the
+    ``"options"``, ``"stream"}``.  Response: the
     :meth:`~repro.counting.api.CountReport.to_dict` payload with a
     ``"served"`` envelope (cache disposition + fingerprint).  With
     ``"stream": true`` the response is chunked NDJSON: one ``progress``
@@ -34,14 +29,14 @@ Endpoints
     early client disconnect does not abort the run — the result still
     lands in the cache.
 ``GET /stats``
-    Counters: cache, queue, pool-manager snapshots plus request totals.
+    Counters: cache and queue snapshots plus request totals.
 ``GET /methods``
-    The method registry: names, summaries, options, worker support.
+    The method registry: names, summaries, options, capabilities.
 
 Failure mapping: invalid payloads and :class:`~repro.errors.ReproError`
-validation failures are ``400``; a
-:class:`~repro.errors.WorkerCrashError` is ``503`` (the crashed pool has
-already been discarded); anything else is ``500``.
+validation failures are ``400`` (a request is validated before the cache
+lookup, so one that would fail never reads a cached answer); anything else
+is ``500``.
 """
 
 from __future__ import annotations
@@ -63,10 +58,10 @@ from repro.counting.api import (
     dispatch,
     request_fingerprint,
     resolve_method,
+    validate_request,
 )
-from repro.counting.parallel import WorkerPoolManager, install_pool_manager
 from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
-from repro.errors import ReproError, WorkerCrashError
+from repro.errors import ReproError
 from repro.serve.cache import ResultCache
 from repro.serve.queue import BoundedRequestQueue
 
@@ -80,7 +75,6 @@ COUNT_BODY_KEYS = frozenset(
         "delta",
         "seed",
         "backend",
-        "workers",
         "options",
         "stream",
     }
@@ -200,16 +194,13 @@ class CountingServer:
     """A long-lived counting service over :class:`CountingSession` knobs.
 
     The constructor binds the listening socket (``port=0`` picks a free
-    port; read the resolved one from :attr:`address`), builds the cache,
-    admission queue and pool manager, and installs the manager process-wide
-    so every dispatched sharded run leases warm workers.  :meth:`start`
-    serves on a background thread; :meth:`close` shuts the socket down,
-    restores the previous pool manager and reaps the idle pools.
+    port; read the resolved one from :attr:`address`) and builds the cache
+    and admission queue.  :meth:`start` serves on a background thread;
+    :meth:`close` shuts the socket down.
 
     ``session_knobs`` are the server-side defaults for fields a request
-    omits — e.g. ``CountingServer(..., workers=2)`` makes every fpras
-    request parallel unless the client says otherwise (the other methods
-    run serially).
+    omits — e.g. ``CountingServer(..., backend="numpy")`` runs every
+    request on numpy unless the client says otherwise.
     """
 
     def __init__(
@@ -219,17 +210,15 @@ class CountingServer:
         *,
         queue_capacity: int = 8,
         cache_entries: int = 1024,
-        max_idle_pools: int = 2,
         **session_knobs: object,
     ) -> None:
         self.cache = ResultCache(max_entries=cache_entries)
         self.queue = BoundedRequestQueue(capacity=queue_capacity)
-        self.pool_manager = WorkerPoolManager(max_idle_per_size=max_idle_pools)
         # Execution knobs travel as a typed policy; the remaining knobs
         # (method, epsilon, delta, seed, per-method options) pass through.
         execution = {
             knob: session_knobs.pop(knob)
-            for knob in ("backend", "use_engine_cache", "workers", *POLICY_OPTION_NAMES)
+            for knob in ("backend", "use_engine_cache", *POLICY_OPTION_NAMES)
             if knob in session_knobs
         }
         self._session = CountingSession(
@@ -241,18 +230,12 @@ class CountingServer:
             "cache_hits": 0,
             "cache_misses": 0,
             "uncacheable": 0,
-            "worker_crashes": 0,
             "client_disconnects": 0,
             "streams": 0,
         }
         self._counter_lock = threading.Lock()
-        self._previous_manager = install_pool_manager(self.pool_manager)
         self._started = time.monotonic()
-        try:
-            self._http = _CountingHTTPServer((host, port), self)
-        except BaseException:
-            install_pool_manager(self._previous_manager)
-            raise
+        self._http = _CountingHTTPServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
         self._serving = False
         self._closed = False
@@ -289,7 +272,7 @@ class CountingServer:
         self._http.serve_forever()
 
     def close(self) -> None:
-        """Stop accepting, join the serving thread, reap pools."""
+        """Stop accepting and join the serving thread."""
         if self._closed:
             return
         self._closed = True
@@ -301,8 +284,6 @@ class CountingServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        install_pool_manager(self._previous_manager)
-        self.pool_manager.close()
 
     def __enter__(self) -> "CountingServer":
         return self.start()
@@ -326,7 +307,6 @@ class CountingServer:
             "counters": counters,
             "cache": self.cache.snapshot(),
             "queue": self.queue.snapshot(),
-            "pools": self.pool_manager.snapshot(),
         }
 
     def methods(self) -> list:
@@ -390,18 +370,20 @@ class CountingServer:
             if field in body:
                 knobs[field] = body[field]
         # Execution knobs travel as one policy built from the pinned one, as
-        # it applies to the method (pinned workers fall back to 1 for a
-        # method without worker support).
+        # it applies to the method.
         execution = {name: knobs.pop(name) for name in POLICY_OPTION_NAMES if name in knobs}
-        for field in ("backend", "workers"):
-            if field in body:
-                execution[field] = body[field]
+        if "backend" in body:
+            execution["backend"] = body["backend"]
         try:
             nfa = nfa_from_dict(automaton)
             if execution:
                 pinned = self._session.request(knobs.get("method")).policy
                 knobs["policy"] = pinned.with_overrides(**execution)
             request = self._session.request(**knobs)
+            # Checked here, before the cache lookup: ``store`` / ``window``
+            # are outside the cache key, so a request dispatch would refuse
+            # could otherwise be answered from a valid request's entry.
+            validate_request(length, request)
         except (ReproError, TypeError, ValueError) as exc:
             raise _RequestError(400, str(exc)) from None
         return nfa, length, request, stream
@@ -454,10 +436,6 @@ class CountingServer:
             return self._run_streaming(handler, nfa, length, request, fingerprint)
         try:
             report = dispatch(nfa, length, request)
-        except WorkerCrashError as exc:
-            self._bump("worker_crashes")
-            handler._send_error_json(503, str(exc))
-            return None
         except ReproError as exc:
             handler._send_error_json(400, str(exc))
             return None
@@ -509,7 +487,7 @@ class CountingServer:
         The counting run is never aborted on client disconnect — the socket
         write fails, the ``disconnected`` flag flips, further events are
         dropped, and the finished report still lands in the cache so the
-        client's retry is a free hit.  The worker pool never notices.
+        client's retry is a free hit.
         """
         self._bump("streams")
         state = {"disconnected": False}
@@ -545,11 +523,6 @@ class CountingServer:
         try:
             streamed = resolve_method(request.method).capabilities.progress
             report = dispatch(nfa, length, request, progress if streamed else None)
-        except WorkerCrashError as exc:
-            self._bump("worker_crashes")
-            emit({"event": "error", "status": 503, "error": str(exc)})
-            self._finish_stream(handler, state)
-            return None
         except ReproError as exc:
             emit({"event": "error", "status": 400, "error": str(exc)})
             self._finish_stream(handler, state)

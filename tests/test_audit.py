@@ -30,11 +30,9 @@ import pytest
 from repro.audit.diff import DiffThresholds, diff_manifests
 from repro.audit.manifest import (
     ManifestBuilder,
-    build_manifest,
     load_manifest,
     manifest_filename,
     run_matrix,
-    run_scenarios,
     validate_manifest,
     write_manifest,
 )
@@ -421,6 +419,18 @@ class TestAuditDiffGate:
             r.kind == "coverage" and r.subject == dropped["id"]
             for r in diff.regressions
         )
+
+    def test_manifests_written_with_a_workers_field_still_join(self, tiny_manifest):
+        """Earlier manifests spell ``"workers": 1`` in every spec; they still
+        validate and join this build's scenario by scenario."""
+        assert all("workers" not in record["spec"] for record in tiny_manifest["scenarios"])
+        earlier = copy.deepcopy(tiny_manifest)
+        for record in earlier["scenarios"]:
+            record["spec"]["workers"] = 1
+        validate_manifest(earlier)
+        diff = diff_manifests(earlier, tiny_manifest)
+        assert not any(r.kind == "coverage" for r in diff.regressions)
+        assert diff.ok
 
     def test_added_scenarios_are_notes_not_regressions(self, tiny_manifest):
         grown = copy.deepcopy(tiny_manifest)

@@ -31,6 +31,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["count", "parity", "--family-arg", "oops"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "parity", "--shards", "4"],
+            ["count", "parity", "--workers", "2"],
+            ["sample", "parity", "--workers", "2"],
+            ["serve", "--workers", "2"],
+        ],
+        ids=["count-shards", "count-workers", "sample-workers", "serve-workers"],
+    )
+    def test_removed_parallel_flags_exit_2(self, argv, capsys):
+        # Every run is serial: the sharded executor's flags are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_count_exact_only(self, capsys):

@@ -508,13 +508,6 @@ class TestCountingSession:
         facade = session.sampler(nfa, 8)
         assert direct.sample_many(5) == facade.sample_many(5)
 
-    def test_sampler_refuses_a_sharded_policy(self):
-        # The sampler's counting pass is serial; a sharded session counts
-        # substring("101") at n = 8 as 146.53, the serial pass as 143.13.
-        session = CountingSession(seed=1, policy=ExecutionPolicy(shards=3))
-        with pytest.raises(ParameterError, match="shards=3 and workers=1"):
-            session.sampler(substring_nfa("101"), 8)
-
     def test_describe(self, nfa):
         session = CountingSession(
             epsilon=0.3, seed=9, policy=ExecutionPolicy(backend="reference")
@@ -802,12 +795,8 @@ class TestRequestFingerprint:
                 CountRequest(seed=3),
                 CountRequest(seed=3, policy=ExecutionPolicy(backend="reference")),
             ),
-            (
-                CountRequest(seed=3),
-                CountRequest(seed=3, policy=ExecutionPolicy(shards=2)),
-            ),
         ],
-        ids=["method", "epsilon", "delta", "seed", "backend", "shards"],
+        ids=["method", "epsilon", "delta", "seed", "backend"],
     )
     def test_every_estimate_affecting_knob_is_in_the_key(self, base, variant):
         from repro.counting.api import request_fingerprint
@@ -826,14 +815,14 @@ class TestRequestFingerprint:
             document, 7, request
         )
 
-    def test_workers_and_engine_cache_are_not_in_the_key(self):
-        """Worker-invariant estimates mean one cache line serves every k."""
+    def test_engine_cache_and_store_are_not_in_the_key(self):
+        """Result-neutral knobs share one cache line."""
         from repro.counting.api import request_fingerprint
 
         document = self._document()
         base = request_fingerprint(document, 6, CountRequest(seed=3))
         for variant in (
-            CountRequest(seed=3, policy=ExecutionPolicy(workers=4)),
+            CountRequest(seed=3, policy=ExecutionPolicy(store="windowed", window=2)),
             CountRequest(seed=3, policy=ExecutionPolicy(use_engine_cache=False)),
         ):
             assert request_fingerprint(document, 6, variant) == base

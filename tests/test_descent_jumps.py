@@ -28,8 +28,8 @@ from test_descent_steps import (
     CUTS,
     SCALES,
     ReferenceDraw,
+    _assert_scope_holds_per_drawer,
     _batches,
-    _assert_scope_holds_until_reseed,
     _finished_counter,
     _forced,
     _run_with,
@@ -285,12 +285,13 @@ def _two_rail_blocks(block_length):
     return NFA.build(transitions, initial="start", accepting=["start"])
 
 
-def test_scope_jumps_hold_until_a_reseed():
+def test_scope_jumps_hold_within_a_drawer():
     """The jumps of a drawer's first ``draw`` call, over forced steps that
-    weigh two-set unions, carry its second call; after a reseed the drawer
-    derives their steps again, as a fresh drawer of the same run does."""
+    weigh two-set unions, carry its second call; a second drawer over the
+    same step table derives their steps again, as a fresh drawer of the
+    same run does."""
     counter = _finished_counter(_two_rail_blocks(4), 16, PRACTICAL, "bitset")
-    fresh = _assert_scope_holds_until_reseed(counter, 16, "start", attempts=20)
+    fresh = _assert_scope_holds_per_drawer(counter, 16, "start", attempts=20)
     stamps = {jump[0] for jump in fresh.steps.jumps.values()}
     assert fresh._scope in stamps and sampler_module._WHOLE_RUN not in stamps
 
@@ -392,10 +393,10 @@ def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
     """In a first ``draw`` call the first draw derives both steps, the
     second replays them and records a jump stamped with the drawer's scope,
     and the other ten are acceptance tests.  That jump holds for a second
-    call, whose twelve draws are all acceptance tests.  After a reseed the
-    first draw derives the step at level 2 again, replays the whole-run one
-    at level 1 and records a new jump, and the other eleven are acceptance
-    tests."""
+    call, whose twelve draws are all acceptance tests.  In a second drawer
+    over the same step table the first draw derives the step at level 2
+    again, replays the whole-run one at level 1 and records a new jump, and
+    the other eleven are acceptance tests."""
     counter = _finished_counter(_one_word_through_a_union(), 2, PRACTICAL, backend)
     beta, eta, _, _ = counter.derived_parameters()
     gamma0 = counter.parameters.gamma0(counter.estimates[("q", 2)])
@@ -408,7 +409,11 @@ def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
         calls = []
         for call in range(3):
             if call == 2:
-                drawer.reseed(4)
+                first_scope_union_calls = drawer.statistics.union_calls
+                drawer = drawer_class(
+                    counter.unroll, counter.estimates, counter.samples,
+                    counter.parameters, random.Random(4), steps=drawer.steps,
+                )
             drawer.steps.levels[2] = level = _CountingGets(drawer.steps.levels[2])
             words = drawer.draw(2, frozenset({"q"}), gamma0, beta, eta, attempts=12, needed=12)
             calls.append((words, drawer.rng.getstate(), dataclasses.replace(drawer.statistics)))
@@ -418,7 +423,7 @@ def test_batch_stamped_one_word_jump_matches_stepwise_draws(backend):
     assert reads == [12, 12, 12, 2, 0, 1]
     (jump,) = drawer.steps.jumps.values()
     assert jump[1] == 2 and jump[0] is drawer._scope
-    assert drawer.statistics.union_calls == 2
+    assert first_scope_union_calls + drawer.statistics.union_calls == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

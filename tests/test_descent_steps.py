@@ -72,8 +72,7 @@ class ReferenceDraw(SampleDraw):
 
     A call is one batch: it makes up to ``attempts`` single draws, one at a
     time, and stops at the ``needed``-th word.  The union memo is the
-    drawer's, kept across calls and renewed by
-    :meth:`~repro.counting.sampler.SampleDraw.reseed`.
+    drawer's, kept across its calls.
     """
 
     def draw(self, level, states, gamma0, beta, eta, attempts=1, needed=1):
@@ -363,11 +362,11 @@ def test_long_word_chain_replays_whole_run_steps(store, monkeypatch):
     assert counter.unroll.engine_counters()["pre_ops"] == 64
 
 
-def _assert_scope_holds_until_reseed(counter, level, state, attempts):
+def _assert_scope_holds_per_drawer(counter, level, state, attempts):
     """A second ``draw`` call on a drawer replays the steps and jumps its
-    first call derived, with no union trial.  After a reseed the drawer
-    derives them again, as a fresh drawer on the same step table and seed
-    does; returns that fresh drawer."""
+    first call derived, with no union trial.  A second drawer over the same
+    step table derives them again, as a fresh drawer on the same step table
+    and seed does; returns that fresh drawer."""
     beta, eta, _, _ = counter.derived_parameters()
     gamma0 = counter.parameters.gamma0(counter.estimates[(state, level)])
     arguments = (level, frozenset({state}), gamma0, beta, eta)
@@ -399,24 +398,20 @@ def _assert_scope_holds_until_reseed(counter, level, state, attempts):
     assert all(steps.levels[key[0]][key[1]] is entry for key, entry in derived.items())
     assert all(steps.jumps[key] is jump for key, jump in jumps.items())
 
-    used.reseed(2)
+    second = drawer(2, steps)
     fresh = drawer(2, steps)
-    before = dataclasses.asdict(used.statistics)
-    assert batch(used) == batch(fresh)
-    assert used.rng.getstate() == fresh.rng.getstate()
-    after = dataclasses.asdict(used.statistics)
-    assert {key: after[key] - before[key] for key in after} == dataclasses.asdict(
-        fresh.statistics
-    )
+    assert batch(second) == batch(fresh)
+    assert second.rng.getstate() == fresh.rng.getstate()
+    assert dataclasses.asdict(second.statistics) == dataclasses.asdict(fresh.statistics)
     assert fresh.statistics.union_calls > 0
     return fresh
 
 
-def test_draw_calls_share_their_scope_until_a_reseed():
+def test_draw_calls_share_their_scope_within_a_drawer():
     """The union estimates of a drawer's first ``draw`` call weigh its
-    second call's steps; a reseed drops them, and the drawer's batch steps
-    are derived again."""
+    second call's steps; a second drawer over the same step table does not
+    see them, and derives its batch steps again."""
     nfa = random_nonempty_nfa(6, 6, density=0.3, accepting_fraction=0.4, seed=17)
     counter = _finished_counter(nfa, 6, SCALES["practical"], "bitset")
     state = sorted(counter.unroll.live_states(6), key=repr)[0]
-    _assert_scope_holds_until_reseed(counter, 6, state, attempts=60)
+    _assert_scope_holds_per_drawer(counter, 6, state, attempts=60)

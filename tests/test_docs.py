@@ -32,7 +32,6 @@ DOCTEST_MODULES = [
     "repro.counting.fpras",
     "repro.counting.api",
     "repro.counting.policy",
-    "repro.counting.parallel",
     "repro.audit.scenarios",
     "repro.audit.manifest",
     "repro.audit.diff",

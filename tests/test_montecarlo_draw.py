@@ -9,8 +9,9 @@ replaced, which are kept below as references:
 * whole Monte-Carlo runs must reproduce the reference loop's estimate,
   hits, final generator state and batch counters on every backend (an
   unset one runs numpy), with and without a progress callback, and from a
-  session pinned with workers (Monte-Carlo takes none and runs serially);
-  a block is 8192 words, or ``2**18`` positions when that is more words;
+  session pinned for fpras with a windowed store (Monte-Carlo takes no
+  store, so the session drops it and the run is the same serial loop); a
+  block is 8192 words, or ``2**18`` positions when that is more words;
 * the numpy backend's vectorised trie walk must agree with the generic
   sorted walk, handle for handle and counter for counter.
 """
@@ -28,6 +29,7 @@ from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import CountingSession, CountRequest, dispatch
 from repro.counting.montecarlo import MonteCarloEstimate, draw_words, run_montecarlo
+from repro.counting.params import ParameterScale
 from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
@@ -179,14 +181,14 @@ _RUN_NFAS = {
 
 @pytest.mark.parametrize("name", sorted(_RUN_NFAS))
 @pytest.mark.parametrize("with_progress", [False, True])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("via", ["request", "session"])
 @pytest.mark.parametrize("backend", ["bitset", "reference", "numpy", None, "auto"])
-def test_run_matches_reference_loop(name, with_progress, workers, backend):
+def test_run_matches_reference_loop(name, with_progress, via, backend):
     nfa, length = _RUN_NFAS[name]
     num_samples = 10_000  # one block
     rng = random.Random(17)
-    policy = ExecutionPolicy(backend=backend, workers=workers, use_engine_cache=False)
-    if workers == 1:
+    policy = ExecutionPolicy(backend=backend, use_engine_cache=False)
+    if via == "request":
         request = CountRequest(
             method="montecarlo",
             seed=rng,
@@ -194,13 +196,15 @@ def test_run_matches_reference_loop(name, with_progress, workers, backend):
             policy=policy,
         )
     else:
-        # Monte-Carlo takes no workers: a session pinned with them drops
-        # them for it, and the run is the same serial loop.
+        # Monte-Carlo takes neither a store nor fpras's scale: a session
+        # pinned with them drops both for it, and the run is the same loop.
         session = CountingSession(
-            method="montecarlo", num_samples=num_samples, policy=policy
+            scale=ParameterScale.practical(),
+            policy=policy.with_overrides(store="windowed", window=2),
         )
-        request = session.request(seed=rng)
-        assert request.policy.workers == 1
+        request = session.request("montecarlo", seed=rng, num_samples=num_samples)
+        assert request.policy == policy
+        assert request.options == {"num_samples": num_samples}
     events = []
     report = dispatch(
         nfa, length, request, progress=events.append if with_progress else None

@@ -14,6 +14,7 @@ Pins the contracts behind the typed execution-policy API:
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -55,8 +56,6 @@ class TestExecutionPolicyValidation:
         "knobs",
         [
             {"use_engine_cache": "yes"},
-            {"workers": -1},
-            {"shards": 0},
             {"store": "csv"},
             {"window": 0},
         ],
@@ -65,38 +64,49 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ParameterError):
             ExecutionPolicy(**knobs)
 
+    def test_every_run_is_serial(self):
+        # `workers` is a read-only 1, and neither it nor `shards` is a field.
+        assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
+            "backend",
+            "use_engine_cache",
+            "store",
+            "window",
+        ]
+        assert ExecutionPolicy(backend="numpy", store="windowed").workers == 1
+        for knob in ("workers", "shards"):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**{knob: 2})
+            with pytest.raises(TypeError):
+                ExecutionPolicy().with_overrides(**{knob: 2})
+
     def test_method_options_omit_defaults(self):
         # Core knobs never appear as options; managed options only when
         # non-default — the fingerprint-neutrality mechanism.
-        assert ExecutionPolicy(backend="numpy", workers=4).method_options() == {}
-        assert ExecutionPolicy(
-            shards=3, store="windowed", window=2
-        ).method_options() == {
-            "shards": 3,
+        assert ExecutionPolicy(backend="numpy").method_options() == {}
+        assert ExecutionPolicy(store="windowed", window=2).method_options() == {
             "store": "windowed",
             "window": 2,
         }
 
     def test_with_overrides(self):
         policy = ExecutionPolicy(backend="bitset")
-        tweaked = policy.with_overrides(workers=2)
+        tweaked = policy.with_overrides(store="windowed")
         assert tweaked.backend == "bitset"
-        assert tweaked.workers == 2
-        assert policy.workers == 1  # frozen original untouched
+        assert tweaked.store == "windowed"
+        assert policy.store == "dict"  # frozen original untouched
 
     def test_describe_lists_every_knob(self):
         described = ExecutionPolicy().describe()
         assert set(described) == {
             "backend",
             "use_engine_cache",
-            "workers",
             *POLICY_OPTION_NAMES,
         }
 
-    def test_policy_managed_options_are_result_neutral_or_plan_knobs(self):
-        # Every managed option except the plan-selecting `shards` must be
-        # result-neutral, or policies could perturb the result cache.
-        assert set(POLICY_OPTION_NAMES) - {"shards"} <= RESULT_NEUTRAL_OPTIONS
+    def test_policy_managed_options_are_result_neutral(self):
+        # Every managed option must be result-neutral, or policies could
+        # perturb the result cache.
+        assert set(POLICY_OPTION_NAMES) <= RESULT_NEUTRAL_OPTIONS
 
 
 class TestRequestPolicyField:
@@ -105,7 +115,7 @@ class TestRequestPolicyField:
         # this JSON, so its value is pinned.
         request = CountRequest(
             seed=3,
-            policy=ExecutionPolicy(backend="bitset", shards=2, store="windowed"),
+            policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         assert canonical_request_knobs(request, 6) == {
             "method": "fpras",
@@ -114,12 +124,12 @@ class TestRequestPolicyField:
             "delta": 0.1,
             "seed": 3,
             "backend": "bitset",
-            "options": {"shards": 2},
+            "options": {},
         }
         nfa_doc = {"states": ["a"], "initial": "a", "transitions": [], "accepting": ["a"]}
         neutral = CountRequest(
             seed=3,
-            policy=ExecutionPolicy(backend="bitset", shards=2, workers=2, window=8),
+            policy=ExecutionPolicy(backend="bitset", use_engine_cache=False, window=8),
         )
         assert request_fingerprint(nfa_doc, 6, neutral) == request_fingerprint(
             nfa_doc, 6, request
@@ -127,7 +137,7 @@ class TestRequestPolicyField:
 
     @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
     def test_execution_knobs_in_options_rejected(self, name):
-        value = {"shards": 2, "store": "windowed", "window": 8}[name]
+        value = {"store": "windowed", "window": 8}[name]
         for policy in (ExecutionPolicy(), ExecutionPolicy(backend="numpy")):
             with pytest.raises(ParameterError, match="set them on the ExecutionPolicy"):
                 CountRequest(method="fpras", options={name: value}, policy=policy)
@@ -137,7 +147,7 @@ class TestRequestPolicyField:
         with pytest.raises(ParameterError, match="seed must be"):
             CountRequest(seed=seed)
         with pytest.raises(ParameterError, match="seed must be"):
-            count(families.parity_nfa(2), 4, seed=seed, policy=ExecutionPolicy(shards=2))
+            count(families.parity_nfa(2), 4, seed=seed, policy=ExecutionPolicy(backend="bitset"))
 
     def test_policy_must_be_a_policy(self):
         with pytest.raises(ParameterError):
@@ -212,8 +222,8 @@ class TestPolicySpelling:
 
     @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
     def test_session_call_flat_execution_option_raises(self, parity_nfa_2, name):
-        value = {"shards": 2, "store": "windowed", "window": 8}[name]
-        session = CountingSession(seed=1, policy=ExecutionPolicy(workers=2))
+        value = {"store": "windowed", "window": 8}[name]
+        session = CountingSession(seed=1, policy=ExecutionPolicy(backend="bitset"))
         with pytest.raises(ParameterError, match="set them on the ExecutionPolicy"):
             session.count(parity_nfa_2, 4, **{name: value})
 
@@ -226,7 +236,7 @@ class TestPolicySpelling:
                 method="exact",
                 policy=ExecutionPolicy(backend="bitset"),
             )
-            CountingSession(seed=1, policy=ExecutionPolicy(workers=2))
+            CountingSession(seed=1, policy=ExecutionPolicy(store="windowed"))
         assert report.raw == count(parity_nfa_2, 4, method="exact").raw
 
     def test_default_flat_values_do_not_warn(self, parity_nfa_2):
@@ -265,14 +275,12 @@ class TestPolicySpelling:
 class TestMethodCapabilities:
     def test_defaults(self):
         capabilities = MethodCapabilities()
-        assert capabilities.workers is False
         assert capabilities.progress is False
         assert capabilities.stores == ("dict",)
 
     @pytest.mark.parametrize(
         "knobs",
         [
-            {"workers": 1},
             {"progress": "yes"},
             {"stores": ()},
             {"stores": ["dict"]},
@@ -283,11 +291,19 @@ class TestMethodCapabilities:
         with pytest.raises(ParameterError):
             MethodCapabilities(**knobs)
 
+    def test_records_have_no_workers_capability(self):
+        assert [field.name for field in dataclasses.fields(MethodCapabilities)] == [
+            "progress",
+            "stores",
+        ]
+        with pytest.raises(TypeError):
+            MethodCapabilities(workers=True)
+
     def test_registry_declares_capabilities(self):
         fpras = METHOD_REGISTRY["fpras"].capabilities
-        assert fpras.workers and fpras.progress
+        assert fpras.progress
         assert fpras.stores == ("dict", "windowed")
         exact = METHOD_REGISTRY["exact"].capabilities
-        assert not exact.workers
+        assert not exact.progress
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
-        assert not montecarlo.workers and montecarlo.progress
+        assert montecarlo.progress

@@ -80,14 +80,9 @@ def _body(nfa, length, **knobs):
 class TestServedParity:
     def test_fpras_estimate_bit_identical_to_direct(self, server):
         nfa = no_consecutive_ones_nfa()
-        body = _body(
-            nfa, 8, method="fpras", epsilon=0.5, seed=11, options={"shards": 2}
-        )
+        body = _body(nfa, 8, method="fpras", epsilon=0.5, seed=11)
         status, served = _post(server, body)
-        direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=11,
-            policy=repro.ExecutionPolicy(shards=2),
-        )
+        direct = repro.count(nfa, 8, method="fpras", epsilon=0.5, seed=11)
         assert status == 200
         assert served["estimate"] == direct.estimate
         assert served["method"] == "fpras"
@@ -110,15 +105,18 @@ class TestServedParity:
         assert served["estimate"] == 21.0
         assert served["exact"] is True
 
-    def test_execution_knobs_apply_over_pinned_workers(self):
+    def test_execution_knobs_apply_over_a_pinned_store(self):
         """Body execution knobs replace the server's pinned ones as they
-        apply to the method: pinned workers fall back to 1 for ``exact``
-        and ``montecarlo``, while an explicit ``workers`` on either is
-        refused."""
+        apply to the method: a pinned windowed store falls back to the dict
+        store for ``exact`` and ``montecarlo``, while an explicit ``store``
+        on either is refused."""
         nfa = no_consecutive_ones_nfa()
-        with CountingServer(port=0, workers=2) as pinned:
+        windowed = {"store": "windowed"}
+        with CountingServer(port=0, store="windowed") as pinned:
             for method in ("exact", "montecarlo"):
-                status, _ = _post(pinned, _body(nfa, 6, method=method, seed=1, workers=2))
+                status, _ = _post(
+                    pinned, _body(nfa, 6, method=method, seed=1, options=windowed)
+                )
                 assert status == 400
             status, served = _post(
                 pinned, _body(nfa, 6, method="exact", seed=1, backend="reference")
@@ -127,25 +125,6 @@ class TestServedParity:
             status, served = _post(pinned, _body(nfa, 6, method="montecarlo", seed=1))
             direct = repro.count(nfa, 6, method="montecarlo", seed=1)
             assert status == 200 and served["estimate"] == direct.estimate
-
-    def test_workers_request_served_identically(self, server):
-        nfa = no_consecutive_ones_nfa()
-        body = _body(
-            nfa,
-            8,
-            method="fpras",
-            epsilon=0.5,
-            seed=23,
-            workers=2,
-            options={"shards": 2},
-        )
-        status, served = _post(server, body)
-        direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=23,
-            policy=repro.ExecutionPolicy(shards=2),
-        )
-        assert status == 200
-        assert served["estimate"] == direct.estimate
 
 
 # ----------------------------------------------------------------------
@@ -190,14 +169,6 @@ class TestResultCacheOverHTTP:
         assert second["served"]["cached"] is True
         assert second["served"]["fingerprint"] == first["served"]["fingerprint"]
 
-    def test_workers_excluded_from_the_key(self, server):
-        nfa = no_consecutive_ones_nfa()
-        body = _body(nfa, 6, method="fpras", epsilon=0.5, seed=7)
-        _, first = _post(server, body)
-        _, second = _post(server, dict(body, workers=2))
-        assert second["served"]["cached"] is True
-        assert second["estimate"] == first["estimate"]
-
     @pytest.mark.parametrize(
         "variation",
         [
@@ -205,9 +176,8 @@ class TestResultCacheOverHTTP:
             {"seed": 8},
             {"length": 7},
             {"method": "montecarlo"},
-            {"options": {"shards": 2}},
         ],
-        ids=["epsilon", "seed", "length", "method", "shards"],
+        ids=["epsilon", "seed", "length", "method"],
     )
     def test_key_sensitivity(self, server, variation):
         nfa = no_consecutive_ones_nfa()
@@ -435,6 +405,45 @@ class TestRequestValidation:
         status, _ = _post(server, {"automaton": {}, "length": 1}, timeout=10)
         assert status in (400, 404)  # POST /count validates; POST elsewhere 404s
 
+    @pytest.mark.parametrize(
+        "option",
+        [{"store": "windowed"}, {"window": 8}, {"details": "summary"}],
+        ids=["store", "window", "details"],
+    )
+    @pytest.mark.parametrize("method", ["montecarlo", "exact", "acjr", "bruteforce"])
+    def test_a_refused_request_never_reads_the_cache(self, server, method, option):
+        """``store``, ``window`` and ``details`` are outside the cache key,
+        so the request is validated before the lookup: a refused one stays
+        refused after a valid one with the same key has been cached."""
+        (name,) = option
+        body = _body(no_consecutive_ones_nfa(), 6, method=method, seed=1)
+        refused = dict(body, options=option)
+        status, payload = _post(server, refused)
+        assert status == 400 and name in payload["error"]
+        status, payload = _post(server, body)
+        assert status == 200 and payload["served"]["cached"] is False
+        status, payload = _post(server, refused)
+        assert status == 400 and name in payload["error"]
+        _, stats = _get(server, "/stats")
+        assert stats["counters"]["cache_hits"] == 0
+
+    def test_workers_field_is_400(self, server):
+        status, payload = _post(
+            server, _body(no_consecutive_ones_nfa(), 6, method="fpras", seed=1, workers=2)
+        )
+        assert status == 400
+        assert "workers" in payload["error"]
+
+    def test_shards_option_is_400(self, server):
+        status, payload = _post(
+            server,
+            _body(
+                no_consecutive_ones_nfa(), 6, method="fpras", seed=1, options={"shards": 2}
+            ),
+        )
+        assert status == 400
+        assert "shards" in payload["error"]
+
     def test_method_options_rejected_at_dispatch_are_400(self, server):
         status, payload = _post(
             server,
@@ -499,9 +508,8 @@ class TestIntrospection:
         names = [entry["name"] for entry in payload["methods"]]
         assert names == sorted(repro.available_methods())
         fpras = next(e for e in payload["methods"] if e["name"] == "fpras")
-        assert fpras["capabilities"]["workers"] is True
-        assert not any("supports_workers" in entry for entry in payload["methods"])
-        assert "shards" in fpras["options"]
+        assert fpras["capabilities"] == {"progress": True, "stores": ["dict", "windowed"]}
+        assert fpras["options"] == ["details", "scale", "store", "window"]
 
     def test_stats_shape(self, server):
         status, stats = _get(server, "/stats")
@@ -513,38 +521,11 @@ class TestIntrospection:
             "cache_hits",
             "cache_misses",
             "uncacheable",
-            "worker_crashes",
             "client_disconnects",
         }
         assert stats["cache"]["max_entries"] == 1024
         assert stats["queue"]["capacity"] == 8
-        assert set(stats["pools"]) == {
-            "created",
-            "reused",
-            "discarded",
-            "leased",
-            "idle",
-        }
-
-    def test_persistent_pools_survive_across_requests(self, server):
-        nfa = no_consecutive_ones_nfa()
-        for seed in (1, 2):
-            body = _body(
-                nfa,
-                6,
-                method="fpras",
-                epsilon=0.5,
-                seed=seed,
-                workers=2,
-                options={"shards": 2},
-            )
-            status, _ = _post(server, body)
-            assert status == 200
-        _, stats = _get(server, "/stats")
-        # One pool forked for the first request, leased warm for the second.
-        assert stats["pools"]["created"] == 1
-        assert stats["pools"]["reused"] >= 1
-        assert stats["pools"]["idle"] == 1
+        assert set(stats) == {"uptime_seconds", "counters", "cache", "queue"}
 
 
 # ----------------------------------------------------------------------
@@ -629,22 +610,9 @@ class TestServerLifecycle:
             assert port > 0
             assert server.url == f"http://{host}:{port}"
 
-    def test_close_is_idempotent_and_restores_pool_manager(self):
-        from repro.counting import parallel
-
-        before = parallel._ACTIVE_POOL_MANAGER
+    def test_close_is_idempotent(self):
         server = CountingServer(port=0).start()
-        assert parallel._ACTIVE_POOL_MANAGER is server.pool_manager
         server.close()
         server.close()
-        assert parallel._ACTIVE_POOL_MANAGER is before
-
-    def test_nested_servers_restore_in_lifo_order(self):
-        from repro.counting import parallel
-
-        outer = CountingServer(port=0)
-        inner = CountingServer(port=0)
-        assert parallel._ACTIVE_POOL_MANAGER is inner.pool_manager
-        inner.close()
-        assert parallel._ACTIVE_POOL_MANAGER is outer.pool_manager
-        outer.close()
+        with pytest.raises(OSError):
+            urllib.request.urlopen(server.url + "/stats", timeout=2)

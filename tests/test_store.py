@@ -10,7 +10,7 @@ contract down in two halves:
   guard, the mapping protocol, the factory and the knob validators;
 * a property-based differential suite: random automata are counted under
   the dict store and the windowed store (random window widths, every
-  importable backend, workers 1 vs 4) and the runs must be bit-identical
+  importable backend) and the runs must be bit-identical
   in estimates, full state tables, the algorithm-level work counters and
   the final RNG state.  The store's own ``store_*`` counters are
   representation diagnostics and are *excluded* from parity — they are
@@ -19,7 +19,6 @@ contract down in two halves:
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
 import zlib
@@ -410,39 +409,6 @@ def test_windowed_store_matches_dict_store_in_both_spill_formats():
     for payload in compressed:
         assert isinstance(pickle.loads(zlib.decompress(payload)), dict)
     assert counters["store_level_faults"] > 0
-
-
-def _api_observables(report):
-    raw = report.raw
-    return {
-        "estimate": report.estimate,
-        "state_estimates": dict(raw.state_estimates),
-        "sample_counts": dict(raw.sample_counts),
-        "work": {name: getattr(raw, name) for name in WORK_COUNTERS},
-    }
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_windowed_store_matches_dict_store_sharded(workers):
-    """Dict vs windowed through the parallel executor, serial vs pool."""
-    nfa = random_nonempty_nfa(num_states=5, length=8, seed=55)
-    reports = {
-        store: count(
-            nfa, 8, method="fpras", epsilon=0.6, delta=0.2, seed=7, scale=_scale(),
-            policy=ExecutionPolicy(workers=workers, shards=3, store=store, window=2),
-        )
-        for store in ("dict", "windowed")
-    }
-    assert _api_observables(reports["windowed"]) == _api_observables(reports["dict"])
-
-
-def test_workers_do_not_change_windowed_results():
-    nfa = random_nonempty_nfa(num_states=4, length=8, seed=91)
-    kwargs = dict(method="fpras", epsilon=0.6, delta=0.2, seed=13, scale=_scale())
-    policy = ExecutionPolicy(shards=4, store="windowed", window=3)
-    serial = count(nfa, 8, policy=policy, **kwargs)
-    pooled = count(nfa, 8, policy=dataclasses.replace(policy, workers=4), **kwargs)
-    assert _api_observables(pooled) == _api_observables(serial)
 
 
 def test_store_knobs_are_fingerprint_neutral():

@@ -19,7 +19,6 @@ import random
 
 import pytest
 
-import repro
 import repro.counting.fpras as fpras_module
 import repro.counting.sampler as sampler_module
 import repro.counting.union as union_module
@@ -27,7 +26,6 @@ from repro.automata.engine import available_backends
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
-from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, UnionEstimate, UnionPlan, approximate_union
 from repro.errors import ParameterError, SampleExhaustedError, SamplingError
 from repro.workloads.longwords import long_word_scale
@@ -464,24 +462,3 @@ def test_runs_match_reference(scale_name, store, backend, monkeypatch):
     assert planned == reference
     assert planned["work"][0] > 0  # AppUnion ran
 
-
-@pytest.mark.parametrize("store", ["dict", "windowed"])
-def test_sharded_pool_matches_serial_reference(store, monkeypatch):
-    """Plans live per worker; two pooled workers equal the in-process
-    reference over the same shard plan."""
-    nfa = random_nonempty_nfa(9, 5, density=0.3, accepting_fraction=0.5, seed=3)
-
-    def count(workers):
-        report = repro.count(
-            nfa, 5, method="fpras", epsilon=0.5, seed=19,
-            scale=SCALES["practical"],
-            policy=ExecutionPolicy(workers=workers, shards=3, store=store, window=2),
-        )
-        raw = report.raw
-        return (report.estimate, raw.state_estimates, raw.sample_counts,
-                raw.union_calls, raw.membership_calls, raw.sample_draws)
-
-    pooled = count(2)
-    _use_reference(monkeypatch)
-    assert pooled == count(1)
-    assert pooled[3] > 0

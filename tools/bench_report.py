@@ -53,9 +53,8 @@ SEED = 20240727
 SCALE = {"sample_cap": 12, "union_trial_cap": 16}
 
 #: The counting workloads as declarative matrix specs.  Each spec expands
-#: factorially; together they cover the hot paths: serial FPRAS, the sharded
-#: parallel executor (serial and 4-worker over the same 4-shard plan),
-#: batched Monte-Carlo, the exact DP reference, and (numpy permitting) the
+#: factorially; together they cover the hot paths: FPRAS, batched
+#: Monte-Carlo, the exact DP reference, and (numpy permitting) the
 #: block-simulation backend at m=256.
 BENCH_SPECS: List[Mapping[str, object]] = [
     {
@@ -64,16 +63,6 @@ BENCH_SPECS: List[Mapping[str, object]] = [
         "methods": ["fpras"],
         "accuracy": [{"epsilon": 0.4, "delta": 0.1}],
         "seeds": [SEED],
-        "scale": SCALE,
-    },
-    {
-        "families": [{"family": "divisibility", "args": {"divisor": 48},
-                      "lengths": [10]}],
-        "methods": ["fpras"],
-        "workers": [1, 4],
-        "accuracy": [{"epsilon": 0.4, "delta": 0.1}],
-        "seeds": [SEED],
-        "options": {"fpras": {"shards": 4}},
         "scale": SCALE,
     },
     {
@@ -209,15 +198,12 @@ def _find_seconds(
     *,
     method: str,
     family: str,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> Optional[float]:
     """Median wall time of the first record matching the given spec fields."""
     for record in records:
         spec = record["spec"]
         if spec["method"] != method or spec["family"] != family:
-            continue
-        if workers is not None and spec["workers"] != workers:
             continue
         if backend is not None and spec["backend"] != backend:
             continue
@@ -231,12 +217,6 @@ def _ratios(
 ) -> Dict[str, float]:
     """The headline speedup ratios derived from the manifest records."""
     fpras_serial = _find_seconds(records, method="fpras", family="substring")
-    sharded_serial = _find_seconds(
-        records, method="fpras", family="divisibility", workers=1
-    )
-    sharded_pool = _find_seconds(
-        records, method="fpras", family="divisibility", workers=4
-    )
     montecarlo = _find_seconds(records, method="montecarlo", family="divisibility")
     numpy_block = _find_seconds(
         records, method="fpras", family="divisibility", backend="numpy"
@@ -246,8 +226,6 @@ def _ratios(
         ratios["serve_cache_speedup"] = (
             serve_medians["serve_count_cold"] / serve_medians["serve_count_cached"]
         )
-    if sharded_serial and sharded_pool:
-        ratios["fpras_parallel_speedup_4_workers"] = sharded_serial / sharded_pool
     if fpras_serial and montecarlo:
         ratios["montecarlo_vs_fpras_wall"] = montecarlo / fpras_serial
     if fpras_serial and numpy_block:

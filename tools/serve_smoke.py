@@ -11,9 +11,9 @@ service contract end to end:
   for the same (automaton, knobs) — the server adds transport, never noise;
 * ``/stats`` shows the duplicate traffic collapsing onto cache lines:
   exactly one counting run per distinct request, everything else hits;
-* ``"stream": true`` requests (a serial Monte-Carlo run and a two-shard
-  fpras run on two workers) end in the result a direct ``repro.count()``
-  gives, after progress events that reach every sample / the last level;
+* ``"stream": true`` requests (a Monte-Carlo run and an fpras run) end in
+  the result a direct ``repro.count()`` gives, after progress events that
+  reach every sample / the last level;
 * SIGINT produces a clean, prompt exit (code 0) with no orphan processes.
 
 Exit code 0 on success; any assertion failure or timeout is non-zero.
@@ -38,7 +38,6 @@ from typing import Dict, List, Tuple
 from repro.automata.families import divisibility_nfa, no_consecutive_ones_nfa
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.api import count
-from repro.counting.policy import ExecutionPolicy
 
 #: Seed shared by every request so served-vs-direct parity is checkable.
 SEED = 20240808
@@ -53,11 +52,12 @@ WORKLOADS = [
 #: Concurrent POSTs per workload; all but the first should be cache traffic.
 CLIENTS_PER_WORKLOAD = 4
 
-#: (label, method, options, workers) of the streamed requests, each run on
-#: the ``divisibility_7`` workload; neither is in the cache when it is sent.
+#: (label, method, epsilon, options) of the streamed requests, each run on
+#: the ``divisibility_7`` workload; neither is in the cache when it is sent
+#: (the concurrent clients asked fpras at epsilon 0.5).
 STREAMS = [
-    ("montecarlo", "montecarlo", {"num_samples": 20_000}, 1),
-    ("fpras-sharded", "fpras", {"shards": 2}, 2),
+    ("montecarlo", "montecarlo", 0.5, {"num_samples": 20_000}),
+    ("fpras", "fpras", 0.4, {}),
 ]
 
 
@@ -123,16 +123,15 @@ def _post_stream(url: str, body: Dict) -> List[Dict]:
 def _check_streams(url: str) -> None:
     """Each stream ends in the direct result after complete progress."""
     _, document, length = WORKLOADS[1]
-    for label, method, options, workers in STREAMS:
+    for label, method, epsilon, options in STREAMS:
         events = _post_stream(
             url,
             {
                 "automaton": document,
                 "length": length,
                 "method": method,
-                "epsilon": 0.5,
+                "epsilon": epsilon,
                 "seed": SEED,
-                "workers": workers,
                 "options": options,
             },
         )
@@ -140,12 +139,9 @@ def _check_streams(url: str) -> None:
         result = events[-1]
         assert result["event"] == "result", f"{label} stream ended with {result}"
         assert progress, f"{label} stream sent no progress event"
-        shards = options.get("shards", 1)
-        knobs = {key: value for key, value in options.items() if key != "shards"}
-        policy = ExecutionPolicy(workers=workers, shards=shards)
         direct = count(
-            nfa_from_dict(document), length, method=method, epsilon=0.5,
-            seed=SEED, policy=policy, **knobs,
+            nfa_from_dict(document), length, method=method, epsilon=epsilon,
+            seed=SEED, **options,
         )
         assert result["estimate"] == direct.estimate, (
             f"streamed {label} estimate {result['estimate']} != "
