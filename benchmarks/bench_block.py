@@ -1,15 +1,18 @@
-"""Block-simulation crossover: where the numpy backend overtakes bitset.
+"""Bitset vs numpy block simulation: membership batches and fpras end to end.
 
-The bitset backend costs ``ceil(m / 8)`` Python-level loop iterations per
-simulation step; the numpy block backend costs a fixed handful of NumPy
-calls per step (scalar path) or per trie level (batched path) regardless
-of ``m``.  Somewhere between those regimes the curves cross.  This
-benchmark sweeps ``m`` over both paths, reports the measured crossover
-point of each, and checks that the ``auto`` selection threshold
-(:data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD`) is consistent with
-the measurement: at every ``m`` above the threshold the batched numpy
-path — the one the counting layer actually drives since the AppUnion
-membership loop was batched — must not lose to bitset.
+The bitset backend costs one Python-level loop iteration per byte of a
+state set, from its lowest non-zero byte up; the numpy block backend costs
+a fixed handful of NumPy calls per step (scalar path) or per trie level
+(batched path) regardless of ``m``.  This benchmark sweeps ``m`` and
+records two comparisons:
+
+* membership — scalar and batched acceptance of a word multiset.  Batched
+  numpy overtakes bitset somewhere in the sweep, which is why Monte-Carlo,
+  whose work is those batches, runs an unset backend on numpy;
+* fpras — ``repro.count(..., method="fpras")`` on each backend.  Its work
+  is per-handle ``pre`` / ``step`` on small state sets, where bitset is
+  faster at every ``m`` of the sweep, which is why ``auto`` means bitset
+  for every other method.
 
 Like every benchmark in this tree, the assertions pin the *shape* of the
 claim (who wins where), not absolute timings.
@@ -19,17 +22,32 @@ from __future__ import annotations
 
 from block_workloads import best_of, block_instance, block_words
 
-from repro.automata.engine import AUTO_BLOCK_THRESHOLD, create_engine, resolve_backend
+import repro
+from repro.automata.engine import create_engine
+from repro.counting.policy import ExecutionPolicy
 from repro.harness.reporting import format_table
 
-#: The m sweep bracketing the expected crossover region.
+#: The m sweep bracketing the membership crossover region (all m <= 512).
 CROSSOVER_STATE_COUNTS = (32, 64, 128, 192, 256, 384, 512)
 CROSSOVER_WORDS = 250
 CROSSOVER_WORD_LENGTH = 12
+#: Length and seed of the fpras row's count.
+FPRAS_LENGTH = 3
+FPRAS_SEED = 7
+
+
+def _fpras_seconds(nfa, backend: str):
+    """Best-of wall time and estimate of one fpras count on ``backend``."""
+    policy = ExecutionPolicy(backend=backend)
+
+    def run():
+        return repro.count(nfa, FPRAS_LENGTH, method="fpras", seed=FPRAS_SEED, policy=policy)
+
+    return best_of(run), run().estimate
 
 
 def _sweep(bench_rng):
-    """Per-m scalar and batched membership timings for both fast backends."""
+    """Per-m membership and fpras timings for both fast backends."""
     rows = []
     for num_states in CROSSOVER_STATE_COUNTS:
         nfa = block_instance(num_states, seed=29 + num_states)
@@ -44,16 +62,21 @@ def _sweep(bench_rng):
                     engine.accepts(word)
             return run
 
+        bitset_fpras_s, bitset_estimate = _fpras_seconds(nfa, "bitset")
+        numpy_fpras_s, numpy_estimate = _fpras_seconds(nfa, "numpy")
+        assert bitset_estimate == numpy_estimate
         row = {
             "m": num_states,
-            "auto_resolves_to": resolve_backend(nfa, "auto"),
             "bitset_scalar_s": best_of(scalar_pass(bitset)),
             "numpy_scalar_s": best_of(scalar_pass(block)),
             "bitset_batch_s": best_of(lambda: bitset.accepts_batch(words)),
             "numpy_batch_s": best_of(lambda: block.accepts_batch(words)),
+            "bitset_fpras_s": bitset_fpras_s,
+            "numpy_fpras_s": numpy_fpras_s,
         }
         row["scalar_speedup"] = row["bitset_scalar_s"] / row["numpy_scalar_s"]
         row["batch_speedup"] = row["bitset_batch_s"] / row["numpy_batch_s"]
+        row["fpras_speedup"] = row["bitset_fpras_s"] / row["numpy_fpras_s"]
         rows.append(row)
     return rows
 
@@ -75,7 +98,10 @@ def test_block_backend_crossover(benchmark, report, bench_rng):
     report(
         format_table(
             rows,
-            title="Block-simulation crossover sweep (bitset vs numpy, scalar and batched)",
+            title=(
+                "Block-simulation sweep (bitset vs numpy: scalar and batched "
+                "membership, fpras end to end)"
+            ),
         )
     )
     scalar_crossover = _crossover(rows, "scalar_speedup")
@@ -83,22 +109,19 @@ def test_block_backend_crossover(benchmark, report, bench_rng):
     report(
         "Block crossover note: batched path overtakes bitset from "
         f"m={batch_crossover}, scalar path from m={scalar_crossover}; "
-        f"auto threshold is m>{AUTO_BLOCK_THRESHOLD}"
+        f"fpras crossover: {_crossover(rows, 'fpras_speedup')}"
     )
-    # The batched path (what the counting layer drives) must have crossed
-    # over by the sweep's end, and everywhere the auto selector would pick
-    # numpy it must not lose on that path.
+    # The batched path (what Monte-Carlo drives) must have crossed over by
+    # the sweep's end.
     assert batch_crossover is not None, (
         f"numpy batched path never overtook bitset: "
         f"{[(row['m'], round(row['batch_speedup'], 2)) for row in rows]}"
     )
     assert batch_crossover <= max(CROSSOVER_STATE_COUNTS)
+    # fpras, which "auto" runs on bitset at every size, must not be slower
+    # there than on numpy at any m.
     for row in rows:
-        if row["m"] > AUTO_BLOCK_THRESHOLD:
-            assert row["auto_resolves_to"] == "numpy"
-            assert row["batch_speedup"] >= 1.0, (
-                f"auto picks numpy at m={row['m']} but the batched path is "
-                f"{row['batch_speedup']:.2f}x"
-            )
-        else:
-            assert row["auto_resolves_to"] == "bitset"
+        assert row["fpras_speedup"] <= 1.0, (
+            f"fpras ran {1 / row['fpras_speedup']:.2f}x as fast on numpy as on "
+            f"bitset at m={row['m']}"
+        )

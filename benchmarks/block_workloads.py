@@ -1,9 +1,9 @@
 """Shared workload construction for the block-backend benchmarks.
 
 ``bench_scaling_m.py`` (the large-m throughput assertion) and
-``bench_block.py`` (the crossover recorder) must measure the *same*
-workload shape, otherwise the recorded crossover no longer justifies the
-asserted threshold.  Both import the instance builder and the best-of-N
+``bench_block.py`` (the bitset vs numpy sweep) must measure the *same*
+workload shape, otherwise the sweep's comparisons no longer back the
+large-m assertion.  Both import the instance builder and the best-of-N
 timer from here.
 """
 

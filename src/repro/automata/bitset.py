@@ -4,13 +4,17 @@ States are indexed densely (in the deterministic ``sorted(states,
 key=repr)`` order used everywhere else in the codebase) and every state set
 becomes one Python ``int`` whose bit ``i`` is set iff state ``i`` is in the
 set.  The per-symbol forward and reverse transition relations are
-precomputed as *byte-chunked lookup tables*: for every 8-bit chunk of the
-mask, a 256-entry table maps the chunk's value directly to the union of the
-corresponding states' images.  Consequently
+*byte-chunked lookup tables*: for every 8-bit chunk of the mask, a 256-entry
+table maps the chunk's value directly to the union of the corresponding
+states' images.  A table is built the first time a lookup touches its chunk,
+so an engine costs one mask per state and relation until it is used, and a
+run that only ever touches a few chunks never pays for the rest.
+Consequently
 
 * ``step`` / ``pre`` are "one table lookup per non-zero byte of the mask"
-  loops — ``ceil(m / 8)`` word operations regardless of how many states are
-  set, with no Python set objects allocated;
+  loops that start at the lowest non-zero byte — at most ``ceil(m / 8)``
+  word operations regardless of how many states are set, with no Python set
+  objects allocated;
 * emptiness, intersection, union, and membership are single integer ops;
 * one reachability mask answers the membership question "is ``w`` in
   ``L(q^{|w|})``" for *every* state ``q`` simultaneously, so AppUnion's
@@ -34,37 +38,66 @@ from repro.automata.engine import (
 from repro.automata.nfa import NFA, State, Symbol
 from repro.errors import AutomatonError
 
-#: Bits per lookup-table chunk.  8 keeps each chunk table at 256 entries,
-#: small enough to build eagerly even for hundreds of states.
+#: Bits per lookup-table chunk.  8 keeps each chunk table at 256 entries.
 _CHUNK_BITS = 8
 _CHUNK_SIZE = 1 << _CHUNK_BITS
 _CHUNK_MASK = _CHUNK_SIZE - 1
 
 #: A chunked relation: ``tables[c][v]`` is the image of the state set whose
-#: mask is ``v << (8 c)``.
+#: mask is ``v << (8 c)``.  A chunk no lookup has touched yet holds an
+#: :class:`_UnbuiltTable` in place of its table.
 ChunkTables = List[List[int]]
 
 
-def _chunk_tables(rows: List[int], size: int) -> ChunkTables:
-    """Byte-chunked lookup tables for a relation given as per-state masks.
+def _chunk_table(rows: List[int], chunk: int, size: int) -> List[int]:
+    """The lookup table of one chunk of a relation given as per-state masks.
 
     Built incrementally: the image of a chunk value ``v`` is the image of
     ``v`` without its lowest bit, OR the row of that bit — so the whole
     table costs one OR per entry.
     """
-    num_chunks = (size + _CHUNK_BITS - 1) // _CHUNK_BITS if size else 0
+    base = chunk * _CHUNK_BITS
+    # The final chunk of an m-state automaton only ever sees values below
+    # 2^(m mod 8), so size the table accordingly (valid masks never exceed
+    # the full state mask).
+    entries = 1 << min(_CHUNK_BITS, size - base)
+    table = [0] * entries
+    for value in range(1, entries):
+        low = value & -value
+        table[value] = table[value ^ low] | rows[base + low.bit_length() - 1]
+    return table
+
+
+class _UnbuiltTable:
+    """Stand-in for a chunk table until the first lookup touches it.
+
+    Indexing it builds the table, stores it in its slot of ``tables`` and
+    returns the entry, so later lookups index the table itself with no
+    extra branch or call.  Concurrent requests on a shared engine (the
+    server answers each on its own thread) may race on one slot: both
+    build the same table, and whichever store lands last is as good as the
+    other.
+    """
+
+    __slots__ = ("tables", "rows", "chunk", "size")
+
+    def __init__(self, tables: ChunkTables, rows: List[int], chunk: int, size: int) -> None:
+        self.tables = tables
+        self.rows = rows
+        self.chunk = chunk
+        self.size = size
+
+    def __getitem__(self, value: int) -> int:
+        table = _chunk_table(self.rows, self.chunk, self.size)
+        self.tables[self.chunk] = table
+        return table[value]
+
+
+def _chunk_tables(rows: List[int], size: int) -> ChunkTables:
+    """Byte-chunked lookup tables of a relation, each built on first touch."""
     tables: ChunkTables = []
-    for chunk in range(num_chunks):
-        base = chunk * _CHUNK_BITS
-        # The final chunk of an m-state automaton only ever sees values
-        # below 2^(m mod 8), so size the table accordingly (valid masks
-        # never exceed the full state mask).
-        entries = 1 << min(_CHUNK_BITS, size - base)
-        table = [0] * entries
-        for value in range(1, entries):
-            low = value & -value
-            table[value] = table[value ^ low] | rows[base + low.bit_length() - 1]
-        tables.append(table)
+    for chunk in range((size + _CHUNK_BITS - 1) // _CHUNK_BITS):
+        tables.append(_UnbuiltTable(tables, rows, chunk, size))
     return tables
 
 
@@ -136,9 +169,18 @@ class BitsetEngine(Engine):
 
     @staticmethod
     def _image(tables: ChunkTables, handle: int) -> int:
-        """Apply a chunked relation to a mask (shared by step / pre)."""
+        """Apply a chunked relation to a mask (shared by step / pre).
+
+        The loop starts at the mask's lowest non-zero byte, so a singleton
+        costs one pass however high its bit sits.  A mask whose lowest byte
+        is set, as most masks of a small automaton are, starts there
+        without computing it.
+        """
         result = 0
         chunk = 0
+        if not handle & _CHUNK_MASK and handle:
+            chunk = ((handle & -handle).bit_length() - 1) // _CHUNK_BITS
+            handle >>= chunk * _CHUNK_BITS
         while handle:
             byte = handle & _CHUNK_MASK
             if byte:

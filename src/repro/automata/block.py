@@ -1,11 +1,12 @@
 """Vectorised NFA simulation backend for automata with many states.
 
 The integer-mask :class:`~repro.automata.bitset.BitsetEngine` is excellent
-while a state set fits a few machine words: its byte-chunked lookup loop
-costs ``ceil(m / 8)`` Python-level iterations per simulation step.  For the
-regime the paper's FPRAS actually targets — automata with hundreds of
-states, where the polynomial advantage over brute force matters — that
-Python loop becomes the bottleneck.  :class:`BlockEngine` removes it by
+while a state set spans a few bytes: its byte-chunked lookup loop costs one
+Python-level iteration per byte from the set's lowest non-zero byte up, at
+most ``ceil(m / 8)`` per simulation step.  When the sets spread over
+automata with hundreds of states — simulating many words at once, as
+Monte-Carlo's membership batches do — that Python loop becomes the
+bottleneck.  :class:`BlockEngine` removes it by
 keeping every state set as a fixed-width vector of ``uint64`` *blocks* and
 every per-symbol relation as a dense packed chunk-table tensor, so one
 simulation step is a handful of NumPy array operations whose Python-level
@@ -15,10 +16,12 @@ cost is independent of ``m``:
   equal iff the decoded state sets are equal, exactly like the integer
   masks of the bitset backend; state ``j`` lives in byte ``j // 8``, bit
   ``j % 8``);
-* each relation is stored as a flattened ``(chunks * 256, blocks)``
-  ``uint64`` tensor: row ``c * 256 + v`` holds the packed image of the
-  state set whose mask is ``v << 8c`` — the bitset backend's byte-chunked
-  lookup tables, materialised as one NumPy array;
+* each relation is a flattened ``(chunks * 256, blocks)`` ``uint64``
+  tensor: row ``c * 256 + v`` holds the packed image of the state set whose
+  mask is ``v << 8c`` — the bitset backend's byte-chunked lookup tables as
+  one NumPy array.  The engine keeps each relation's packed rows and builds
+  its tensor the first time something uses it, so a Monte-Carlo trie walk,
+  which only steps forward, never builds the reverse or step-all tensors;
 * ``step`` / ``pre`` / ``step_all`` view the handle as its ``chunks``
   bytes, gather the matching tensor rows in one fancy-index and OR-reduce
   them — a fixed-size gather regardless of how many states are set;
@@ -31,10 +34,11 @@ cost is independent of ``m``:
 
 The backend registers itself as ``"numpy"``.  The counting layer drives it
 through the same per-handle ``step`` / ``pre`` calls as every other
-backend.  The ``"auto"`` pseudo-backend resolved by
-:func:`repro.automata.engine.resolve_backend` selects this engine once the
-automaton crosses :data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD`
-states; ``benchmarks/bench_block.py`` records the measured crossover.
+backend.  Only the Monte-Carlo runner picks it when no backend is named
+(its batched trie walk is this engine's strength); every other method runs
+it only when asked for by name, since the bitset engine's per-handle
+lookups are faster end to end.  ``benchmarks/bench_block.py`` records both
+comparisons.
 
 Example::
 
@@ -51,7 +55,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,11 +87,12 @@ class BlockEngine(Engine):
     ``tests/test_engine_parity.py`` / ``tests/test_batch_parity.py`` pin
     estimates, RNG streams and the locked work counters bit for bit.
 
-    Memory note: each relation tensor holds ``4 m^2`` bytes (``m / 8``
+    Memory note: a built relation tensor holds ``4 m^2`` bytes (``m / 8``
     chunks x 256 entries x ``m / 8`` image bytes), i.e. ~1 MiB per symbol
     and direction at ``m = 512`` — the same entry count as the bitset
-    backend's chunk tables, materialised contiguously for vectorised
-    gathers.
+    backend's chunk tables, laid out contiguously for vectorised gathers.
+    Until its first use a relation costs only its packed rows, ``m^2 / 8``
+    bytes.
 
     >>> from repro.automata.nfa import NFA
     >>> nfa = NFA.build(
@@ -109,41 +114,36 @@ class BlockEngine(Engine):
         self._index: Dict[State, int] = {
             state: position for position, state in enumerate(ordered)
         }
-        size = len(ordered)
-        self._size = size
         #: Number of 64-bit blocks per handle (at least one).
-        self.blocks = max(1, (size + BLOCK_BITS - 1) // BLOCK_BITS)
+        self.blocks = max(1, (len(ordered) + BLOCK_BITS - 1) // BLOCK_BITS)
         self._width = self.blocks * 8  # handle width in bytes
         self._chunks = self._width  # one 8-bit chunk per handle byte
         #: Gather offsets: chunk ``c`` indexes rows ``[256 c, 256 (c+1))``.
         self._base = (np.arange(self._chunks, dtype=np.intp) << 8)
-
-        # Per-symbol boolean relations, then packed chunk-table tensors.
-        fwd_bool: Dict[Symbol, "np.ndarray"] = {
-            symbol: np.zeros((size, size), dtype=bool) for symbol in nfa.alphabet
-        }
-        rev_bool: Dict[Symbol, "np.ndarray"] = {
-            symbol: np.zeros((size, size), dtype=bool) for symbol in nfa.alphabet
-        }
-        for source, symbol, target in nfa.transitions:
-            source_index = self._index[source]
-            target_index = self._index[target]
-            fwd_bool[symbol][source_index, target_index] = True
-            rev_bool[symbol][target_index, source_index] = True
-        any_bool = np.zeros((size, size), dtype=bool)
-        for matrix in fwd_bool.values():
-            any_bool |= matrix
-        self._fwd = {
-            symbol: self._chunk_tensor(matrix) for symbol, matrix in fwd_bool.items()
-        }
-        self._rev = {
-            symbol: self._chunk_tensor(matrix) for symbol, matrix in rev_bool.items()
-        }
-        self._fwd_all = self._chunk_tensor(any_bool)
-        #: The batch walk's symbol codes: positions in ``nfa.alphabet``.
+        #: Symbol codes, positions in ``nfa.alphabet``: they index the
+        #: relations' rows and spell the batch walk's words.
         self._codes: Dict[Symbol, int] = {
             symbol: position for position, symbol in enumerate(nfa.alphabet)
         }
+
+        # Per-symbol forward / reverse relations as packed rows: row ``j`` of
+        # symbol code ``a`` holds the image of state ``j`` in handle layout,
+        # and zero rows pad the state count to whole chunks.
+        code, source, target = np.array(
+            [
+                (self._codes[symbol], self._index[start], self._index[end])
+                for start, symbol, end in nfa.transitions
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 3).T
+        shape = (len(self._codes), self._chunks * 8, self._width)
+        self._rows: Dict[str, "np.ndarray"] = {}
+        for relation, row, column in (("fwd", source, target), ("rev", target, source)):
+            rows = self._rows[relation] = np.zeros(shape, dtype=np.uint8)
+            bits = np.left_shift(1, column & 7).astype(np.uint8)
+            np.bitwise_or.at(rows, (code, row, column >> 3), bits)
+        #: Chunk-table tensors built so far, keyed as :meth:`_tensor` names them.
+        self._tensors: Dict[Tuple[str, Optional[int]], "np.ndarray"] = {}
 
         self._empty = bytes(self._width)
         self._initial = self._mask_to_bytes(1 << self._index[nfa.initial])
@@ -163,30 +163,33 @@ class BlockEngine(Engine):
         """Little-endian bytes of an integer state mask, at handle width."""
         return mask.to_bytes(self._width, "little")
 
-    def _pack_rows(self, rows_bool: "np.ndarray") -> "np.ndarray":
-        """Pack a boolean ``(m, m)`` relation into ``(m, blocks)`` uint64 rows."""
-        packed_bytes = np.packbits(rows_bool, axis=1, bitorder="little")
-        padded = np.zeros((rows_bool.shape[0], self._width), dtype=np.uint8)
-        padded[:, : packed_bytes.shape[1]] = packed_bytes
-        return np.ascontiguousarray(padded).view(_BLOCK_DTYPE)
+    def _tensor(self, relation: str, code: Optional[int] = None) -> "np.ndarray":
+        """Flattened chunk-table tensor of a relation, built on first use.
 
-    def _chunk_tensor(self, rows_bool: "np.ndarray") -> "np.ndarray":
-        """Flattened chunk-table tensor of a relation.
-
-        Row ``c * 256 + v`` is the packed image of the state set whose mask
-        is ``v << 8c``; built incrementally (the image of ``v`` is the image
-        of ``v`` without its lowest bit, OR the row of that bit), vectorised
-        across all chunks at once.
+        ``relation`` is ``"fwd"`` or ``"rev"`` with a symbol ``code``, or
+        ``"any"`` (forward under any symbol).  Row ``c * 256 + v`` is the
+        packed image of the state set whose mask is ``v << 8c``; built
+        incrementally (the image of ``v`` is the image of ``v`` without its
+        lowest bit, OR the row of that bit), vectorised across all chunks at
+        once.  Concurrent requests on a shared engine may race on one
+        tensor: both build the same array, and whichever store lands last
+        is as good as the other.
         """
-        rows = self._pack_rows(rows_bool)  # (m, blocks) uint64
-        padded = np.zeros((self._chunks * 8, self.blocks), dtype=_BLOCK_DTYPE)
-        padded[: self._size] = rows
-        by_chunk = padded.reshape(self._chunks, 8, self.blocks)
+        key = (relation, code)
+        tensor = self._tensors.get(key)
+        if tensor is not None:
+            return tensor
+        if relation == "any":
+            rows = np.bitwise_or.reduce(self._rows["fwd"], axis=0)
+        else:
+            rows = self._rows[relation][code]
+        by_chunk = rows.view(_BLOCK_DTYPE).reshape(self._chunks, 8, self.blocks)
         tensor = np.zeros((self._chunks, 256, self.blocks), dtype=_BLOCK_DTYPE)
         for value in range(1, 256):
             low = value & -value
             tensor[:, value] = tensor[:, value ^ low] | by_chunk[:, low.bit_length() - 1]
-        return np.ascontiguousarray(tensor.reshape(self._chunks * 256, self.blocks))
+        tensor = self._tensors[key] = tensor.reshape(self._chunks * 256, self.blocks)
+        return tensor
 
     def _image_blocks(self, tensor: "np.ndarray", chunk_bytes: "np.ndarray") -> "np.ndarray":
         """One image: gather one tensor row per chunk, OR-reduce them."""
@@ -258,25 +261,25 @@ class BlockEngine(Engine):
     def step(self, handle: bytes, symbol: Symbol) -> bytes:
         """Forward image via the per-symbol chunk-table tensor."""
         self.step_ops += 1
-        tensor = self._fwd.get(symbol)
-        if tensor is None:
+        code = self._codes.get(symbol)
+        if code is None:
             # Symbols outside the alphabet have no transitions (mirrors the
             # reference engine, whose successor map is empty for them).
             return self._empty
-        return self._image(tensor, handle)
+        return self._image(self._tensor("fwd", code), handle)
 
     def step_all(self, handle: bytes) -> bytes:
         """Forward image under any symbol (one unrolling level)."""
         self.step_ops += 1
-        return self._image(self._fwd_all, handle)
+        return self._image(self._tensor("any"), handle)
 
     def pre(self, handle: bytes, symbol: Symbol) -> bytes:
         """Reverse image via the per-symbol reverse tensor."""
         self.pre_ops += 1
-        tensor = self._rev.get(symbol)
-        if tensor is None:
+        code = self._codes.get(symbol)
+        if code is None:
             return self._empty
-        return self._image(tensor, handle)
+        return self._image(self._tensor("rev", code), handle)
 
     def intersect(self, first: bytes, second: bytes) -> bytes:
         """Blockwise AND of two handles."""
@@ -332,15 +335,15 @@ class BlockEngine(Engine):
         symbols = as_word(word)
         if not symbols:
             return self._initial
-        fwd = self._fwd
+        codes = self._codes
         image = None
         chunk_bytes = np.frombuffer(self._initial, dtype=np.uint8)
         for symbol in symbols:
             self.step_ops += 1
-            tensor = fwd.get(symbol)
-            if tensor is None:
+            code = codes.get(symbol)
+            if code is None:
                 return self._empty
-            image = self._image_blocks(tensor, chunk_bytes)
+            image = self._image_blocks(self._tensor("fwd", code), chunk_bytes)
             if not image.any():
                 return self._empty
             chunk_bytes = image.view(np.uint8)
@@ -399,17 +402,16 @@ class BlockEngine(Engine):
         parent owns at least one gathered row.  Unknown-symbol children
         stay empty.
         """
-        alphabet = self.nfa.alphabet
         children = np.zeros((len(parents), self.blocks), dtype=_BLOCK_DTYPE)
         order = np.argsort(codes, kind="stable")
         bounds = np.flatnonzero(np.diff(codes[order])) + 1
         for group in np.split(order, bounds):
-            code = codes[group[0]]
-            if code >= len(alphabet):
+            code = int(codes[group[0]])
+            if code >= len(self._codes):
                 continue
             chunk_bytes = node_states[parents[group]].view(np.uint8)
             rows, columns = np.nonzero(chunk_bytes)
-            gathered = self._fwd[alphabet[code]][(columns << 8) + chunk_bytes[rows, columns]]
+            gathered = self._tensor("fwd", code)[(columns << 8) + chunk_bytes[rows, columns]]
             per_parent = np.count_nonzero(chunk_bytes, axis=1)
             children[group] = np.bitwise_or.reduceat(
                 gathered, np.cumsum(per_parent) - per_parent, axis=0

@@ -31,14 +31,15 @@ Two layers of amortisation live here:
   sorting it so that words sharing a prefix step through that prefix
   exactly once (a trie walk without building the trie);
 * **engine reuse** — :class:`EngineRegistry` memoises engines (and hence
-  their precomputed transition tables) per ``(nfa, backend)``, so several
-  counters, samplers or caches over the same automaton share one engine
-  instead of rebuilding identical lookup tables.  :func:`acquire_engine`
-  is the front door the rest of the codebase uses.
+  their transition lookup tables, which the mask-based backends build on
+  first touch) per ``(nfa, backend)``, so several counters, samplers or
+  caches over the same automaton share one engine instead of rebuilding
+  identical lookup tables.  :func:`acquire_engine` is the front door the
+  rest of the codebase uses.
 
 Every backend answers the counting layer through the same per-handle
 operations; none has a second code path.  The ``"auto"`` pseudo-backend
-picks one per automaton by state count (:func:`resolve_backend`).
+means "unset" (:func:`resolve_backend`).
 
 Example::
 
@@ -78,16 +79,10 @@ from repro.errors import AutomatonError, ParameterError
 #: The backend used when callers do not ask for a specific one.
 DEFAULT_BACKEND = "bitset"
 
-#: Pseudo-backend resolved per automaton by :func:`resolve_backend`.
+#: Pseudo-backend that means "unset": :func:`resolve_backend` maps it to
+#: :data:`DEFAULT_BACKEND` like ``None``, and the Monte-Carlo runner maps
+#: both to ``"numpy"``.
 AUTO_BACKEND = "auto"
-
-#: State count above which ``"auto"`` picks the vectorised ``"numpy"`` block
-#: backend over the integer-mask ``"bitset"`` backend.  Below it the bitset
-#: engine's byte-chunked lookup loop is cheaper than NumPy call overhead;
-#: above it the block representation wins (``benchmarks/bench_block.py``
-#: records the measured crossover on membership-dominated workloads, which
-#: sits between 256 and 512 states on current CPython/NumPy builds).
-AUTO_BLOCK_THRESHOLD = 256
 
 #: A batch of words for :meth:`Engine.simulate_batch`: a sequence of
 #: strings / symbol tuples, or a ``(count, length)`` integer matrix whose
@@ -508,7 +503,7 @@ def available_backends() -> Tuple[str, ...]:
     """Sorted names of the selectable simulation backends.
 
     Includes the ``"auto"`` pseudo-backend, which :func:`resolve_backend`
-    maps to a concrete registered backend per automaton.
+    maps to a concrete registered backend.
 
     >>> "auto" in available_backends()
     True
@@ -516,36 +511,30 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted([*ENGINE_REGISTRY, AUTO_BACKEND]))
 
 
-def resolve_backend(nfa: NFA, backend: Optional[str]) -> str:
-    """The concrete registry name a backend request denotes for ``nfa``.
+def resolve_backend(backend: Optional[str]) -> str:
+    """The concrete registry name a backend request denotes.
 
-    ``None`` selects :data:`DEFAULT_BACKEND`.  :data:`AUTO_BACKEND`
-    resolves by state count: the vectorised ``"numpy"`` block engine above
-    :data:`AUTO_BLOCK_THRESHOLD` states, :data:`DEFAULT_BACKEND` otherwise.
+    ``None`` and :data:`AUTO_BACKEND` select :data:`DEFAULT_BACKEND` at
+    every automaton size: the counting layer's per-handle ``step`` /
+    ``pre`` calls run fastest on the bitset engine, hundreds of states
+    included (``benchmarks/bench_block.py`` measures fpras on both).
     Resolution happens before registry keying, so ``"auto"`` shares engine
-    instances with the concrete backend it resolves to.
+    instances with the backend it resolves to.
 
-    >>> from repro.automata.nfa import NFA
-    >>> nfa = NFA.build([("a", "0", "a")], initial="a", accepting=["a"])
-    >>> resolve_backend(nfa, None)
-    'bitset'
-    >>> resolve_backend(nfa, "auto")
-    'bitset'
+    >>> resolve_backend(None), resolve_backend("auto"), resolve_backend("numpy")
+    ('bitset', 'bitset', 'numpy')
     """
-    key = backend if backend is not None else DEFAULT_BACKEND
-    if key == AUTO_BACKEND:
-        return "numpy" if nfa.num_states > AUTO_BLOCK_THRESHOLD else DEFAULT_BACKEND
-    return key
+    return DEFAULT_BACKEND if backend in (None, AUTO_BACKEND) else backend
 
 
 def create_engine(nfa: NFA, backend: Optional[str] = None) -> Engine:
     """Instantiate a *fresh* simulation engine for ``nfa``.
 
-    ``backend`` is a registry name (or ``"auto"``, resolved per automaton by
-    :func:`resolve_backend`); ``None`` selects :data:`DEFAULT_BACKEND`.
-    Construction builds the backend's lookup tables from scratch — callers
-    on a hot path should prefer :func:`acquire_engine`, which memoises
-    engines per ``(nfa, backend)`` in the shared :class:`EngineRegistry`.
+    ``backend`` is a registry name; ``None`` and ``"auto"`` select
+    :data:`DEFAULT_BACKEND` (:func:`resolve_backend`).  A fresh engine
+    builds its lookup tables from scratch as it touches them — callers on a
+    hot path should prefer :func:`acquire_engine`, which memoises engines
+    per ``(nfa, backend)`` in the shared :class:`EngineRegistry`.
 
     >>> from repro.automata.nfa import NFA
     >>> nfa = NFA.build([("a", "0", "a")], initial="a", accepting=["a"])
@@ -553,10 +542,10 @@ def create_engine(nfa: NFA, backend: Optional[str] = None) -> Engine:
     'bitset'
     >>> create_engine(nfa, "reference").name
     'reference'
-    >>> create_engine(nfa, "auto").name  # 1 state: below the block threshold
+    >>> create_engine(nfa, "auto").name  # "auto" means unset
     'bitset'
     """
-    key = resolve_backend(nfa, backend)
+    key = resolve_backend(backend)
     try:
         factory = ENGINE_REGISTRY[key]
     except KeyError:
@@ -578,8 +567,10 @@ class EngineRegistry:
     :class:`~repro.counting.fpras.NFACounter`, reachability cache or union
     estimator over the same automaton reuses the already-built transition
     tables instead of reconstructing them.  Engines are immutable apart
-    from their diagnostic counters and decode cache, which makes sharing
-    observationally safe: results never depend on who else used the engine.
+    from their diagnostic counters, decode cache and lookup tables built on
+    first touch (a table is the same whoever touches it first), which makes
+    sharing observationally safe: results never depend on who else used
+    the engine.
 
     The registry is bounded (``max_entries``, least-recently-used
     eviction) so long-running processes touching many automata cannot
@@ -592,7 +583,8 @@ class EngineRegistry:
     out are shared mutable objects whose diagnostic counters
     (``step_ops``, ``batch_*``, the decode memo) are not synchronised:
     concurrent use from several threads never changes simulation results
-    (transition tables are immutable) but can skew per-run counter deltas.
+    (a lookup table never changes once built, and two threads building the
+    same one build equal tables) but can skew per-run counter deltas.
     The codebase drives engines from one thread at a time; callers that
     need isolated diagnostics under concurrency should acquire private
     engines (``use_cache=False``).
@@ -624,11 +616,11 @@ class EngineRegistry:
 
         The lookup, hit accounting and LRU maintenance happen atomically,
         so the hit flag is reliable even with concurrent callers.  Backend
-        names are resolved first (``None`` → default, ``"auto"`` → concrete
-        backend for this automaton's size), so an ``"auto"`` acquisition
-        shares the slot of the backend it resolves to.
+        names are resolved first (``None`` and ``"auto"`` → default), so an
+        ``"auto"`` acquisition shares the slot of the backend it resolves
+        to.
         """
-        key = (nfa, resolve_backend(nfa, backend))
+        key = (nfa, resolve_backend(backend))
         with self._lock:
             engine = self._entries.get(key)
             if engine is not None:

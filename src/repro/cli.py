@@ -388,9 +388,8 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
         "--backend",
         choices=sorted(available_backends()),
         default=None,
-        help="NFA simulation engine: unset runs montecarlo on numpy and the "
-        "other methods on bitset; auto does the same but picks numpy above "
-        "256 states; reference is the frozenset baseline",
+        help="NFA simulation engine: unset (or auto) runs montecarlo on numpy "
+        "and the other methods on bitset; reference is the frozenset baseline",
     )
     shared.add_argument(
         "--no-engine-cache",

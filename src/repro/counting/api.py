@@ -956,13 +956,10 @@ def dispatch(
 # ----------------------------------------------------------------------
 # Request canonicalisation (the serving layer's cache key)
 # ----------------------------------------------------------------------
-#: Per-method options that can never change an estimate — the state-table
-#: store and its window only move table entries between RAM and spill (the
-#: parity contract in :mod:`repro.counting.store`), and ``details`` only
-#: selects how much of the tables a report embeds.  Like ``use_engine_cache``,
-#: they are excluded from the cache key so one cached answer serves every
-#: execution configuration.
-RESULT_NEUTRAL_OPTIONS = frozenset({"store", "window", "details"})
+#: Per-method options that can never change an estimate: ``details`` only
+#: selects how much of the tables a report embeds, so it is excluded from the
+#: cache key and one cached answer serves every level of detail.
+RESULT_NEUTRAL_OPTIONS = frozenset({"details"})
 
 
 def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, object]:
@@ -971,11 +968,12 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
     Contains exactly the knobs that can change an estimate: the method
     name, the instance length, the epsilon/delta targets, the integer
     seed, the policy's backend, and the per-method options in sorted
-    order.  ``use_engine_cache`` is deliberately absent: the engine
-    registry never changes results.  Result-neutral options
-    (:data:`RESULT_NEUTRAL_OPTIONS` — the fpras ``store`` / ``window`` /
-    ``details`` knobs) are filtered out for the same reason, so one cached
-    answer serves every execution configuration.
+    order.  The policy's other fields are deliberately absent:
+    ``use_engine_cache`` only shares engines, and the ``store`` /
+    ``window`` layout only moves table entries between RAM and spill (the
+    parity contract in :mod:`repro.counting.store`).  Result-neutral
+    options (:data:`RESULT_NEUTRAL_OPTIONS`) are filtered out for the same
+    reason, so one cached answer serves every execution configuration.
 
     >>> a = CountRequest(method="fpras", seed=7, options={"details": "summary"})
     >>> b = CountRequest(method="fpras", seed=7,
@@ -990,7 +988,7 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
         raise CountingMethodError(
             "a random.Random seed is a live stream and cannot be canonicalised"
         )
-    options = {**request.options, **request.policy.method_options()}
+    options = request.options
     return {
         "method": request.method,
         "length": int(length),

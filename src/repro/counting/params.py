@@ -234,12 +234,12 @@ class FPRASParameters:
     ``backend`` selects the NFA simulation engine every hot loop runs on
     (see :mod:`repro.automata.engine`): ``"bitset"`` (the default) packs
     state sets into integer masks, ``"numpy"`` uses the vectorised block
-    representation built for automata with hundreds of states,
-    ``"reference"`` keeps the frozenset semantics, and ``"auto"`` picks
-    bitset vs numpy from the automaton size; ``None`` is normalised to the
-    default backend.  All backends are observationally identical under a
-    shared seed — the three-way parity suite enforces it — so the choice
-    only affects speed.
+    representation built for batched word simulation on automata with
+    hundreds of states, and ``"reference"`` keeps the frozenset semantics.
+    ``None`` is normalised to the default backend, and ``"auto"`` resolves
+    to it when the engine is acquired.  All backends are observationally
+    identical under a shared seed — the three-way parity suite enforces it
+    — so the choice only affects speed.
 
     ``store`` selects the state-table layout the dynamic program fills
     (see :mod:`repro.counting.store`): ``"dict"`` (the default) keeps every

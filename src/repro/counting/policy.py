@@ -37,10 +37,10 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        Simulation-engine name (``None`` selects the default backend; see
-        :func:`repro.automata.engine.resolve_backend` for the ``"auto"``
-        rule).  The ``montecarlo`` runner takes ``None`` and ``"auto"`` as
-        ``"numpy"``.
+        Simulation-engine name.  ``None`` and ``"auto"`` both mean unset:
+        the ``montecarlo`` runner takes them as ``"numpy"`` and every other
+        method as the default ``"bitset"`` (see
+        :func:`repro.automata.engine.resolve_backend`).
     use_engine_cache:
         Whether engines come from the shared
         :class:`~repro.automata.engine.EngineRegistry`.
@@ -94,9 +94,9 @@ class ExecutionPolicy:
         """The fpras-only knobs this policy sets, defaults omitted.
 
         Dispatch checks these names against the method's options (so a
-        windowed store on ``exact`` raises), and the cache key carries
-        them beside the request's options; a default policy contributes
-        none.
+        windowed store on ``exact`` raises); a default policy contributes
+        none.  The cache key leaves them out, since no store or window
+        changes an estimate.
         """
         options: Dict[str, object] = {}
         if self.store != "dict":

@@ -13,8 +13,11 @@ that down at every layer as a three-way differential matrix
   ``random.Random`` produces bit-identical estimates, per-state tables,
   sample multisets, work counters and uniform-sampler draws on every
   backend;
-* backend selection — the ``auto`` pseudo-backend resolves to a concrete
-  backend by automaton size and shares registry slots with it.
+* backend selection — the ``auto`` pseudo-backend means unset: it resolves
+  to ``bitset`` at every automaton size and shares registry slots with it;
+* lookup tables built on first touch — a fresh engine holds well under a
+  megabyte at 1024 states, a lookup builds only the table it touches, and
+  the tables it builds answer like the reference engine.
 
 Any divergence found here is a bug in one of the backends, not a tolerance
 issue: every assertion is exact.
@@ -24,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from repro.automata import engine as engine_module
 from repro.automata import families
 from repro.automata.engine import (
-    AUTO_BLOCK_THRESHOLD,
     EngineRegistry,
     available_backends,
     create_engine,
@@ -385,27 +389,33 @@ class TestDegenerateAutomataParity:
             )
 
 
+#: Automaton sizes the ``auto`` rule is pinned at: one state, 257 (just past
+#: the 256 states above which ``auto`` used to pick numpy) and 1024.
+AUTO_SIZES = (1, 257, 1024)
+
+
+def _sized_instance(num_states: int) -> NFA:
+    """A sparse random automaton with ``num_states`` states."""
+    return random_nfa(num_states, density=min(0.5, 1.5 / num_states), seed=num_states)
+
+
 class TestAutoBackend:
-    def test_resolution_by_size(self):
-        small = families.substring_nfa("101")
-        assert resolve_backend(small, "auto") == "bitset"
-        assert resolve_backend(small, None) == "bitset"
-        assert resolve_backend(small, "numpy") == "numpy"
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=1)
-        assert resolve_backend(big, "auto") == "numpy"
+    def test_resolution_ignores_size(self):
+        # ``auto`` means unset, and no automaton enters the rule.
+        assert resolve_backend("auto") == "bitset"
+        assert resolve_backend(None) == "bitset"
+        assert resolve_backend("numpy") == "numpy"
 
-    def test_auto_engine_name_is_concrete(self):
-        small = families.substring_nfa("101")
-        assert create_engine(small, "auto").name == "bitset"
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=2)
-        assert create_engine(big, "auto").name == "numpy"
+    @pytest.mark.parametrize("num_states", AUTO_SIZES)
+    def test_auto_engine_name_is_concrete(self, num_states):
+        assert create_engine(_sized_instance(num_states), "auto").name == "bitset"
 
-    def test_auto_shares_registry_slot_with_concrete_backend(self):
+    @pytest.mark.parametrize("num_states", AUTO_SIZES)
+    def test_auto_shares_registry_slot_with_concrete_backend(self, num_states):
         registry = EngineRegistry(max_entries=8)
-        small = families.substring_nfa("101")
-        assert registry.get(small, "auto") is registry.get(small, "bitset")
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=3)
-        assert registry.get(big, "auto") is registry.get(big, "numpy")
+        nfa = _sized_instance(num_states)
+        assert registry.get(nfa, "auto") is registry.get(nfa, "bitset")
+        assert registry.get(nfa, "auto") is not registry.get(nfa, "numpy")
 
     def test_auto_fpras_matches_concrete_backend(self):
         nfa = random_nonempty_nfa(7, 6, density=0.35, seed=5)
@@ -429,7 +439,7 @@ class TestAutoBackend:
         from repro.counting.api import count
         from repro.counting.policy import ExecutionPolicy
 
-        nfa = families.substring_nfa("101")  # below the block threshold
+        nfa = families.substring_nfa("101")
         unset, bitset = (
             count(
                 nfa, 8, method="montecarlo", seed=5, num_samples=400,
@@ -440,3 +450,88 @@ class TestAutoBackend:
         assert unset.backend == "numpy"
         assert unset.estimate == bitset.estimate
         assert unset.details["hits"] == bitset.details["hits"]
+
+
+@pytest.fixture(scope="module")
+def wide_nfa():
+    """1024 states at the ``wide-fpras`` density: 128 chunks per mask."""
+    return random_nfa(1024, density=1.5 / 1024, seed=41)
+
+
+def _built_chunks(tables):
+    """Chunks of a bitset relation whose lookup table has been built."""
+    return [chunk for chunk, table in enumerate(tables) if isinstance(table, list)]
+
+
+class TestTablesBuiltOnFirstTouch:
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_a_fresh_engine_holds_under_a_megabyte(self, wide_nfa, backend):
+        # Building every table up front held about 23 MiB (bitset) and
+        # 20 MiB (numpy) here.
+        tracemalloc.start()
+        try:
+            engine = create_engine(wide_nfa, backend)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.name == backend
+        assert held < 1 << 20
+
+    def test_one_bitset_pre_builds_one_chunk_table(self, wide_nfa):
+        engine = create_engine(wide_nfa, "bitset")
+        symbol = wide_nfa.alphabet[0]
+        state = sorted(wide_nfa.states, key=repr)[-1]
+        engine.pre(engine.singleton(state), symbol)
+        assert _built_chunks(engine._rev[symbol]) == [engine.state_index(state) // 8]
+        untouched = [
+            engine._fwd_all,
+            *engine._fwd.values(),
+            *(tables for other, tables in engine._rev.items() if other != symbol),
+        ]
+        assert not any(_built_chunks(tables) for tables in untouched)
+
+    def test_one_numpy_pre_builds_one_tensor(self, wide_nfa):
+        engine = create_engine(wide_nfa, "numpy")
+        state = sorted(wide_nfa.states, key=repr)[-1]
+        engine.pre(engine.singleton(state), wide_nfa.alphabet[1])
+        assert list(engine._tensors) == [("rev", 1)]
+
+    def test_numpy_montecarlo_builds_only_forward_tensors(self, wide_nfa, monkeypatch):
+        from repro.counting.api import count
+
+        registry = EngineRegistry()
+        monkeypatch.setattr(engine_module, "SHARED_ENGINE_REGISTRY", registry)
+        report = count(wide_nfa, 8, method="montecarlo", seed=3, num_samples=2000)
+        engine = registry.get(wide_nfa, "numpy")
+        assert report.backend == "numpy"
+        assert {relation for relation, _ in engine._tensors} == {"fwd"}
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_partial_last_chunk_parity(self, backend):
+        # 1021 states: the last chunk covers 5 states, so its table is short.
+        nfa = random_nfa(1021, density=2.0 / 1021, seed=43)
+        reference, fast = _engine_pair(nfa, backend)
+        states = sorted(nfa.states, key=repr)
+        rng = random.Random(47)
+        subsets = [frozenset({state}) for state in states[-6:] + states[:2]]
+        for density in (0.002, 0.02, 0.3):
+            subsets.extend(
+                frozenset(state for state in states if rng.random() < density)
+                for _ in range(4)
+            )
+        for subset in subsets:
+            handle_ref, handle_fast = reference.encode(subset), fast.encode(subset)
+            for symbol in nfa.alphabet:
+                assert fast.decode(fast.step(handle_fast, symbol)) == reference.step(
+                    handle_ref, symbol
+                )
+                assert fast.decode(fast.pre(handle_fast, symbol)) == reference.pre(
+                    handle_ref, symbol
+                )
+            assert fast.decode(fast.step_all(handle_fast)) == reference.step_all(
+                handle_ref
+            )
+        words = _probe_words(nfa, 49, count=40, max_length=10)
+        assert [fast.decode(handle) for handle in fast.simulate_batch(words)] == [
+            reference.simulate(word) for word in words
+        ]

@@ -22,7 +22,6 @@ import pytest
 from repro.automata import families
 from repro.counting.api import (
     METHOD_REGISTRY,
-    RESULT_NEUTRAL_OPTIONS,
     CountingSession,
     CountRequest,
     canonical_request_knobs,
@@ -103,11 +102,6 @@ class TestExecutionPolicyValidation:
             *POLICY_OPTION_NAMES,
         }
 
-    def test_policy_managed_options_are_result_neutral(self):
-        # Every managed option must be result-neutral, or policies could
-        # perturb the result cache.
-        assert set(POLICY_OPTION_NAMES) <= RESULT_NEUTRAL_OPTIONS
-
 
 class TestRequestPolicyField:
     def test_cache_key_reads_the_policy(self):
@@ -134,6 +128,18 @@ class TestRequestPolicyField:
         assert request_fingerprint(nfa_doc, 6, neutral) == request_fingerprint(
             nfa_doc, 6, request
         )
+
+    def test_store_and_window_leave_the_cache_key_alone(self):
+        # No store or window changes an estimate, so none may split the
+        # result cache.
+        def knobs(store, window):
+            policy = ExecutionPolicy(backend="numpy", store=store, window=window)
+            return canonical_request_knobs(CountRequest(seed=3, policy=policy), 6)
+
+        default = knobs("dict", 4)
+        for store in ("dict", "windowed"):
+            for window in (1, 2, 16):
+                assert knobs(store, window) == default
 
     @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
     def test_execution_knobs_in_options_rejected(self, name):
