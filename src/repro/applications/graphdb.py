@@ -34,7 +34,6 @@ from repro.automata.regex import compile_regex
 from repro.counting.api import CountReport, CountRequest, count as unified_count
 from repro.counting.fpras import CountResult
 from repro.counting.params import ParameterScale
-from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import ReductionError
 
@@ -237,15 +236,15 @@ class RPQCounter:
         epsilon: float = 0.5,
         delta: float = 0.1,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
-        use_engine_cache: bool = True,
         **options: object,
     ) -> CountReport:
         """Count the query answers with any registered counting method.
 
         This is the unified-façade entry point: ``method`` is a name from
-        :func:`repro.counting.api.available_methods` and extra keyword
-        arguments are per-method options (``scale``, ``num_samples``, …).
+        :func:`repro.counting.api.available_methods`, and extra keyword
+        arguments go to :func:`repro.count` as they are: per-method options
+        (``scale``, ``num_samples``, …) and an
+        :class:`~repro.counting.policy.ExecutionPolicy` as ``policy=``.
         """
         return unified_count(
             self.product_automaton(),
@@ -254,7 +253,6 @@ class RPQCounter:
             epsilon=epsilon,
             delta=delta,
             seed=seed,
-            policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
             **options,
         )
 

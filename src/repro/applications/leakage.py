@@ -18,7 +18,6 @@ from typing import Optional
 from repro.automata.nfa import NFA
 from repro.counting.api import count as unified_count
 from repro.counting.params import ParameterScale
-from repro.counting.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,6 @@ def estimate_leakage_bits(
     delta: float = 0.1,
     seed: Optional[int] = None,
     scale: Optional[ParameterScale] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
 ) -> LeakageEstimate:
     """Estimate the channel-capacity leakage bound ``log2 |L(A_length)|``.
 
@@ -69,7 +66,6 @@ def estimate_leakage_bits(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         **options,
     )
     count = float(report.estimate)

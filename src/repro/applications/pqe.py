@@ -40,7 +40,6 @@ from repro.automata.exact import count_exact
 from repro.counting.api import count as unified_count
 from repro.counting.fpras import CountResult
 from repro.counting.params import ParameterScale
-from repro.counting.policy import ExecutionPolicy
 from repro.errors import ReductionError
 
 Fact = Tuple[str, str, float]
@@ -380,8 +379,6 @@ def evaluate_path_query(
     seed: Optional[int] = None,
     num_samples: int = 10_000,
     scale: Optional[ParameterScale] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
 ) -> PQEResult:
     """Evaluate a path query with the chosen method.
 
@@ -389,9 +386,8 @@ def evaluate_path_query(
     algorithm through the unified counting façade), ``"exact"`` (enumerate
     sub-databases), ``"exact-nfa"`` (exact #NFA count of the coin-word
     automaton, i.e. exact under dyadic rounding) or ``"montecarlo"``.
-    ``backend`` and ``use_engine_cache`` are the shared engine knobs of
-    :class:`repro.counting.api.CountRequest`, threaded through to the
-    counting run.
+    The fpras run uses the default
+    :class:`~repro.counting.policy.ExecutionPolicy`.
     """
     if method == "exact":
         return PQEResult(probability=exact_probability(database, query), method=method)
@@ -418,7 +414,6 @@ def evaluate_path_query(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         scale=scale,
     ).raw
     probability = result.estimate / float(1 << reduction.word_length)

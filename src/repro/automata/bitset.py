@@ -27,6 +27,7 @@ amortised to one conversion per distinct set.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.automata.engine import (
@@ -71,34 +72,39 @@ def _chunk_table(rows: List[int], chunk: int, size: int) -> List[int]:
 class _UnbuiltTable:
     """Stand-in for a chunk table until the first lookup touches it.
 
-    Indexing it builds the table, stores it in its slot of ``tables`` and
-    returns the entry, so later lookups index the table itself with no
-    extra branch or call.  Concurrent requests on a shared engine (the
-    server answers each on its own thread) may race on one slot: both
-    build the same table, and whichever store lands last is as good as the
-    other.
+    Indexing it builds the table, stores it in its slot of the relation's
+    chunk list and returns the entry, so later lookups index the table
+    itself with no extra branch or call.  It finds that list through a weak
+    reference to its engine and the relation's key: a placeholder holding
+    its list would form a cycle with it, and an engine dropped with unbuilt
+    chunks would then wait for the cyclic collector.  Concurrent
+    requests on a shared engine (the server answers each on its own
+    thread) may race on one slot: both build the same table, and whichever
+    store lands last is as good as the other.
     """
 
-    __slots__ = ("tables", "rows", "chunk", "size")
+    __slots__ = ("engine", "relation", "rows", "chunk", "size")
 
-    def __init__(self, tables: ChunkTables, rows: List[int], chunk: int, size: int) -> None:
-        self.tables = tables
+    def __init__(
+        self,
+        engine: "weakref.ref[BitsetEngine]",
+        relation: object,
+        rows: List[int],
+        chunk: int,
+        size: int,
+    ) -> None:
+        self.engine = engine
+        self.relation = relation
         self.rows = rows
         self.chunk = chunk
         self.size = size
 
     def __getitem__(self, value: int) -> int:
         table = _chunk_table(self.rows, self.chunk, self.size)
-        self.tables[self.chunk] = table
+        engine = self.engine()
+        if engine is not None:
+            engine._relations[self.relation][self.chunk] = table
         return table[value]
-
-
-def _chunk_tables(rows: List[int], size: int) -> ChunkTables:
-    """Byte-chunked lookup tables of a relation, each built on first touch."""
-    tables: ChunkTables = []
-    for chunk in range((size + _CHUNK_BITS - 1) // _CHUNK_BITS):
-        tables.append(_UnbuiltTable(tables, rows, chunk, size))
-    return tables
 
 
 class BitsetEngine(Engine):
@@ -127,8 +133,6 @@ class BitsetEngine(Engine):
             state: position for position, state in enumerate(ordered)
         }
         size = len(ordered)
-        self._size = size
-        self._full_mask = (1 << size) - 1
 
         # Per-symbol forward / reverse adjacency as one mask per state.
         fwd: Dict[Symbol, List[int]] = {
@@ -146,13 +150,19 @@ class BitsetEngine(Engine):
         fwd_all: List[int] = [
             self._or_over_symbols(fwd, position) for position in range(size)
         ]
-        self._fwd = {
-            symbol: _chunk_tables(rows, size) for symbol, rows in fwd.items()
+        # Every relation's chunk list, keyed so its placeholders can find it.
+        relations: Dict[object, List[int]] = {"fwd_all": fwd_all}
+        relations.update({("fwd", symbol): rows for symbol, rows in fwd.items()})
+        relations.update({("rev", symbol): rows for symbol, rows in rev.items()})
+        engine = weakref.ref(self)
+        chunks = range((size + _CHUNK_BITS - 1) // _CHUNK_BITS)
+        self._relations: Dict[object, ChunkTables] = {
+            key: [_UnbuiltTable(engine, key, rows, chunk, size) for chunk in chunks]
+            for key, rows in relations.items()
         }
-        self._rev = {
-            symbol: _chunk_tables(rows, size) for symbol, rows in rev.items()
-        }
-        self._fwd_all = _chunk_tables(fwd_all, size)
+        self._fwd = {symbol: self._relations[("fwd", symbol)] for symbol in fwd}
+        self._rev = {symbol: self._relations[("rev", symbol)] for symbol in rev}
+        self._fwd_all = self._relations["fwd_all"]
 
         self._initial = 1 << self._index[nfa.initial]
         self._accepting = 0

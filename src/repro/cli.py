@@ -201,14 +201,12 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
     rows = []
     for name in available_methods():
         entry = METHOD_REGISTRY[name]
-        capabilities = entry.capabilities
         rows.append(
             {
                 "method": name,
                 "summary": entry.summary,
                 "options": ", ".join(sorted(entry.option_names)) or "-",
-                "progress": "yes" if capabilities.progress else "-",
-                "stores": ", ".join(capabilities.stores),
+                "progress": "yes" if entry.capabilities.progress else "-",
             }
         )
     print(format_table(rows, title="registered counting methods"))

@@ -38,10 +38,13 @@ from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import (
     acjr_samples_per_state,
     validate_attempt_factor,
+    validate_delta,
     validate_epsilon,
+    validate_length,
     validate_sample_cap,
 )
-from repro.errors import EmptyLanguageError, ParameterError
+from repro.counting.policy import ExecutionPolicy
+from repro.errors import EmptyLanguageError
 
 StateLevel = Tuple[State, int]
 
@@ -52,12 +55,9 @@ class ACJRParameters:
 
     ``sample_cap`` must be an int of at least 2 and ``attempt_factor`` a
     finite number of at least 1, as on
-    :class:`~repro.counting.params.ParameterScale`.  ``backend`` and
-    ``use_engine_cache`` mirror the same knobs on
-    :class:`~repro.counting.params.FPRASParameters`: they select the NFA
-    simulation engine and whether it is acquired from the shared
-    :class:`~repro.automata.engine.EngineRegistry`.  Results are identical
-    for every combination; only speed differs.
+    :class:`~repro.counting.params.ParameterScale`.  The engine a run uses
+    is the :class:`~repro.counting.policy.ExecutionPolicy` given to
+    :class:`ACJRCounter`.
     """
 
     epsilon: float = 0.5
@@ -65,13 +65,10 @@ class ACJRParameters:
     sample_cap: int = 96
     attempt_factor: float = 6.0
     seed: Optional[int] = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
 
     def __post_init__(self) -> None:
         validate_epsilon(self.epsilon)
-        if not 0 < self.delta < 1:
-            raise ParameterError("delta must lie in (0, 1)")
+        validate_delta(self.delta)
         validate_sample_cap(self.sample_cap)
         validate_attempt_factor(self.attempt_factor)
 
@@ -108,7 +105,13 @@ class ACJRResult:
 
 
 class ACJRCounter:
-    """The ACJR-style baseline FPRAS (template of Fig. 1 with ACJR estimators)."""
+    """The ACJR-style baseline FPRAS (template of Fig. 1 with ACJR estimators).
+
+    ``policy`` (the default :class:`ExecutionPolicy` when none is given)
+    picks the engine by its ``backend`` and ``use_engine_cache``; the
+    baseline keeps every table resident, so its ``store`` / ``window`` do
+    not apply.  Results are identical under every policy.
+    """
 
     def __init__(
         self,
@@ -116,18 +119,19 @@ class ACJRCounter:
         length: int,
         parameters: Optional[ACJRParameters] = None,
         rng: Optional[random.Random] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        if length < 0:
-            raise ParameterError("length must be non-negative")
+        validate_length(length)
         self.nfa = nfa
         self.length = length
         self.parameters = parameters if parameters is not None else ACJRParameters()
         self.rng = rng if rng is not None else random.Random(self.parameters.seed)
+        policy = policy if policy is not None else ExecutionPolicy()
         self.unroll = UnrolledAutomaton(
             nfa,
             length,
-            backend=self.parameters.backend,
-            use_engine_cache=self.parameters.use_engine_cache,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
         )
         self.estimates: Dict[StateLevel, float] = {}
         self.samples: Dict[StateLevel, List[Word]] = {}

@@ -67,7 +67,12 @@ from repro.counting.acjr import ACJRCounter, ACJRParameters, ACJRResult
 from repro.counting.bruteforce import DEFAULT_ENUMERATION_LIMIT, enumerate_count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate, run_montecarlo
-from repro.counting.params import ParameterScale, validate_epsilon, validate_length
+from repro.counting.params import (
+    ParameterScale,
+    validate_delta,
+    validate_epsilon,
+    validate_length,
+)
 from repro.counting.policy import (
     POLICY_OPTION_NAMES,
     ExecutionPolicy,
@@ -149,8 +154,7 @@ class CountRequest:
         if not isinstance(self.method, str) or not self.method:
             raise ParameterError("method must be a non-empty string")
         validate_epsilon(self.epsilon)
-        if not isinstance(self.delta, (int, float)) or not 0 < self.delta < 1:
-            raise ParameterError("delta must lie in (0, 1)")
+        validate_delta(self.delta)
         if self.seed is not None and (
             isinstance(self.seed, bool) or not isinstance(self.seed, (int, random.Random))
         ):
@@ -668,24 +672,20 @@ def resolve_method(name: str) -> CounterMethod:
 def fpras_parameters(request: CountRequest) -> FPRASParameters:
     """The :class:`FPRASParameters` a request denotes (shared with the sampler)."""
     scale = request.option("scale")
-    policy = request.policy
     return FPRASParameters(
         epsilon=request.epsilon,
         delta=request.delta,
         scale=scale if scale is not None else ParameterScale.practical(),
         seed=request.integer_seed(),
-        backend=policy.backend,
-        use_engine_cache=policy.use_engine_cache,
-        store=policy.store,
-        window=policy.window,
-        details=request.option("details", "full"),
     )
 
 
 def fpras_counter(nfa: NFA, length: int, request: CountRequest) -> NFACounter:
     """An unrun :class:`NFACounter` for the request (also used by the sampler)."""
     rng = request.seed if isinstance(request.seed, random.Random) else None
-    return NFACounter(nfa, length, fpras_parameters(request), rng=rng)
+    return NFACounter(
+        nfa, length, fpras_parameters(request), rng=rng, policy=request.policy
+    )
 
 
 def _engine_counter_deltas(engine, base: Dict[str, int], from_cache: bool) -> Dict[str, int]:
@@ -701,10 +701,7 @@ def _engine_counter_deltas(engine, base: Dict[str, int], from_cache: bool) -> Di
     "fpras",
     summary="the paper's FPRAS (Algorithm 3)",
     options=("scale", "store", "window", "details"),
-    capabilities=MethodCapabilities(
-        progress=True,
-        stores=("dict", "windowed"),
-    ),
+    capabilities=MethodCapabilities(progress=True),
 )
 def _run_fpras(
     nfa: NFA,
@@ -714,12 +711,15 @@ def _run_fpras(
 ) -> CountReport:
     """Run :class:`NFACounter` and normalise its :class:`CountResult`.
 
-    :meth:`NFACounter.run` runs the levels, and ``progress`` (see
-    :func:`dispatch`) observes each completed one without touching the RNG
-    stream, so it never changes the estimate.
+    The counter takes the request's policy, and :meth:`NFACounter.run`
+    takes its ``details`` option.  ``run`` runs the levels, and
+    ``progress`` (see :func:`dispatch`) observes each completed one without
+    touching the RNG stream, so it never changes the estimate.
     """
     policy = request.policy
-    result = fpras_counter(nfa, length, request).run(progress=progress)
+    result = fpras_counter(nfa, length, request).run(
+        progress=progress, details=request.option("details", "full")
+    )
     return CountReport(
         estimate=result.estimate,
         method="fpras",
@@ -753,18 +753,17 @@ def _run_fpras(
     options=("sample_cap", "attempt_factor"),
 )
 def _run_acjr(nfa: NFA, length: int, request: CountRequest) -> CountReport:
-    """Run :class:`ACJRCounter` and normalise its :class:`ACJRResult`."""
+    """Run :class:`ACJRCounter` under the request's policy and normalise
+    its :class:`ACJRResult`."""
     parameters = ACJRParameters(
         epsilon=request.epsilon,
         delta=request.delta,
         sample_cap=request.option("sample_cap", 96),
         attempt_factor=request.option("attempt_factor", 6.0),
         seed=request.integer_seed(),
-        backend=request.policy.backend,
-        use_engine_cache=request.policy.use_engine_cache,
     )
     rng = request.seed if isinstance(request.seed, random.Random) else None
-    counter = ACJRCounter(nfa, length, parameters, rng=rng)
+    counter = ACJRCounter(nfa, length, parameters, rng=rng, policy=request.policy)
     result = counter.run()
     return CountReport(
         estimate=result.estimate,

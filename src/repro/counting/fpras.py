@@ -30,11 +30,12 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
-from repro.counting.params import FPRASParameters
+from repro.counting.params import FPRASParameters, validate_details, validate_length
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.sampler import SampleDraw, StepTable
 from repro.counting.store import create_store
 from repro.counting.union import approximate_union
-from repro.errors import EmptyLanguageError, ParameterError
+from repro.errors import EmptyLanguageError
 
 StateLevel = Tuple[State, int]
 
@@ -62,8 +63,8 @@ class CountResult:
         (the ``SmallS`` event of Lemma 5).
     state_estimates:
         The full table ``N(q^l)`` (used by accuracy experiments and by the
-        uniform word sampler).  Empty when the run was made with
-        ``details="summary"`` — see :attr:`table_summary`.
+        uniform word sampler).  Empty when :meth:`NFACounter.run` was
+        called with ``details="summary"`` — see :attr:`table_summary`.
     sample_counts:
         Number of genuinely drawn (non-padding) samples per (state, level).
         Empty under ``details="summary"``.
@@ -136,9 +137,16 @@ class NFACounter:
 
     The instance keeps its internal ``N`` / ``S`` tables after :meth:`run`
     so that :class:`repro.counting.uniform.UniformWordSampler` can reuse them
-    to generate words without re-running the dynamic program.  All hot loops
-    run on the engine selected by ``parameters.backend``, acquired from the
-    shared engine registry unless ``parameters.use_engine_cache`` is off;
+    to generate words without re-running the dynamic program.
+
+    ``parameters`` holds what the algorithm computes with; ``policy`` (the
+    default :class:`~repro.counting.policy.ExecutionPolicy` when none is
+    given) says how the run executes.  All hot loops run on the engine the
+    policy's ``backend`` selects, acquired from the shared engine registry
+    unless its ``use_engine_cache`` is off, and the ``N`` / ``S`` tables
+    live in the state-table store its ``store`` / ``window`` select (see
+    :mod:`repro.counting.store`).  Estimates, RNG streams and the
+    algorithm-level work counters are bit-identical under every policy.
     AppUnion's coverage counts are answered through the batched
     reachability API (see
     :meth:`repro.automata.unroll.UnrolledAutomaton.coverage_batch`),
@@ -151,21 +159,22 @@ class NFACounter:
         length: int,
         parameters: Optional[FPRASParameters] = None,
         rng: Optional[random.Random] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        if length < 0:
-            raise ParameterError("length must be non-negative")
+        validate_length(length)
         self.nfa = nfa
         self.length = length
         self.parameters = parameters if parameters is not None else FPRASParameters()
         seed = self.parameters.seed
         self.rng = rng if rng is not None else random.Random(seed)
-        if self.parameters.store == "windowed":
+        policy = policy if policy is not None else ExecutionPolicy()
+        if policy.store == "windowed":
             # Windowed runs bound the reachability cache too (otherwise its
             # per-prefix memoisation is O(n^2) and would dominate exactly
             # the long-word runs the window exists for).  Membership answers
             # are unchanged — only engine-level diagnostics shift, which are
             # outside the parity contract like the store counters.
-            cache_max_words: Optional[int] = max(64, self.parameters.window * 16)
+            cache_max_words: Optional[int] = max(64, policy.window * 16)
             cache_prefix_limit: Optional[int] = 64
             cache_max_symbols: Optional[int] = 65536
         else:
@@ -175,8 +184,8 @@ class NFACounter:
         self.unroll = UnrolledAutomaton(
             nfa,
             length,
-            backend=self.parameters.backend,
-            use_engine_cache=self.parameters.use_engine_cache,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
             cache_max_words=cache_max_words,
             cache_prefix_limit=cache_prefix_limit,
             cache_max_symbols=cache_max_symbols,
@@ -186,7 +195,7 @@ class NFACounter:
         # bound views keep every call site — including the sampler — working
         # against ``counter.estimates`` / ``counter.samples`` exactly as
         # before.  For the default DictStore the views *are* plain dicts.
-        self.store = create_store(self.parameters.store, self.parameters.window)
+        self.store = create_store(policy.store, policy.window)
         self.estimates = self.store.estimates
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts
@@ -228,6 +237,7 @@ class NFACounter:
     def run(
         self,
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
+        details: str = "full",
     ) -> CountResult:
         """Execute Algorithm 3 and return the estimate with diagnostics.
 
@@ -237,7 +247,13 @@ class NFACounter:
         progress from.  The callback never touches the RNG stream, so the
         default ``progress=None`` path and a monitored run are
         bit-identical.
+
+        ``details`` says how much of the tables the result embeds:
+        ``"full"`` copies ``N`` and the sample counts into it, and
+        ``"summary"`` only a compact digest (:meth:`table_summary`), so a
+        result stays small for large ``n``.  It never changes the estimate.
         """
+        validate_details(details)
         start = time.perf_counter()
         n = self.length
         beta, eta, ns, xns = self.derived_parameters()
@@ -261,7 +277,7 @@ class NFACounter:
         estimate = self._final_estimate(beta, eta)
         elapsed = time.perf_counter() - start
         self._has_run = True
-        if self.parameters.details == "summary":
+        if details == "summary":
             state_estimates: Dict[StateLevel, float] = {}
             sample_counts: Dict[StateLevel, int] = {}
             table_summary = self.table_summary()

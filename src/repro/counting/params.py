@@ -31,7 +31,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.automata.engine import DEFAULT_BACKEND, available_backends
 from repro.errors import ParameterError
 
 EULER = math.e
@@ -58,6 +57,23 @@ def validate_epsilon(epsilon: object) -> None:
         raise ParameterError(f"epsilon must be a finite positive number, got {epsilon!r}")
 
 
+def validate_delta(delta: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``delta``, a
+    failure probability, is a real number in ``(0, 1)`` that is not a bool.
+
+    >>> validate_delta(None)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: delta must lie in (0, 1), got None
+    """
+    if (
+        isinstance(delta, bool)
+        or not isinstance(delta, numbers.Real)
+        or not 0 < delta < 1
+    ):
+        raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def validate_length(length: object) -> None:
     """Raise :class:`~repro.errors.ParameterError` unless ``length``, a word
     length, is a non-negative int that is not a bool.
@@ -69,6 +85,14 @@ def validate_length(length: object) -> None:
     """
     if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
         raise ParameterError(f"length must be a non-negative int, got {length!r}")
+
+
+def validate_details(details: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` unless ``details``, how
+    much of the state tables an FPRAS result embeds, is ``"full"`` or
+    ``"summary"``."""
+    if details not in ("full", "summary"):
+        raise ParameterError(f"details must be 'full' or 'summary', got {details!r}")
 
 
 def validate_sample_cap(sample_cap: object) -> None:
@@ -229,43 +253,12 @@ class FPRASParameters:
     """Accuracy / confidence targets plus the scaling policy.
 
     The per-instance quantities (``beta``, ``eta``, ``ns`` …) depend on the
-    automaton size ``m`` and length ``n`` and are exposed as methods.
-
-    ``backend`` selects the NFA simulation engine every hot loop runs on
-    (see :mod:`repro.automata.engine`): ``"bitset"`` (the default) packs
-    state sets into integer masks, ``"numpy"`` uses the vectorised block
-    representation built for batched word simulation on automata with
-    hundreds of states, and ``"reference"`` keeps the frozenset semantics.
-    ``None`` is normalised to the default backend, and ``"auto"`` resolves
-    to it when the engine is acquired.  All backends are observationally
-    identical under a shared seed — the three-way parity suite enforces it
-    — so the choice only affects speed.
-
-    ``store`` selects the state-table layout the dynamic program fills
-    (see :mod:`repro.counting.store`): ``"dict"`` (the default) keeps every
-    level's tables resident — the historical behaviour, bit-identical by
-    construction — while ``"windowed"`` retains only ``window`` recent
-    levels of sample lists resident, spilling older levels to a temporary
-    file (raw below 4 KiB, zlib-compressed above) and faulting them back on
-    read.  Estimates, RNG streams and the algorithm-level work counters are
-    bit-identical across stores; only memory (and wall time on deep
-    cross-level reads) changes.
-
-    ``use_engine_cache`` controls whether the run acquires its engine from
-    the shared :class:`~repro.automata.engine.EngineRegistry` (the default;
-    repeated runs on the same automaton skip rebuilding transition tables)
-    or builds a private engine (the CLI's ``--no-engine-cache``).  Engine
-    sharing is observationally transparent for everything the estimator
-    computes: estimates, sampler draws and the representation-independent
-    work counters are bit-identical either way.  The one diagnostic that
-    may differ is ``engine_counters["decode_ops"]`` — a shared engine's
-    decode memo stays warm across runs, so later runs decode fewer fresh
-    sets (``decode_ops`` is representation-specific by design and excluded
-    from the locked-counter and parity suites for the same reason).
+    automaton size ``m`` and length ``n`` and are exposed as methods.  How
+    a run executes (engine, engine cache, state-table store) is not a
+    parameter of the algorithm: it is the
+    :class:`~repro.counting.policy.ExecutionPolicy` the counter takes.
 
     >>> parameters = FPRASParameters(epsilon=0.25, seed=7)
-    >>> parameters.backend
-    'bitset'
     >>> parameters.ns(10, 50) <= parameters.scale.sample_cap
     True
     >>> parameters.ns_paper(10, 50) > 10**6  # the verbatim formula is huge
@@ -276,37 +269,13 @@ class FPRASParameters:
     delta: float = 0.1
     scale: ParameterScale = field(default_factory=ParameterScale.practical)
     seed: Optional[int] = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
-    store: str = "dict"
-    window: int = 4
-    details: str = "full"
 
     def __post_init__(self) -> None:
         validate_epsilon(self.epsilon)
-        if not 0 < self.delta < 1:
-            raise ParameterError("delta must lie in (0, 1)")
+        validate_delta(self.delta)
         if not isinstance(self.scale, ParameterScale):
             raise ParameterError(
                 f"scale must be a ParameterScale, got {type(self.scale).__name__}"
-            )
-        if self.backend is None:
-            object.__setattr__(self, "backend", DEFAULT_BACKEND)
-        if self.backend not in available_backends():
-            raise ParameterError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"available: {list(available_backends())}"
-            )
-        # Late import: repro.counting.store has no dependency back on this
-        # module's dataclasses, but keeping the import local avoids a cycle
-        # at package-import time.
-        from repro.counting.store import validate_store, validate_window
-
-        validate_store(self.store)
-        validate_window(self.window)
-        if self.details not in ("full", "summary"):
-            raise ParameterError(
-                f"details must be 'full' or 'summary', got {self.details!r}"
             )
 
     # ------------------------------------------------------------------
@@ -410,10 +379,6 @@ class FPRASParameters:
             "xns_paper": self.xns_paper(length, num_states),
             "xns_operational": self.xns(length, num_states),
             "scale_mode": self.scale.mode,
-            "backend": self.backend,
-            "engine_cache": self.use_engine_cache,
-            "store": self.store,
-            "window": self.window,
         }
 
 

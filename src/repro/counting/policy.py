@@ -6,11 +6,13 @@ The knobs that decide how a counting run executes — ``backend`` and
 
 * :class:`ExecutionPolicy` bundles every knob that decides *how* a run
   executes.  It is the ``policy`` field of
-  :class:`~repro.counting.api.CountRequest` and the ``policy`` argument of
-  :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and
-  the CLI; the method runners read it from the request.
+  :class:`~repro.counting.api.CountRequest`, the ``policy`` argument of
+  :func:`repro.count`, :class:`~repro.counting.api.CountingSession`, the
+  counter classes (:class:`~repro.counting.fpras.NFACounter`,
+  :class:`~repro.counting.acjr.ACJRCounter`) and the CLI; the method
+  runners pass the request's policy to the counters.
 * :class:`MethodCapabilities` is the declarative record of what a
-  registered method supports (anytime progress, accepted stores).
+  registered method supports (anytime progress).
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class ExecutionPolicy:
         :func:`repro.automata.engine.resolve_backend`).
     use_engine_cache:
         Whether engines come from the shared
-        :class:`~repro.automata.engine.EngineRegistry`.
+        :class:`~repro.automata.engine.EngineRegistry`.  A shared engine's
+        decode memo stays warm across runs, so only the diagnostic
+        ``engine_counters["decode_ops"]`` may differ.
     store, window:
         State-table store layout (``"dict"`` / ``"windowed"``) and the
         windowed store's resident level count.
@@ -128,41 +132,30 @@ class MethodCapabilities:
     """What a registered counting method declares it can do.
 
     Dispatch reads these fields, ``repro methods`` renders them as
-    capability columns and ``GET /methods`` serves them.
+    capability columns and ``GET /methods`` serves them.  Which stores a
+    method takes is not declared here: dispatch checks a policy's
+    non-default ``store`` / ``window`` against the method's option names.
 
     Attributes
     ----------
     progress:
         The runner accepts an anytime progress callback (the ``progress``
         argument of :func:`~repro.counting.api.dispatch`).
-    stores:
-        State-table store names the method accepts (every method handles
-        the default resident ``"dict"`` store).
 
     >>> MethodCapabilities().progress
     False
-    >>> MethodCapabilities(progress=True, stores=("dict", "windowed")).stores
-    ('dict', 'windowed')
-    >>> MethodCapabilities(stores=())
+    >>> MethodCapabilities(progress="yes")
     Traceback (most recent call last):
         ...
-    repro.errors.ParameterError: stores must name at least one store
+    repro.errors.ParameterError: progress must be a bool
     """
 
     progress: bool = False
-    stores: Tuple[str, ...] = ("dict",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.progress, bool):
             raise ParameterError("progress must be a bool")
-        if not isinstance(self.stores, tuple) or not self.stores:
-            raise ParameterError("stores must name at least one store")
-        for store in self.stores:
-            validate_store(store)
 
     def describe(self) -> Dict[str, object]:
-        """The capabilities as a plain dictionary (for ``repro methods``)."""
-        return {
-            "progress": self.progress,
-            "stores": list(self.stores),
-        }
+        """The capabilities as a plain dictionary (for ``GET /methods``)."""
+        return {"progress": self.progress}

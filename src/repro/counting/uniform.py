@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.automata.nfa import NFA, Word
 from repro.counting.fpras import NFACounter
-from repro.counting.params import FPRASParameters, validate_length
+from repro.counting.params import FPRASParameters, validate_details, validate_length
 from repro.counting.sampler import SampleDraw
 from repro.errors import EmptyLanguageError, ParameterError, SamplingError
 
@@ -66,8 +66,15 @@ class UniformWordSampler:
         max_attempts_per_word: int = 64,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if max_attempts_per_word < 1:
-            raise ParameterError("max_attempts_per_word must be positive")
+        if (
+            isinstance(max_attempts_per_word, bool)
+            or not isinstance(max_attempts_per_word, numbers.Integral)
+            or max_attempts_per_word < 1
+        ):
+            raise ParameterError(
+                "max_attempts_per_word must be a positive int, "
+                f"got {max_attempts_per_word!r}"
+            )
         self.counter = counter
         self.max_attempts_per_word = max_attempts_per_word
         self.rng = rng if rng is not None else counter.rng
@@ -86,8 +93,9 @@ class UniformWordSampler:
 
         The counting pass that backs the sampler always runs the paper's
         FPRAS (sampling needs its ``N`` / ``S`` tables), so the request's
-        method must be ``"fpras"``, and ``length`` is checked as
-        :func:`~repro.counting.api.dispatch` checks it.  This is the path
+        method must be ``"fpras"``, and ``length`` and the ``details``
+        option are checked as :func:`~repro.counting.api.dispatch` checks
+        them.  This is the path
         :meth:`repro.counting.api.CountingSession.sampler` uses, and it is
         bit-identical to building the :class:`NFACounter` by hand from the
         same knobs.
@@ -100,6 +108,7 @@ class UniformWordSampler:
                 f"not {request.method!r} (the sampler reuses the FPRAS tables)"
             )
         validate_length(length)
+        validate_details(request.option("details", "full"))
         counter = fpras_counter(nfa, length, request)
         return cls(counter, max_attempts_per_word=max_attempts_per_word)
 

@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.automata.nfa import NFA
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 
 #: Seed shared by the long-word benchmark entry points so their numbers are
 #: comparable across hosts and sessions.
@@ -132,17 +133,17 @@ def measure_fpras_memory(
     epsilon: float = 0.5,
     delta: float = 0.1,
     seed: int = LONGWORD_SEED,
-    backend: Optional[str] = None,
     nfa: Optional[NFA] = None,
     probe: str = "tracemalloc",
 ) -> Dict[str, object]:
     """Run one long-word FPRAS instance under a memory probe and report it.
 
-    Returns a plain dict with ``n``, ``store``, ``window``, ``probe``,
-    ``seconds``, ``peak_bytes`` (peak over the construction *and* the run,
-    so the state tables and any spill index are included), ``estimate`` and
-    the run's ``counters`` (:meth:`NFACounter.diagnostics_counters`, which
-    folds in the ``store_*`` columns).
+    Returns a plain dict with ``n``, ``store``, ``window``, ``backend``
+    (the engine the run used), ``probe``, ``seconds``, ``peak_bytes`` (peak
+    over the construction *and* the run, so the state tables and any spill
+    index are included), ``estimate`` and the run's ``counters``
+    (:meth:`NFACounter.diagnostics_counters`, which folds in the
+    ``store_*`` columns).
 
     ``probe`` selects the instrument.  ``"tracemalloc"`` (the default)
     reports exact Python-heap peaks but multiplies wall time severalfold on
@@ -152,25 +153,19 @@ def measure_fpras_memory(
     overhead; its peaks include the interpreter baseline, so compare RSS
     numbers only against other RSS numbers.
 
-    The run uses a private engine (``use_engine_cache=False``) so the shared
-    registry cannot carry warm decode memos — or retained memory — between
-    measurements, and ``details="summary"`` so the result object does not
-    duplicate the state tables the measurement is about.
+    The run's :class:`~repro.counting.policy.ExecutionPolicy` takes a
+    private engine (``use_engine_cache=False``) so the shared registry
+    cannot carry warm decode memos — or retained memory — between
+    measurements, and the run asks for ``details="summary"`` so the result
+    object does not duplicate the state tables the measurement is about.
     """
     if probe not in ("tracemalloc", "rss"):
         raise ValueError(f"unknown memory probe {probe!r}")
     automaton = nfa if nfa is not None else unary_loop_nfa()
     parameters = FPRASParameters(
-        epsilon=epsilon,
-        delta=delta,
-        scale=long_word_scale(),
-        seed=seed,
-        backend=backend,
-        use_engine_cache=False,
-        store=store,
-        window=window,
-        details="summary",
+        epsilon=epsilon, delta=delta, scale=long_word_scale(), seed=seed
     )
+    policy = ExecutionPolicy(use_engine_cache=False, store=store, window=window)
     if probe == "tracemalloc":
         tracemalloc.start()
     else:
@@ -178,8 +173,8 @@ def measure_fpras_memory(
         rss_before = _rss_peak_bytes()
     started = time.perf_counter()
     try:
-        counter = NFACounter(automaton, n, parameters=parameters)
-        result = counter.run()
+        counter = NFACounter(automaton, n, parameters=parameters, policy=policy)
+        result = counter.run(details="summary")
         seconds = time.perf_counter() - started
         counters = counter.diagnostics_counters()
         if probe == "tracemalloc":
@@ -194,7 +189,7 @@ def measure_fpras_memory(
         "n": n,
         "store": store,
         "window": window,
-        "backend": parameters.backend,
+        "backend": counter.unroll.backend,
         "probe": probe,
         "seconds": seconds,
         "peak_bytes": peak_bytes,

@@ -129,6 +129,10 @@ class TestACJRCounter:
         result = ACJRCounter(nfa, 3, ACJRParameters(seed=1)).run()
         assert result.estimate == 0.0
 
+    def test_length_zero_counts_the_empty_word(self):
+        result = ACJRCounter(families.no_consecutive_ones_nfa(), 0).run()
+        assert result.estimate == 1.0
+
     def test_result_diagnostics(self, substring_101_nfa):
         result = ACJRCounter(
             substring_101_nfa, 6, ACJRParameters(epsilon=0.4, sample_cap=32, seed=2)

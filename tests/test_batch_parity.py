@@ -39,6 +39,7 @@ from repro.automata.random_gen import random_nfa, random_nonempty_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, approximate_union
 
 BATCH_SWEEP_SEEDS = range(30)
@@ -241,10 +242,9 @@ class TestUnionBatchEquivalence:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=10),
                 seed=seed,
-                backend=backend,
-                use_engine_cache=False,
             )
-            results[backend] = NFACounter(nfa, 5, parameters).run()
+            policy = ExecutionPolicy(backend=backend, use_engine_cache=False)
+            results[backend] = NFACounter(nfa, 5, parameters, policy=policy).run()
         reference = results["reference"]
         for backend in FAST_BACKENDS:
             fast = results[backend]
@@ -305,7 +305,7 @@ class TestEngineRegistry:
         shared_first = NFACounter(nfa, 8, shared).run()
         shared_second = NFACounter(nfa, 8, shared).run()
         private = NFACounter(
-            nfa, 8, FPRASParameters(epsilon=0.5, seed=13, use_engine_cache=False)
+            nfa, 8, shared, policy=ExecutionPolicy(use_engine_cache=False)
         ).run()
         assert shared_first.estimate == shared_second.estimate == private.estimate
         assert (

@@ -15,21 +15,17 @@ Three families of checks:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
-import warnings
 
 import pytest
 
 import repro
 from repro.applications.graphdb import GraphDatabase, RegularPathQuery, RPQCounter
 from repro.applications.leakage import estimate_leakage_bits
-from repro.applications.pqe import (
-    PathQuery,
-    PQEReduction,
-    ProbabilisticDatabase,
-    evaluate_path_query,
-)
+from repro.applications.pqe import evaluate_path_query
+from repro.applications.prob_graph import homomorphism_probability
 from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import no_consecutive_ones_nfa, substring_nfa
@@ -143,6 +139,18 @@ class TestACJRParity:
         assert direct_rng.getstate() == api_rng.getstate()
         assert report.estimate == direct.estimate
 
+    @pytest.mark.parametrize("backend", ["bitset", "numpy", "reference"])
+    def test_policy_reaches_the_direct_counter(self, nfa, backend):
+        policy = ExecutionPolicy(backend=backend)
+        report = count(nfa, 6, method="acjr", seed=2, policy=policy)
+        counter = ACJRCounter(nfa, 6, ACJRParameters(seed=2), policy=policy)
+        direct = counter.run()
+        assert report.backend == counter.unroll.backend == backend
+        assert report.estimate == direct.estimate
+        assert report.raw.membership_calls == direct.membership_calls
+        assert report.raw.sample_draws == direct.sample_draws
+        assert report.raw.state_estimates == direct.state_estimates
+
     def test_engine_counters_and_guarantee_fields(self, nfa):
         report = count(nfa, 6, method="acjr", epsilon=0.4, seed=2)
         assert report.epsilon == 0.4
@@ -186,42 +194,35 @@ class TestBruteForceParity:
         assert count(nfa, 4, method="bruteforce", limit=None).raw == count_exact(nfa, 4)
 
 
-class TestLegacyWrappersUsePolicies:
-    """The application wrappers' documented ``backend`` /
-    ``use_engine_cache`` arguments reach ``repro.count`` as a policy, not
-    as deprecated flat kwargs."""
+class TestApplicationsTakeThePolicy:
+    """The application entry points carry no flat engine knobs; a policy
+    reaches ``RPQCounter.count_report`` through its ``**options``."""
 
     @pytest.mark.parametrize(
-        "knobs", [{"backend": "reference"}, {"use_engine_cache": False}]
+        "entry_point",
+        [
+            RPQCounter.count_report,
+            estimate_leakage_bits,
+            evaluate_path_query,
+            homomorphism_probability,
+        ],
     )
-    def test_application_wrappers_match_the_policy_spelling_without_warning(
-        self, nfa, knobs
-    ):
-        policy = ExecutionPolicy(**knobs)
+    def test_no_flat_engine_knobs(self, entry_point):
+        parameters = inspect.signature(entry_point).parameters
+        assert not {"backend", "use_engine_cache"} & set(parameters)
+
+    def test_count_report_forwards_a_policy(self):
         graph = GraphDatabase.from_edges(
             [("a", "e", "b"), ("b", "e", "c"), ("a", "e", "c"), ("c", "f", "d")]
         )
         rpq = RPQCounter(graph, RegularPathQuery("a", "(<e>)*<f>", "d", max_length=4))
-        database = ProbabilisticDatabase()
-        database.add_fact("R", "a", "b", 0.5)
-        database.add_fact("S", "b", "z", 0.75)
-        query = PathQuery(("R", "S"))
-        reduction = PQEReduction(database, query, bits=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            leakage = estimate_leakage_bits(nfa, 6, epsilon=0.4, seed=2, **knobs)
-            answers = rpq.count_report(epsilon=0.4, seed=2, **knobs)
-            pqe = evaluate_path_query(database, query, epsilon=0.4, seed=2, **knobs)
-        assert leakage.observable_count == count(
-            nfa, 6, epsilon=0.4, seed=2, policy=policy
-        ).estimate
-        assert answers.estimate == count(
+        policy = ExecutionPolicy(backend="reference")
+        answers = rpq.count_report(epsilon=0.4, seed=2, policy=policy)
+        expected = count(
             rpq.product_automaton(), 4, epsilon=0.4, seed=2, policy=policy
-        ).estimate
-        assert pqe.count_estimate == count(
-            reduction.automaton(), reduction.word_length, epsilon=0.4, seed=2,
-            policy=policy,
-        ).estimate
+        )
+        assert answers.backend == expected.backend == "reference"
+        assert answers.estimate == expected.estimate
 
 
 class TestExactMethod:
@@ -343,6 +344,12 @@ class TestErrorPaths:
     def test_sampler_path_checks_the_length(self, length):
         with pytest.raises(ParameterError, match="length"):
             CountingSession(seed=1).sampler(substring_nfa("101"), length).prepare()
+
+    def test_details_is_checked_on_every_fpras_path(self, nfa):
+        with pytest.raises(ParameterError, match="details must be"):
+            count(nfa, 4, seed=1, details="bogus")
+        with pytest.raises(ParameterError, match="details must be"):
+            CountingSession(seed=1).sampler(nfa, 4, details="bogus")
 
     def test_request_defaults_are_valid(self):
         request = CountRequest()

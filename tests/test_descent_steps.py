@@ -29,6 +29,7 @@ from repro.automata.random_gen import random_nonempty_nfa
 from repro.cli import main
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.sampler import SampleDraw, StepTable
 from repro.errors import ParameterError
 from repro.workloads.longwords import long_word_scale, unary_loop_nfa
@@ -133,11 +134,11 @@ class ReferenceDraw(SampleDraw):
 
 
 def _finished_counter(nfa, length, scale, backend, seed=5, store="dict"):
-    parameters = FPRASParameters(
-        epsilon=0.5, delta=0.2, scale=scale, seed=seed, backend=backend,
-        use_engine_cache=False, store=store, window=3,
+    parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=scale, seed=seed)
+    policy = ExecutionPolicy(
+        backend=backend, use_engine_cache=False, store=store, window=3
     )
-    counter = NFACounter(nfa, length, parameters)
+    counter = NFACounter(nfa, length, parameters, policy=policy)
     counter.run()
     return counter
 
@@ -319,11 +320,11 @@ def test_memoised_descent_matches_reference_under_paper_scale(backend):
 
 def _run_with(drawer_class, monkeypatch, nfa, length, scale, backend, store="dict"):
     monkeypatch.setattr(fpras_module, "SampleDraw", drawer_class)
-    parameters = FPRASParameters(
-        epsilon=0.5, delta=0.2, scale=scale, seed=7, backend=backend,
-        use_engine_cache=False, store=store, window=3,
+    parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=scale, seed=7)
+    policy = ExecutionPolicy(
+        backend=backend, use_engine_cache=False, store=store, window=3
     )
-    counter = NFACounter(nfa, length, parameters)
+    counter = NFACounter(nfa, length, parameters, policy=policy)
     result = counter.run()
     return {
         "estimate": result.estimate,
@@ -356,7 +357,10 @@ def test_long_word_chain_replays_whole_run_steps(store, monkeypatch):
     reference = _run_with(ReferenceDraw, monkeypatch, nfa, 64, scale, "bitset", store)
     memoised = _run_with(SampleDraw, monkeypatch, nfa, 64, scale, "bitset", store)
     assert memoised == reference
-    counter = NFACounter(nfa, 64, FPRASParameters(scale=scale, seed=7, store=store))
+    counter = NFACounter(
+        nfa, 64, FPRASParameters(scale=scale, seed=7),
+        policy=ExecutionPolicy(store=store),
+    )
     counter.run()
     assert len(counter._steps.shared) == 1
     assert counter.unroll.engine_counters()["pre_ops"] == 64

@@ -25,6 +25,7 @@ issue: every assertion is exact.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -44,6 +45,7 @@ from repro.automata.random_gen import random_nfa, random_nonempty_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 
 #: Seeds for the random-NFA sweep (~200 automata overall; see the fixtures).
@@ -252,9 +254,10 @@ class TestAlgorithmParity:
             delta=0.2,
             scale=ParameterScale.practical(sample_cap=8, union_trial_cap=12),
             seed=seed,
-            backend=backend,
         )
-        counter = NFACounter(nfa, length, parameters)
+        counter = NFACounter(
+            nfa, length, parameters, policy=ExecutionPolicy(backend=backend)
+        )
         result = counter.run()
         return counter, result
 
@@ -291,10 +294,10 @@ class TestAlgorithmParity:
     def test_uniform_sampler_draws_identical(self, fibonacci_nfa):
         draws = {}
         for backend in ("reference", *FAST_BACKENDS):
-            parameters = FPRASParameters(
-                epsilon=0.4, delta=0.2, seed=31, backend=backend
+            parameters = FPRASParameters(epsilon=0.4, delta=0.2, seed=31)
+            counter = NFACounter(
+                fibonacci_nfa, 7, parameters, policy=ExecutionPolicy(backend=backend)
             )
-            counter = NFACounter(fibonacci_nfa, 7, parameters)
             sampler = UniformWordSampler(counter, rng=random.Random(99))
             draws[backend] = sampler.sample_many(25)
         assert draws["bitset"] == draws["reference"]
@@ -303,7 +306,6 @@ class TestAlgorithmParity:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_montecarlo_and_bruteforce_backend_agreement(self, backend):
         from repro.counting.api import count
-        from repro.counting.policy import ExecutionPolicy
 
         fast, reference = ExecutionPolicy(backend=backend), ExecutionPolicy(
             backend="reference"
@@ -377,10 +379,9 @@ class TestDegenerateAutomataParity:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=8),
                 seed=7,
-                backend=backend,
-                use_engine_cache=False,
             )
-            results[backend] = NFACounter(nfa, 5, parameters).run()
+            policy = ExecutionPolicy(backend=backend, use_engine_cache=False)
+            results[backend] = NFACounter(nfa, 5, parameters, policy=policy).run()
         for backend in FAST_BACKENDS:
             assert results[backend].estimate == results["reference"].estimate
             assert (
@@ -426,10 +427,9 @@ class TestAutoBackend:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=8),
                 seed=11,
-                backend=backend,
-                use_engine_cache=False,
             )
-            results[backend] = NFACounter(nfa, 6, parameters).run()
+            policy = ExecutionPolicy(backend=backend, use_engine_cache=False)
+            results[backend] = NFACounter(nfa, 6, parameters, policy=policy).run()
         assert results["auto"].estimate == results["bitset"].estimate
         # The report names the concrete backend the run actually used.
         assert results["auto"].backend == "bitset"
@@ -437,7 +437,6 @@ class TestAutoBackend:
     @pytest.mark.parametrize("backend", [None, "auto"])
     def test_unset_backend_runs_montecarlo_on_numpy(self, backend):
         from repro.counting.api import count
-        from repro.counting.policy import ExecutionPolicy
 
         nfa = families.substring_nfa("101")
         unset, bitset = (
@@ -476,6 +475,28 @@ class TestTablesBuiltOnFirstTouch:
             tracemalloc.stop()
         assert engine.name == backend
         assert held < 1 << 20
+
+    def test_a_dropped_bitset_engine_is_freed_at_once(self, wide_nfa):
+        # A placeholder reaches its chunk list through a weak reference to
+        # the engine, so unbuilt chunks form no reference cycle and the
+        # engine's tables go without the cyclic collector.
+        symbol = wide_nfa.alphabet[0]
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            engine = create_engine(wide_nfa, "bitset")
+            for state in wide_nfa.states:
+                engine.pre(engine.singleton(state), symbol)
+            built, _ = tracemalloc.get_traced_memory()
+            del engine
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert built - before > 1 << 20
+        assert after - before < 16 << 10
 
     def test_one_bitset_pre_builds_one_chunk_table(self, wide_nfa):
         engine = create_engine(wide_nfa, "bitset")

@@ -7,6 +7,7 @@ import pytest
 from repro.automata import families
 from repro.automata.exact import count_exact, count_per_state_exact
 from repro.automata.nfa import NFA
+from repro.counting.acjr import ACJRCounter
 from repro.counting.api import count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.params import ParameterScale
@@ -197,6 +198,30 @@ class TestCountResult:
         result = NFACounter(substring_101_nfa, 6, fast_parameters).run()
         for count in result.sample_counts.values():
             assert count <= result.ns
+
+
+class TestTypedInputs:
+    """The public counter classes check ``length`` as ``repro.count`` does,
+    and ``run`` checks ``details``."""
+
+    @pytest.mark.parametrize("counter_class", [NFACounter, ACJRCounter])
+    @pytest.mark.parametrize("length", [True, 2.5, "3", None])
+    def test_length_must_be_a_non_negative_int(self, counter_class, length):
+        with pytest.raises(ParameterError, match="length must be a non-negative int"):
+            counter_class(families.no_consecutive_ones_nfa(), length)
+
+    def test_details_must_be_full_or_summary(self, substring_101_nfa, fast_parameters):
+        counter = NFACounter(substring_101_nfa, 4, fast_parameters)
+        with pytest.raises(ParameterError, match="details must be 'full' or 'summary'"):
+            counter.run(details="bogus")
+        assert not counter.has_run
+
+    def test_summary_details_keep_the_estimate(self, substring_101_nfa, fast_parameters):
+        full = NFACounter(substring_101_nfa, 6, fast_parameters).run()
+        summary = NFACounter(substring_101_nfa, 6, fast_parameters).run(details="summary")
+        assert summary.estimate == full.estimate
+        assert summary.state_estimates == {} and summary.sample_counts == {}
+        assert summary.table_summary["estimate_entries"] == len(full.state_estimates)
 
 
 class TestStoredSamples:

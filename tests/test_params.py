@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.counting.acjr import ACJRParameters
+from repro.counting.api import CountRequest
 from repro.counting.params import (
     EULER,
     SAMPLE_SUCCESS_LOWER_BOUND,
@@ -157,6 +160,46 @@ class TestFPRASParameters:
 
     def test_sample_success_lower_bound_value(self):
         assert SAMPLE_SUCCESS_LOWER_BOUND == pytest.approx(2.0 / (3.0 * EULER**2))
+
+
+class TestParameterRecords:
+    """The parameter records hold what the algorithms compute with; how a
+    run executes is the counters' ``ExecutionPolicy``."""
+
+    def test_records_keep_only_algorithm_fields(self):
+        assert [field.name for field in dataclasses.fields(FPRASParameters)] == [
+            "epsilon",
+            "delta",
+            "scale",
+            "seed",
+        ]
+        assert [field.name for field in dataclasses.fields(ACJRParameters)] == [
+            "epsilon",
+            "delta",
+            "sample_cap",
+            "attempt_factor",
+            "seed",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob", [{"backend": "bitset"}, {"store": "windowed"}, {"details": "summary"}]
+    )
+    def test_execution_knobs_are_not_parameters(self, knob):
+        with pytest.raises(TypeError):
+            FPRASParameters(**knob)
+
+    def test_describe_reports_no_execution_knobs(self):
+        described = FPRASParameters().describe(10, 8)
+        assert not {"backend", "engine_cache", "store", "window"} & set(described)
+
+    @pytest.mark.parametrize("delta", ["0.1", None, True, math.nan, 0, 1])
+    @pytest.mark.parametrize(
+        "record", [FPRASParameters, ACJRParameters, CountRequest],
+        ids=["fpras", "acjr", "request"],
+    )
+    def test_delta_is_typed_on_every_record(self, record, delta):
+        with pytest.raises(ParameterError, match=r"^delta must lie in \(0, 1\)"):
+            record(delta=delta)
 
 
 class TestComparisonFormulas:

@@ -282,33 +282,24 @@ class TestMethodCapabilities:
     def test_defaults(self):
         capabilities = MethodCapabilities()
         assert capabilities.progress is False
-        assert capabilities.stores == ("dict",)
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"progress": "yes"},
-            {"stores": ()},
-            {"stores": ["dict"]},
-            {"stores": ("paper",)},
-        ],
-    )
+    @pytest.mark.parametrize("knobs", [{"progress": "yes"}])
     def test_invalid_records_rejected(self, knobs):
         with pytest.raises(ParameterError):
             MethodCapabilities(**knobs)
 
     def test_records_have_no_workers_capability(self):
         assert [field.name for field in dataclasses.fields(MethodCapabilities)] == [
-            "progress",
-            "stores",
+            "progress"
         ]
-        with pytest.raises(TypeError):
-            MethodCapabilities(workers=True)
+        for knob in ("workers", "stores"):
+            with pytest.raises(TypeError):
+                MethodCapabilities(**{knob: True})
 
     def test_registry_declares_capabilities(self):
         fpras = METHOD_REGISTRY["fpras"].capabilities
         assert fpras.progress
-        assert fpras.stores == ("dict", "windowed")
+        assert {"store", "window"} <= METHOD_REGISTRY["fpras"].option_names
         exact = METHOD_REGISTRY["exact"].capabilities
         assert not exact.progress
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities

@@ -103,10 +103,10 @@ def test_count_is_the_direct_serial_counter(instance, backend, store):
         nfa, length, method="fpras", epsilon=0.5, seed=api_rng, scale=SCALE,
         policy=_policy(backend, store),
     )
-    parameters = FPRASParameters(
-        epsilon=0.5, delta=0.1, scale=SCALE, backend=backend, store=store, window=2
-    )
-    direct = NFACounter(nfa, length, parameters, rng=direct_rng).run()
+    parameters = FPRASParameters(epsilon=0.5, delta=0.1, scale=SCALE)
+    direct = NFACounter(
+        nfa, length, parameters, rng=direct_rng, policy=_policy(backend, store)
+    ).run()
     assert _observables(report.raw) == _observables(direct)
     assert api_rng.getstate() == direct_rng.getstate()
     assert report.backend == direct.backend == backend

@@ -508,7 +508,7 @@ class TestIntrospection:
         names = [entry["name"] for entry in payload["methods"]]
         assert names == sorted(repro.available_methods())
         fpras = next(e for e in payload["methods"] if e["name"] == "fpras")
-        assert fpras["capabilities"] == {"progress": True, "stores": ["dict", "windowed"]}
+        assert fpras["capabilities"] == {"progress": True}
         assert fpras["options"] == ["details", "scale", "store", "window"]
 
     def test_stats_shape(self, server):

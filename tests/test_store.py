@@ -336,13 +336,12 @@ def _run_counter(nfa, length, *, store, window=DEFAULT_WINDOW, backend=None,
         epsilon=0.6,
         delta=0.2,
         seed=seed,
-        backend=backend,
-        use_engine_cache=False,
-        store=store,
-        window=window,
         scale=scale if scale is not None else _scale(),
     )
-    counter = NFACounter(nfa, length, parameters=parameters)
+    policy = ExecutionPolicy(
+        backend=backend, use_engine_cache=False, store=store, window=window
+    )
+    counter = NFACounter(nfa, length, parameters=parameters, policy=policy)
     result = counter.run()
     observed = {
         "estimate": result.estimate,

@@ -12,6 +12,7 @@ from repro.automata.exact import enumerate_slice
 from repro.automata.nfa import NFA
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.sampler import SampleDraw
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import EmptyLanguageError, ParameterError, SamplingError
@@ -30,6 +31,14 @@ class TestConstruction:
         counter = NFACounter(fibonacci_nfa, 5, fast_parameters)
         with pytest.raises(ParameterError):
             UniformWordSampler(counter, max_attempts_per_word=0)
+
+    @pytest.mark.parametrize("attempts", [True, 2.5, "8"])
+    def test_attempt_budget_must_be_a_positive_int(
+        self, fibonacci_nfa, fast_parameters, attempts
+    ):
+        counter = NFACounter(fibonacci_nfa, 5, fast_parameters)
+        with pytest.raises(ParameterError, match="max_attempts_per_word must be"):
+            UniformWordSampler(counter, max_attempts_per_word=attempts)
 
     def test_for_nfa_prepares_immediately(self, fast_parameters):
         sampler = UniformWordSampler.for_nfa(
@@ -140,11 +149,13 @@ def test_reusing_the_run_step_table_keeps_the_stream(
     """Sampling through the run's step table draws what fresh tables draw."""
 
     def sampled():
-        parameters = FPRASParameters(
-            seed=3, scale=scale, backend=backend, store=store, window=3,
-            use_engine_cache=False,
+        policy = ExecutionPolicy(
+            backend=backend, use_engine_cache=False, store=store, window=3
         )
-        sampler = UniformWordSampler.for_nfa(nfa, length, parameters)
+        counter = NFACounter(
+            nfa, length, FPRASParameters(seed=3, scale=scale), policy=policy
+        )
+        sampler = UniformWordSampler(counter)
         words = [sampler.sample()]
         words += sampler.sample_many(5)
         words += sampler.sample_with_report(5)[0]

@@ -26,6 +26,7 @@ from repro.automata.engine import available_backends
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, UnionEstimate, UnionPlan, approximate_union
 from repro.errors import ParameterError, SampleExhaustedError, SamplingError
 from repro.workloads.longwords import long_word_scale
@@ -429,11 +430,11 @@ def _instance(scale_name):
 
 
 def _run(nfa, length, scale, backend, store):
-    parameters = FPRASParameters(
-        epsilon=0.5, delta=0.2, scale=scale, seed=7, backend=backend,
-        use_engine_cache=False, store=store, window=2,
+    parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=scale, seed=7)
+    policy = ExecutionPolicy(
+        backend=backend, use_engine_cache=False, store=store, window=2
     )
-    counter = NFACounter(nfa, length, parameters)
+    counter = NFACounter(nfa, length, parameters, policy=policy)
     result = counter.run()
     observed = {
         "estimate": result.estimate,
