@@ -25,12 +25,13 @@ cost is independent of ``m``:
 * ``step`` / ``pre`` / ``step_all`` view the handle as its ``chunks``
   bytes, gather the matching tensor rows in one fancy-index and OR-reduce
   them — a fixed-size gather regardless of how many states are set;
-* the batched ``simulate_batch`` / ``accepts_batch`` paths walk a whole
-  batch's prefix trie level by level in NumPy (words as integer symbol
-  codes, trie children found by ``np.unique``, each symbol's children
-  stepped by one gather over their parents' non-zero chunk bytes and one
-  segmented OR), keeping the trie-walk accounting bit-identical to the
-  other backends.
+* the batched ``simulate_batch`` / ``accepts_batch`` paths sort a batch
+  once (each word packed into ``int64`` keys of its integer symbol codes)
+  and walk the prefix trie of its distinct words level by level in NumPy
+  (a level's children start where a sorted row's parent node or symbol
+  changes; each symbol's children are stepped by one gather over their
+  parents' non-zero chunk bytes and one segmented OR), keeping the
+  trie-walk accounting bit-identical to the other backends.
 
 The backend registers itself as ``"numpy"``.  The counting layer drives it
 through the same per-handle ``step`` / ``pre`` calls as every other
@@ -75,6 +76,46 @@ BLOCK_BITS = 64
 
 #: Explicit little-endian dtype so handles are platform-independent bytes.
 _BLOCK_DTYPE = "<u8"
+
+
+def _distinct_rows(
+    codes: "np.ndarray", code_count: int
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(rows, multiplicity, inverse)`` of a code matrix's distinct rows.
+
+    Each row's codes, shifted up by one so that ``0`` marks a word's end,
+    are packed into ``int64`` keys of base ``code_count + 1`` digits, as
+    many digits per key as stay below ``2**62``.  One sort of the keys
+    (``np.lexsort`` when a row spans several) puts equal rows side by side
+    and a prefix's extensions next to each other: ``codes[rows]`` are the
+    distinct rows in that order, ``multiplicity`` counts each one's
+    repeats, and input row ``w`` equals ``codes[rows[inverse[w]]]``.
+
+    >>> codes = np.array([[1, 0], [0, -1], [1, 0]])  # "10", "0", "10"
+    >>> rows, multiplicity, inverse = _distinct_rows(codes, 2)
+    >>> codes[rows].tolist(), multiplicity.tolist(), inverse.tolist()
+    ([[0, -1], [1, 0]], [1, 2], [1, 0, 1])
+    """
+    count, width = codes.shape
+    base = code_count + 1
+    digits = 1
+    while base ** (digits + 1) <= 1 << 62:
+        digits += 1
+    position = np.arange(width)
+    weights = np.zeros((width, max(1, (width + digits - 1) // digits)), dtype=np.int64)
+    weights[position, position // digits] = base ** (digits - 1 - position % digits)
+    # The keys of ``codes + 1``, without copying ``codes``.
+    keys = codes @ weights + weights.sum(axis=0)
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    # A distinct row starts wherever a sorted row differs from the one before.
+    starts = np.empty(count, dtype=bool)
+    starts[:1] = True
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[first], np.diff(first, append=count), inverse
 
 
 class BlockEngine(Engine):
@@ -361,25 +402,24 @@ class BlockEngine(Engine):
     # ------------------------------------------------------------------
     def _encode_batch(
         self, words: WordBatch
-    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", int]:
-        """``(codes, starts, lengths, code count)`` of a batch, for :meth:`_walk_batch`.
+    ) -> Tuple["np.ndarray", "np.ndarray", int]:
+        """``(codes, lengths, code count)`` of a batch, for :meth:`_walk_batch`.
 
-        ``codes`` holds every word's symbol codes back to back (word ``w``
-        is ``codes[starts[w] : starts[w] + lengths[w]]``): alphabet
-        positions, then one fresh code per distinct unknown symbol so two
-        unknown symbols never share a trie child.  A position matrix is
-        already in this form, row by row.
+        ``codes`` is a ``(count, width)`` matrix: row ``w`` holds word
+        ``w``'s ``lengths[w]`` symbol codes, padded with ``-1``.  Codes are
+        alphabet positions, then one fresh code per distinct unknown symbol
+        so two unknown symbols never share a trie child.  A position matrix
+        is already in this form.
         """
         if isinstance(words, np.ndarray):
             size = len(self._codes)
             count, length = check_positions(words, size).shape
-            lengths = np.full(count, length, dtype=np.intp)
-            codes = words.astype(np.intp, copy=False).ravel()
-            return codes, lengths * np.arange(count), lengths, size
+            codes = words.astype(np.intp, copy=False)
+            return codes, np.full(count, length, dtype=np.intp), size
         normalized = [word if type(word) is tuple else as_word(word) for word in words]
         lengths = np.fromiter(map(len, normalized), dtype=np.intp, count=len(normalized))
         code_of = dict(self._codes)
-        codes = np.fromiter(
+        flat = np.fromiter(
             (
                 code_of.setdefault(symbol, len(code_of))
                 for word in normalized
@@ -388,7 +428,9 @@ class BlockEngine(Engine):
             dtype=np.intp,
             count=int(lengths.sum()),
         )
-        return codes, np.cumsum(lengths) - lengths, lengths, len(code_of)
+        codes = np.full((len(lengths), lengths.max(initial=0)), -1, dtype=np.intp)
+        codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
+        return codes, lengths, len(code_of)
 
     def _step_children(
         self, node_states: "np.ndarray", parents: "np.ndarray", codes: "np.ndarray"
@@ -418,31 +460,37 @@ class BlockEngine(Engine):
             )
         return children
 
-    def _walk_batch(self, words: WordBatch) -> "np.ndarray":
-        """Final block vectors of a batch, one row per word (the trie walk).
+    def _walk_batch(self, words: WordBatch) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Final block vectors of a batch's distinct words (the trie walk).
 
+        Returns ``(final, inverse)``: word ``w`` ends in ``final[inverse[w]]``.
         The generic implementation walks the multiset's prefix trie in
         sorted order, stepping each distinct prefix with a live parent
-        exactly once.  This walk visits the *same* trie nodes but
-        level-synchronously: the distinct ``(parent node, symbol)``
-        children of a level come from one ``np.unique`` over
-        ``node * code_count + code`` keys, and are stepped by
-        :meth:`_step_children` — a few NumPy calls per trie level and
-        symbol, with no per-word Python.  The work counters
+        exactly once.  This walk visits the *same* trie nodes after one
+        sort of the batch (:func:`_distinct_rows`), level by level over
+        the distinct words only.  In sorted order a prefix's extensions
+        sit side by side, so a level's children start wherever a row's
+        parent node or symbol differs from the row before;
+        :meth:`_step_children` steps them — a few NumPy calls per trie
+        level and symbol, with no per-word Python.  The work counters
         (``step_ops``, ``batch_steps_saved``, ``batch_calls``,
-        ``batch_words``) are bit-identical to the generic sorted walk.
+        ``batch_words``) are bit-identical to the generic sorted walk: a
+        word's clipped cost counts once per repeat, and ``batch_words``
+        counts every word.
         """
-        codes, starts, lengths, code_count = self._encode_batch(words)
-        count = len(lengths)
+        codes, lengths, code_count = self._encode_batch(words)
         self.batch_calls += 1
-        self.batch_words += count
-        final = np.zeros((count, self.blocks), dtype=_BLOCK_DTYPE)
+        self.batch_words += len(codes)
+        rows, multiplicity, inverse = _distinct_rows(codes, code_count)
+        distinct, lengths = codes[rows], lengths[rows]
+
+        final = np.zeros((len(rows), self.blocks), dtype=_BLOCK_DTYPE)
         # Level-0 trie: every word sits at the root, whose state set is the
-        # (never empty) initial singleton.
+        # (never empty) initial singleton.  ``node`` runs along ``active``.
         node_states = np.frombuffer(self._initial, dtype=_BLOCK_DTYPE).reshape(1, -1)
-        node = np.zeros(count, dtype=np.intp)
-        active = np.arange(count)
-        # ``cost[w]`` is what per-word simulation would have stepped: the
+        active = np.arange(len(rows))
+        node = np.zeros(len(rows), dtype=np.intp)
+        # ``cost[u]`` is what per-word simulation would have stepped: the
         # word length, clipped to the level its prefix chain dies at.
         cost = lengths.copy()
         performed = 0
@@ -450,24 +498,29 @@ class BlockEngine(Engine):
         while len(active):
             done = lengths[active] == level
             if done.any():
-                final[active[done]] = node_states[node[active[done]]]
-                active = active[~done]
+                final[active[done]] = node_states[node[done]]
+                active, node = active[~done], node[~done]
                 if not len(active):
                     break
-            keys = node[active] * code_count + codes[starts[active] + level]
-            children, inverse = np.unique(keys, return_inverse=True)
+            symbols = distinct[active, level]
+            starts = np.empty(len(active), dtype=bool)
+            starts[0] = True
+            starts[1:] = (node[1:] != node[:-1]) | (symbols[1:] != symbols[:-1])
+            children = np.flatnonzero(starts)
             performed += len(children)
-            node_states = self._step_children(node_states, *np.divmod(children, code_count))
-            alive = node_states.any(axis=1)[inverse]
+            node_states = self._step_children(
+                node_states, node[children], symbols[children]
+            )
+            node = np.cumsum(starts) - 1
+            alive = node_states.any(axis=1)[node]
             # A dead chain: per-word simulation would have stopped here,
             # returning the empty handle (``final`` rows start empty).
             cost[active[~alive]] = level + 1
-            active = active[alive]
-            node[active] = inverse[alive]
+            active, node = active[alive], node[alive]
             level += 1
-        self.batch_steps_saved += int(cost.sum()) - performed
+        self.batch_steps_saved += int(cost @ multiplicity) - performed
         self.step_ops += performed
-        return final
+        return final, inverse
 
     def simulate_batch(self, words: WordBatch) -> List[bytes]:
         """Per-word :meth:`simulate` handles, by one vectorised trie walk.
@@ -475,14 +528,15 @@ class BlockEngine(Engine):
         Results and the work counters are bit-identical to the generic
         sorted walk; the three-way batch parity suite enforces it.
         """
-        buffer = self._walk_batch(words).tobytes()
+        final, inverse = self._walk_batch(words)
+        buffer = final[inverse].tobytes()
         width = self._width
         return [buffer[offset : offset + width] for offset in range(0, len(buffer), width)]
 
     def accepts_batch(self, words: WordBatch) -> List[bool]:
-        """Vector of acceptance answers: one blockwise AND over the batch."""
-        final = self._walk_batch(words)
-        return (final & self._accepting_blocks).any(axis=1).tolist()
+        """Vector of acceptance answers: one blockwise AND per distinct word."""
+        final, inverse = self._walk_batch(words)
+        return (final & self._accepting_blocks).any(axis=1)[inverse].tolist()
 
 
 register_engine(BlockEngine.name, BlockEngine)

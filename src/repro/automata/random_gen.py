@@ -64,10 +64,12 @@ def random_nfa(
                 if rng.random() < density:
                     transitions.add((source, symbol, target))
     if ensure_connected:
+        # A connecting edge enters only its own target, which the loop
+        # never visits again, so the set needs no update inside it.
+        has_incoming = {target for (_source, _symbol, target) in transitions}
         for index in range(1, num_states):
             target = states[index]
-            has_incoming = any(t == target for (_s, _a, t) in transitions)
-            if not has_incoming:
+            if target not in has_incoming:
                 source = states[rng.randrange(index)]
                 symbol = rng.choice(list(alphabet))
                 transitions.add((source, symbol, target))

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -800,8 +801,11 @@ def _run_montecarlo(
 
     An unset backend (``None`` or ``"auto"``) runs on ``"numpy"``: every
     backend draws the same words and makes the same acceptance decisions,
-    and on a 2-CPU host numpy's trie walk ran 3–6× faster than bitset's on
-    automata of 4–512 states (10,000 words at n = 12).  A ``progress``
+    and on one 10,000-word ``draw_words`` block at n = 12 numpy's trie walk
+    ran 3–12× faster than bitset's on ``block_instance`` automata
+    (``benchmarks/block_workloads.py``) of 4–512 states: about 11× at
+    m = 4–64, 7.5× at 128, 5.3× at 256 and 3.3× at 512 (best of five;
+    2-CPU Intel Xeon host, CPython 3.11, numpy 2.4).  A ``progress``
     callback (see :func:`dispatch`) observes every block of
     :func:`~repro.counting.montecarlo.run_montecarlo` without touching the
     stream.
@@ -865,12 +869,23 @@ def _run_bruteforce(nfa: NFA, length: int, request: CountRequest) -> CountReport
 
 @register_method("exact", summary="exact reachable-subset dynamic program")
 def _run_exact(nfa: NFA, length: int, request: CountRequest) -> CountReport:
-    """Run the exact subset DP (engineless; ``raw`` keeps full precision)."""
+    """Run the exact subset DP (engineless; ``raw`` keeps full precision).
+
+    A count beyond the largest float raises :class:`ParameterError`, since
+    the report's ``estimate`` is a float.
+    """
     started = time.perf_counter()
     count_value = count_exact(nfa, length)
     elapsed = time.perf_counter() - started
+    try:
+        estimate = float(count_value)
+    except OverflowError:
+        raise ParameterError(
+            f"the exact count at length {length} has {count_value.bit_length()} "
+            f"bits and exceeds the largest float ({sys.float_info.max:.6g})"
+        ) from None
     return CountReport(
-        estimate=float(count_value),
+        estimate=estimate,
         method="exact",
         length=length,
         num_states=nfa.num_states,

@@ -21,6 +21,7 @@ words, so a run of short words shares one trie walk.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -145,6 +146,10 @@ def run_montecarlo(
     blocks.  The drawn words and acceptance decisions — and therefore the
     estimate — are backend- and batching-independent for a fixed seed.
 
+    ``|alphabet|^length`` must fit in a float, or the estimate could not
+    be reported: a larger one raises :class:`ParameterError` before any
+    word is drawn.
+
     ``progress``, when given, is called after every block with
     ``{"method", "samples", "num_samples", "hits", "total_words"}`` — the
     anytime hook the serving layer streams running estimates from.  It
@@ -156,6 +161,13 @@ def run_montecarlo(
         raise ParameterError("num_samples must be positive")
     size = len(nfa.alphabet)
     total_words = size**length
+    try:
+        float(total_words)
+    except OverflowError:
+        raise ParameterError(
+            f"|alphabet|^length = {size}^{length} exceeds the largest float "
+            f"({sys.float_info.max:.6g}), so no estimate could be reported"
+        ) from None
     # Bounded blocks keep peak memory bounded regardless of num_samples;
     # the block size also fixes the batch counters (one batch per block).
     block_size = max(BLOCK_WORDS, BLOCK_POSITIONS // max(length, 1))

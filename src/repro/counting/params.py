@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -359,10 +360,21 @@ class FPRASParameters:
         )
 
     def gamma0(self, estimate: float) -> float:
-        """The rejection-sampling constant ``2 / (3 e N(q^l))`` (Theorem 2)."""
+        """The rejection-sampling constant ``2 / (3 e N(q^l))`` (Theorem 2).
+
+        ``3 e N`` must be a finite float: past ``N`` of about ``2.2e307``
+        it overflows, and a :class:`ParameterError` says so instead of a
+        zero ``gamma0``.
+        """
         if estimate <= 0:
             raise ParameterError("gamma0 requires a positive size estimate")
-        return 2.0 / (3.0 * EULER * estimate)
+        denominator = 3.0 * EULER * estimate
+        if math.isinf(denominator):
+            raise ParameterError(
+                f"gamma0 = 2 / (3e N) needs 3e N within the float range (largest "
+                f"float {sys.float_info.max:.6g}), and N = {estimate:.6g} is too large"
+            )
+        return 2.0 / denominator
 
     # ------------------------------------------------------------------
     # Derived reporting helpers

@@ -29,6 +29,7 @@ from repro.applications.prob_graph import homomorphism_probability
 from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import no_consecutive_ones_nfa, substring_nfa
+from repro.automata.nfa import NFA
 from repro.cli import main
 from repro.counting.acjr import ACJRCounter, ACJRParameters
 from repro.counting.api import (
@@ -239,6 +240,11 @@ class TestExactMethod:
 # ----------------------------------------------------------------------
 # Error paths
 # ----------------------------------------------------------------------
+def _all_words_nfa():
+    """One state accepting ``{0,1}*``: its slice at n holds 2^n words."""
+    return NFA.build([("s", "0", "s"), ("s", "1", "s")], initial="s", accepting=["s"])
+
+
 class TestErrorPaths:
     def test_unknown_method(self, nfa):
         with pytest.raises(CountingMethodError) as excinfo:
@@ -276,6 +282,19 @@ class TestErrorPaths:
         with pytest.raises(ParameterError) as excinfo:
             count(substring_nfa("1"), length, method=method, **{option: value})
         assert option in str(excinfo.value)
+
+    def test_montecarlo_count_beyond_the_float_range_raises_before_drawing(self):
+        # |{0,1}^1024| = 2^1024 is above the largest float.
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ParameterError, match="largest float"):
+            count(_all_words_nfa(), 1024, method="montecarlo", seed=rng)
+        assert rng.getstate() == state
+
+    def test_exact_count_beyond_the_float_range_raises(self):
+        with pytest.raises(ParameterError, match="largest float"):
+            count(_all_words_nfa(), 1030, method="exact")
+        assert count(_all_words_nfa(), 1023, method="exact").raw == 2**1023
 
     @pytest.mark.parametrize(
         "method, option, value",

@@ -318,6 +318,55 @@ def test_walk_matches_generic_on_position_matrices(seed):
     assert _walk_pair(nfa, matrix)[:3] == _walk_pair(nfa, tuples)[:3]
 
 
+def _monte_carlo_block():
+    """A ``wide-montecarlo``-shaped block: 20,000 words at n = 12, of which
+    only about 4,000 are distinct."""
+    nfa = random_nonempty_nfa(
+        512, 12, density=1.1 / 512, accepting_fraction=0.3, seed=1
+    )
+    return nfa, draw_words(random.Random(1), 2, 12, 20_000)
+
+
+def _multi_key_block():
+    """Ternary words at n = 70: 31 symbols fit one 62-bit key, so each word
+    spans three keys.  Some words differ from another only in their second
+    or third key, and the second half of the rows repeats the first.  About
+    two in five words stay alive to the end; others die past level 31."""
+    rng = random.Random(70)
+    nfa = random_nonempty_nfa(40, 70, density=0.03, alphabet=("a", "b", "c"), seed=1)
+    words = draw_words(rng, 3, 70, 150)
+    variants = words[:60].copy()
+    variants[:30, 40] = (variants[:30, 40] + 1) % 3
+    variants[30:, 65] = (variants[30:, 65] + 2) % 3
+    half = np.vstack([words, variants])
+    return nfa, np.vstack([half, half])
+
+
+def _prefix_block():
+    """A word, each proper prefix of it, the empty word and an unknown
+    symbol, each twice, as tuples."""
+    nfa = random_nonempty_nfa(130, 6, density=0.03, seed=0)
+    word = ("1", "0", "1", "1", "0", "0", "1")
+    words = [word[:cut] for cut in range(len(word) + 1)] + [("z",), word[:3] + ("z",)]
+    words += words
+    random.Random(2).shuffle(words)
+    return nfa, words
+
+
+@pytest.mark.parametrize(
+    "block", [_monte_carlo_block, _multi_key_block, _prefix_block],
+    ids=["monte-carlo", "multi-key", "prefixes"],
+)
+def test_walk_matches_generic_on_batches_with_repeats(block):
+    nfa, words = block()
+    _assert_walks_agree(nfa, words)
+
+
+def test_monte_carlo_block_is_mostly_repeats():
+    _, words = _monte_carlo_block()
+    assert len(np.unique(words, axis=0)) < 5_000
+
+
 def test_walk_on_dead_prefixes():
     words = [("0",), ("0", "1", "1"), ("1", "1"), ("1", "1", "0"), ("1", "0", "1"),
              ("1", "0", "0", "1"), ("1",), ("1", "0", "1")]

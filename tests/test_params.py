@@ -153,6 +153,17 @@ class TestFPRASParameters:
         with pytest.raises(ParameterError):
             FPRASParameters().gamma0(0.0)
 
+    @pytest.mark.parametrize("estimate", [1e308, 2.3e307, math.inf])
+    def test_gamma0_names_the_float_limit_when_3eN_overflows(self, estimate):
+        # 3e * N overflows once N passes about 2.2e307; gamma0 used to come
+        # out 0.0, and the sampler then refused it as "not positive".
+        with pytest.raises(ParameterError, match="float"):
+            FPRASParameters().gamma0(estimate)
+
+    @pytest.mark.parametrize("estimate", [1.0, 1e300, 2.2e307])
+    def test_gamma0_value_is_unchanged_below_the_limit(self, estimate):
+        assert FPRASParameters().gamma0(estimate) == 2.0 / (3.0 * EULER * estimate)
+
     def test_describe_contains_paper_and_operational(self):
         info = FPRASParameters(epsilon=0.3).describe(10, 8)
         assert info["ns_paper"] >= info["ns_operational"]

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.automata.engine import acquire_engine
 from repro.automata.families import divisibility_nfa, no_consecutive_ones_nfa
+from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_to_dict
 from repro.serve import BoundedRequestQueue, CountingServer, ResultCache
 
@@ -457,6 +458,16 @@ class TestRequestValidation:
         )
         assert status == 400
         assert "num_samples" in payload["error"]
+
+    @pytest.mark.parametrize("method, length", [("montecarlo", 1024), ("exact", 1030)])
+    def test_count_beyond_the_float_range_is_400(self, server, method, length):
+        # The one-state automaton accepting {0,1}*: 2^length words.
+        everything = NFA.build(
+            [("s", "0", "s"), ("s", "1", "s")], initial="s", accepting=["s"]
+        )
+        status, payload = _post(server, _body(everything, length, method=method, seed=1))
+        assert status == 400
+        assert "largest float" in payload["error"]
 
     @pytest.mark.parametrize("num_samples", [2.5, True, "10"])
     def test_mistyped_num_samples_is_400(self, server, num_samples):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.automata import families, random_gen
 from repro.automata.exact import count_exact
+from repro.automata.nfa import NFA
 from repro.automata.regex import compile_regex
 from repro.workloads.generator import (
     Workload,
@@ -83,6 +86,33 @@ class TestFamilies:
             assert nfa.num_states >= 1
 
 
+def _quadratic_random_nfa(num_states, density, rng, alphabet=("0", "1")):
+    """``random_nfa`` as it was: a scan of every transition per state."""
+    states = [f"s{i}" for i in range(num_states)]
+    transitions = set()
+    for source in states:
+        for symbol in alphabet:
+            for target in states:
+                if rng.random() < density:
+                    transitions.add((source, symbol, target))
+    for index in range(1, num_states):
+        target = states[index]
+        if not any(t == target for (_s, _a, t) in transitions):
+            source = states[rng.randrange(index)]
+            symbol = rng.choice(list(alphabet))
+            transitions.add((source, symbol, target))
+    accepting = {state for state in states if rng.random() < 0.3}
+    if not accepting:
+        accepting = {rng.choice(states)}
+    return NFA(
+        states=frozenset(states),
+        initial=states[0],
+        transitions=frozenset(transitions),
+        accepting=frozenset(accepting),
+        alphabet=tuple(alphabet),
+    )
+
+
 class TestRandomGenerators:
     def test_random_nfa_reproducible(self):
         first = random_gen.random_nfa(6, seed=42)
@@ -100,6 +130,24 @@ class TestRandomGenerators:
     def test_random_nfa_connected(self):
         nfa = random_gen.random_nfa(10, density=0.05, seed=4, ensure_connected=True)
         assert nfa.forward_reachable() == nfa.states
+
+    @pytest.mark.parametrize("num_states", [1, 2, 9, 40])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.1, 0.4])
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("alphabet", [("0", "1"), ("a", "b", "c")])
+    def test_random_nfa_matches_the_quadratic_connecting_loop(
+        self, num_states, density, seed, alphabet
+    ):
+        # Sparse densities leave states without incoming edges, so the
+        # connecting branch fires often; the automaton and the stream left
+        # behind must be those of the per-state scan over all transitions.
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        nfa = random_gen.random_nfa(
+            num_states, density=density, alphabet=alphabet, seed=rng
+        )
+        reference = _quadratic_random_nfa(num_states, density, reference_rng, alphabet)
+        assert nfa == reference
+        assert rng.getstate() == reference_rng.getstate()
 
     def test_random_nfa_invalid_size(self):
         with pytest.raises(ValueError):
