@@ -2,9 +2,9 @@
 
 The first benchmark simulates word multisets shaped like AppUnion's stored
 samples over the E4 (m-scaling) workloads on the bitset backend, comparing
-the per-word path (one ``simulate`` per word) against
-``Engine.simulate_batch``, which sorts the multiset so shared prefixes are
-stepped once and keeps the mask resident in the inlined extension loop.  The
+the per-word path (one ``simulate`` per word) against the engine's
+``simulate_batch``, which sorts the multiset once and walks the trie of
+its distinct words in NumPy, so shared prefixes are stepped once.  The
 benchmark asserts a ≥ 1.5× throughput win (geometric mean across the sweep);
 both paths must agree on every handle first (differential check).
 

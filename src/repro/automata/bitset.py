@@ -18,7 +18,11 @@ Consequently
 * emptiness, intersection, union, and membership are single integer ops;
 * one reachability mask answers the membership question "is ``w`` in
   ``L(q^{|w|})``" for *every* state ``q`` simultaneously, so AppUnion's
-  coverage count of a sample is one AND and one ``bit_count``.
+  coverage count of a sample is one AND and one ``bit_count``;
+* a batch of words (``simulate_batch`` / ``accepts_batch``, Monte-Carlo's
+  membership blocks) is walked in NumPy by a
+  :class:`~repro.automata.block.BatchWalker` built on the first batch,
+  with the same masks and work counters as the generic sorted walk.
 
 The decoded frozensets are memoised per mask: the FPRAS touches the same few
 live-state and predecessor sets over and over, so decoding is effectively
@@ -28,11 +32,15 @@ amortised to one conversion per distinct set.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.automata.block import BatchWalker
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
     Engine,
+    WordBatch,
     decode_mask,
     register_engine,
 )
@@ -169,6 +177,9 @@ class BitsetEngine(Engine):
         for state in nfa.accepting:
             self._accepting |= 1 << self._index[state]
         self._decode_cache: Dict[int, FrozenSet[State]] = {0: frozenset()}
+        #: The batch walk, built by the first :meth:`simulate_batch` or
+        #: :meth:`accepts_batch` call.
+        self._walker: Optional[BatchWalker] = None
 
     @staticmethod
     def _or_over_symbols(tables: Dict[Symbol, List[int]], position: int) -> int:
@@ -311,41 +322,46 @@ class BitsetEngine(Engine):
     # ------------------------------------------------------------------
     # Batched simulation
     # ------------------------------------------------------------------
-    def _extend_batch(self, stack: List[int], word: Tuple[Symbol, ...], start: int) -> int:
-        """Mask-resident fast path of :meth:`Engine._extend_batch`.
+    def _walk(self, words: WordBatch) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Final block vectors of a batch's distinct words, and their inverse.
 
-        The current state set stays in a local integer for the whole
-        extension and the byte-chunked table lookup is inlined, so a batch
-        of words costs a tight arithmetic loop with no per-step method
-        dispatch.  Step accounting matches the generic implementation
-        exactly (one ``step_ops`` increment per performed step), keeping
-        the work counters backend-independent.
+        The :class:`~repro.automata.block.BatchWalker` is built on the
+        first batch, so an engine that never walks one never holds its
+        tensors.  Concurrent batches on a shared engine may race on it:
+        both build an equal walker, and whichever store lands last is as
+        good as the other.  The walk's accounting joins the engine's
+        counters exactly as the generic sorted walk's would.
         """
-        current = stack[start]
-        fwd = self._fwd
-        append = stack.append
-        steps = 0
-        for position in range(start, len(word)):
-            if not current:
-                break
-            steps += 1
-            tables = fwd.get(word[position])
-            if tables is None:
-                current = 0
-            else:
-                image = 0
-                mask = current
-                chunk = 0
-                while mask:
-                    byte = mask & _CHUNK_MASK
-                    if byte:
-                        image |= tables[chunk][byte]
-                    mask >>= _CHUNK_BITS
-                    chunk += 1
-                current = image
-            append(current)
+        walker = self._walker
+        if walker is None:
+            walker = self._walker = BatchWalker(self.nfa, self._index)
+        final, inverse, steps, saved = walker.walk(words)
+        self.batch_calls += 1
+        self.batch_words += len(inverse)
         self.step_ops += steps
-        return current
+        self.batch_steps_saved += saved
+        return final, inverse
+
+    def simulate_batch(self, words: WordBatch) -> List[int]:
+        """Per-word :meth:`simulate` masks, by one vectorised trie walk.
+
+        Results and the work counters are bit-identical to the generic
+        sorted walk :meth:`Engine.simulate_batch`; the batch parity suite
+        enforces it.
+        """
+        final, inverse = self._walk(words)
+        buffer = final.tobytes()
+        width = final.shape[1] * 8
+        masks = [
+            int.from_bytes(buffer[offset : offset + width], "little")
+            for offset in range(0, len(buffer), width)
+        ]
+        return [masks[row] for row in inverse.tolist()]
+
+    def accepts_batch(self, words: WordBatch) -> List[bool]:
+        """Acceptance answers: one blockwise AND per distinct word."""
+        final, inverse = self._walk(words)
+        return (final & self._walker.accepting).any(axis=1)[inverse].tolist()
 
 
 register_engine(BitsetEngine.name, BitsetEngine)

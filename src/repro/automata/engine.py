@@ -29,17 +29,20 @@ Two layers of amortisation live here:
 * **batched simulation** — :meth:`Engine.simulate_batch` and
   :meth:`Engine.accepts_batch` process a whole multiset of words at once,
   sorting it so that words sharing a prefix step through that prefix
-  exactly once (a trie walk without building the trie);
+  exactly once (a trie walk without building the trie).  The bitset engine
+  runs the same walk vectorised in NumPy
+  (:class:`~repro.automata.block.BatchWalker`), with the same results and
+  work counters;
 * **engine reuse** — :class:`EngineRegistry` memoises engines (and hence
-  their transition lookup tables, which the mask-based backends build on
+  their transition lookup tables, which the bitset backend builds on
   first touch) per ``(nfa, backend)``, so several counters, samplers or
   caches over the same automaton share one engine instead of rebuilding
   identical lookup tables.  :func:`acquire_engine` is the front door the
   rest of the codebase uses.
 
 Every backend answers the counting layer through the same per-handle
-operations; none has a second code path.  The ``"auto"`` pseudo-backend
-means "unset" (:func:`resolve_backend`).
+operations.  The ``"auto"`` pseudo-backend means "unset"
+(:func:`resolve_backend`).
 
 Example::
 
@@ -80,8 +83,7 @@ from repro.errors import AutomatonError, ParameterError
 DEFAULT_BACKEND = "bitset"
 
 #: Pseudo-backend that means "unset": :func:`resolve_backend` maps it to
-#: :data:`DEFAULT_BACKEND` like ``None``, and the Monte-Carlo runner maps
-#: both to ``"numpy"``.
+#: :data:`DEFAULT_BACKEND` like ``None``.
 AUTO_BACKEND = "auto"
 
 #: A batch of words for :meth:`Engine.simulate_batch`: a sequence of
@@ -89,7 +91,7 @@ AUTO_BACKEND = "auto"
 #: rows are words spelled as positions in ``nfa.alphabet``.
 WordBatch = Union[Sequence["str | Word"], np.ndarray]
 
-#: Cap on memoised decoded frozensets per mask-based engine.  Engines held
+#: Cap on memoised decoded frozensets per bitset engine.  Engines held
 #: by the shared registry live for the whole process, so decode memos must
 #: not grow without bound (up to 2^m distinct masks exist); one FPRAS run
 #: touches far fewer distinct sets than this.
@@ -99,10 +101,8 @@ DECODE_CACHE_LIMIT = 1 << 16
 def decode_mask(states: Sequence[State], mask: int) -> FrozenSet[State]:
     """Frozenset of the states whose bits are set in an integer mask.
 
-    Shared by the mask-based backends (``bitset`` stores masks as Python
-    ints, ``numpy`` as the little-endian bytes of a block vector): bit
-    ``i`` of ``mask`` selects ``states[i]``.  Keeping the bit iteration in
-    one place keeps the two backends' decode semantics from drifting.
+    The ``bitset`` backend's decode: bit ``i`` of ``mask`` selects
+    ``states[i]``.
 
     >>> sorted(decode_mask(("a", "b", "c"), 0b101))
     ['a', 'c']
@@ -264,25 +264,6 @@ class Engine(ABC):
     # ------------------------------------------------------------------
     # Batched word-level operations
     # ------------------------------------------------------------------
-    def _extend_batch(
-        self, stack: List[object], word: Word, start: int
-    ) -> object:
-        """Extend the prefix-handle ``stack`` with ``word[start:]``.
-
-        ``stack[d]`` holds the handle after the first ``d`` symbols of the
-        word being simulated; the method appends one handle per performed
-        step and stops early once the state set becomes empty (mirroring
-        :meth:`simulate`).  Backends may override this with a representation
-        -specific fast path, but must keep the step accounting identical.
-        """
-        current = stack[start]
-        for position in range(start, len(word)):
-            if self.is_empty(current):
-                break
-            current = self.step(current, word[position])
-            stack.append(current)
-        return current
-
     def simulate_batch(self, words: WordBatch) -> List[object]:
         """Handles of :meth:`simulate` for a whole multiset of words.
 
@@ -301,8 +282,8 @@ class Engine(ABC):
         >>> nfa = NFA.build(
         ...     [("s", "0", "s"), ("s", "1", "t"), ("t", "0", "t"), ("t", "1", "t")],
         ...     initial="s", accepting=["t"])
-        >>> engine = create_engine(nfa, "bitset")
-        >>> [sorted(engine.decode(h)) for h in engine.simulate_batch(["0", "01", "01"])]
+        >>> engine = create_engine(nfa, "reference")
+        >>> [sorted(h) for h in engine.simulate_batch(["0", "01", "01"])]
         [['s'], ['t'], ['t']]
         >>> engine.batch_steps_saved  # shared "0" prefix + the duplicate "01"
         3
@@ -317,21 +298,28 @@ class Engine(ABC):
         self.batch_words += len(normalized)
         results: List[object] = [self.initial] * len(normalized)
         order = sorted(enumerate(normalized), key=lambda pair: pair[1])
+        # ``stack[d]`` holds the handle after the first ``d`` symbols of the
+        # word being simulated.
         stack: List[object] = [self.initial]
         previous: Word = ()
         saved = 0
-        is_empty = self.is_empty
-        extend = self._extend_batch
+        is_empty, step = self.is_empty, self.step
         for position, word in order:
             shared = 0
             limit = min(len(previous), len(word))
             while shared < limit and previous[shared] == word[shared]:
                 shared += 1
             del stack[shared + 1 :]
-            depth_before = len(stack)
-            current = extend(stack, word, shared)
+            current = stack[shared]
+            # Extend the stack with the rest of the word, stopping once the
+            # set is empty, as :meth:`simulate` does.
+            for symbol in word[shared:]:
+                if is_empty(current):
+                    break
+                current = step(current, symbol)
+                stack.append(current)
             depth = len(stack) - 1
-            performed = depth + 1 - depth_before
+            performed = depth - shared
             if is_empty(current):
                 # A dead prefix: per-word simulation would have stopped at
                 # the first empty handle (always the last stack entry).
@@ -515,14 +503,12 @@ def resolve_backend(backend: Optional[str]) -> str:
     """The concrete registry name a backend request denotes.
 
     ``None`` and :data:`AUTO_BACKEND` select :data:`DEFAULT_BACKEND` at
-    every automaton size: the counting layer's per-handle ``step`` /
-    ``pre`` calls run fastest on the bitset engine, hundreds of states
-    included (``benchmarks/bench_block.py`` measures fpras on both).
-    Resolution happens before registry keying, so ``"auto"`` shares engine
-    instances with the backend it resolves to.
+    every automaton size, for every method.  Resolution happens before
+    registry keying, so ``"auto"`` shares engine instances with the backend
+    it resolves to.
 
-    >>> resolve_backend(None), resolve_backend("auto"), resolve_backend("numpy")
-    ('bitset', 'bitset', 'numpy')
+    >>> resolve_backend(None), resolve_backend("auto"), resolve_backend("reference")
+    ('bitset', 'bitset', 'reference')
     """
     return DEFAULT_BACKEND if backend in (None, AUTO_BACKEND) else backend
 
@@ -694,8 +680,6 @@ def acquire_engine(
     return target.acquire(nfa, backend)
 
 
-# Imports for the side effect of registering the bitset and numpy block
-# backends.  Placed at the bottom so both modules can import the Engine base
-# class above.
+# Import for the side effect of registering the bitset backend.  Placed at
+# the bottom so the module can import the Engine base class above.
 from repro.automata import bitset as _bitset  # noqa: E402,F401  (registration)
-from repro.automata import block as _block  # noqa: E402,F401  (registration)

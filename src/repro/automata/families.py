@@ -120,10 +120,12 @@ def substring_nfa(pattern: "str | int", alphabet: Sequence[Symbol] = BINARY_ALPH
 def suffix_nfa(pattern: "str | int", alphabet: Sequence[Symbol] = BINARY_ALPHABET) -> NFA:
     """Words ending with ``pattern``.
 
-    The textbook example where the NFA has ``|pattern| + 1`` states but the
-    minimal DFA needs ``2^{|pattern|}`` states — the family where exact
-    counting via determinisation degrades and the FPRAS's polynomial
-    dependence on ``m`` matters.
+    The NFA has ``|pattern| + 1`` states and so does the minimal DFA: a
+    reachable subset is fixed by the longest prefix of ``pattern`` that
+    ends the input (the KMP automaton), so the subset DP on
+    ``suffix_nfa("0110")`` holds at most 5 subsets per level.  The
+    textbook blow-up is a different language, "the k-th symbol from the
+    end is 1": ``k + 1`` NFA states, but ``2^k`` for the minimal DFA.
     """
     word = word_from_string(str(pattern))
     if not word:

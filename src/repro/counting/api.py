@@ -61,7 +61,7 @@ from typing import (
     Union,
 )
 
-from repro.automata.engine import AUTO_BACKEND, acquire_engine
+from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
 from repro.counting.acjr import ACJRCounter, ACJRParameters, ACJRResult
@@ -799,22 +799,16 @@ def _run_montecarlo(
 ) -> CountReport:
     """Acquire an engine, run the Monte-Carlo loop, report counter deltas.
 
-    An unset backend (``None`` or ``"auto"``) runs on ``"numpy"``: every
-    backend draws the same words and makes the same acceptance decisions,
-    and on one 10,000-word ``draw_words`` block at n = 12 numpy's trie walk
-    ran 3–12× faster than bitset's on ``block_instance`` automata
-    (``benchmarks/block_workloads.py``) of 4–512 states: about 11× at
-    m = 4–64, 7.5× at 128, 5.3× at 256 and 3.3× at 512 (best of five;
-    2-CPU Intel Xeon host, CPython 3.11, numpy 2.4).  A ``progress``
-    callback (see :func:`dispatch`) observes every block of
+    Every backend draws the same words and makes the same acceptance
+    decisions; an unset one runs on bitset, whose ``accepts_batch`` walks
+    each block in NumPy.  A ``progress`` callback (see :func:`dispatch`)
+    observes every block of
     :func:`~repro.counting.montecarlo.run_montecarlo` without touching the
     stream.
     """
     num_samples = request.option("num_samples", 10_000)
-    policy = request.policy
-    backend = "numpy" if policy.backend in (None, AUTO_BACKEND) else policy.backend
     engine, from_cache = acquire_engine(
-        nfa, backend, use_cache=policy.use_engine_cache
+        nfa, request.policy.backend, use_cache=request.policy.use_engine_cache
     )
     base = dict(engine.counters())
     started = time.perf_counter()

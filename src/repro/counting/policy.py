@@ -39,9 +39,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        Simulation-engine name.  ``None`` and ``"auto"`` both mean unset:
-        the ``montecarlo`` runner takes them as ``"numpy"`` and every other
-        method as the default ``"bitset"`` (see
+        Simulation-engine name: ``"bitset"`` or ``"reference"``.  ``None``
+        and ``"auto"`` both mean unset, which every method takes as the
+        default ``"bitset"`` (see
         :func:`repro.automata.engine.resolve_backend`).
     use_engine_cache:
         Whether engines come from the shared
@@ -61,7 +61,7 @@ class ExecutionPolicy:
 
     >>> ExecutionPolicy().describe()["store"]
     'dict'
-    >>> ExecutionPolicy(backend="numpy").method_options()
+    >>> ExecutionPolicy(backend="reference").method_options()
     {}
     >>> ExecutionPolicy(store="windowed", window=8).method_options()
     {'store': 'windowed', 'window': 8}

@@ -199,8 +199,8 @@ class CountingServer:
     :meth:`close` shuts the socket down.
 
     ``session_knobs`` are the server-side defaults for fields a request
-    omits — e.g. ``CountingServer(..., backend="numpy")`` runs every
-    request on numpy unless the client says otherwise.
+    omits — e.g. ``CountingServer(..., backend="reference")`` runs every
+    request on the reference engine unless the client says otherwise.
     """
 
     def __init__(

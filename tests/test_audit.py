@@ -295,6 +295,7 @@ class TestScenarioMatrix:
             ({"families": ["parity"], "methods": ["no_such_method"]}, "unknown method"),
             ({"families": ["parity"], "backends": ["no_such_backend"]},
              "unknown backend"),
+            ({"families": ["parity"], "backends": ["numpy"]}, "unknown backend"),
         ],
     )
     def test_bad_specs_fail_loudly(self, spec, match):

@@ -9,8 +9,9 @@ tolerances):
   oracles return — including empty words, duplicated words and
   mixed-length multisets;
 * the batch work counters (``step_ops`` performed, ``batch_words``,
-  ``batch_steps_saved``) are identical between the ``bitset`` and
-  ``reference`` backends, i.e. the trie walk visits the same nodes on both;
+  ``batch_steps_saved``) are identical between the ``bitset`` backend's
+  vectorised walk and the ``reference`` backend's generic sorted walk,
+  i.e. both walks visit the same trie nodes;
 * ``approximate_union`` produces bit-identical estimates and accounting on
   its two coverage strategies (every oracle asked, batched
   ``coverage_batch``) under a shared seed;
@@ -42,10 +43,10 @@ from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, approximate_union
 
-BATCH_SWEEP_SEEDS = range(30)
+BATCH_SWEEP_SEEDS = range(60)
 
 #: The non-reference backends under differential test against the reference.
-FAST_BACKENDS = ("bitset", "numpy")
+FAST_BACKENDS = ("bitset",)
 
 
 def _random_instance(seed: int) -> NFA:
@@ -89,7 +90,7 @@ class TestSimulateBatchParity:
             assert fast.decode(fast.simulate(word)) == expected, word
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    @pytest.mark.parametrize("seed", range(0, 12))
+    @pytest.mark.parametrize("seed", range(0, 24))
     def test_batch_work_counters_backend_identical(self, seed, backend):
         nfa = _random_instance(seed)
         words = _word_multiset(nfa, seed)
@@ -103,7 +104,7 @@ class TestSimulateBatchParity:
         assert reference.batch_steps_saved == fast.batch_steps_saved
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    @pytest.mark.parametrize("seed", range(0, 12))
+    @pytest.mark.parametrize("seed", range(0, 24))
     def test_batch_saves_work_relative_to_per_word(self, seed, backend):
         """The trie walk never steps more than per-word simulation would."""
         nfa = _random_instance(seed)
@@ -160,7 +161,6 @@ class TestMembershipBatchParity:
                 counts.append(batched)
             per_backend[backend] = counts
         assert per_backend["bitset"] == per_backend["reference"]
-        assert per_backend["numpy"] == per_backend["reference"]
 
     def test_reachability_cache_batch_matches_scalar(self):
         nfa = families.suffix_nfa("0110")

@@ -48,6 +48,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_numpy_backend_exits_2(self, command, capsys):
+        # The numpy engine is gone; its name is an unknown backend.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "parity", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'numpy'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_count_exact_only(self, capsys):

@@ -23,7 +23,6 @@ import random
 import pytest
 
 import repro.counting.fpras as fpras_module
-from repro.automata.engine import available_backends
 from repro.automata.families import blocks_nfa
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.cli import main
@@ -34,7 +33,7 @@ from repro.counting.sampler import SampleDraw, StepTable
 from repro.errors import ParameterError
 from repro.workloads.longwords import long_word_scale, unary_loop_nfa
 
-BACKENDS = [name for name in ("bitset", "reference", "numpy") if name in available_backends()]
+BACKENDS = ["bitset", "reference"]
 
 SCALES = {
     "practical": ParameterScale.practical(sample_cap=4, union_trial_cap=8),

@@ -98,7 +98,7 @@ def test_docs_subsystem_exists_and_is_linked():
         "simulate_batch",
         "--no-engine-cache",
         "engine_counters",
-        "BlockEngine",
+        "BatchWalker",
         "nfa_to_text",
     ):
         assert symbol in api_text, f"docs/api.md must document {symbol}"

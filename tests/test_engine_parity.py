@@ -1,12 +1,15 @@
-"""Differential parity suite: fast backends vs the frozenset reference.
+"""Differential parity suite: the bitset backend vs the frozenset reference.
 
-The bitset and numpy block engines are only admissible because they are
-*observationally identical* to the reference semantics.  This suite pins
-that down at every layer as a three-way differential matrix
-(``reference`` / ``bitset`` / ``numpy``):
+The bitset engine is only admissible because it is *observationally
+identical* to the reference semantics.  This suite pins that down at every
+layer as a differential matrix (``reference`` / ``bitset``):
 
 * engine level — ``accepts`` / ``step`` / ``pre`` / encode-decode round
   trips agree on ~200 seeded random NFAs plus the structured families;
+* batch walk — the bitset engine's NumPy walk (``simulate_batch`` /
+  ``accepts_batch``) agrees with per-word reference simulation on the same
+  sweeps and on automata of up to five 64-bit blocks, and counts its trie
+  walk exactly as the generic sorted walk does;
 * unrolling level — live-state sets per level, live-restricted predecessor
   sets and witnesses agree;
 * algorithm level — a full FPRAS run with a shared seeded
@@ -16,8 +19,9 @@ that down at every layer as a three-way differential matrix
 * backend selection — the ``auto`` pseudo-backend means unset: it resolves
   to ``bitset`` at every automaton size and shares registry slots with it;
 * lookup tables built on first touch — a fresh engine holds well under a
-  megabyte at 1024 states, a lookup builds only the table it touches, and
-  the tables it builds answer like the reference engine.
+  megabyte at 1024 states, a lookup builds only the table it touches, the
+  tables it builds answer like the reference engine, and the batch walk's
+  tensors exist only once a batch has been walked.
 
 Any divergence found here is a bug in one of the backends, not a tolerance
 issue: every assertion is exact.
@@ -30,10 +34,12 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.automata import engine as engine_module
 from repro.automata import families
+from repro.automata.block import BatchWalker
 from repro.automata.engine import (
     EngineRegistry,
     available_backends,
@@ -52,7 +58,10 @@ from repro.counting.uniform import UniformWordSampler
 RANDOM_SWEEP_SEEDS = range(160)
 
 #: The non-reference backends under differential test against the reference.
-FAST_BACKENDS = ("bitset", "numpy")
+FAST_BACKENDS = ("bitset",)
+
+#: Engine counters a batched simulation adds to.
+BATCH_COUNTERS = ("step_ops", "batch_steps_saved", "batch_calls", "batch_words")
 
 FAMILY_INSTANCES = [
     ("all_words", families.all_words_nfa()),
@@ -105,16 +114,14 @@ def _engine_pair(nfa: NFA, backend: str = "bitset"):
 
 class TestEngineRegistry:
     def test_all_backends_registered(self):
-        assert "reference" in available_backends()
-        assert "bitset" in available_backends()
-        assert "numpy" in available_backends()
-        assert "auto" in available_backends()
+        assert available_backends() == ("auto", "bitset", "reference")
 
     def test_unknown_backend_rejected(self, substring_101_nfa):
         from repro.errors import ParameterError
 
-        with pytest.raises(ParameterError):
-            create_engine(substring_101_nfa, "no-such-backend")
+        for backend in ("no-such-backend", "numpy"):
+            with pytest.raises(ParameterError):
+                create_engine(substring_101_nfa, backend)
 
 
 class TestEngineLevelParity:
@@ -135,7 +142,7 @@ class TestEngineLevelParity:
             ), word
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    @pytest.mark.parametrize("seed", range(0, 40))
+    @pytest.mark.parametrize("seed", range(0, 80))
     def test_random_nfa_step_and_pre_parity(self, seed, backend):
         nfa = _random_instance(seed)
         reference, fast = _engine_pair(nfa, backend)
@@ -191,9 +198,115 @@ class TestEngineLevelParity:
             assert engine.contains(handle, "done") is True
 
 
+def _multi_block_instance(seed: int) -> NFA:
+    """A random NFA of 65-300 states: its sets span two to five blocks."""
+    rng = random.Random(seed)
+    num_states = rng.randrange(65, 301)
+    return random_nfa(
+        num_states,
+        density=rng.choice([1.0, 2.0, 3.0]) / num_states,
+        accepting_fraction=rng.choice([0.1, 0.3]),
+        seed=seed,
+        ensure_connected=bool(seed % 2),
+    )
+
+
+def _assert_batch_walk_parity(nfa: NFA, words) -> None:
+    """The bitset engine's batch walk against per-word reference simulation,
+    and its accounting against the reference engine's generic sorted walk."""
+    words = words + words[::3]  # repeats share their whole path
+    reference, walked = _engine_pair(nfa)
+    generic = create_engine(nfa, "reference")
+    handles = walked.simulate_batch(words)
+    generic.simulate_batch(words)
+    assert {key: walked.counters()[key] for key in BATCH_COUNTERS} == {
+        key: generic.counters()[key] for key in BATCH_COUNTERS
+    }
+    assert [walked.decode(handle) for handle in handles] == [
+        reference.reachable_states(word) for word in words
+    ]
+    assert walked.accepts_batch(words) == [reference.accepts(word) for word in words]
+
+
+class TestBatchWalkParity:
+    """The bitset engine's second forward path, its NumPy batch walk.
+
+    ``simulate_batch`` / ``accepts_batch`` step chunk-table tensors, not the
+    per-handle lookup tables above, so the walk gets the same random and
+    family sweeps, plus automata whose sets span several blocks.
+    """
+
+    @pytest.mark.parametrize("seed", RANDOM_SWEEP_SEEDS)
+    def test_random_nfa_batch_walk_parity(self, seed):
+        nfa = _random_instance(seed)
+        _assert_batch_walk_parity(nfa, _probe_words(nfa, seed))
+
+    @pytest.mark.parametrize("name,nfa", FAMILY_INSTANCES)
+    def test_family_batch_walk_parity(self, name, nfa):
+        _assert_batch_walk_parity(nfa, _probe_words(nfa, seed=len(name)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_multi_block_batch_walk_parity(self, seed):
+        nfa = _multi_block_instance(seed)
+        _assert_batch_walk_parity(nfa, _probe_words(nfa, seed))
+
+    @pytest.mark.parametrize(
+        "num_states", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193]
+    )
+    def test_batch_walk_parity_at_chunk_and_block_bounds(self, num_states):
+        # A set is ``num_states`` bits in whole 64-bit blocks, and the
+        # relation rows pad it to whole 8-bit chunks.
+        nfa = random_nfa(num_states, density=min(0.5, 2.0 / num_states), seed=num_states)
+        _assert_batch_walk_parity(nfa, _probe_words(nfa, num_states))
+
+    def test_accepts_batch_matches_nfa_accepts(self):
+        for name, nfa in FAMILY_INSTANCES[:6]:
+            words = _probe_words(nfa, seed=3)
+            engine = create_engine(nfa, "bitset")
+            assert engine.accepts_batch(words) == [
+                nfa.accepts(word) for word in words
+            ], name
+
+    @pytest.mark.parametrize("seed", range(0, 40))
+    def test_random_subset_walk_step_parity(self, seed):
+        # A walk reads its tensors at reachable sets only; random subsets
+        # reach any chunk-table entry.  One call steps every (subset,
+        # symbol) pair in shuffled order, so the per-symbol grouping of a
+        # trie level is covered too.
+        nfa = _random_instance(seed)
+        reference, fast = _engine_pair(nfa)
+        walker = BatchWalker(
+            nfa, {state: fast.state_index(state) for state in nfa.states}
+        )
+        rng = random.Random(seed + 10_000)
+        states = sorted(nfa.states, key=repr)
+        subsets = [frozenset(states)] + [
+            frozenset(state for state in states if rng.random() < 0.4)
+            for _ in range(20)
+        ]
+        subsets = [subset for subset in subsets if subset]  # a walk steps live sets
+        pairs = [
+            (position, code)
+            for position in range(len(subsets))
+            for code in range(len(nfa.alphabet))
+        ]
+        rng.shuffle(pairs)
+        parents, codes = (np.array(column, dtype=np.intp) for column in zip(*pairs))
+        node_states = np.vstack(
+            [walker._blocks_of(fast.encode(subset)) for subset in subsets]
+        )
+        children = walker._step_children(node_states, parents, codes)
+        assert [
+            fast.decode(int.from_bytes(row.tobytes(), "little")) for row in children
+        ] == [
+            reference.step(reference.encode(subsets[position]), nfa.alphabet[code])
+            for position, code in pairs
+        ]
+
+
 class TestUnrollParity:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    @pytest.mark.parametrize("seed", range(40, 80))
+    @pytest.mark.parametrize("seed", range(40, 120))
     def test_live_states_and_predecessors_parity(self, seed, backend):
         nfa = _random_instance(seed)
         length = 6
@@ -211,7 +324,7 @@ class TestUnrollParity:
                     ) == unroll_ref.predecessors(state, symbol, level)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    @pytest.mark.parametrize("seed", range(80, 100))
+    @pytest.mark.parametrize("seed", range(80, 120))
     def test_predecessors_of_set_and_witness_parity(self, seed, backend):
         nfa = _random_instance(seed)
         length = 5
@@ -301,7 +414,6 @@ class TestAlgorithmParity:
             sampler = UniformWordSampler(counter, rng=random.Random(99))
             draws[backend] = sampler.sample_many(25)
         assert draws["bitset"] == draws["reference"]
-        assert draws["numpy"] == draws["reference"]
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_montecarlo_and_bruteforce_backend_agreement(self, backend):
@@ -327,7 +439,7 @@ class TestAlgorithmParity:
 
 
 class TestDegenerateAutomataParity:
-    """Three-backend parity on the empty-language and single-state automata."""
+    """Backend parity on the empty-language and single-state automata."""
 
     EMPTY_LANGUAGE = NFA(
         states=frozenset({"a", "b"}),
@@ -405,7 +517,7 @@ class TestAutoBackend:
         # ``auto`` means unset, and no automaton enters the rule.
         assert resolve_backend("auto") == "bitset"
         assert resolve_backend(None) == "bitset"
-        assert resolve_backend("numpy") == "numpy"
+        assert resolve_backend("reference") == "reference"
 
     @pytest.mark.parametrize("num_states", AUTO_SIZES)
     def test_auto_engine_name_is_concrete(self, num_states):
@@ -416,7 +528,7 @@ class TestAutoBackend:
         registry = EngineRegistry(max_entries=8)
         nfa = _sized_instance(num_states)
         assert registry.get(nfa, "auto") is registry.get(nfa, "bitset")
-        assert registry.get(nfa, "auto") is not registry.get(nfa, "numpy")
+        assert registry.get(nfa, "auto") is not registry.get(nfa, "reference")
 
     def test_auto_fpras_matches_concrete_backend(self):
         nfa = random_nonempty_nfa(7, 6, density=0.35, seed=5)
@@ -435,7 +547,7 @@ class TestAutoBackend:
         assert results["auto"].backend == "bitset"
 
     @pytest.mark.parametrize("backend", [None, "auto"])
-    def test_unset_backend_runs_montecarlo_on_numpy(self, backend):
+    def test_unset_backend_runs_montecarlo_on_bitset(self, backend):
         from repro.counting.api import count
 
         nfa = families.substring_nfa("101")
@@ -446,7 +558,7 @@ class TestAutoBackend:
             )
             for name in (backend, "bitset")
         )
-        assert unset.backend == "numpy"
+        assert unset.backend == "bitset"
         assert unset.estimate == bitset.estimate
         assert unset.details["hits"] == bitset.details["hits"]
 
@@ -465,8 +577,7 @@ def _built_chunks(tables):
 class TestTablesBuiltOnFirstTouch:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_a_fresh_engine_holds_under_a_megabyte(self, wide_nfa, backend):
-        # Building every table up front held about 23 MiB (bitset) and
-        # 20 MiB (numpy) here.
+        # Building every table up front held about 23 MiB here.
         tracemalloc.start()
         try:
             engine = create_engine(wide_nfa, backend)
@@ -511,21 +622,48 @@ class TestTablesBuiltOnFirstTouch:
         ]
         assert not any(_built_chunks(tables) for tables in untouched)
 
-    def test_one_numpy_pre_builds_one_tensor(self, wide_nfa):
-        engine = create_engine(wide_nfa, "numpy")
-        state = sorted(wide_nfa.states, key=repr)[-1]
-        engine.pre(engine.singleton(state), wide_nfa.alphabet[1])
-        assert list(engine._tensors) == [("rev", 1)]
-
-    def test_numpy_montecarlo_builds_only_forward_tensors(self, wide_nfa, monkeypatch):
+    def test_bitset_montecarlo_builds_only_walk_tensors(self, wide_nfa, monkeypatch):
+        # Monte-Carlo's blocks go through the batch walk alone: its walker
+        # builds forward tensors, and no per-handle lookup table is built.
         from repro.counting.api import count
 
         registry = EngineRegistry()
         monkeypatch.setattr(engine_module, "SHARED_ENGINE_REGISTRY", registry)
         report = count(wide_nfa, 8, method="montecarlo", seed=3, num_samples=2000)
-        engine = registry.get(wide_nfa, "numpy")
-        assert report.backend == "numpy"
-        assert {relation for relation, _ in engine._tensors} == {"fwd"}
+        engine = registry.get(wide_nfa, "bitset")
+        assert report.backend == "bitset"
+        assert engine._walker._tensors
+        assert not any(_built_chunks(tables) for tables in engine._relations.values())
+
+    def test_a_fresh_walker_holds_only_packed_rows(self, wide_nfa):
+        # Two symbols' packed rows take 256 KiB; one symbol's tensor would
+        # take 4 MiB.
+        engine = create_engine(wide_nfa, "bitset")
+        index = {state: engine.state_index(state) for state in wide_nfa.states}
+        tracemalloc.start()
+        try:
+            walker = BatchWalker(wide_nfa, index)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not walker._tensors
+        assert held < 1 << 20
+
+    def test_a_walk_builds_only_the_tensors_it_steps(self, wide_nfa):
+        engine = create_engine(wide_nfa, "bitset")
+        symbol = wide_nfa.alphabet[1]
+        engine.simulate_batch([(symbol,) * 3, (symbol,), ()])
+        assert list(engine._walker._tensors) == [1]
+
+    def test_fpras_builds_no_walk_tensor(self, monkeypatch):
+        from repro.counting.api import count
+
+        registry = EngineRegistry()
+        monkeypatch.setattr(engine_module, "SHARED_ENGINE_REGISTRY", registry)
+        nfa = random_nonempty_nfa(300, 4, density=1.5 / 300, seed=7)
+        report = count(nfa, 4, method="fpras", seed=3)
+        assert report.backend == "bitset"
+        assert registry.get(nfa, "bitset")._walker is None
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_partial_last_chunk_parity(self, backend):

@@ -45,8 +45,10 @@ class TestExecutionPolicyValidation:
         assert policy.method_options() == {}
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            ExecutionPolicy(backend="no-such-backend")
+        # "numpy" named a backend once; it is an unknown name now, with no alias.
+        for backend in ("no-such-backend", "numpy"):
+            with pytest.raises(ParameterError, match="unknown simulation backend"):
+                ExecutionPolicy(backend=backend)
 
     def test_auto_backend_accepted(self):
         assert ExecutionPolicy(backend="auto").backend == "auto"
@@ -71,7 +73,7 @@ class TestExecutionPolicyValidation:
             "store",
             "window",
         ]
-        assert ExecutionPolicy(backend="numpy", store="windowed").workers == 1
+        assert ExecutionPolicy(backend="reference", store="windowed").workers == 1
         for knob in ("workers", "shards"):
             with pytest.raises(TypeError):
                 ExecutionPolicy(**{knob: 2})
@@ -81,7 +83,7 @@ class TestExecutionPolicyValidation:
     def test_method_options_omit_defaults(self):
         # Core knobs never appear as options; managed options only when
         # non-default — the fingerprint-neutrality mechanism.
-        assert ExecutionPolicy(backend="numpy").method_options() == {}
+        assert ExecutionPolicy(backend="reference").method_options() == {}
         assert ExecutionPolicy(store="windowed", window=2).method_options() == {
             "store": "windowed",
             "window": 2,
@@ -133,7 +135,7 @@ class TestRequestPolicyField:
         # No store or window changes an estimate, so none may split the
         # result cache.
         def knobs(store, window):
-            policy = ExecutionPolicy(backend="numpy", store=store, window=window)
+            policy = ExecutionPolicy(backend="reference", store=store, window=window)
             return canonical_request_knobs(CountRequest(seed=3, policy=policy), 6)
 
         default = knobs("dict", 4)
@@ -144,7 +146,7 @@ class TestRequestPolicyField:
     @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
     def test_execution_knobs_in_options_rejected(self, name):
         value = {"store": "windowed", "window": 8}[name]
-        for policy in (ExecutionPolicy(), ExecutionPolicy(backend="numpy")):
+        for policy in (ExecutionPolicy(), ExecutionPolicy(backend="reference")):
             with pytest.raises(ParameterError, match="set them on the ExecutionPolicy"):
                 CountRequest(method="fpras", options={name: value}, policy=policy)
 

@@ -30,7 +30,6 @@ import pytest
 import repro
 import repro.counting.api as api_module
 from repro.audit.scenarios import expand_matrix
-from repro.automata.engine import available_backends
 from repro.automata.families import divisibility_nfa, substring_nfa, union_of_patterns_nfa
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.automata.serialization import nfa_to_dict
@@ -51,7 +50,7 @@ from repro.serve import CountingServer
 
 SCALE = ParameterScale.practical(sample_cap=8, union_trial_cap=10)
 METHODS = ("fpras", "acjr", "montecarlo", "bruteforce", "exact")
-BACKENDS = [name for name in ("bitset", "reference", "numpy") if name in available_backends()]
+BACKENDS = ["bitset", "reference"]
 STORES = ("dict", "windowed")
 
 #: Algorithm-level work counters, part of the parity contract.

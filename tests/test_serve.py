@@ -384,6 +384,13 @@ class TestRequestValidation:
         assert status == 400
         assert "frobnicate" in payload["error"]
 
+    def test_numpy_backend_is_400(self, server):
+        status, payload = _post(
+            server, _body(no_consecutive_ones_nfa(), 5, method="montecarlo", backend="numpy")
+        )
+        assert status == 400
+        assert "unknown simulation backend 'numpy'" in payload["error"]
+
     def test_non_integer_seed_is_400(self, server):
         status, payload = _post(
             server, _body(no_consecutive_ones_nfa(), 5, seed="eleven")

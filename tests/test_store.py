@@ -25,7 +25,6 @@ import zlib
 
 import pytest
 
-from repro.automata.engine import available_backends
 from repro.automata.families import substring_nfa
 from repro.automata.random_gen import random_nonempty_nfa
 from repro.counting.api import CountRequest, count, request_fingerprint
@@ -377,11 +376,7 @@ def test_windowed_store_matches_dict_store_on_random_nfas():
             assert counters["store_spilled_levels"] > 0
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [name for name in ("bitset", "reference", "numpy")
-     if name in available_backends()],
-)
+@pytest.mark.parametrize("backend", ["bitset", "reference"])
 def test_windowed_store_matches_dict_store_per_backend(backend):
     nfa = random_nonempty_nfa(num_states=5, length=9, seed=321)
     resident, _ = _run_counter(nfa, 9, store="dict", backend=backend)

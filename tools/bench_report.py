@@ -42,7 +42,7 @@ import time
 from statistics import median
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.audit.manifest import _numpy_version, run_scenarios, write_manifest
+from repro.audit.manifest import run_scenarios, write_manifest
 from repro.audit.scenarios import Scenario, expand_matrix
 from repro.corpus import corpus_matrix_spec
 
@@ -54,8 +54,7 @@ SCALE = {"sample_cap": 12, "union_trial_cap": 16}
 
 #: The counting workloads as declarative matrix specs.  Each spec expands
 #: factorially; together they cover the hot paths: FPRAS, batched
-#: Monte-Carlo, the exact DP reference, and (numpy permitting) the
-#: block-simulation backend at m=256.
+#: Monte-Carlo and the exact DP reference.
 BENCH_SPECS: List[Mapping[str, object]] = [
     {
         "families": [{"family": "substring", "args": {"pattern": "101"},
@@ -86,25 +85,10 @@ CORPUS_SPEC: Mapping[str, object] = corpus_matrix_spec(
     scale=SCALE,
 )
 
-#: Appended to :data:`BENCH_SPECS` when numpy is importable.
-NUMPY_SPEC: Mapping[str, object] = {
-    "families": [{"family": "divisibility", "args": {"divisor": 256},
-                  "lengths": [8]}],
-    "methods": ["fpras"],
-    "backends": ["numpy"],
-    "accuracy": [{"epsilon": 0.4, "delta": 0.1}],
-    "seeds": [SEED],
-    "scale": SCALE,
-}
-
-
 def bench_scenarios() -> List[Scenario]:
-    """The flat scenario list the bench manifest runs (numpy-gated)."""
-    specs = list(BENCH_SPECS) + [CORPUS_SPEC]
-    if _numpy_version() is not None:
-        specs.append(NUMPY_SPEC)
+    """The flat scenario list the bench manifest runs."""
     scenarios: List[Scenario] = []
-    for spec in specs:
+    for spec in [*BENCH_SPECS, CORPUS_SPEC]:
         scenarios.extend(expand_matrix(spec))
     return scenarios
 
@@ -198,16 +182,12 @@ def _find_seconds(
     *,
     method: str,
     family: str,
-    backend: Optional[str] = None,
 ) -> Optional[float]:
     """Median wall time of the first record matching the given spec fields."""
     for record in records:
         spec = record["spec"]
-        if spec["method"] != method or spec["family"] != family:
-            continue
-        if backend is not None and spec["backend"] != backend:
-            continue
-        return record["elapsed_seconds"]
+        if spec["method"] == method and spec["family"] == family:
+            return record["elapsed_seconds"]
     return None
 
 
@@ -218,9 +198,6 @@ def _ratios(
     """The headline speedup ratios derived from the manifest records."""
     fpras_serial = _find_seconds(records, method="fpras", family="substring")
     montecarlo = _find_seconds(records, method="montecarlo", family="divisibility")
-    numpy_block = _find_seconds(
-        records, method="fpras", family="divisibility", backend="numpy"
-    )
     ratios: Dict[str, float] = {}
     if serve_medians.get("serve_count_cached"):
         ratios["serve_cache_speedup"] = (
@@ -228,8 +205,6 @@ def _ratios(
         )
     if fpras_serial and montecarlo:
         ratios["montecarlo_vs_fpras_wall"] = montecarlo / fpras_serial
-    if fpras_serial and numpy_block:
-        ratios["numpy_block_vs_serial_bitset_wall"] = numpy_block / fpras_serial
     return ratios
 
 
